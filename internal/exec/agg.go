@@ -274,12 +274,27 @@ type partAgg struct {
 
 // aggregate builds the partition's group map from rows.
 func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
-	if !pa.ctx.spillEnabled() {
-		return pa.buildAny(sliceIter(rows), nil, 0)
+	var res *spill.Reservation
+	if pa.ctx.spillEnabled() {
+		res = pa.ctx.Spill.Governor().Reservation("hash aggregate")
+		defer res.Release()
 	}
-	res := pa.ctx.Spill.Governor().Reservation("hash aggregate")
-	defer res.Release()
-	return pa.buildAny(sliceIter(rows), res, 0)
+	groups, err := pa.buildAny(sliceIter(rows), res, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Seal here, while the states still belong to this attempt alone: the
+	// finalize tasks may read one state from two attempts at once.
+	for _, gs := range groups {
+		for _, g := range gs {
+			for _, st := range g.states {
+				if fs, ok := st.(*fusedSumState); ok {
+					fs.seal()
+				}
+			}
+		}
+	}
+	return groups, nil
 }
 
 // buildAny dispatches between the row and batch builders; the overflow
@@ -478,8 +493,8 @@ func chargeStateMove(ctx *Context, g *aggGroup) {
 			row = append(row, v)
 		}
 	}
-	buf := value.AppendRow(nil, row)
+	n := int64(row.EncodedLen())
 	ctx.Cluster.Stats().TuplesShuffled.Add(1)
-	ctx.Cluster.Stats().BytesShuffled.Add(int64(len(buf)))
-	ctx.Cluster.NetworkWait(int64(len(buf)))
+	ctx.Cluster.Stats().BytesShuffled.Add(n)
+	ctx.Cluster.NetworkWait(n)
 }

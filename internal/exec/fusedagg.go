@@ -60,11 +60,27 @@ func fusedOf(a plan.AggCall) fusedKind {
 
 // fusedSumState accumulates SUM(outer_product(a, b)) or
 // SUM(matrix_multiply(a, b)) without materializing per-row results.
+//
+// The outer-product sum does not touch acc once per row: after a group's
+// first OuterPanelRows rows (absorbed by direct rank-1 updates, so small
+// groups never allocate a panel) the argument vectors are copied into row
+// panels and each full panel is folded in by one tiled AᵀB multiply. The
+// kernel appends products in row order and skips no zero, and a row holding
+// a NaN or ±Inf is kept out of the panel and applied in place (see
+// stepOuter), so acc holds bit-for-bit what the rank-1 sequence would, on
+// every input. While every row so far was finite and passed the same vector
+// as both arguments (sym), only the upper triangle is kept current and seal
+// mirrors it down. Merge, Step and Final see a sealed acc.
 type fusedSumState struct {
-	kind  fusedKind
-	args  []plan.Expr
-	acc   *linalg.Matrix
-	count int64
+	kind fusedKind
+	args []plan.Expr
+	acc  *linalg.Matrix
+
+	direct int            // outer-sum rows absorbed before the panels exist
+	pa, pb *linalg.Matrix // row panels of the two arguments; pb stays nil while sym
+	n      int            // rows buffered in the panels
+	sym    bool           // every outer-sum row so far was finite with a.Vec == b.Vec
+	stale  bool           // acc's lower triangle is behind its upper one
 }
 
 // stepFused accumulates one input row directly into the buffer.
@@ -85,12 +101,7 @@ func (s *fusedSumState) stepFused(ec *plan.EvalCtx, row value.Row) error {
 		if a.Kind != value.KindVector || b.Kind != value.KindVector {
 			return fmt.Errorf("exec: SUM(outer_product) over %s, %s", a.Kind, b.Kind)
 		}
-		if s.acc == nil {
-			s.acc = linalg.NewMatrix(a.Vec.Len(), b.Vec.Len())
-		}
-		if err := a.Vec.OuterAddInto(s.acc, b.Vec); err != nil {
-			return err
-		}
+		return s.stepOuter(a.Vec, b.Vec)
 	case fusedMatMulSum:
 		if a.Kind != value.KindMatrix || b.Kind != value.KindMatrix {
 			return fmt.Errorf("exec: SUM(matrix_multiply) over %s, %s", a.Kind, b.Kind)
@@ -98,14 +109,94 @@ func (s *fusedSumState) stepFused(ec *plan.EvalCtx, row value.Row) error {
 		if s.acc == nil {
 			s.acc = linalg.NewMatrix(a.Mat.Rows, b.Mat.Cols)
 		}
-		if err := a.Mat.MulMatAddInto(s.acc, b.Mat); err != nil {
-			return err
-		}
+		return a.Mat.MulMatAddInto(s.acc, b.Mat)
 	default:
 		return fmt.Errorf("exec: stepFused on unfused state")
 	}
-	s.count++
+}
+
+// stepOuter absorbs one a·bᵀ term.
+func (s *fusedSumState) stepOuter(a, b *linalg.Vector) error {
+	if s.acc == nil {
+		s.acc = linalg.NewMatrix(a.Len(), b.Len())
+		s.sym = true
+	}
+	// Finite panel rows only ever put one NaN into an add (a product of
+	// finite entries is finite or ±Inf), and then the add returns it
+	// whichever operand it is. A NaN product meeting a NaN sum has no such
+	// guarantee, so a row with a NaN or ±Inf goes the way OuterAddInto
+	// defines it; and since its x_i·x_j and x_j·x_i may be two different
+	// NaNs, the triangles stop standing in for each other.
+	finite := allFinite(a.Data) && (a == b || allFinite(b.Data))
+	if s.sym && !(a == b && finite) {
+		s.seal()
+		s.sym = false
+	}
+	k := linalg.OuterPanelRows(s.acc.Rows, s.acc.Cols)
+	if s.direct < k || !finite || a.Len() != s.acc.Rows || b.Len() != s.acc.Cols {
+		// Also the path of a row whose shape OuterAddInto rejects.
+		s.seal()
+		if err := a.OuterAddInto(s.acc, b); err != nil {
+			return err
+		}
+		s.direct++
+		return nil
+	}
+	if s.pa == nil {
+		s.pa = linalg.NewMatrix(k, a.Len())
+	}
+	copy(s.pa.Row(s.n), a.Data)
+	if !s.sym {
+		if s.pb == nil {
+			s.pb = linalg.NewMatrix(k, b.Len())
+		}
+		copy(s.pb.Row(s.n), b.Data)
+	}
+	s.n++
+	if s.n == k {
+		s.flush()
+	}
 	return nil
+}
+
+// allFinite reports whether xs holds no NaN and no ±Inf: x·0 is NaN exactly
+// for those, and one NaN term makes the sum NaN.
+func allFinite(xs []float64) bool {
+	var t float64
+	for _, x := range xs {
+		t += x * 0
+	}
+	return t == 0
+}
+
+// flush folds the buffered panel rows into acc.
+func (s *fusedSumState) flush() {
+	if s.n == 0 {
+		return
+	}
+	pa := linalg.Matrix{Rows: s.n, Cols: s.pa.Cols, Data: s.pa.Data[:s.n*s.pa.Cols]}
+	// The panels were built to acc's shape row by row, so neither kernel
+	// call can fail its shape check.
+	if s.sym {
+		_ = pa.GramAddUpperInto(s.acc)
+		s.stale = true
+	} else {
+		pb := linalg.Matrix{Rows: s.n, Cols: s.pb.Cols, Data: s.pb.Data[:s.n*s.pb.Cols]}
+		_ = pa.TransMulAddInto(s.acc, &pb)
+	}
+	s.n = 0
+}
+
+// seal brings acc up to date with every row absorbed so far: it flushes the
+// panel and completes the lower triangle. Sealing a sealed state writes
+// nothing, which is what lets concurrent task attempts call Final on states
+// partAgg.aggregate already sealed.
+func (s *fusedSumState) seal() {
+	s.flush()
+	if s.stale {
+		s.acc.MirrorUpper()
+		s.stale = false
+	}
 }
 
 // Step implements builtins.AggState for the (rare) non-fused path: the
@@ -119,10 +210,10 @@ func (s *fusedSumState) Step(v value.Value) error {
 	}
 	if s.acc == nil {
 		s.acc = v.Mat.Clone()
-		s.count++
 		return nil
 	}
-	s.count++
+	s.seal()
+	s.sym = false // an arbitrary summand need not be symmetric
 	return s.acc.AddInPlace(v.Mat)
 }
 
@@ -135,12 +226,14 @@ func (s *fusedSumState) Merge(other builtins.AggState) error {
 	if o.acc == nil {
 		return nil
 	}
+	o.seal()
 	if s.acc == nil {
 		s.acc = o.acc
-		s.count = o.count
+		s.sym = o.sym
 		return nil
 	}
-	s.count += o.count
+	s.seal()
+	s.sym = s.sym && o.sym
 	return s.acc.AddInPlace(o.acc)
 }
 
@@ -149,5 +242,6 @@ func (s *fusedSumState) Final() (value.Value, error) {
 	if s.acc == nil {
 		return value.Null(), nil // SQL: SUM of no rows is NULL
 	}
+	s.seal()
 	return value.Matrix(s.acc), nil
 }

@@ -397,6 +397,152 @@ func (m *Matrix) mulMatBlock(out, n *Matrix, i0, i1, p0, p1, k0, k1 int) {
 	}
 }
 
+// outerPanelBytes bounds the two row panels a SUM(outer_product) state
+// buffers before one TransMulAddInto: with the four streamed rows of n and
+// two output rows in L1, the panels themselves only need to stay L2-resident.
+const outerPanelBytes = 128 << 10
+
+// OuterPanelRows is the row count k of the panels that feed TransMulAddInto
+// for da- and db-long vectors: as many rows as outerPanelBytes holds, a
+// multiple of the kernel's 4-row step, at least one step and at most one
+// mulPanelK block.
+func OuterPanelRows(da, db int) int {
+	k := outerPanelBytes / 8 / max(da+db, 1)
+	return max(4, min(mulPanelK, k&^3))
+}
+
+// TransMulAddInto accumulates mᵀ · n into dst: m is k×dst.Rows and n is
+// k×dst.Cols, two row panels sharing their row count k. It is the batched
+// form of k rank-1 updates — row r of m and n contributes exactly what
+// m.Row(r).OuterAddInto(dst, n.Row(r)) would — and it keeps that sequence's
+// values: per output element the k products append onto the stored value in
+// ascending r, and unlike mulMatBlock no zero multiplicand is skipped, so
+// 0·Inf stays NaN just as in OuterAddInto. The results agree bit for bit with
+// one carve-out: when an add meets two NaNs of different sign or payload,
+// which one it returns depends on the operand order the compiler picked, so
+// where the rank-1 sequence leaves a NaN this leaves a NaN, possibly another
+// one. Panels of finite entries never produce such an add (their products are
+// finite or ±Inf), which is how exec keeps full bit identity.
+func (m *Matrix) TransMulAddInto(dst, n *Matrix) error {
+	if m.Rows != n.Rows {
+		return fmt.Errorf("%w: panel accumulate over %d and %d rows", ErrShape, m.Rows, n.Rows)
+	}
+	if dst.Rows != m.Cols || dst.Cols != n.Cols {
+		return fmt.Errorf("%w: outer accumulate %dx%d into %dx%d", ErrShape, m.Cols, n.Cols, dst.Rows, dst.Cols)
+	}
+	m.transMulInto(dst, n, false)
+	return nil
+}
+
+// GramAddUpperInto accumulates the upper triangle (j ≥ i) of mᵀ · m into the
+// square dst, half the multiplies of TransMulAddInto(dst, m). Entries below
+// the diagonal are left unspecified (the 2-row microtile touches some of
+// them); MirrorUpper overwrites them all.
+func (m *Matrix) GramAddUpperInto(dst *Matrix) error {
+	if dst.Rows != m.Cols || dst.Cols != m.Cols {
+		return fmt.Errorf("%w: outer accumulate %dx%d into %dx%d", ErrShape, m.Cols, m.Cols, dst.Rows, dst.Cols)
+	}
+	m.transMulInto(dst, m, true)
+	return nil
+}
+
+// MirrorUpper copies the upper triangle of a square matrix onto the lower
+// one. After GramAddUpperInto this completes the Gram matrix: x_i·x_j and
+// x_j·x_i are the same bits (for a non-NaN product) and both triangles see
+// the same accumulation order, so the mirrored entry is the one a full
+// accumulation would hold.
+func (m *Matrix) MirrorUpper() {
+	for i := 1; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : i*m.Cols+i]
+		for j := range row {
+			row[j] = m.Data[j*m.Cols+i]
+		}
+	}
+}
+
+// transMulInto is mulMatRowsInto with the left operand read transposed (its
+// coefficients stride down a column of m instead of along a row) and without
+// the zero short-cut: the same column panels, k blocks and 2×4 microtile, so
+// each output element is loaded and stored once per four panel rows instead
+// of once per row. With upper set, output row i starts at column i.
+func (m *Matrix) transMulInto(out, n *Matrix, upper bool) {
+	for p0 := 0; p0 < n.Cols; p0 += mulPanelCols {
+		p1 := min(p0+mulPanelCols, n.Cols)
+		for k0 := 0; k0 < m.Rows; k0 += mulPanelK {
+			k1 := min(k0+mulPanelK, m.Rows)
+			m.transMulBlock(out, n, upper, p0, p1, k0, k1)
+		}
+	}
+}
+
+// transMulBlock accumulates the panel-row range [k0, k1) contribution of
+// mᵀ·n into columns [p0, p1) of out.
+func (m *Matrix) transMulBlock(out, n *Matrix, upper bool, p0, p1, k0, k1 int) {
+	da, db := m.Cols, n.Cols
+	var i int
+	for i = 0; i+2 <= da; i += 2 {
+		lo := p0
+		if upper && i > lo {
+			lo = i
+		}
+		if lo >= p1 {
+			break
+		}
+		or0 := out.Data[i*db+lo : i*db+p1]
+		or1 := out.Data[(i+1)*db+lo : (i+1)*db+p1]
+		_ = or1[len(or0)-1]
+		var k int
+		for k = k0; k+4 <= k1; k += 4 {
+			mc := m.Data[k*da+i : (k+3)*da+i+2]
+			a0, a1, a2, a3 := mc[0], mc[da], mc[2*da], mc[3*da]
+			b0, b1, b2, b3 := mc[1], mc[da+1], mc[2*da+1], mc[3*da+1]
+			n0 := n.Data[k*db+lo : k*db+p1]
+			n1 := n.Data[(k+1)*db+lo : (k+1)*db+p1]
+			n2 := n.Data[(k+2)*db+lo : (k+2)*db+p1]
+			n3 := n.Data[(k+3)*db+lo : (k+3)*db+p1]
+			// Anchor the shared panel length so the compiler drops the
+			// bounds checks inside the hot loop.
+			_ = n0[len(or0)-1]
+			_ = n1[len(or0)-1]
+			_ = n2[len(or0)-1]
+			_ = n3[len(or0)-1]
+			for j := range or0 {
+				v0, v1, v2, v3 := n0[j], n1[j], n2[j], n3[j]
+				or0[j] = or0[j] + a0*v0 + a1*v1 + a2*v2 + a3*v3
+				or1[j] = or1[j] + b0*v0 + b1*v1 + b2*v2 + b3*v3
+			}
+		}
+		for ; k < k1; k++ {
+			a, b := m.Data[k*da+i], m.Data[k*da+i+1]
+			nrow := n.Data[k*db+lo : k*db+p1]
+			_ = nrow[len(or0)-1]
+			for j := range or0 {
+				v := nrow[j]
+				or0[j] += a * v
+				or1[j] += b * v
+			}
+		}
+	}
+	if i < da {
+		lo := p0
+		if upper && i > lo {
+			lo = i
+		}
+		if lo >= p1 {
+			return
+		}
+		orow := out.Data[i*db+lo : i*db+p1]
+		for k := k0; k < k1; k++ {
+			a := m.Data[k*da+i]
+			nrow := n.Data[k*db+lo : k*db+p1]
+			_ = nrow[len(orow)-1]
+			for j := range orow {
+				orow[j] += a * nrow[j]
+			}
+		}
+	}
+}
+
 // RefMulMat multiplies with the seed scalar kernel: the plain ikj loop that
 // predates tiling, kept verbatim as (a) the bit-for-bit reference that the
 // tiled and parallel kernels are property-tested against and (b) the

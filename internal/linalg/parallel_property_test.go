@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -270,5 +271,132 @@ func TestDefaultWorkersBudget(t *testing.T) {
 	SetDefaultWorkers(-5)
 	if DefaultWorkers() < 1 {
 		t.Fatalf("negative budget resolves to %d, want GOMAXPROCS default", DefaultWorkers())
+	}
+}
+
+// genSpecialMat is genSparseMat with IEEE specials mixed in, and in some rows
+// a 0 right next to an Inf: every kernel that claims the rank-1 sequence's
+// bits has to turn that pair into NaN, which a zero short-cut would lose.
+func genSpecialMat(r *rand.Rand, rows, cols int) *Matrix {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -2.5e-310}
+	m := genSparseMat(r, rows, cols)
+	for i := 0; i < rows; i++ {
+		row := m.Row(i)
+		switch r.Intn(6) {
+		case 0:
+			row[r.Intn(cols)] = specials[r.Intn(len(specials))]
+		case 1:
+			if cols >= 2 {
+				j := r.Intn(cols - 1)
+				row[j], row[j+1] = 0, math.Inf(1)
+			}
+		}
+	}
+	return m
+}
+
+// naiveTransMulAddInto is the triple loop TransMulAddInto is pinned to: per
+// output element, the panel rows' products added in ascending row order.
+func naiveTransMulAddInto(dst, a, b *Matrix) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			for k := 0; k < a.Rows; k++ {
+				dst.Data[i*dst.Cols+j] += a.Data[k*a.Cols+i] * b.Data[k*b.Cols+j]
+			}
+		}
+	}
+}
+
+// bitsEqualModNaN is bitsEqual except that any NaN matches any NaN: the
+// panel kernel's documented carve-out.
+func bitsEqualModNaN(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, x := range a.Data {
+		y := b.Data[i]
+		if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPropTransMulAddIntoBitExact pins the panel kernel to the naive triple
+// loop and to the rank-1 sequence it batches: bit for bit on finite panels
+// (zeros, −0 and denormals included, overflow to ±Inf and Inf−Inf too), and
+// NaN for NaN on panels that carry NaN, ±Inf and 0 next to Inf.
+func TestPropTransMulAddIntoBitExact(t *testing.T) {
+	panelRows := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 80, 127, 128, 129, 260}
+	f := func(seed int64, kRaw, aRaw, bRaw uint16, special bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k, da, db := panelRows[int(kRaw)%len(panelRows)], genMatDims(aRaw), genMatDims(bRaw)
+		for k*da*db > 1<<22 {
+			da, db = (da+1)/2, (db+1)/2
+		}
+		gen, same := genSparseMat, bitsEqual
+		if special {
+			gen, same = genSpecialMat, bitsEqualModNaN
+		}
+		A, B := gen(rng, k, da), gen(rng, k, db)
+		if !special && k > 0 {
+			// Finite entries whose products overflow and cancel to NaN.
+			A.Data[0], B.Data[0] = 1e200, 1e200
+			A.Data[(k-1)*da], B.Data[(k-1)*db] = -1e200, 1e200
+			A.Data[rng.Intn(len(A.Data))] = math.Copysign(0, -1)
+			B.Data[rng.Intn(len(B.Data))] = 5e-324
+		}
+		// A non-zero start: the products append onto what is stored.
+		want := genMat(rng, da, db)
+		got := want.Clone()
+		naiveTransMulAddInto(want, A, B)
+		if err := A.TransMulAddInto(got, B); err != nil || !same(got, want) {
+			return false
+		}
+		// The rank-1 sequence is the same sum, one panel row at a time.
+		seq := NewMatrix(da, db)
+		for r := 0; r < k; r++ {
+			if err := (&Vector{Data: A.Row(r)}).OuterAddInto(seq, &Vector{Data: B.Row(r)}); err != nil {
+				return false
+			}
+		}
+		one := NewMatrix(da, db)
+		if err := A.TransMulAddInto(one, B); err != nil || !same(one, seq) {
+			return false
+		}
+		// The upper-triangle Gram plus its mirror is the full AᵀA.
+		full, sym := NewMatrix(da, da), NewMatrix(da, da)
+		if err := A.TransMulAddInto(full, A); err != nil {
+			return false
+		}
+		if err := A.GramAddUpperInto(sym); err != nil {
+			return false
+		}
+		sym.MirrorUpper()
+		return same(sym, full)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTransMulAddIntoShapeErrors(t *testing.T) {
+	a, b := NewMatrix(4, 3), NewMatrix(4, 5)
+	if err := a.TransMulAddInto(NewMatrix(3, 5), NewMatrix(3, 5)); !errors.Is(err, ErrShape) {
+		t.Fatalf("panel row mismatch: %v", err)
+	}
+	if err := a.TransMulAddInto(NewMatrix(5, 3), b); !errors.Is(err, ErrShape) {
+		t.Fatalf("dst shape mismatch: %v", err)
+	}
+	if err := a.GramAddUpperInto(NewMatrix(3, 4)); !errors.Is(err, ErrShape) {
+		t.Fatalf("non-square Gram dst: %v", err)
+	}
+	if got := OuterPanelRows(100, 100); got != 80 {
+		t.Fatalf("OuterPanelRows(100, 100) = %d, want 80", got)
+	}
+	for _, d := range []int{0, 1, 16, 1000, 1 << 20} {
+		if k := OuterPanelRows(d, d); k < 4 || k > mulPanelK || k%4 != 0 {
+			t.Fatalf("OuterPanelRows(%d, %d) = %d", d, d, k)
+		}
 	}
 }

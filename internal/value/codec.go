@@ -69,6 +69,30 @@ func AppendValue(dst []byte, v Value) []byte {
 	return dst
 }
 
+// EncodedLen is len(AppendRow(nil, r)) computed from the layout above,
+// without encoding: shuffle accounting only needs the size of a moved row.
+func (r Row) EncodedLen() int {
+	n := 4
+	for _, v := range r {
+		n++ // kind byte
+		switch v.Kind {
+		case KindBool:
+			n++
+		case KindInt, KindDouble:
+			n += 8
+		case KindString:
+			n += 4 + len(v.S)
+		case KindVector:
+			n += 8 + 4 + 8*v.Vec.Len()
+		case KindMatrix:
+			n += 4 + 4 + 8*len(v.Mat.Data)
+		case KindLabeledScalar:
+			n += 16
+		}
+	}
+	return n
+}
+
 // DecodeRow decodes one row from buf, returning the row and the remaining
 // bytes.
 func DecodeRow(buf []byte) (Row, []byte, error) {

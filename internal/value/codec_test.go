@@ -12,6 +12,9 @@ import (
 func roundTripRow(t *testing.T, r Row) {
 	t.Helper()
 	buf := AppendRow(nil, r)
+	if r.EncodedLen() != len(buf) {
+		t.Fatalf("EncodedLen %d, encoded %d bytes", r.EncodedLen(), len(buf))
+	}
 	got, rest, err := DecodeRow(buf)
 	if err != nil {
 		t.Fatalf("DecodeRow: %v", err)
@@ -139,7 +142,7 @@ func TestPropCodecRoundTrip(t *testing.T) {
 		}
 		buf := AppendRow(nil, row)
 		got, rest, err := DecodeRow(buf)
-		if err != nil || len(rest) != 0 || len(got) != len(row) {
+		if err != nil || len(rest) != 0 || len(got) != len(row) || row.EncodedLen() != len(buf) {
 			return false
 		}
 		for i := range row {
@@ -196,6 +199,9 @@ func bitsEqual(a, b Value) bool {
 func roundTripBits(t *testing.T, r Row) {
 	t.Helper()
 	buf := AppendRow(nil, r)
+	if r.EncodedLen() != len(buf) {
+		t.Fatalf("EncodedLen %d, encoded %d bytes", r.EncodedLen(), len(buf))
+	}
 	got, rest, err := DecodeRow(buf)
 	if err != nil {
 		t.Fatalf("DecodeRow: %v", err)
@@ -276,7 +282,7 @@ func TestPropCodecRoundTripBits(t *testing.T) {
 		}
 		buf := AppendRow(nil, row)
 		got, rest, err := DecodeRow(buf)
-		if err != nil || len(rest) != 0 || len(got) != len(row) {
+		if err != nil || len(rest) != 0 || len(got) != len(row) || row.EncodedLen() != len(buf) {
 			return false
 		}
 		for i := range row {

@@ -6,8 +6,9 @@
 # the batch-executor equivalence tests under the race detector, the benchmark
 # smokes (including the row-vs-batch identity sweep, the buffer-pool storage
 # sweep, and the optimizer rewrite/adaptive-replan identity sweep), the
-# end-to-end server smoke, and the SIGKILL restart-recovery smoke over a
-# persistent data directory.
+# end-to-end server smoke, the SIGKILL restart-recovery smoke over a
+# persistent data directory, and the smoke test of the repository's benchmark
+# (benchmark/ is a module of its own, so "go test ./..." does not reach it).
 #
 # Every gate runs even if an earlier one fails (except that a failed build
 # skips the gates that cannot run without a building tree); the run ends with
@@ -63,8 +64,9 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "opt smoke" go run ./cmd/labench -opt -smoke -out ""
   gate "serve smoke" bash scripts/serve_smoke.sh
   gate "restart smoke" bash scripts/storage_smoke.sh
+  gate "bench smoke" bash -c 'cd benchmark && go test -short ./...'
 else
-  for g in "go vet" "lalint" "go test" "go test -race" "batch race" "storage race" "kernel smoke" "spill smoke" "faults smoke" "batch smoke" "storage smoke" "opt smoke" "serve smoke" "restart smoke"; do
+  for g in "go vet" "lalint" "go test" "go test -race" "batch race" "storage race" "kernel smoke" "spill smoke" "faults smoke" "batch smoke" "storage smoke" "opt smoke" "serve smoke" "restart smoke" "bench smoke"; do
     skip "$g" "build failed"
   done
 fi
