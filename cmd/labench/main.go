@@ -20,13 +20,6 @@
 //	labench -spill                            full sweep (unlimited → 16KiB)
 //	labench -spill -smoke                     seconds-long smoke sweep
 //
-// The batch sweep compares the row executor against the vectorized batch
-// executor on filter/join/aggregation workloads, hard-failing on any result
-// divergence, and writes BENCH_batch.json:
-//
-//	labench -batch                            full sweep
-//	labench -batch -smoke                     seconds-long smoke sweep
-//
 // The storage sweep runs a scan+aggregate over a persistent paged table at
 // descending buffer-pool budgets, reopening each data directory mid-sweep,
 // and hard-fails on result divergence, pool overrun, or restart mismatch.
@@ -68,47 +61,13 @@ func main() {
 	distN := flag.Int("dist-n", 0, "override row count for distance")
 	seed := flag.Int64("seed", 0, "override data seed")
 	kernels := flag.Bool("kernels", false, "run the kernel benchmark suite instead of the figures")
-	batchSweep := flag.Bool("batch", false, "run the row-vs-batch executor sweep instead of the figures")
 	spillSweep := flag.Bool("spill", false, "run the out-of-core spill sweep instead of the figures")
 	faultSweep := flag.Bool("faults", false, "run the deterministic fault-injection sweep instead of the figures")
 	storageSweep := flag.Bool("storage", false, "run the persistent-storage buffer-pool sweep instead of the figures")
 	optSweep := flag.Bool("opt", false, "run the optimizer rewrite + adaptive re-optimization sweep instead of the figures")
-	smoke := flag.Bool("smoke", false, "with -kernels, -batch, -spill, -faults, -storage or -opt: tiny sizes for a seconds-long smoke run")
+	smoke := flag.Bool("smoke", false, "with -kernels, -spill, -faults, -storage or -opt: tiny sizes for a seconds-long smoke run")
 	out := flag.String("out", "BENCH_kernels.json", "with -kernels: JSON output path (empty = don't write)")
 	flag.Parse()
-
-	if *batchSweep {
-		bcfg := bench.DefaultBatchConfig()
-		if *smoke {
-			bcfg = bench.SmokeBatchConfig()
-		}
-		if *seed != 0 {
-			bcfg.Seed = *seed
-		}
-		rep, err := bench.RunBatchSweep(bcfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "labench: batch: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.Format())
-		path := *out
-		if path == "BENCH_kernels.json" {
-			path = "BENCH_batch.json"
-		}
-		if path != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "labench: batch: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "labench: batch: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		return
-	}
 
 	if *optSweep {
 		ocfg := bench.DefaultOptConfig()

@@ -24,6 +24,12 @@ import (
 // grossly wrong catalog statistic and verifies that mid-query re-optimization
 // fires (Stats.Replans > 0) without changing the result.
 
+// resultBytes is the identity fingerprint: schema text plus the EncodeRows
+// codec bytes, so NaN payloads and signed zeros participate in equality.
+func resultBytes(res *core.Result) []byte {
+	return append([]byte(res.Schema.String()+"\n"), value.EncodeRows(res.Rows)...)
+}
+
 // OptConfig sizes the optimizer sweep.
 type OptConfig struct {
 	ChainRows int // rows in the chain table

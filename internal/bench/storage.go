@@ -31,7 +31,6 @@ type StorageConfig struct {
 	PerNode   int
 	Seed      int64
 	PageBytes int
-	BatchSize int // 0 = row executor; the sweep runs the batch executor when > 0
 	// PoolBudgets are the BufferPoolBytes settings to sweep, largest first
 	// (the baseline); the smallest must be well below the table size so the
 	// sweep actually exercises eviction.
@@ -49,7 +48,6 @@ func DefaultStorageConfig() StorageConfig {
 		PerNode:     2,
 		Seed:        1,
 		PageBytes:   4096,
-		BatchSize:   1024,
 		PoolBudgets: []int64{64 << 20, 1 << 20, 256 << 10, 64 << 10},
 	}
 }
@@ -64,7 +62,6 @@ func SmokeStorageConfig() StorageConfig {
 		PerNode:     2,
 		Seed:        1,
 		PageBytes:   1024,
-		BatchSize:   256,
 		PoolBudgets: []int64{64 << 20, 32 << 10},
 	}
 }
@@ -126,7 +123,6 @@ func storageDB(cfg StorageConfig, dir string, budget int64) (*core.Database, err
 	dbcfg.DataDir = dir
 	dbcfg.PageBytes = cfg.PageBytes
 	dbcfg.BufferPoolBytes = budget
-	dbcfg.BatchSize = cfg.BatchSize
 	return core.OpenData(dbcfg)
 }
 

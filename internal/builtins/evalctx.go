@@ -8,16 +8,15 @@ package builtins
 // pure — the context is read-only configuration, not mutable state.
 //
 // A nil *EvalCtx is valid everywhere and means "no explicit budget": kernels
-// then draw from the deprecated process-wide default
-// (linalg.DefaultWorkers), preserving the old single-caller behavior.
+// then fan out up to GOMAXPROCS ways.
 type EvalCtx struct {
 	// KernelWorkers is the goroutine budget for parallel kernels invoked
 	// while evaluating under this context. 0 means no explicit budget.
 	KernelWorkers int
 }
 
-// Workers returns the kernel-worker budget, nil-safe (nil → 0, i.e. fall
-// back to the process default inside linalg.planWorkers).
+// Workers returns the kernel-worker budget, nil-safe (nil → 0, which
+// linalg.planWorkers resolves to GOMAXPROCS).
 func (ec *EvalCtx) Workers() int {
 	if ec == nil {
 		return 0

@@ -121,7 +121,7 @@ func VecArithFloat(op string, dst, l, r []float64, sel []int32) error {
 
 // VecCmpFloat is the vectorized numeric comparison: every numeric pair —
 // including INT with INT — compares through float64 exactly as Compare does
-// via AsDouble (deliberately lossy above 2^53, like the row path).
+// via AsDouble (deliberately lossy above 2^53, like scalar evaluation).
 func VecCmpFloat(op string, dst []bool, l, r []float64, sel []int32) error {
 	switch op {
 	case "=":
@@ -155,7 +155,7 @@ func VecCmpFloat(op string, dst []bool, l, r []float64, sel []int32) error {
 			}
 		}
 	case "<=":
-		// Ordering goes through Value.Compare in the row path, which reports
+		// Ordering goes through Value.Compare in scalar evaluation, which reports
 		// 0 when neither side is greater — so a NaN operand makes <= and >=
 		// TRUE, unlike IEEE. Replicate that: <= is !(l > r), >= is !(l < r).
 		if sel == nil {

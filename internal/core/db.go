@@ -41,11 +41,6 @@ type Config struct {
 	// stage-at-a-time execution with one materialized relation per operator;
 	// see exec.Context.
 	DisablePipelineFusion bool
-	// BatchSize, when > 0, runs queries on the vectorized batch executor:
-	// filter, project, join build/probe, and aggregation process windows of
-	// this many rows as per-column arrays with selection vectors. 0 (the
-	// default) keeps the row-at-a-time executor; see exec.Context.BatchSize.
-	BatchSize int
 	// DataDir, when non-empty, opens persistent paged storage at that
 	// directory: tables live in compressed columnar page files behind a
 	// buffer pool and survive restarts bit-identically. Empty (the default)
@@ -96,10 +91,6 @@ type Database struct {
 // Open creates a database. It panics when Config.DataDir is set and the
 // store fails to open; persistent callers should use OpenData and handle
 // the error.
-//
-// Open no longer touches the process-wide linalg worker default: the kernel
-// budget flows per query through exec.Context.KernelWorkers, so two Opens in
-// one process cannot stomp each other's parallelism.
 func Open(cfg Config) *Database {
 	return mustOpen(OpenData(cfg))
 }
@@ -692,7 +683,6 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 		DisableAggFusion:      db.cfg.DisableAggFusion,
 		DisablePipelineFusion: db.cfg.DisablePipelineFusion,
 		KernelWorkers:         db.kernelWorkers(rsrc),
-		BatchSize:             db.cfg.BatchSize,
 	}
 	if db.cfg.ReplanFactor > 1 {
 		replanner := opt.New(db.cfg.Optimizer)

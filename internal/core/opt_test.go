@@ -124,22 +124,20 @@ var rewriteEquivQueries = []string{
 
 // TestRewriteEquivalenceBitIdentical pins the rewrite layer's contract:
 // every rewritten plan produces results byte-identical (EncodeRows, so NaN
-// payloads compare too) to the unrewritten plan's, on both the row and the
-// batch executor.
+// payloads compare too) to the unrewritten plan's.
 func TestRewriteEquivalenceBitIdentical(t *testing.T) {
-	build := func(rewrites bool, batch int, st *opt.RewriteStats) *Database {
+	build := func(rewrites bool, st *opt.RewriteStats) *Database {
 		cfg := DefaultConfig()
 		cfg.Cluster.Nodes = 2
 		cfg.Cluster.PartitionsPerNode = 2
 		cfg.Optimizer.Rewrites = rewrites
 		cfg.Optimizer.Stats = st
-		cfg.BatchSize = batch
 		db := Open(cfg)
 		rewriteTestLoad(t, db)
 		return db
 	}
 
-	baseline := build(false, 0, nil)
+	baseline := build(false, nil)
 	want := make([]string, len(rewriteEquivQueries))
 	for qi, q := range rewriteEquivQueries {
 		res, err := baseline.Query(q)
@@ -149,26 +147,22 @@ func TestRewriteEquivalenceBitIdentical(t *testing.T) {
 		want[qi] = resultText(res)
 	}
 
-	for _, leg := range []struct {
-		rewrites bool
-		batch    int
-	}{{true, 0}, {true, 64}, {false, 64}} {
+	for _, rewrites := range []bool{true, false} {
 		st := &opt.RewriteStats{}
-		db := build(leg.rewrites, leg.batch, st)
+		db := build(rewrites, st)
 		for qi, q := range rewriteEquivQueries {
 			res, err := db.Query(q)
 			if err != nil {
-				t.Fatalf("rewrites=%v batch=%d %q: %v", leg.rewrites, leg.batch, q, err)
+				t.Fatalf("rewrites=%v %q: %v", rewrites, q, err)
 			}
 			if got := resultText(res); got != want[qi] {
-				t.Fatalf("rewrites=%v batch=%d %q diverged:\nwant %s\ngot  %s",
-					leg.rewrites, leg.batch, q, want[qi], got)
+				t.Fatalf("rewrites=%v %q diverged:\nwant %s\ngot  %s", rewrites, q, want[qi], got)
 			}
 		}
-		if leg.rewrites && st.Total() == 0 {
+		if rewrites && st.Total() == 0 {
 			t.Fatal("no rewrite rule fired across the whole query set")
 		}
-		if !leg.rewrites && st.Total() != 0 {
+		if !rewrites && st.Total() != 0 {
 			t.Fatalf("rewrites disabled but counters fired: %s", st.String())
 		}
 	}

@@ -187,10 +187,6 @@ type storedTable struct {
 
 func (s storedTable) Parts() int { return s.t.Parts() }
 
-func (s storedTable) ScanPartRows(part int, fn func(rows []value.Row) error) error {
-	return s.t.ScanPart(part, fn)
-}
-
 func (s storedTable) ScanPartBatches(part int, fn func(b *value.Batch) error) error {
 	pg, err := s.t.Pager(part)
 	if err != nil {

@@ -142,7 +142,7 @@ func TestPersistentRestartRoundTrip(t *testing.T) {
 }
 
 // TestPersistentMatchesInMemory runs the same workload against a persistent
-// and an in-memory database (both executors) and requires identical results.
+// and an in-memory database and requires identical results.
 func TestPersistentMatchesInMemory(t *testing.T) {
 	queries := []string{
 		"SELECT SUM(v) FROM r WHERE k > 20",
@@ -162,24 +162,20 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 	}
 	mem := Open(Config{Cluster: cluster.Config{Nodes: 2, PartitionsPerNode: 2, SerializeShuffles: true}, Optimizer: DefaultConfig().Optimizer})
 	load(mem)
-	for _, batch := range []int{0, 64} {
-		cfg := persistCfg(t.TempDir(), 0)
-		cfg.BatchSize = batch
-		db, err := OpenData(cfg)
-		if err != nil {
-			t.Fatal(err)
+	db, err := OpenData(persistCfg(t.TempDir(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(db)
+	for _, q := range queries {
+		want := mustQuery(t, mem, q)
+		got := mustQuery(t, db, q)
+		if !bytes.Equal(value.EncodeRows(got.Rows), value.EncodeRows(want.Rows)) {
+			t.Errorf("%s: persistent result differs from in-memory", q)
 		}
-		load(db)
-		for _, q := range queries {
-			want := mustQuery(t, mem, q)
-			got := mustQuery(t, db, q)
-			if !bytes.Equal(value.EncodeRows(got.Rows), value.EncodeRows(want.Rows)) {
-				t.Errorf("batch=%d: %s: persistent result differs from in-memory", batch, q)
-			}
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -187,40 +183,36 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 // buffer pool and requires that queries stream it: results stay correct and
 // the pool's peak usage never exceeds its budget.
 func TestScanBoundedByBufferPool(t *testing.T) {
-	for _, batch := range []int{0, 128} {
-		const poolBytes = 16 << 10 // 16 pages of 1 KiB for a ~300-page table
-		cfg := persistCfg(t.TempDir(), poolBytes)
-		cfg.BatchSize = batch
-		db, err := OpenData(cfg)
-		if err != nil {
-			t.Fatal(err)
+	const poolBytes = 16 << 10 // 16 pages of 1 KiB for a ~300-page table
+	db, err := OpenData(persistCfg(t.TempDir(), poolBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE TABLE big (id INTEGER, vec VECTOR[])")
+	var rows []value.Row
+	for i := 0; i < 600; i++ {
+		ent := make([]float64, 48)
+		for j := range ent {
+			ent[j] = float64(i*48 + j)
 		}
-		db.MustExec("CREATE TABLE big (id INTEGER, vec VECTOR[])")
-		var rows []value.Row
-		for i := 0; i < 600; i++ {
-			ent := make([]float64, 48)
-			for j := range ent {
-				ent[j] = float64(i*48 + j)
-			}
-			rows = append(rows, value.Row{value.Int(int64(i)), VectorValue(ent...)})
-		}
-		if err := db.LoadTable("big", rows); err != nil {
-			t.Fatal(err)
-		}
-		res := mustQuery(t, db, "SELECT COUNT(*) FROM big WHERE id >= 100")
-		if res.Rows[0][0].I != 500 {
-			t.Fatalf("batch=%d: COUNT = %v, want 500", batch, res.Rows[0][0])
-		}
-		st := db.Store().PoolStats()
-		if st.PeakBytes > poolBytes {
-			t.Fatalf("batch=%d: peak pool usage %d exceeds budget %d", batch, st.PeakBytes, poolBytes)
-		}
-		if st.Evictions == 0 {
-			t.Fatalf("batch=%d: table larger than the pool produced no evictions", batch)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, value.Row{value.Int(int64(i)), VectorValue(ent...)})
+	}
+	if err := db.LoadTable("big", rows); err != nil {
+		t.Fatal(err)
+	}
+	res := mustQuery(t, db, "SELECT COUNT(*) FROM big WHERE id >= 100")
+	if res.Rows[0][0].I != 500 {
+		t.Fatalf("COUNT = %v, want 500", res.Rows[0][0])
+	}
+	st := db.Store().PoolStats()
+	if st.PeakBytes > poolBytes {
+		t.Fatalf("peak pool usage %d exceeds budget %d", st.PeakBytes, poolBytes)
+	}
+	if st.Evictions == 0 {
+		t.Fatal("table larger than the pool produced no evictions")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"relalg/internal/builtins"
@@ -34,7 +33,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	stopLocal := ctx.Timings.Track("aggregate")
 	locals := make([]map[uint64][]*aggGroup, len(in.Parts))
 	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, attempt int) (func() error, error) {
-		pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, attempt: attempt, bsize: ctx.BatchSize}
+		pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, attempt: attempt}
 		groups, err := pa.aggregate(in.Parts[part])
 		if err != nil {
 			return nil, err
@@ -226,32 +225,6 @@ func newStates(aggs []plan.AggCall, fuse bool) []builtins.AggState {
 	return out
 }
 
-func stepStates(ec *plan.EvalCtx, states []builtins.AggState, aggs []plan.AggCall, row value.Row) error {
-	for i, a := range aggs {
-		if fs, ok := states[i].(*fusedSumState); ok {
-			if err := fs.stepFused(ec, row); err != nil {
-				return err
-			}
-			continue
-		}
-		var v value.Value
-		if a.Input == nil {
-			// COUNT(*): any non-null marker.
-			v = value.Int(1)
-		} else {
-			var err error
-			v, err = a.Input.Eval(ec, row)
-			if err != nil {
-				return err
-			}
-		}
-		if err := states[i].Step(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // aggSpillFanout is how many spill files new-group rows scatter into once
 // the group table hits its reservation.
 const aggSpillFanout = 16
@@ -269,7 +242,6 @@ type partAgg struct {
 	a       *plan.Agg
 	part    int
 	attempt int // owning task attempt; keys spill write-fault draws
-	bsize   int // >0 switches this partition to the batch executor
 }
 
 // aggregate builds the partition's group map from rows.
@@ -279,7 +251,7 @@ func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
 		res = pa.ctx.Spill.Governor().Reservation("hash aggregate")
 		defer res.Release()
 	}
-	groups, err := pa.buildAny(sliceIter(rows), res, 0)
+	groups, err := pa.build(sliceIter(rows), res, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -295,15 +267,6 @@ func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
 		}
 	}
 	return groups, nil
-}
-
-// buildAny dispatches between the row and batch builders; the overflow
-// recursion re-enters through here so spilled runs rebuild in the same mode.
-func (pa *partAgg) buildAny(next rowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
-	if pa.bsize > 0 {
-		return pa.buildBatch(next, res, depth)
-	}
-	return pa.build(next, res, depth)
 }
 
 // rowIter yields rows; the bool result is false at end of input.
@@ -324,124 +287,13 @@ func sliceIter(rows []value.Row) rowIter {
 // stateFootprint estimates the bytes of one group's aggregate states.
 func stateFootprint(n int) int64 { return 64 + int64(n)*64 }
 
-// build aggregates the iterator's rows into a group map, spilling new-group
-// rows once res denies the table more entries. At maxGraceDepth the bytes are
-// forced instead (a single group's rows always re-scatter to the same file,
-// so depth alone cannot split skew).
-func (pa *partAgg) build(next rowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
-	groups := map[uint64][]*aggGroup{}
-	force := depth >= maxGraceDepth
-	salt := graceSalt(depth)
-	var writers []*spill.Writer
-	abortAll := func() {
-		for _, w := range writers {
-			if w != nil {
-				_ = w.Abort() // the original error is the actionable one
-			}
-		}
-	}
-	for {
-		r, ok, err := next()
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		kv, err := evalKeys(pa.ec, pa.a.GroupBy, r)
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		h := hashVals(kv)
-		var g *aggGroup
-		for _, cand := range groups[h] {
-			if valsEqual(cand.keys, kv) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			if writers != nil {
-				// Overflow mode: this group is not in the table, so its rows
-				// scatter out (all of them — same hash, same file — so each
-				// spilled group is complete within its file).
-				idx := int(mix64(h^salt) % uint64(len(writers)))
-				if err := writers[idx].Append(r); err != nil {
-					abortAll()
-					return nil, err
-				}
-				continue
-			}
-			fp := valsFootprint(kv) + stateFootprint(len(pa.a.Aggs))
-			if res != nil && !force && !res.Grow(fp) {
-				// Pressure: open the overflow files; this row is the first
-				// one out.
-				writers = make([]*spill.Writer, aggSpillFanout)
-				for i := range writers {
-					w, err := pa.ctx.Spill.NewWriterAt(fmt.Sprintf("agg-p%d-d%d-%d", pa.part, depth, i), pa.attempt)
-					if err != nil {
-						abortAll()
-						return nil, err
-					}
-					writers[i] = w
-				}
-				idx := int(mix64(h^salt) % uint64(len(writers)))
-				if err := writers[idx].Append(r); err != nil {
-					abortAll()
-					return nil, err
-				}
-				continue
-			}
-			if res != nil && force {
-				res.Force(fp)
-			}
-			g = &aggGroup{keys: kv, states: newStates(pa.a.Aggs, !pa.ctx.DisableAggFusion)}
-			groups[h] = append(groups[h], g)
-		}
-		if err := stepStates(pa.ec, g.states, pa.a.Aggs, r); err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	if writers == nil {
-		return groups, nil
-	}
-	runs := make([]*spill.Run, len(writers))
-	for i, w := range writers {
-		run, err := w.Finish()
-		if err != nil {
-			for j := i + 1; j < len(writers); j++ {
-				_ = writers[j].Abort()
-			}
-			removeRunSlice(runs)
-			return nil, err
-		}
-		runs[i] = run
-	}
-	for i, run := range runs {
-		child, err := pa.buildFromRun(run, res, depth+1)
-		runs[i] = nil
-		if err != nil {
-			removeRunSlice(runs)
-			return nil, err
-		}
-		if err := mergeGroupMaps(groups, child); err != nil {
-			removeRunSlice(runs)
-			return nil, err
-		}
-	}
-	return groups, nil
-}
-
 // buildFromRun recursively aggregates one overflow file and removes it.
 func (pa *partAgg) buildFromRun(run *spill.Run, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
 	rd, err := run.Reader()
 	if err != nil {
 		return nil, err
 	}
-	groups, err := pa.buildAny(rd.Next, res, depth)
+	groups, err := pa.build(rd.Next, res, depth)
 	if err != nil {
 		_ = rd.Close() // the build error is the actionable one
 		return nil, err

@@ -10,18 +10,23 @@ import (
 	"relalg/internal/value"
 )
 
-// This file is the vectorized batch executor: when Context.BatchSize > 0 the
-// filter, project, fused pipeline, hash-join build/probe (including the grace
-// spill legs), and partition-local aggregation process windows of rows as
-// per-column arrays with selection vectors instead of dispatching the
-// expression tree per row. Everything observable — output rows and their
-// order, tuple charges at operator boundaries, spill decisions and file
-// contents — is bit-identical to the row executor: key hashing replicates
-// value.Hash/hashVals exactly, per-row spill footprints are computed from the
-// same SizeBytes quantities, and rows are processed in the same order. The
-// one intentional divergence is LIMIT over a fused pipeline, which stops
-// producing (and charging) at the limit instead of materializing every
-// surviving row first.
+// This file holds the windowed operators: filter, project, the fused
+// pipeline, hash-join build/probe (including the grace spill legs), and
+// partition-local aggregation process windows of rows as per-column arrays
+// with selection vectors instead of dispatching the expression tree per row.
+// Rows are visited in input order whatever the window size, so output rows
+// and their order, tuple charges, spill decisions and spill file contents do
+// not depend on it. Columnar key hashing must equal hashVals lane for lane:
+// the shuffle and the final aggregate merge still hash materialized key tuples
+// row at a time, and a group or join key has to land in the same bucket,
+// partition and grace file on both sides.
+
+// batchWindow is how many rows an operator gathers into columns at a time.
+const batchWindow = 1024
+
+// window is batchWindow; only this package's tests assign it, to put window
+// boundaries inside small inputs.
+var window = batchWindow
 
 // batchView adapts a window rows[lo:hi] to plan.BatchSource, gathering each
 // column on first use and caching it for the rest of the window.
@@ -127,11 +132,11 @@ func viewWidth(rows []value.Row) int {
 	return len(rows[0])
 }
 
-// filterSel compacts the live lanes where pred evaluated to BOOLEAN true,
-// applying the row path's keep test (anything else drops). sel nil means all
-// n lanes were live. The result is written into dst (grown as needed); when
-// dst aliases sel the in-place compaction is safe because both cursors move
-// in ascending order and the write index never passes the read index.
+// filterSel compacts the live lanes where pred evaluated to BOOLEAN true
+// (anything else, NULL included, drops). sel nil means all n lanes were live.
+// The result is written into dst (grown as needed); when dst aliases sel the
+// in-place compaction is safe because both cursors move in ascending order
+// and the write index never passes the read index.
 func filterSel(c *value.Col, n int, sel, dst []int32) []int32 {
 	if dst == nil {
 		// Never return nil: callers use nil to mean "every lane live", so an
@@ -191,8 +196,8 @@ func allSel(buf []int32, n int) []int32 {
 }
 
 // batchFilterPart filters one partition's rows by pred in windows, appending
-// kept row references (the same aliasing the row path keeps).
-func batchFilterPart(ctx *Context, ec *plan.EvalCtx, pred plan.Expr, rows []value.Row) ([]value.Row, error) {
+// kept row references (survivors alias the input rows).
+func batchFilterPart(ec *plan.EvalCtx, pred plan.Expr, rows []value.Row) ([]value.Row, error) {
 	var (
 		out  []value.Row
 		view batchView
@@ -200,8 +205,8 @@ func batchFilterPart(ctx *Context, ec *plan.EvalCtx, pred plan.Expr, rows []valu
 	)
 	width := viewWidth(rows)
 	pre := newPrefetcher([]plan.Expr{pred})
-	for lo := 0; lo < len(rows); lo += ctx.BatchSize {
-		hi := lo + ctx.BatchSize
+	for lo := 0; lo < len(rows); lo += window {
+		hi := lo + window
 		if hi > len(rows) {
 			hi = len(rows)
 		}
@@ -222,17 +227,15 @@ func batchFilterPart(ctx *Context, ec *plan.EvalCtx, pred plan.Expr, rows []valu
 
 // batchProjectPart projects one partition's rows in windows, materializing
 // output rows from the evaluated expression columns via the arena.
-func batchProjectPart(ctx *Context, ec *plan.EvalCtx, exprs []plan.Expr, rows []value.Row) ([]value.Row, error) {
+func batchProjectPart(ec *plan.EvalCtx, exprs []plan.Expr, rows []value.Row) ([]value.Row, error) {
 	out := make([]value.Row, 0, len(rows))
-	var (
-		view  batchView
-		arena rowArena
-	)
+	var view batchView
+	arena := rowArena{left: len(rows) * len(exprs)}
 	width := viewWidth(rows)
 	cols := make([]*value.Col, len(exprs))
 	pre := newPrefetcher(exprs)
-	for lo := 0; lo < len(rows); lo += ctx.BatchSize {
-		hi := lo + ctx.BatchSize
+	for lo := 0; lo < len(rows); lo += window {
+		hi := lo + window
 		if hi > len(rows) {
 			hi = len(rows)
 		}
@@ -261,24 +264,28 @@ func batchProjectPart(ctx *Context, ec *plan.EvalCtx, exprs []plan.Expr, rows []
 // rows, truncating inside the final window via the selection vector so the
 // discarded tail is never materialized (or charged by the caller, which
 // charges emitted rows only).
-func batchPipelinePart(ctx *Context, ec *plan.EvalCtx, sp *plan.Pipeline, rows []value.Row, limit int) ([]value.Row, error) {
+func batchPipelinePart(ec *plan.EvalCtx, sp *plan.Pipeline, rows []value.Row, limit int) ([]value.Row, error) {
 	var (
-		out   []value.Row
-		view  batchView
-		arena rowArena
-		sbuf  []int32
+		out  []value.Row
+		view batchView
+		sbuf []int32
 	)
+	most := len(rows)
+	if limit >= 0 && limit < most {
+		most = limit
+	}
+	arena := rowArena{left: most * len(sp.Exprs)}
 	width := viewWidth(rows)
 	var cols []*value.Col
 	if sp.Exprs != nil {
 		cols = make([]*value.Col, len(sp.Exprs))
 	}
 	pre := newPrefetcher(sp.Filters, sp.Exprs)
-	for lo := 0; lo < len(rows); lo += ctx.BatchSize {
+	for lo := 0; lo < len(rows); lo += window {
 		if limit >= 0 && len(out) >= limit {
 			break
 		}
-		hi := lo + ctx.BatchSize
+		hi := lo + window
 		if hi > len(rows) {
 			hi = len(rows)
 		}
@@ -384,8 +391,8 @@ func (k *keyEval) eval(ec *plan.EvalCtx, keys []plan.Expr, view *batchView) erro
 	return nil
 }
 
-// keyFootprintAt is valsFootprint of the key tuple at lane i, computed from
-// the columns without materializing the values.
+// keyFootprintAt is the governed cost of holding the key tuple at lane i,
+// computed from the columns without materializing the values.
 func (k *keyEval) keyFootprintAt(i int) int64 {
 	n := int64(32)
 	for _, c := range k.cols {
@@ -395,8 +402,8 @@ func (k *keyEval) keyFootprintAt(i int) int64 {
 }
 
 // materializeAt builds the key tuple at lane i as a value slice (used only
-// when a row actually enters a hash table, so the per-row allocation of the
-// row path is paid once per stored entry instead of once per input row).
+// when a row actually enters a hash table, so the allocation is paid once per
+// stored entry instead of once per input row).
 func (k *keyEval) materializeAt(i int) []value.Value {
 	kv := make([]value.Value, len(k.cols))
 	for j, c := range k.cols {
@@ -449,44 +456,49 @@ func keyTupleEqual(cols []*value.Col, i int, keys []value.Value) bool {
 	return true
 }
 
-// --- batch hash join ---------------------------------------------------------
+// --- hash join ---------------------------------------------------------------
 
-// runBatch is partJoin.run for the batch executor; structure and spill
-// decisions mirror run exactly.
-func (pj *partJoin) runBatch(buildRows, probeRows []value.Row) error {
+// run joins buildRows against probeRows. Without a memory budget this is the
+// strictly-in-memory hash join; with one, a denied build-table reservation
+// switches the partition to grace mode.
+func (pj *partJoin) run(buildRows, probeRows []value.Row) error {
 	if !pj.ctx.spillEnabled() {
-		table, _, err := pj.buildTableBatch(buildRows, nil, false)
+		table, _, err := pj.buildTable(buildRows, nil, false)
 		if err != nil {
 			return err
 		}
-		return pj.probeBatch(table, probeRows)
+		return pj.probe(table, probeRows)
 	}
 	res := pj.ctx.Spill.Governor().Reservation("hash join build")
 	defer res.Release()
-	table, ok, err := pj.buildTableBatch(buildRows, res, false)
+	table, ok, err := pj.buildTable(buildRows, res, false)
 	if err != nil {
 		return err
 	}
 	if ok {
-		return pj.probeBatch(table, probeRows)
+		return pj.probe(table, probeRows)
 	}
+	// The build side does not fit. Discard the partial table (re-reading the
+	// original slice keeps the spill files in input order; draining the map
+	// would write them in nondeterministic map order) and grace-partition.
 	res.Reset()
-	return pj.graceBatch(buildRows, probeRows, res, 0)
+	return pj.grace(buildRows, probeRows, res, 0)
 }
 
-// buildTableBatch is the vectorized buildTable: key evaluation and hashing
-// are columnar, rows are inserted in input order, and the reservation is
-// grown by the identical per-row footprint so a denial aborts at the same
-// row as the row path.
-func (pj *partJoin) buildTableBatch(rows []value.Row, res *spill.Reservation, force bool) (map[uint64][]joinBucket, bool, error) {
+// buildTable builds the hash table over rows: key evaluation and hashing are
+// columnar, rows are inserted in input order. With a reservation, a denied
+// growth aborts the build and returns ok=false; with force set the bytes are
+// charged unconditionally instead (max recursion depth). The reservation
+// grows row by row, so a denial lands on the same row at every window size.
+func (pj *partJoin) buildTable(rows []value.Row, res *spill.Reservation, force bool) (map[uint64][]joinBucket, bool, error) {
 	table := make(map[uint64][]joinBucket, len(rows))
 	var (
 		view batchView
 		ke   keyEval
 	)
 	width := viewWidth(rows)
-	for lo := 0; lo < len(rows); lo += pj.bsize {
-		hi := lo + pj.bsize
+	for lo := 0; lo < len(rows); lo += window {
+		hi := lo + window
 		if hi > len(rows) {
 			hi = len(rows)
 		}
@@ -511,13 +523,12 @@ func (pj *partJoin) buildTableBatch(rows []value.Row, res *spill.Reservation, fo
 	return table, true, nil
 }
 
-// probeBatch probes probeRows against the table in windows: probe keys and
-// hashes are computed columnar, bucket scans compare column lanes against the
-// stored key tuples without materializing probe-side tuples, and each
-// window's matches emit through the vectorized residual/projection path in
-// match order — the same rows, in the same order, with the same charges as
-// the row executor's per-match emitMatch.
-func (pj *partJoin) probeBatch(table map[uint64][]joinBucket, probeRows []value.Row) error {
+// probe probes probeRows against the table in windows: probe keys and hashes
+// are computed columnar, bucket scans compare column lanes against the stored
+// key tuples without materializing probe-side tuples, and each window's
+// matches emit through the vectorized residual/projection path in match
+// order, one charge tick per emitted row.
+func (pj *partJoin) probe(table map[uint64][]joinBucket, probeRows []value.Row) error {
 	var (
 		view   batchView
 		ke     keyEval
@@ -527,8 +538,8 @@ func (pj *partJoin) probeBatch(table map[uint64][]joinBucket, probeRows []value.
 		pj.em = newBatchEmitter(pj)
 	}
 	width := viewWidth(probeRows)
-	for lo := 0; lo < len(probeRows); lo += pj.bsize {
-		hi := lo + pj.bsize
+	for lo := 0; lo < len(probeRows); lo += window {
+		hi := lo + window
 		if hi > len(probeRows) {
 			hi = len(probeRows)
 		}
@@ -622,11 +633,9 @@ func (ps *pairSource) BatchRow(i int) value.Row {
 	return ps.concat[i]
 }
 
-// batchEmitter vectorizes the match-emission tail of the batch probe:
-// residual predicates and the fused projection evaluate columnar over the
-// window's matched build/probe pairs. Emitted rows, their order, and the
-// per-row charge ticks are identical to emitMatch's; like the vectorized
-// filters, only the error ordering of a failing residual may differ.
+// batchEmitter is the match-emission tail of the probe: residual predicates
+// and the fused projection evaluate columnar over the window's matched
+// build/probe pairs, and survivors are emitted and charged in match order.
 type batchEmitter struct {
 	pj    *partJoin
 	pair  pairSource
@@ -749,52 +758,26 @@ func (em *batchEmitter) flushConcat(left, right []value.Row, w int) error {
 	return nil
 }
 
-// emitMatch concatenates one build/probe match, applies residual predicates
-// and the fused projection, and charges the emitted tuple — the shared tail
-// of probeRow and probeBatch.
-func (pj *partJoin) emitMatch(buildRow, probeRow value.Row) error {
-	nr := make(value.Row, 0, len(pj.j.Out))
-	if pj.buildLeft {
-		nr = append(nr, buildRow...)
-		nr = append(nr, probeRow...)
-	} else {
-		nr = append(nr, probeRow...)
-		nr = append(nr, buildRow...)
-	}
-	for _, res := range pj.j.Residual {
-		v, err := res.Eval(pj.ec, nr)
-		if err != nil {
-			return err
-		}
-		if !(v.Kind == value.KindBool && v.B) {
-			return nil
-		}
-	}
-	emitted, err := pj.proj.emit(pj.ec, nr)
-	if err != nil {
-		return err
-	}
-	pj.rows = append(pj.rows, emitted)
-	return pj.charge.tick()
-}
-
-// graceBatch is the vectorized grace join: the scatter hashes come from the
-// columnar key path (bit-identical to hashVals), so every row lands in the
-// same file, in the same order, as the row executor's grace join.
-func (pj *partJoin) graceBatch(buildRows, probeRows []value.Row, res *spill.Reservation, depth int) error {
+// grace runs the out-of-core join: both sides are hash-partitioned into F
+// spill files by a salted re-hash of the join keys, then each sub-partition
+// pair is joined independently — build sides that still don't fit recurse with
+// a fresh salt until maxGraceDepth. Sub-partitions are processed in index
+// order and each file preserves input order, so the output is deterministic
+// (though bucket-major, unlike the in-memory probe order).
+func (pj *partJoin) grace(buildRows, probeRows []value.Row, res *spill.Reservation, depth int) error {
 	f := pj.graceFanout(buildRows)
 	salt := graceSalt(depth)
-	buildRuns, err := pj.spillSideBatch("join-build", pj.buildKeys, buildRows, f, salt)
+	buildRuns, err := pj.spillSide("join-build", pj.buildKeys, buildRows, f, salt)
 	if err != nil {
 		return err
 	}
-	probeRuns, err := pj.spillSideBatch("join-probe", pj.probeKeys, probeRows, f, salt)
+	probeRuns, err := pj.spillSide("join-probe", pj.probeKeys, probeRows, f, salt)
 	if err != nil {
 		removeRunSlice(buildRuns)
 		return err
 	}
 	for i := 0; i < f; i++ {
-		err := pj.graceSubBatch(buildRuns[i], probeRuns[i], res, depth)
+		err := pj.graceSub(buildRuns[i], probeRuns[i], res, depth)
 		buildRuns[i], probeRuns[i] = nil, nil
 		if err != nil {
 			removeRunSlice(buildRuns)
@@ -805,11 +788,11 @@ func (pj *partJoin) graceBatch(buildRows, probeRows []value.Row, res *spill.Rese
 	return nil
 }
 
-// graceSubBatch joins one sub-partition pair: the build side rebuilds
-// columnar, the probe side re-materializes and probes in windows.
-func (pj *partJoin) graceSubBatch(buildRun, probeRun *spill.Run, res *spill.Reservation, depth int) error {
+// graceSub joins one sub-partition pair and removes its run files.
+func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservation, depth int) error {
 	defer res.Reset()
 	if buildRun.Rows == 0 || probeRun.Rows == 0 {
+		// No matches possible; just reclaim the disk.
 		if err := buildRun.Remove(); err != nil {
 			return err
 		}
@@ -822,12 +805,13 @@ func (pj *partJoin) graceSubBatch(buildRun, probeRun *spill.Run, res *spill.Rese
 	if err := buildRun.Remove(); err != nil {
 		return err
 	}
-	table, ok, err := pj.buildTableBatch(subBuild, res, depth+1 >= maxGraceDepth)
+	table, ok, err := pj.buildTable(subBuild, res, depth+1 >= maxGraceDepth)
 	if err != nil {
 		_ = probeRun.Remove() // the build error is the actionable one
 		return err
 	}
 	if !ok {
+		// Still too big: recurse with the next salt so rows re-scatter.
 		res.Reset()
 		subProbe, err := readRun(probeRun)
 		if err != nil {
@@ -836,20 +820,20 @@ func (pj *partJoin) graceSubBatch(buildRun, probeRun *spill.Run, res *spill.Rese
 		if err := probeRun.Remove(); err != nil {
 			return err
 		}
-		return pj.graceBatch(subBuild, subProbe, res, depth+1)
+		return pj.grace(subBuild, subProbe, res, depth+1)
 	}
-	// Stream the probe run in windows, like the row path streams it row by
-	// row, so the probe side never materializes whole.
+	// Stream the probe run a window at a time, so the probe side never
+	// materializes whole.
 	rd, err := probeRun.Reader()
 	if err != nil {
 		return err
 	}
-	buf := make([]value.Row, 0, pj.bsize)
+	buf := make([]value.Row, 0, window)
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		err := pj.probeBatch(table, buf)
+		err := pj.probe(table, buf)
 		buf = buf[:0]
 		return err
 	}
@@ -863,7 +847,7 @@ func (pj *partJoin) graceSubBatch(buildRun, probeRun *spill.Run, res *spill.Rese
 			break
 		}
 		buf = append(buf, row)
-		if len(buf) == pj.bsize {
+		if len(buf) == window {
 			if err := flush(); err != nil {
 				_ = rd.Close()
 				return err
@@ -880,8 +864,9 @@ func (pj *partJoin) graceSubBatch(buildRun, probeRun *spill.Run, res *spill.Rese
 	return probeRun.Remove()
 }
 
-// spillSideBatch is the vectorized spillSide: same files, same order.
-func (pj *partJoin) spillSideBatch(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
+// spillSide hash-scatters one side's rows into f run files by
+// mix64(keyHash^salt) % f, preserving input order within each file.
+func (pj *partJoin) spillSide(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
 	writers := make([]*spill.Writer, f)
 	abortAll := func() {
 		for _, w := range writers {
@@ -903,8 +888,8 @@ func (pj *partJoin) spillSideBatch(label string, keys []plan.Expr, rows []value.
 		ke   keyEval
 	)
 	width := viewWidth(rows)
-	for lo := 0; lo < len(rows); lo += pj.bsize {
-		hi := lo + pj.bsize
+	for lo := 0; lo < len(rows); lo += window {
+		hi := lo + window
 		if hi > len(rows) {
 			hi = len(rows)
 		}
@@ -936,13 +921,8 @@ func (pj *partJoin) spillSideBatch(label string, keys []plan.Expr, rows []value.
 	return runs, nil
 }
 
-// --- batch aggregation -------------------------------------------------------
+// --- aggregation -------------------------------------------------------------
 
-// buildBatch is partAgg.build for the batch executor: the iterator's rows are
-// buffered into windows, group keys and hashes (and non-fused aggregate
-// arguments) are evaluated columnar, then each row is routed in input order
-// through exactly the row path's group-lookup/overflow/Grow decisions. Key
-// tuples materialize only when a new group actually enters the table.
 // stepCol feeds lane i of column c into state st, using the unboxed stepper
 // fast paths when both the column storage and the state support them.
 // LabeledScalar lanes fall back to Step so labels reach states that keep them.
@@ -962,7 +942,14 @@ func stepCol(st builtins.AggState, c *value.Col, i int) error {
 	return st.Step(c.Value(i))
 }
 
-func (pa *partAgg) buildBatch(next rowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
+// build aggregates the iterator's rows into a group map, spilling new-group
+// rows once res denies the table more entries. Rows are buffered into
+// windows, group keys and hashes (and non-fused aggregate arguments) are
+// evaluated columnar, then each row is routed in input order through the
+// group lookup; key tuples materialize only when a new group enters the
+// table. At maxGraceDepth the bytes are forced instead (a single group's rows
+// always re-scatter to the same file, so depth alone cannot split skew).
+func (pa *partAgg) build(next rowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
 	groups := map[uint64][]*aggGroup{}
 	force := depth >= maxGraceDepth
 	salt := graceSalt(depth)
@@ -991,15 +978,15 @@ func (pa *partAgg) buildBatch(next rowIter, res *spill.Reservation, depth int) (
 	}
 	pre := newPrefetcher(pa.a.GroupBy, vecInputs)
 
-	window := make([]value.Row, 0, pa.bsize)
+	win := make([]value.Row, 0, window)
 	var (
 		view batchView
 		ke   keyEval
 	)
 	done := false
 	for !done {
-		window = window[:0]
-		for len(window) < pa.bsize {
+		win = win[:0]
+		for len(win) < window {
 			r, ok, err := next()
 			if err != nil {
 				abortAll()
@@ -1009,12 +996,12 @@ func (pa *partAgg) buildBatch(next rowIter, res *spill.Reservation, depth int) (
 				done = true
 				break
 			}
-			window = append(window, r)
+			win = append(win, r)
 		}
-		if len(window) == 0 {
+		if len(win) == 0 {
 			break
 		}
-		view.reset(window, 0, len(window), viewWidth(window))
+		view.reset(win, 0, len(win), viewWidth(win))
 		pre.gather(&view)
 		if err := ke.eval(pa.ec, pa.a.GroupBy, &view); err != nil {
 			abortAll()
@@ -1031,7 +1018,7 @@ func (pa *partAgg) buildBatch(next rowIter, res *spill.Reservation, depth int) (
 			}
 			argCols[j] = c
 		}
-		for i, r := range window {
+		for i, r := range win {
 			h := ke.hashes[i]
 			var g *aggGroup
 			for _, cand := range groups[h] {
@@ -1042,6 +1029,9 @@ func (pa *partAgg) buildBatch(next rowIter, res *spill.Reservation, depth int) (
 			}
 			if g == nil {
 				if writers != nil {
+					// Overflow mode: this group is not in the table, so its rows
+					// scatter out (all of them — same hash, same file — so each
+					// spilled group is complete within its file).
 					idx := int(mix64(h^salt) % uint64(len(writers)))
 					if err := writers[idx].Append(r); err != nil {
 						abortAll()
@@ -1051,6 +1041,8 @@ func (pa *partAgg) buildBatch(next rowIter, res *spill.Reservation, depth int) (
 				}
 				fp := ke.keyFootprintAt(i) + stateFootprint(len(pa.a.Aggs))
 				if res != nil && !force && !res.Grow(fp) {
+					// Pressure: open the overflow files; this row is the first
+					// one out.
 					writers = make([]*spill.Writer, aggSpillFanout)
 					for wi := range writers {
 						w, err := pa.ctx.Spill.NewWriterAt(fmt.Sprintf("agg-p%d-d%d-%d", pa.part, depth, wi), pa.attempt)

@@ -149,18 +149,10 @@ type Context struct {
 	// out-of-core under pressure instead of growing without bound.
 	Spill *spill.Manager
 	// KernelWorkers is this query's goroutine budget for parallel linalg
-	// kernels. 0 falls back to the deprecated process-wide default; the
-	// serving layer sets an explicit lease so concurrent queries share the
-	// machine instead of each assuming exclusive use.
+	// kernels. 0 means GOMAXPROCS; the serving layer sets an explicit lease
+	// so concurrent queries share the machine instead of each assuming
+	// exclusive use.
 	KernelWorkers int
-	// BatchSize, when > 0, switches filter, project, the fused pipeline,
-	// hash-join build/probe, and partition-local aggregation to the
-	// vectorized batch executor: rows are processed in windows of this many
-	// as per-column arrays with selection vectors. 0 keeps the row-at-a-time
-	// executor. Results, ordering, charges, and spill behaviour are
-	// bit-identical either way (except LIMIT over a fused pipeline, which
-	// stops producing at the limit instead of materializing first).
-	BatchSize int
 	// Adaptive, when non-nil with Factor > 1, enables mid-query
 	// re-optimization of join regions whose observed input cardinalities
 	// diverge from their estimates; see Adaptive.
@@ -209,15 +201,6 @@ func taskObs(ctx *Context) cluster.TaskObserver {
 // operator's working set: the codec's encoded payload plus slice and header
 // overhead.
 func rowFootprint(r value.Row) int64 { return int64(r.SizeBytes()) + 48 }
-
-// valsFootprint is the governed cost of a slice of evaluated key values.
-func valsFootprint(vals []value.Value) int64 {
-	n := int64(32)
-	for _, v := range vals {
-		n += int64(v.SizeBytes())
-	}
-	return n
-}
 
 // Run executes a plan and returns the materialized result.
 func Run(ctx *Context, n plan.Node) (*Relation, error) {
@@ -359,26 +342,9 @@ func runProject(ctx *Context, p *plan.Project) (*Relation, error) {
 	out := make([][]value.Row, len(in.Parts))
 	ec := ctx.EvalCtx()
 	err = ctx.Cluster.ParallelTasks("project", taskObs(ctx), func(part, _ int) (func() error, error) {
-		var rows []value.Row
-		if ctx.BatchSize > 0 {
-			var err error
-			rows, err = batchProjectPart(ctx, ec, p.Exprs, in.Parts[part])
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			rows = make([]value.Row, 0, len(in.Parts[part]))
-			for _, r := range in.Parts[part] {
-				nr := make(value.Row, len(p.Exprs))
-				for i, e := range p.Exprs {
-					v, err := e.Eval(ec, r)
-					if err != nil {
-						return nil, err
-					}
-					nr[i] = v
-				}
-				rows = append(rows, nr)
-			}
+		rows, err := batchProjectPart(ec, p.Exprs, in.Parts[part])
+		if err != nil {
+			return nil, err
 		}
 		return func() error {
 			out[part] = rows
@@ -406,23 +372,9 @@ func runFilter(ctx *Context, f *plan.Filter) (*Relation, error) {
 	out := make([][]value.Row, len(in.Parts))
 	ec := ctx.EvalCtx()
 	err = ctx.Cluster.ParallelTasks("filter", taskObs(ctx), func(part, _ int) (func() error, error) {
-		var rows []value.Row
-		if ctx.BatchSize > 0 {
-			var err error
-			rows, err = batchFilterPart(ctx, ec, f.Pred, in.Parts[part])
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for _, r := range in.Parts[part] {
-				v, err := f.Pred.Eval(ec, r)
-				if err != nil {
-					return nil, err
-				}
-				if v.Kind == value.KindBool && v.B {
-					rows = append(rows, r)
-				}
-			}
+		rows, err := batchFilterPart(ec, f.Pred, in.Parts[part])
+		if err != nil {
+			return nil, err
 		}
 		return func() error {
 			out[part] = rows
@@ -521,21 +473,17 @@ func compareForSort(a, b value.Value) (int, error) {
 }
 
 func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
-	// In batch mode, a fused-pipeline input takes the limit as a per-partition
-	// cap: production stops at l.N rows via the selection vector, so the
-	// discarded tail of a batch is neither materialized by the arena nor
-	// charged to the tuple budget (the row path materializes and charges every
-	// surviving pipeline row first).
+	// A fused-pipeline input takes the limit as a per-partition cap:
+	// production stops at l.N rows via the selection vector, so the discarded
+	// tail of a window is neither materialized by the arena nor charged to the
+	// tuple budget.
 	var (
 		in  *Relation
 		err error
 	)
-	if ctx.BatchSize > 0 {
-		if sp := matchPipeline(ctx, l.Input); sp != nil {
-			in, err = runPipelineLimited(ctx, sp, l.N)
-		}
-	}
-	if in == nil && err == nil {
+	if sp := matchPipeline(ctx, l.Input); sp != nil {
+		in, err = runPipelineLimited(ctx, sp, l.N)
+	} else {
 		in, err = Run(ctx, l.Input)
 	}
 	if err != nil {

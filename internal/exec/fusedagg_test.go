@@ -61,7 +61,7 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 		t.Fatalf("state is %T, want fused", states[0])
 	}
 	for _, r := range rows {
-		if err := stepStates(nil, states, []plan.AggCall{call}, r); err != nil {
+		if err := fused.stepFused(nil, r); err != nil {
 			t.Fatal(err)
 		}
 	}

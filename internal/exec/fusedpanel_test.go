@@ -116,13 +116,12 @@ func sameBits(a, b *linalg.Matrix) error {
 	return nil
 }
 
-// aggregateOne runs one partition's local aggregation in the executor bsize
-// selects and returns the single group's fused state.
-func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row, bsize int) (*fusedSumState, error) {
+// aggregateOne runs one partition's local aggregation and returns the single
+// group's fused state.
+func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*fusedSumState, error) {
 	t.Helper()
 	ctx := testCtx(memSource{})
-	ctx.BatchSize = bsize
-	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, bsize: bsize}
+	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a}
 	groups, err := pa.aggregate(rows)
 	if err != nil {
 		return nil, err
@@ -161,9 +160,10 @@ func TestPanelledOuterSumEqualsRank1Sequence(t *testing.T) {
 						bi = 0
 					}
 					want := rank1Sum(t, rows, ai, bi)
-					for _, bsize := range []int{0, 1, 3, 1024} {
-						name := fmt.Sprintf("d=%d n=%d %s special=%v batch=%d", d, n, mode, special, bsize)
-						st, err := aggregateOne(t, outerSumAgg(ai, bi), rows, bsize)
+					for _, w := range []int{1, 3, 1024} {
+						SetWindow(t, w)
+						name := fmt.Sprintf("d=%d n=%d %s special=%v window=%d", d, n, mode, special, w)
+						st, err := aggregateOne(t, outerSumAgg(ai, bi), rows)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -189,7 +189,7 @@ func TestPanelledOuterSumSmallGroupsAllocateNoPanel(t *testing.T) {
 	d := 7
 	k := linalg.OuterPanelRows(d, d)
 	rows := panelRows(rand.New(rand.NewSource(1)), k, d, "distinct", false)
-	st, err := aggregateOne(t, outerSumAgg(0, 1), rows, 0)
+	st, err := aggregateOne(t, outerSumAgg(0, 1), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +208,11 @@ func TestPanelledOuterSumShapeErrorAtItsRow(t *testing.T) {
 	rows = append(rows, value.Row{value.Vector(bad), value.Null()})
 	rows = append(rows, panelRows(r, 3, d, "same", false)...)
 	wantErr := bad.OuterAddInto(linalg.NewMatrix(d, d), bad)
-	for _, bsize := range []int{0, 1, 3, 1024} {
-		_, err := aggregateOne(t, outerSumAgg(0, 0), rows, bsize)
+	for _, w := range []int{1, 3, 1024} {
+		SetWindow(t, w)
+		_, err := aggregateOne(t, outerSumAgg(0, 0), rows)
 		if !errors.Is(err, linalg.ErrShape) || err.Error() != wantErr.Error() {
-			t.Fatalf("batch=%d: got %v, want %v", bsize, err, wantErr)
+			t.Fatalf("window=%d: got %v, want %v", w, err, wantErr)
 		}
 	}
 	// Stepping directly: every other row is accepted, the bad one is refused

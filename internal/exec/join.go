@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 
 	"relalg/internal/plan"
@@ -169,7 +168,6 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec) (*Relation, erro
 			charge:    newCharger(ctx, "hash join"),
 			part:      part,
 			attempt:   attempt,
-			bsize:     ctx.BatchSize,
 		}
 		if err := pj.run(buildRows, probeRows); err != nil {
 			return nil, err
@@ -212,7 +210,6 @@ type partJoin struct {
 	charge    *charger
 	part      int
 	attempt   int // owning task attempt; keys spill write-fault draws
-	bsize     int // >0 switches this partition to the batch executor
 	em        *batchEmitter
 	rows      []value.Row
 }
@@ -221,87 +218,6 @@ type partJoin struct {
 // limit the build table is forced into memory (skew on a single key cannot be
 // subdivided by re-hashing it).
 const maxGraceDepth = 3
-
-// run joins buildRows against probeRows. Without a memory budget this is the
-// strictly-in-memory hash join; with one, a denied build-table reservation
-// switches the partition to grace mode.
-func (pj *partJoin) run(buildRows, probeRows []value.Row) error {
-	if pj.bsize > 0 {
-		return pj.runBatch(buildRows, probeRows)
-	}
-	if !pj.ctx.spillEnabled() {
-		table, _, err := pj.buildTable(buildRows, nil, false)
-		if err != nil {
-			return err
-		}
-		return pj.probeSlice(table, probeRows)
-	}
-	res := pj.ctx.Spill.Governor().Reservation("hash join build")
-	defer res.Release()
-	table, ok, err := pj.buildTable(buildRows, res, false)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return pj.probeSlice(table, probeRows)
-	}
-	// The build side does not fit. Discard the partial table (re-reading the
-	// original slice keeps the spill files in input order; draining the map
-	// would write them in nondeterministic map order) and grace-partition.
-	res.Reset()
-	return pj.grace(buildRows, probeRows, res, 0)
-}
-
-// buildTable builds the hash table over rows. With a reservation, a denied
-// growth aborts the build and returns ok=false; with force set the bytes are
-// charged unconditionally instead (max recursion depth).
-func (pj *partJoin) buildTable(rows []value.Row, res *spill.Reservation, force bool) (map[uint64][]joinBucket, bool, error) {
-	table := make(map[uint64][]joinBucket, len(rows))
-	for _, r := range rows {
-		kv, err := evalKeys(pj.ec, pj.buildKeys, r)
-		if err != nil {
-			return nil, false, err
-		}
-		if res != nil {
-			fp := rowFootprint(r) + valsFootprint(kv)
-			if force {
-				res.Force(fp)
-			} else if !res.Grow(fp) {
-				return nil, false, nil
-			}
-		}
-		h := hashVals(kv)
-		table[h] = append(table[h], joinBucket{keys: kv, row: r})
-	}
-	return table, true, nil
-}
-
-// probeSlice probes every row of the slice against the table.
-func (pj *partJoin) probeSlice(table map[uint64][]joinBucket, probeRows []value.Row) error {
-	for _, pr := range probeRows {
-		if err := pj.probeRow(table, pr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// probeRow emits the join output for one probe row.
-func (pj *partJoin) probeRow(table map[uint64][]joinBucket, pr value.Row) error {
-	kv, err := evalKeys(pj.ec, pj.probeKeys, pr)
-	if err != nil {
-		return err
-	}
-	for _, b := range table[hashVals(kv)] {
-		if !valsEqual(kv, b.keys) {
-			continue
-		}
-		if err := pj.emitMatch(b.row, pr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // graceFanout picks the sub-partition count so each sub-build plausibly fits
 // the partition's budget share: enough files to subdivide the estimated build
@@ -328,140 +244,6 @@ func (pj *partJoin) graceFanout(buildRows []value.Row) int {
 // minGraceShare floors the per-partition budget share used for fanout
 // estimation, so a tiny budget doesn't explode the file count.
 const minGraceShare = 16 << 10
-
-// grace runs the out-of-core join: both sides are hash-partitioned into F
-// spill files by a salted re-hash of the join keys, then each sub-partition
-// pair is joined independently — build sides that still don't fit recurse with
-// a fresh salt until maxGraceDepth. Sub-partitions are processed in index
-// order and each file preserves input order, so the output is deterministic
-// (though bucket-major, unlike the in-memory probe order).
-func (pj *partJoin) grace(buildRows, probeRows []value.Row, res *spill.Reservation, depth int) error {
-	f := pj.graceFanout(buildRows)
-	salt := graceSalt(depth)
-	buildRuns, err := pj.spillSide("join-build", pj.buildKeys, buildRows, f, salt)
-	if err != nil {
-		return err
-	}
-	probeRuns, err := pj.spillSide("join-probe", pj.probeKeys, probeRows, f, salt)
-	if err != nil {
-		removeRunSlice(buildRuns)
-		return err
-	}
-	for i := 0; i < f; i++ {
-		err := pj.graceSub(buildRuns[i], probeRuns[i], res, depth)
-		buildRuns[i], probeRuns[i] = nil, nil
-		if err != nil {
-			removeRunSlice(buildRuns)
-			removeRunSlice(probeRuns)
-			return err
-		}
-	}
-	return nil
-}
-
-// graceSub joins one sub-partition pair and removes its run files.
-func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservation, depth int) error {
-	defer res.Reset()
-	if buildRun.Rows == 0 || probeRun.Rows == 0 {
-		// No matches possible; just reclaim the disk.
-		if err := buildRun.Remove(); err != nil {
-			return err
-		}
-		return probeRun.Remove()
-	}
-	subBuild, err := readRun(buildRun)
-	if err != nil {
-		return err
-	}
-	if err := buildRun.Remove(); err != nil {
-		return err
-	}
-	table, ok, err := pj.buildTable(subBuild, res, depth+1 >= maxGraceDepth)
-	if err != nil {
-		_ = probeRun.Remove() // the build error is the actionable one
-		return err
-	}
-	if !ok {
-		// Still too big: recurse with the next salt so rows re-scatter.
-		res.Reset()
-		subProbe, err := readRun(probeRun)
-		if err != nil {
-			return err
-		}
-		if err := probeRun.Remove(); err != nil {
-			return err
-		}
-		return pj.grace(subBuild, subProbe, res, depth+1)
-	}
-	rd, err := probeRun.Reader()
-	if err != nil {
-		return err
-	}
-	for {
-		row, more, err := rd.Next()
-		if err != nil {
-			_ = rd.Close()
-			return err
-		}
-		if !more {
-			break
-		}
-		if err := pj.probeRow(table, row); err != nil {
-			_ = rd.Close()
-			return err
-		}
-	}
-	if err := rd.Close(); err != nil {
-		return err
-	}
-	return probeRun.Remove()
-}
-
-// spillSide hash-scatters one side's rows into f run files by
-// mix64(keyHash^salt) % f, preserving input order within each file.
-func (pj *partJoin) spillSide(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
-	writers := make([]*spill.Writer, f)
-	abortAll := func() {
-		for _, w := range writers {
-			if w != nil {
-				_ = w.Abort() // the original error is the actionable one
-			}
-		}
-	}
-	for i := range writers {
-		w, err := pj.ctx.Spill.NewWriterAt(fmt.Sprintf("%s-p%d-%d", label, pj.part, i), pj.attempt)
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		writers[i] = w
-	}
-	for _, r := range rows {
-		kv, err := evalKeys(pj.ec, keys, r)
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		idx := int(mix64(hashVals(kv)^salt) % uint64(f))
-		if err := writers[idx].Append(r); err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	runs := make([]*spill.Run, f)
-	for i, w := range writers {
-		run, err := w.Finish()
-		if err != nil {
-			writers[i] = nil
-			abortAll()
-			removeRunSlice(runs)
-			return nil, err
-		}
-		writers[i] = nil
-		runs[i] = run
-	}
-	return runs, nil
-}
 
 // readRun materializes a run's rows back into memory.
 func readRun(run *spill.Run) ([]value.Row, error) {

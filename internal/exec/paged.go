@@ -11,16 +11,14 @@ import (
 // This file is the executor's streaming path over persistent storage: when
 // the table source exposes paged tables, the fused scan→filter→project
 // pipeline pulls one page at a time through the buffer pool instead of
-// materializing whole partitions. In batch mode each page decodes straight
-// into value.Col windows, so the stored data never takes row form unless an
-// expression's scalar fallback asks for a row.
+// materializing whole partitions. Each page decodes straight into value.Col
+// windows, so the stored data never takes row form unless an expression's
+// scalar fallback asks for a row.
 
 // PagedTable is one stored table the executor can stream page by page.
 type PagedTable interface {
 	// Parts is the stored partition count.
 	Parts() int
-	// ScanPartRows streams one partition's rows a page at a time.
-	ScanPartRows(part int, fn func(rows []value.Row) error) error
 	// ScanPartBatches streams one partition's pages as columnar batches.
 	ScanPartBatches(part int, fn func(b *value.Batch) error) error
 }
@@ -62,13 +60,7 @@ func runPipelinePaged(ctx *Context, sp *plan.Pipeline, pt PagedTable, limit int)
 	out := make([][]value.Row, ctx.Cluster.Partitions())
 	ec := ctx.EvalCtx()
 	err := ctx.Cluster.ParallelTasks("pipeline", taskObs(ctx), func(part, _ int) (func() error, error) {
-		var rows []value.Row
-		var err error
-		if ctx.BatchSize > 0 {
-			rows, err = pagedBatchPart(ec, sp, pt, part, limit)
-		} else {
-			rows, err = pagedRowPart(ec, sp, pt, part)
-		}
+		rows, err := pagedBatchPart(ec, sp, pt, part, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -88,50 +80,6 @@ func runPipelinePaged(ctx *Context, sp *plan.Pipeline, pt PagedTable, limit int)
 		return nil, opErr("pipeline", err)
 	}
 	return rel, nil
-}
-
-// pagedRowPart is the row-at-a-time pipeline body over one partition's
-// pages. Decoded page rows own their storage, so unprojected survivors are
-// kept as-is.
-func pagedRowPart(ec *plan.EvalCtx, sp *plan.Pipeline, pt PagedTable, part int) ([]value.Row, error) {
-	var arena rowArena
-	var out []value.Row
-	err := pt.ScanPartRows(part, func(page []value.Row) error {
-		for _, r := range page {
-			keep := true
-			for _, pred := range sp.Filters {
-				v, err := pred.Eval(ec, r)
-				if err != nil {
-					return err
-				}
-				if v.Kind != value.KindBool || !v.B {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
-			if sp.Exprs == nil {
-				out = append(out, r)
-				continue
-			}
-			nr := arena.alloc(len(sp.Exprs))
-			for i, e := range sp.Exprs {
-				v, err := e.Eval(ec, r)
-				if err != nil {
-					return err
-				}
-				nr[i] = v
-			}
-			out = append(out, nr)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // pagedBatchPart is the vectorized pipeline body over one partition's pages.

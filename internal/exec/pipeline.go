@@ -23,17 +23,20 @@ func matchPipeline(ctx *Context, n plan.Node) *plan.Pipeline {
 	return plan.MatchPipeline(n)
 }
 
-// arenaChunk is how many value slots a pipeline arena allocates at once:
-// large enough to amortize the per-row allocation down to noise, small
-// enough that a short partition doesn't hold a meaningfully oversized block.
+// arenaChunk is the most value slots a pipeline arena allocates at once:
+// large enough to amortize the per-row allocation down to noise.
 const arenaChunk = 4096
 
 // rowArena hands out value.Row storage carved from chunked allocations. One
 // arena serves one partition goroutine, so no locking. Rows remain valid
-// forever (the chunks are never reused) — the arena only batches what the
-// unfused path would have allocated row by row.
+// forever (the chunks are never reused) — the arena only batches what would
+// otherwise be one allocation per row.
 type rowArena struct {
 	buf []value.Value
+	// left, when > 0, bounds the slots still to be handed out: a chunk stops
+	// there instead of rounding a short partition up to arenaChunk, which a
+	// stored CREATE TABLE AS result would pin for as long as the table lives.
+	left int
 }
 
 // alloc returns a zeroed row of n values with capacity clipped to n, so an
@@ -44,10 +47,16 @@ func (a *rowArena) alloc(n int) value.Row {
 	}
 	if len(a.buf) < n {
 		size := arenaChunk
+		if a.left > 0 && a.left < size {
+			size = a.left
+		}
 		if n > size {
 			size = n
 		}
 		a.buf = make([]value.Value, size)
+	}
+	if a.left > 0 {
+		a.left -= n
 	}
 	r := a.buf[:n:n]
 	a.buf = a.buf[n:]
@@ -67,9 +76,9 @@ func runPipeline(ctx *Context, sp *plan.Pipeline) (*Relation, error) {
 }
 
 // runPipelineLimited is runPipeline with an optional per-partition row cap
-// (limit < 0 means none). Only the batch executor takes the cap: runLimit
-// pushes its N down so each partition stops producing — and charging — at N
-// rows, truncating inside a batch via the selection vector.
+// (limit < 0 means none): runLimit pushes its N down so each partition stops
+// producing — and charging — at N rows, truncating inside a window via the
+// selection vector.
 func runPipelineLimited(ctx *Context, sp *plan.Pipeline, limit int) (*Relation, error) {
 	// A paged table source streams the scan through the buffer pool instead
 	// of materializing partitions; see paged.go.
@@ -84,46 +93,9 @@ func runPipelineLimited(ctx *Context, sp *plan.Pipeline, limit int) (*Relation, 
 	out := make([][]value.Row, len(parts))
 	ec := ctx.EvalCtx()
 	err = ctx.Cluster.ParallelTasks("pipeline", taskObs(ctx), func(part, _ int) (func() error, error) {
-		if ctx.BatchSize > 0 {
-			rows, err := batchPipelinePart(ctx, ec, sp, parts[part], limit)
-			if err != nil {
-				return nil, err
-			}
-			return func() error {
-				out[part] = rows
-				return nil
-			}, nil
-		}
-		var arena rowArena
-		var rows []value.Row
-		for _, r := range parts[part] {
-			keep := true
-			for _, pred := range sp.Filters {
-				v, err := pred.Eval(ec, r)
-				if err != nil {
-					return nil, err
-				}
-				if v.Kind != value.KindBool || !v.B {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
-			if sp.Exprs == nil {
-				rows = append(rows, r)
-				continue
-			}
-			nr := arena.alloc(len(sp.Exprs))
-			for i, e := range sp.Exprs {
-				v, err := e.Eval(ec, r)
-				if err != nil {
-					return nil, err
-				}
-				nr[i] = v
-			}
-			rows = append(rows, nr)
+		rows, err := batchPipelinePart(ec, sp, parts[part], limit)
+		if err != nil {
+			return nil, err
 		}
 		return func() error {
 			out[part] = rows

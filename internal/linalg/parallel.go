@@ -6,8 +6,8 @@ import (
 )
 
 // This file holds the parallel entry points for the heavy kernels. They all
-// share the policy in pool.go: workers <= 0 draws from the package budget
-// (SetDefaultWorkers), small inputs run serially, and every kernel returns a
+// share the policy in pool.go: workers <= 0 means GOMAXPROCS, small inputs
+// run serially, and every kernel returns a
 // result that is bit-for-bit independent of the worker count — splitting
 // never reorders the per-element accumulation (products split output rows or
 // columns; reductions combine fixed-size chunk partials in ascending order).

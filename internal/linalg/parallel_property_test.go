@@ -258,19 +258,17 @@ func TestParallelKernelShapeErrors(t *testing.T) {
 	}
 }
 
-func TestDefaultWorkersBudget(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Fatalf("budget %d, want 3", DefaultWorkers())
-	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Fatalf("unset budget %d, want >= 1", DefaultWorkers())
-	}
-	SetDefaultWorkers(-5)
-	if DefaultWorkers() < 1 {
-		t.Fatalf("negative budget resolves to %d, want GOMAXPROCS default", DefaultWorkers())
+// TestUnsetWorkerBudgetIsGOMAXPROCS: a zero or negative worker count asks for
+// GOMAXPROCS, still subject to the unit and serial-threshold clamps.
+func TestUnsetWorkerBudgetIsGOMAXPROCS(t *testing.T) {
+	mp := runtime.GOMAXPROCS(0)
+	for _, workers := range []int{0, -5} {
+		if got := planWorkers(workers, 1<<20, parallelMinWork); got != mp {
+			t.Fatalf("planWorkers(%d) = %d, want GOMAXPROCS %d", workers, got, mp)
+		}
+		if got := planWorkers(workers, 1<<20, parallelMinWork-1); got != 1 {
+			t.Fatalf("planWorkers(%d) under the serial threshold = %d, want 1", workers, got)
+		}
 	}
 }
 

@@ -3,41 +3,7 @@ package linalg
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// The kernel worker budget. Every Parallel* entry point in this package
-// resolves a caller-supplied worker count against this package-wide budget:
-// workers <= 0 means "use the budget". The engine sets the budget from the
-// cluster shape (cluster.Config.KernelWorkers) so that per-tuple kernel
-// parallelism composes with partition parallelism instead of oversubscribing
-// the machine — with P partition goroutines already running, each kernel may
-// only fan out GOMAXPROCS/P ways. Library users who never set a budget get
-// GOMAXPROCS, the right default for standalone use.
-var kernelWorkers atomic.Int64
-
-// SetDefaultWorkers sets the package-wide kernel worker budget. n <= 0
-// restores the GOMAXPROCS default.
-//
-// Deprecated: the budget is process-global, so two engines in one process
-// stomp each other's parallelism. The engine now threads a per-query budget
-// into every kernel call (builtins.EvalCtx / exec.Context.KernelWorkers);
-// this setter remains only as a fallback default for standalone library use
-// and sets nothing the engine itself relies on.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	kernelWorkers.Store(int64(n))
-}
-
-// DefaultWorkers returns the current kernel worker budget.
-func DefaultWorkers() int {
-	if n := kernelWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // parallelMinWork is the number of scalar operations (multiply-adds for
 // products, element visits for maps and reductions) below which every kernel
@@ -53,16 +19,16 @@ const parallelMinWork = 1 << 18
 // of numeric nondeterminism.
 const reduceChunk = 1 << 15
 
-// planWorkers resolves a requested worker count: workers <= 0 draws from the
-// package budget, the count is clamped to GOMAXPROCS (a CPU-bound kernel
-// never gains from more goroutines than schedulable threads — it only pays
+// planWorkers resolves a requested worker count: workers <= 0 means
+// GOMAXPROCS, the count is clamped to GOMAXPROCS (a CPU-bound kernel never
+// gains from more goroutines than schedulable threads — it only pays
 // scheduling and cache-handoff overhead) and to the number of splittable
-// units, and kernels under the serial threshold get 1.
+// units, and kernels under the serial threshold get 1. The engine passes each
+// query's budget (exec.Context.KernelWorkers) so that per-tuple kernel
+// parallelism composes with partition parallelism instead of oversubscribing
+// the machine.
 func planWorkers(workers, units, work int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
+	if mp := runtime.GOMAXPROCS(0); workers <= 0 || workers > mp {
 		workers = mp
 	}
 	if workers > units {

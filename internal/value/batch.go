@@ -11,7 +11,7 @@ import (
 // — and falls back to a generic []Value otherwise (mixed kinds or NULLs), so
 // vectorized fast paths never have to reason about per-lane kind dispatch:
 // they either run over a homogeneous array or the evaluator degrades to
-// element-at-a-time evaluation with exactly the row executor's semantics.
+// element-at-a-time evaluation with exactly scalar Expr.Eval's semantics.
 
 // Col is one column of a batch: either a homogeneous typed array (Generic
 // false; Kind names the storage) or a generic value array (Generic true).
@@ -301,8 +301,8 @@ func (c *Col) AsFloats(scratch []float64, sel []int32) ([]float64, bool) {
 }
 
 // SizeBytesAt replicates Value.SizeBytes for lane i without materializing the
-// value (the spill governor's per-row footprint must match the row executor's
-// exactly so budget denials trip at the same row).
+// value (the spill governor's per-row footprint is defined on Value.SizeBytes,
+// so budget denials trip at the same row however the row is held).
 func (c *Col) SizeBytesAt(i int) int {
 	if c.Generic {
 		return c.Any[i].SizeBytes()
@@ -435,9 +435,9 @@ func (c *Col) Specialize(n int, sel []int32) {
 
 // HashesInto writes the per-value hash (identical to Value.Hash) of each
 // selected lane into dst, which must have at least Len lanes. Key hashing,
-// grace-join scatter, and aggregation grouping all build on these hashes, so
-// they must match the row executor's bit-for-bit — the batch executor's
-// output ordering depends on it.
+// grace-join scatter, and aggregation grouping all build on these hashes, and
+// the shuffle and the final aggregate merge hash the same keys through
+// Value.Hash, so the two must match bit-for-bit.
 func (c *Col) HashesInto(dst []uint64, sel []int32) {
 	if c.Generic {
 		if sel == nil {
@@ -509,7 +509,7 @@ func fnvMix(h, x uint64) uint64 {
 }
 
 // CombineKeyHashes folds one key column's per-value hashes into the running
-// key-tuple hashes, exactly as the row executor's hashVals folds Value.Hash
+// key-tuple hashes, exactly as the executor's hashVals folds Value.Hash
 // results: h ^= vh; h *= prime. Initialize dst lanes with KeyHashInit first.
 func CombineKeyHashes(dst, colHashes []uint64, sel []int32) {
 	if sel == nil {
