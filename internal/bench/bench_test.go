@@ -297,4 +297,9 @@ func TestLoadBalanceDemo(t *testing.T) {
 	if strings.Contains(out, "slowdown vs perfect balance: 1.00x") {
 		t.Fatalf("hash placement reported as perfectly balanced:\n%s", out)
 	}
+	// The best any placement can do is ⌈100/80⌉ = 2 blocks on some core,
+	// 2/1.25 = 1.60x the mean.
+	if !strings.Contains(out, "max of 2 blocks/core, a 1.60x stage") {
+		t.Fatalf("missing best-placement bound:\n%s", out)
+	}
 }

@@ -57,8 +57,13 @@ func LoadBalanceDemo(blocks, workers int) string {
 		}
 		fmt.Fprintf(&b, "  %2d block(s): %3d cores %s\n", c, hist[c], strings.Repeat("#", hist[c]))
 	}
+	// Some core must take ⌈blocks/workers⌉ blocks under any placement, so
+	// that, not the mean, is what better load balancing can reach.
+	best := (blocks + workers - 1) / workers
 	b.WriteString("\nWith the paper's 100 blocks on 80 cores the same effect strands a few\n")
-	b.WriteString("cores with 4-5 matrices each; better load balancing (the paper's noted\n")
-	b.WriteString("future work) would assign blocks round-robin for a 1.0x stage slowdown.\n")
+	b.WriteString("cores with 4-5 matrices each. Better load balancing (the paper's noted\n")
+	fmt.Fprintf(&b, "future work) can at best reach a max of %d blocks/core, a %.2fx stage\n",
+		best, float64(best)/mean)
+	fmt.Fprintf(&b, "slowdown; this hash placement is %.2fx that best case.\n", float64(maxLoad)/float64(best))
 	return b.String()
 }

@@ -37,10 +37,6 @@ type Config struct {
 	// DisableAggFusion reverts SUM(outer_product)/SUM(matrix_multiply) to
 	// unfused per-row evaluation (2017-SimSQL behaviour); see exec.Context.
 	DisableAggFusion bool
-	// DisablePipelineFusion reverts scan→filter→project chains to
-	// stage-at-a-time execution with one materialized relation per operator;
-	// see exec.Context.
-	DisablePipelineFusion bool
 	// DataDir, when non-empty, opens persistent paged storage at that
 	// directory: tables live in compressed columnar page files behind a
 	// buffer pool and survive restarts bit-identically. Empty (the default)
@@ -676,13 +672,12 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 		}
 	}()
 	ctx := &exec.Context{
-		Cluster:               db.cl,
-		Tables:                db,
-		Timings:               timings,
-		Spill:                 mgr,
-		DisableAggFusion:      db.cfg.DisableAggFusion,
-		DisablePipelineFusion: db.cfg.DisablePipelineFusion,
-		KernelWorkers:         db.kernelWorkers(rsrc),
+		Cluster:          db.cl,
+		Tables:           db,
+		Timings:          timings,
+		Spill:            mgr,
+		DisableAggFusion: db.cfg.DisableAggFusion,
+		KernelWorkers:    db.kernelWorkers(rsrc),
 	}
 	if db.cfg.ReplanFactor > 1 {
 		replanner := opt.New(db.cfg.Optimizer)

@@ -11,10 +11,11 @@ import (
 // rewriteTestLoad fills db with the tables the rewrite-equivalence queries
 // run over. The special-valued tables (vs, ms) carry NaN, ±Inf, and -0
 // payloads and are only queried through rewrites that are bit-identical per
-// element (outer-product recognition, double-transpose elimination, CSE,
-// fuse marking). The integer-valued tables (mi, vi) feed the rewrites that
-// re-associate floating-point reductions (chain reordering, aggregate
-// pushdown), where integer-valued data keeps every association exact.
+// element (outer-product recognition, double-transpose elimination, CSE)
+// or through fused accumulation. The integer-valued tables (mi, vi) feed the
+// rewrites that re-associate floating-point reductions (chain reordering,
+// aggregate pushdown), where integer-valued data keeps every association
+// exact.
 func rewriteTestLoad(t *testing.T, db *Database) {
 	t.Helper()
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1.5, -2.25}
@@ -108,15 +109,17 @@ var rewriteEquivQueries = []string{
 	// there while outer_product writes x_i*y_j directly — the rewrite is
 	// value-equal but not (-0)-bit-equal.
 	"SELECT matrix_multiply(col_matrix(x), row_matrix(y)) AS op FROM vi",
-	// Fuse marking on a recognized outer product; both legs end up fused
-	// (rewrites-off relies on the executor's legacy pattern match).
+	// Fused SUM(outer_product): no rule fires, and the executor fuses both
+	// legs, so this pins that fusion does not depend on Optimizer.Rewrites.
 	"SELECT SUM(outer_product(x, y)) AS s FROM vs",
 	// Double-transpose elimination (exact).
 	"SELECT trans_matrix(trans_matrix(m)) AS back FROM ms",
 	// CSE: the shared multiply is pure, so sharing is exact even over NaN.
 	"SELECT trace(matrix_multiply(m, m2)) AS t1, sum_matrix(matrix_multiply(m, m2)) AS t2 FROM ms",
-	// Chain reordering (re-associates; integer-valued data keeps it exact).
+	// Chain reordering (re-associates; integer-valued data keeps it exact),
+	// including the normal-equations chain t(A)·A·C, summed.
 	"SELECT matrix_multiply(matrix_multiply(a, b), c) AS p FROM mi",
+	"SELECT SUM(matrix_multiply(matrix_multiply(trans_matrix(a), a), c)) AS s FROM mi",
 	// Aggregate pushdown, scalar and grouped (re-associates; integer data).
 	"SELECT trace(SUM(a)) AS tr FROM mi",
 	"SELECT g, sum_vector(SUM(x)) AS sv FROM vi GROUP BY g ORDER BY g",

@@ -180,29 +180,43 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 }
 
 // TestScanBoundedByBufferPool loads a table several times larger than the
-// buffer pool and requires that queries stream it: results stay correct and
-// the pool's peak usage never exceeds its budget.
+// buffer pool and requires that queries stream it: results match an
+// in-memory database's byte for byte, survive a restart under the same pool,
+// and the pool's peak usage never exceeds its budget.
 func TestScanBoundedByBufferPool(t *testing.T) {
 	const poolBytes = 16 << 10 // 16 pages of 1 KiB for a ~300-page table
-	db, err := OpenData(persistCfg(t.TempDir(), poolBytes))
+	const groupQuery = "SELECT grp, COUNT(*) AS n, SUM(inner_product(vec, vec)) AS s " +
+		"FROM big WHERE id >= 0 GROUP BY grp ORDER BY grp"
+	load := func(db *Database) {
+		db.MustExec("CREATE TABLE big (id INTEGER, grp INTEGER, vec VECTOR[])")
+		var rows []value.Row
+		for i := 0; i < 600; i++ {
+			ent := make([]float64, 48)
+			for j := range ent {
+				ent[j] = float64(i*48 + j)
+			}
+			rows = append(rows, value.Row{value.Int(int64(i)), value.Int(int64(i % 10)), VectorValue(ent...)})
+		}
+		if err := db.LoadTable("big", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem := Open(persistCfg("", 0))
+	load(mem)
+	want := value.EncodeRows(mustQuery(t, mem, groupQuery).Rows)
+
+	dir := t.TempDir()
+	db, err := OpenData(persistCfg(dir, poolBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec("CREATE TABLE big (id INTEGER, vec VECTOR[])")
-	var rows []value.Row
-	for i := 0; i < 600; i++ {
-		ent := make([]float64, 48)
-		for j := range ent {
-			ent[j] = float64(i*48 + j)
-		}
-		rows = append(rows, value.Row{value.Int(int64(i)), VectorValue(ent...)})
-	}
-	if err := db.LoadTable("big", rows); err != nil {
-		t.Fatal(err)
-	}
+	load(db)
 	res := mustQuery(t, db, "SELECT COUNT(*) FROM big WHERE id >= 100")
 	if res.Rows[0][0].I != 500 {
 		t.Fatalf("COUNT = %v, want 500", res.Rows[0][0])
+	}
+	if got := value.EncodeRows(mustQuery(t, db, groupQuery).Rows); !bytes.Equal(got, want) {
+		t.Fatal("grouped aggregate over the paged table differs from in-memory")
 	}
 	st := db.Store().PoolStats()
 	if st.PeakBytes > poolBytes {
@@ -213,6 +227,15 @@ func TestScanBoundedByBufferPool(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	re, err := OpenData(persistCfg(dir, poolBytes))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() { _ = re.Close() }()
+	if got := value.EncodeRows(mustQuery(t, re, groupQuery).Rows); !bytes.Equal(got, want) {
+		t.Fatal("grouped aggregate differs after restart")
 	}
 }
 

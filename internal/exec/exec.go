@@ -138,11 +138,6 @@ type Context struct {
 	// result object per input row — the behaviour of the paper's 2017
 	// SimSQL, which the benchmark harness emulates (ablation A4).
 	DisableAggFusion bool
-	// DisablePipelineFusion turns off the fused scan→filter→project
-	// per-partition pipeline, reverting to one materialized relation per
-	// operator (stage-at-a-time, the seed executor's behaviour). Used by the
-	// benchmark harness and the allocation-regression tests as the baseline.
-	DisablePipelineFusion bool
 	// Spill carries the per-query memory governor and temp-file layer. When
 	// nil or budget-less, every operator runs strictly in memory (the seed
 	// behaviour); when enabled, the hash join, hash aggregation, and sort go
@@ -164,6 +159,10 @@ type Context struct {
 	// re-plans each region at most once.
 	bound           map[plan.Node]*Relation
 	adaptiveHandled map[plan.Node]bool
+	// noPipelineFusion runs scan→filter→project chains stage at a time, one
+	// materialized relation per operator: the unfused reference the
+	// pipeline tests compare against.
+	noPipelineFusion bool
 }
 
 // EvalCtx returns the expression-evaluation context for this query. The

@@ -26,13 +26,13 @@ const (
 	fusedMatMulSum
 )
 
-// fusedOf reports the applicable fusion for one aggregate call. An explicit
-// optimizer decision (AggCall.Fuse != FuseAuto) wins; FuseAuto — the zero
-// value, what hand-built plans and a rewrites-disabled optimizer produce —
-// falls back to the executor's own pattern match, preserving the legacy
-// behaviour. Either way the structural requirements (a two-argument call)
-// are re-verified, so a mismarked plan degrades to unfused instead of
-// panicking in newStates.
+// fusedOf reports the applicable fusion for one aggregate call: a SUM over a
+// two-argument outer_product or matrix_multiply call accumulates into one
+// buffer instead of materializing a result object per row. The output
+// matrix's size makes fusion win whenever the pattern applies, so this
+// structural test is the whole decision. The optimizer's outer-product
+// recognition feeds it: SUM(col_matrix(x)·row_matrix(y)) reaches here as
+// SUM(outer_product(x, y)).
 func fusedOf(a plan.AggCall) fusedKind {
 	if a.Spec.Name != "sum" || a.Input == nil {
 		return fusedNone
@@ -40,14 +40,6 @@ func fusedOf(a plan.AggCall) fusedKind {
 	call, ok := a.Input.(*plan.Call)
 	if !ok || len(call.Args) != 2 {
 		return fusedNone
-	}
-	switch a.Fuse {
-	case plan.FuseNone:
-		return fusedNone
-	case plan.FuseOuterSum:
-		return fusedOuterSum
-	case plan.FuseMatMulSum:
-		return fusedMatMulSum
 	}
 	switch call.Fn.Name {
 	case "outer_product":

@@ -17,7 +17,7 @@ import (
 // matchPipeline returns the fused chain rooted at n, or nil when fusion is
 // disabled or n doesn't decompose.
 func matchPipeline(ctx *Context, n plan.Node) *plan.Pipeline {
-	if ctx.DisablePipelineFusion {
+	if ctx.noPipelineFusion {
 		return nil
 	}
 	return plan.MatchPipeline(n)

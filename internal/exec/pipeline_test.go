@@ -27,7 +27,7 @@ func TestPipelineMatchesUnfused(t *testing.T) {
 	fused := testCtx(tables)
 	tables["t"] = intTable(fused, 40)
 	unfused := testCtx(tables)
-	unfused.DisablePipelineFusion = true
+	unfused.noPipelineFusion = true
 
 	s := scanNode("t", 40,
 		catalog.Column{Name: "a", Type: types.TInt},
@@ -101,7 +101,7 @@ func TestOperatorCharges(t *testing.T) {
 
 	t.Run("filter", func(t *testing.T) {
 		ctx, s := scan()
-		ctx.DisablePipelineFusion = true
+		ctx.noPipelineFusion = true
 		if _, err := Run(ctx, &plan.Filter{Input: s, Pred: pred}); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestOperatorCharges(t *testing.T) {
 		// Unfused, the same chain pays for the filter and project stages
 		// separately: 8 filtered + 8 projected = 16.
 		ctx2, s2 := scan()
-		ctx2.DisablePipelineFusion = true
+		ctx2.noPipelineFusion = true
 		if _, err := Run(ctx2, pipelinePlan(s2, 8)); err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestPipelineAllocs(t *testing.T) {
 	p := pipelinePlan(s, n)
 
 	unfused := testCtx(tables)
-	unfused.DisablePipelineFusion = true
+	unfused.noPipelineFusion = true
 	run := func(ctx *Context) float64 {
 		return testing.AllocsPerRun(10, func() {
 			if _, err := Run(ctx, p); err != nil {

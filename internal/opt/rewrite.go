@@ -13,8 +13,6 @@ package opt
 //	filter pushdown             σ over a pass-through projection commutes
 //	aggregate pushdown          f(SUM(X)) → SUM(f(X)) for linear f
 //	CSE                         repeated LA subtrees evaluated once
-//	fuse marking                SUM(outer_product)/SUM(matrix_multiply)
-//	                            accumulation decided here, not in the executor
 //
 // Every rule preserves the node's output schema; rules that re-associate
 // floating-point reductions (chain reorder, aggregate pushdown) are exact
@@ -42,13 +40,12 @@ type RewriteStats struct {
 	FilterPushdown  atomic.Int64 // filters moved below projections
 	AggPushdown     atomic.Int64 // linear functions moved inside SUM
 	CSE             atomic.Int64 // shared subtrees extracted
-	FuseMarked      atomic.Int64 // aggregate calls marked for fused accumulation
 }
 
 // Total sums every rule counter.
 func (s *RewriteStats) Total() int64 {
 	return s.ChainReorder.Load() + s.OuterProduct.Load() + s.DoubleTranspose.Load() +
-		s.FilterPushdown.Load() + s.AggPushdown.Load() + s.CSE.Load() + s.FuseMarked.Load()
+		s.FilterPushdown.Load() + s.AggPushdown.Load() + s.CSE.Load()
 }
 
 // rewrite applies the algebraic rules bottom-up over the whole tree. It runs
@@ -106,7 +103,6 @@ func (o *Optimizer) rewrite(n plan.Node) (plan.Node, error) {
 					return nil, err
 				}
 			}
-			na.Fuse = o.markFuse(na)
 			ng.Aggs = append(ng.Aggs, na)
 		}
 		return ng, nil
@@ -277,9 +273,6 @@ func (o *Optimizer) pushAggThroughProject(p *plan.Project, ag *plan.Agg) (*plan.
 	if !changed {
 		return p, nil
 	}
-	for i := range ng.Aggs {
-		ng.Aggs[i].Fuse = o.markFuse(ng.Aggs[i])
-	}
 	exprs := make([]plan.Expr, len(p.Exprs))
 	for i, e := range p.Exprs {
 		exprs[i] = substituteExpr(e, func(x plan.Expr) plan.Expr {
@@ -292,31 +285,6 @@ func (o *Optimizer) pushAggThroughProject(p *plan.Project, ag *plan.Agg) (*plan.
 		})
 	}
 	return &plan.Project{Input: ng, Exprs: exprs, Out: p.Out}, nil
-}
-
-// markFuse is the optimizer's fused-accumulation decision: a SUM over a
-// two-argument outer_product or matrix_multiply call accumulates into one
-// buffer instead of materializing a result object per row. The output
-// matrix's size makes fusion win whenever the pattern applies, so the cost
-// model here is a structural test; everything else is explicitly unfused so
-// the executor need not re-derive the decision.
-func (o *Optimizer) markFuse(a plan.AggCall) plan.FuseKind {
-	if a.Spec == nil || a.Spec.Name != "sum" || a.Input == nil {
-		return plan.FuseNone
-	}
-	call, ok := a.Input.(*plan.Call)
-	if !ok || len(call.Args) != 2 {
-		return plan.FuseNone
-	}
-	switch call.Fn.Name {
-	case "outer_product":
-		o.stats.FuseMarked.Add(1)
-		return plan.FuseOuterSum
-	case "matrix_multiply":
-		o.stats.FuseMarked.Add(1)
-		return plan.FuseMatMulSum
-	}
-	return plan.FuseNone
 }
 
 // cseProject extracts subexpressions repeated across a projection's output
@@ -635,7 +603,6 @@ func (s *RewriteStats) String() string {
 	add("filter", &s.FilterPushdown)
 	add("aggpush", &s.AggPushdown)
 	add("cse", &s.CSE)
-	add("fuse", &s.FuseMarked)
 	if len(parts) == 0 {
 		return "no rewrites"
 	}

@@ -209,9 +209,9 @@ func TestRewriteCSE(t *testing.T) {
 	}
 }
 
-// TestRewriteFuseMarking pins the optimizer's explicit fusion decision on
-// SUM(outer_product) — including one reached through the
-// col_matrix·row_matrix recognition.
+// TestRewriteFuseMarking pins what the optimizer contributes to fused
+// accumulation: a SUM over col_matrix·row_matrix reaches the Agg as
+// SUM(outer_product(x, y)), the shape the executor fuses (exec.fusedOf).
 func TestRewriteFuseMarking(t *testing.T) {
 	cat := laCatalog(t)
 	opts, st := statsOptions()
@@ -220,21 +220,12 @@ func TestRewriteFuseMarking(t *testing.T) {
 	if ag == nil {
 		t.Fatalf("no Agg in plan:\n%s", plan.Explain(n))
 	}
-	if ag.Aggs[0].Fuse != plan.FuseOuterSum {
-		t.Fatalf("Fuse = %d, want FuseOuterSum; plan:\n%s", ag.Aggs[0].Fuse, plan.Explain(n))
+	call, ok := ag.Aggs[0].Input.(*plan.Call)
+	if !ok || call.Fn.Name != "outer_product" || len(call.Args) != 2 {
+		t.Fatalf("SUM input = %v, want outer_product(x, y); plan:\n%s", ag.Aggs[0].Input, plan.Explain(n))
 	}
-	if st.FuseMarked.Load() == 0 {
-		t.Fatal("FuseMarked counter did not fire")
-	}
-
-	// With rewrites disabled everything stays FuseAuto (legacy executor
-	// pattern-matching).
-	off := DefaultOptions()
-	off.Rewrites = false
-	n = optimize(t, cat, `SELECT SUM(outer_product(x, y)) AS g FROM vv`, off)
-	ag = findAgg(n)
-	if ag == nil || ag.Aggs[0].Fuse != plan.FuseAuto {
-		t.Fatalf("rewrites-off plan should keep FuseAuto")
+	if st.OuterProduct.Load() == 0 {
+		t.Fatal("OuterProduct counter did not fire")
 	}
 }
 

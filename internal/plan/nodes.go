@@ -126,28 +126,11 @@ func (c *Cross) Schema() Schema { return c.Out }
 // Children implements Node.
 func (c *Cross) Children() []Node { return []Node{c.L, c.R} }
 
-// FuseKind is the optimizer's decision about fused accumulation for one
-// aggregate call. The zero value (FuseAuto) leaves the choice to the
-// executor's pattern matching, which keeps hand-built plans and plans from a
-// rewrites-disabled optimizer behaving exactly as before the decision moved
-// into the optimizer.
-type FuseKind uint8
-
-// Fuse decisions.
-const (
-	FuseAuto      FuseKind = iota // executor pattern-matches (legacy behaviour)
-	FuseNone                      // optimizer determined no fusion applies
-	FuseOuterSum                  // accumulate SUM(outer_product(x, y)) in place
-	FuseMatMulSum                 // accumulate SUM(matrix_multiply(a, b)) in place
-)
-
 // AggCall is one aggregate in an Agg node. Input is nil for COUNT(*).
 type AggCall struct {
 	Spec  *builtins.AggSpec
 	Input Expr
 	T     types.T
-	// Fuse records the optimizer's fused-accumulation decision; see FuseKind.
-	Fuse FuseKind
 }
 
 // Agg groups by the GroupBy expressions and computes the aggregate calls.
