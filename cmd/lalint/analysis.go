@@ -61,7 +61,6 @@ var Analyzers = []*Analyzer{
 	ChargecheckAnalyzer,
 	CommitcheckAnalyzer,
 	SpillkeyAnalyzer,
-	PincheckAnalyzer,
 	AliascheckAnalyzer,
 	GocheckAnalyzer,
 }

@@ -30,7 +30,6 @@ var goldenCases = []struct {
 	{"chargecheck", "chargecheck/bad/internal/exec", "chargecheck/ok/internal/exec", true},
 	{"commitcheck", "commitcheck/bad/internal/exec", "commitcheck/ok/internal/exec", true},
 	{"spillkey", "spillkey/bad/internal/exec", "spillkey/ok/internal/exec", true},
-	{"pincheck", "pincheck/bad/internal/storage", "pincheck/ok/internal/storage", true},
 	{"aliascheck", "aliascheck/bad/internal/exec", "aliascheck/ok/internal/exec", true},
 	{"gocheck", "gocheck/bad/internal/linalg", "gocheck/ok/internal/linalg", true},
 }

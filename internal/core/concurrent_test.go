@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -91,5 +92,43 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestInsertWhileSelecting runs INSERTs and aggregates on one in-memory table
+// at once. Each scan reads a snapshot of the partition slices, so the -race
+// gate sees no data race, and every SUM is a whole number of inserts that
+// never goes backwards.
+func TestInsertWhileSelecting(t *testing.T) {
+	db := Open(DefaultConfig())
+	db.MustExec("CREATE TABLE ev (id INTEGER, w DOUBLE)")
+	const rounds = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := db.Exec("INSERT INTO ev VALUES (1, 3.0)"); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	last := 0.0
+	for i := 0; i < rounds; i++ {
+		res, err := db.Query("SELECT SUM(w) FROM ev")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		if v := res.Rows[0][0]; !v.IsNull() {
+			sum, _ = v.AsDouble()
+		}
+		if math.Mod(sum, 3) != 0 || sum < last {
+			t.Fatalf("read %d: SUM = %v after %v, want a non-decreasing multiple of 3", i, sum, last)
+		}
+		last = sum
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

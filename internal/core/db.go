@@ -482,36 +482,22 @@ func (db *Database) analyze(meta *catalog.TableMeta) error {
 		for i := range seen {
 			seen[i] = map[string]struct{}{}
 		}
-		scan := func(r value.Row) {
-			for i, ci := range cols {
-				if len(seen[i]) < distinctCap {
-					seen[i][r[ci].String()] = struct{}{}
-				}
-			}
+		tb, err := db.OpenTable(meta.Name)
+		if err != nil {
+			return err
 		}
-		if db.store != nil {
-			tb, ok := db.store.Table(meta.Name)
-			if !ok {
-				return fmt.Errorf("core: table %q has no storage", meta.Name)
-			}
-			for part := 0; part < tb.Parts(); part++ {
-				if err := tb.ScanPart(part, func(rows []value.Row) error {
-					for _, r := range rows {
-						scan(r)
+		for part := 0; part < tb.Parts(); part++ {
+			if err := tb.ScanPart(part, func(rows []value.Row) error {
+				for _, r := range rows {
+					for i, ci := range cols {
+						if len(seen[i]) < distinctCap {
+							seen[i][r[ci].String()] = struct{}{}
+						}
 					}
-					return nil
-				}); err != nil {
-					return err
 				}
-			}
-		} else {
-			db.mu.RLock()
-			parts := db.tables[meta.Name]
-			db.mu.RUnlock()
-			for _, p := range parts {
-				for _, r := range p {
-					scan(r)
-				}
+				return nil
+			}); err != nil {
+				return err
 			}
 		}
 		for i, ci := range cols {
@@ -717,33 +703,25 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 	}, nil
 }
 
-// TableParts implements exec.TableSource. For persistent databases it
-// materializes the stored partitions — the fused pipeline avoids this path
-// via TablePager, but re-spread scans and the unfused executor still need
-// whole partitions in memory.
-func (db *Database) TableParts(name string) ([][]value.Row, error) {
+// OpenTable implements exec.TableSource. A stored table is its own handle;
+// an in-memory table is a snapshot of its partition slices taken under the
+// read lock, so a concurrent append never writes into rows a scan reads.
+func (db *Database) OpenTable(name string) (exec.Table, error) {
+	name = strings.ToLower(name)
 	if db.store != nil {
-		tb, ok := db.store.Table(strings.ToLower(name))
-		if !ok {
-			return nil, fmt.Errorf("core: table %q has no storage", name)
+		if tb, ok := db.store.Table(name); ok {
+			return tb, nil
 		}
-		parts := make([][]value.Row, tb.Parts())
-		for i := range parts {
-			rows, err := tb.MaterializePart(i)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = rows
+	} else {
+		db.mu.RLock()
+		parts, ok := db.tables[name]
+		snap := append(exec.MemTable(nil), parts...)
+		db.mu.RUnlock()
+		if ok {
+			return snap, nil
 		}
-		return parts, nil
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	parts, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("core: table %q has no storage", name)
-	}
-	return parts, nil
+	return nil, fmt.Errorf("core: table %q has no storage", name)
 }
 
 // VectorValue is a convenience constructor for building load batches.

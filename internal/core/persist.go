@@ -3,19 +3,17 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"relalg/internal/catalog"
-	"relalg/internal/exec"
-	"relalg/internal/storage"
 	"relalg/internal/types"
 	"relalg/internal/value"
 )
 
 // This file is the bridge between the engine and internal/storage: catalog
 // metadata is serialized into each stored table's journaled meta blob, the
-// catalog is replayed from those blobs at open, and scans/loads are routed
-// to paged tables instead of the in-memory partition slices.
+// catalog is replayed from those blobs at open, and loads are routed to paged
+// tables instead of the in-memory partition slices. Scans need no bridge: a
+// *storage.Table is already an exec.Table.
 
 // persistCol is one column of the journaled schema blob.
 type persistCol struct {
@@ -163,45 +161,4 @@ func (db *Database) persistMetaBlob(meta *catalog.TableMeta) error {
 		return err
 	}
 	return tb.SetMeta(blob)
-}
-
-// TablePager implements exec.PagedSource: it exposes stored tables so the
-// executor streams pages through the buffer pool instead of materializing
-// whole partitions. A nil PagedTable (and nil error) means this database is
-// in-memory and the executor should use TableParts.
-func (db *Database) TablePager(name string) (exec.PagedTable, error) {
-	if db.store == nil {
-		return nil, nil
-	}
-	tb, ok := db.store.Table(strings.ToLower(name))
-	if !ok {
-		return nil, fmt.Errorf("core: table %q has no storage", name)
-	}
-	return storedTable{tb}, nil
-}
-
-// storedTable adapts storage.Table to exec.PagedTable.
-type storedTable struct {
-	t *storage.Table
-}
-
-func (s storedTable) Parts() int { return s.t.Parts() }
-
-func (s storedTable) ScanPartBatches(part int, fn func(b *value.Batch) error) error {
-	pg, err := s.t.Pager(part)
-	if err != nil {
-		return err
-	}
-	for {
-		b, err := pg.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
 }

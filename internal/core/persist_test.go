@@ -28,13 +28,18 @@ func snapshotTables(t *testing.T, db *Database) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	for _, name := range db.Catalog().TableNames() {
-		parts, err := db.TableParts(name)
+		tb, err := db.OpenTable(name)
 		if err != nil {
 			t.Fatalf("table %q: %v", name, err)
 		}
 		var all []value.Row
-		for _, p := range parts {
-			all = append(all, p...)
+		for part := 0; part < tb.Parts(); part++ {
+			if err := tb.ScanPart(part, func(rows []value.Row) error {
+				all = append(all, rows...)
+				return nil
+			}); err != nil {
+				t.Fatalf("table %q: %v", name, err)
+			}
 		}
 		out[name] = value.EncodeRows(all)
 	}
@@ -182,7 +187,8 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 // TestScanBoundedByBufferPool loads a table several times larger than the
 // buffer pool and requires that queries stream it: results match an
 // in-memory database's byte for byte, survive a restart under the same pool,
-// and the pool's peak usage never exceeds its budget.
+// and the pool's peak usage never exceeds its budget. A LIMIT over the
+// reopened table stops reading each partition after its first few pages.
 func TestScanBoundedByBufferPool(t *testing.T) {
 	const poolBytes = 16 << 10 // 16 pages of 1 KiB for a ~300-page table
 	const groupQuery = "SELECT grp, COUNT(*) AS n, SUM(inner_product(vec, vec)) AS s " +
@@ -234,6 +240,13 @@ func TestScanBoundedByBufferPool(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer func() { _ = re.Close() }()
+	const partitions = 4
+	if res := mustQuery(t, re, "SELECT id FROM big WHERE id >= 0 LIMIT 5"); len(res.Rows) != 5 {
+		t.Fatalf("LIMIT 5 returned %d rows", len(res.Rows))
+	}
+	if m := re.Store().PoolStats().Misses; m > 3*partitions {
+		t.Fatalf("LIMIT 5 over a cold pool missed %d pages, want <= %d: the scan kept reading", m, 3*partitions)
+	}
 	if got := value.EncodeRows(mustQuery(t, re, groupQuery).Rows); !bytes.Equal(got, want) {
 		t.Fatal("grouped aggregate differs after restart")
 	}

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"relalg/internal/builtins"
@@ -10,10 +12,11 @@ import (
 	"relalg/internal/value"
 )
 
-// This file holds the windowed operators: filter, project, the fused
-// pipeline, hash-join build/probe (including the grace spill legs), and
-// partition-local aggregation process windows of rows as per-column arrays
-// with selection vectors instead of dispatching the expression tree per row.
+// This file holds the windowed operators: the fused pipeline (which also runs
+// every filter and projection), hash-join build/probe (including the grace
+// spill legs), and partition-local aggregation process windows of rows as
+// per-column arrays with selection vectors instead of dispatching the
+// expression tree per row.
 // Rows are visited in input order whatever the window size, so output rows
 // and their order, tuple charges, spill decisions and spill file contents do
 // not depend on it. Columnar key hashing must equal hashVals lane for lane:
@@ -195,159 +198,112 @@ func allSel(buf []int32, n int) []int32 {
 	return buf
 }
 
-// batchFilterPart filters one partition's rows by pred in windows, appending
-// kept row references (survivors alias the input rows).
-func batchFilterPart(ec *plan.EvalCtx, pred plan.Expr, rows []value.Row) ([]value.Row, error) {
-	var (
-		out  []value.Row
-		view batchView
-		sbuf []int32
-	)
-	width := viewWidth(rows)
-	pre := newPrefetcher([]plan.Expr{pred})
-	for lo := 0; lo < len(rows); lo += window {
-		hi := lo + window
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		view.reset(rows, lo, hi, width)
-		pre.gather(&view)
-		n := hi - lo
-		col, err := plan.EvalVec(ec, pred, &view, nil)
-		if err != nil {
-			return nil, err
-		}
-		sbuf = filterSel(col, n, nil, sbuf)
-		for _, i := range sbuf {
-			out = append(out, rows[lo+int(i)])
-		}
-	}
-	return out, nil
-}
+// errStopScan ends a ScanPart early once a pushed-down LIMIT is satisfied.
+var errStopScan = errors.New("exec: scan stopped at limit")
 
-// batchProjectPart projects one partition's rows in windows, materializing
-// output rows from the evaluated expression columns via the arena.
-func batchProjectPart(ec *plan.EvalCtx, exprs []plan.Expr, rows []value.Row) ([]value.Row, error) {
-	out := make([]value.Row, 0, len(rows))
-	var view batchView
-	arena := rowArena{left: len(rows) * len(exprs)}
-	width := viewWidth(rows)
-	cols := make([]*value.Col, len(exprs))
-	pre := newPrefetcher(exprs)
-	for lo := 0; lo < len(rows); lo += window {
-		hi := lo + window
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		view.reset(rows, lo, hi, width)
-		pre.gather(&view)
-		for j, e := range exprs {
-			c, err := plan.EvalVec(ec, e, &view, nil)
-			if err != nil {
-				return nil, err
-			}
-			cols[j] = c
-		}
-		for i := 0; i < hi-lo; i++ {
-			nr := arena.alloc(len(exprs))
-			for j := range cols {
-				nr[j] = cols[j].Value(i)
-			}
-			out = append(out, nr)
-		}
-	}
-	return out, nil
-}
-
-// batchPipelinePart runs the fused filter→project chain over one partition in
-// windows. limit < 0 means unbounded; otherwise production stops after limit
-// rows, truncating inside the final window via the selection vector so the
+// batchPipelinePart runs the fused filter→project chain over partition part
+// of t, one table window at a time and each in windows of at most window rows.
+// The arena, the output and the selection buffer live across the partition's
+// table windows, so rows come out in input order whatever either window size.
+// limit < 0 means unbounded; otherwise production stops after limit rows,
+// truncating inside the final window via the selection vector so the
 // discarded tail is never materialized (or charged by the caller, which
-// charges emitted rows only).
-func batchPipelinePart(ec *plan.EvalCtx, sp *plan.Pipeline, rows []value.Row, limit int) ([]value.Row, error) {
+// charges emitted rows only), and the scan stops reading.
+func batchPipelinePart(ec *plan.EvalCtx, sp *plan.Pipeline, t Table, part, limit int) ([]value.Row, error) {
 	var (
-		out  []value.Row
-		view batchView
-		sbuf []int32
+		out   []value.Row
+		view  batchView
+		sbuf  []int32
+		arena rowArena
+		cols  []*value.Col
 	)
-	most := len(rows)
-	if limit >= 0 && limit < most {
-		most = limit
-	}
-	arena := rowArena{left: most * len(sp.Exprs)}
-	width := viewWidth(rows)
-	var cols []*value.Col
 	if sp.Exprs != nil {
 		cols = make([]*value.Col, len(sp.Exprs))
 	}
 	pre := newPrefetcher(sp.Filters, sp.Exprs)
-	for lo := 0; lo < len(rows); lo += window {
-		if limit >= 0 && len(out) >= limit {
-			break
+	full := func() bool { return limit >= 0 && len(out) >= limit }
+	err := t.ScanPart(part, func(rows []value.Row) error {
+		most := len(rows)
+		if limit >= 0 && limit-len(out) < most {
+			most = limit - len(out)
 		}
-		hi := lo + window
-		if hi > len(rows) {
-			hi = len(rows)
+		arena.left += most * len(sp.Exprs)
+		if len(sp.Filters) == 0 {
+			out = slices.Grow(out, most)
 		}
-		view.reset(rows, lo, hi, width)
-		pre.gather(&view)
-		n := hi - lo
-		sel := []int32(nil) // nil = every lane live
-		for _, pred := range sp.Filters {
-			col, err := plan.EvalVec(ec, pred, &view, sel)
-			if err != nil {
-				return nil, err
+		width := viewWidth(rows)
+		for lo := 0; lo < len(rows) && !full(); lo += window {
+			hi := lo + window
+			if hi > len(rows) {
+				hi = len(rows)
 			}
-			sbuf = filterSel(col, n, sel, sbuf)
-			sel = sbuf
-			if len(sel) == 0 {
-				break
-			}
-		}
-		if sel != nil && len(sel) == 0 {
-			continue
-		}
-		if limit >= 0 {
-			remaining := limit - len(out)
-			if sel == nil && n > remaining {
-				sel = allSel(sbuf, n)[:remaining]
-			} else if sel != nil && len(sel) > remaining {
-				sel = sel[:remaining]
-			}
-		}
-		if sp.Exprs == nil {
-			if sel == nil {
-				out = append(out, rows[lo:hi]...)
-			} else {
-				for _, i := range sel {
-					out = append(out, rows[lo+int(i)])
+			view.reset(rows, lo, hi, width)
+			pre.gather(&view)
+			n := hi - lo
+			sel := []int32(nil) // nil = every lane live
+			for _, pred := range sp.Filters {
+				col, err := plan.EvalVec(ec, pred, &view, sel)
+				if err != nil {
+					return err
+				}
+				sbuf = filterSel(col, n, sel, sbuf)
+				sel = sbuf
+				if len(sel) == 0 {
+					break
 				}
 			}
-			continue
-		}
-		for j, e := range sp.Exprs {
-			c, err := plan.EvalVec(ec, e, &view, sel)
-			if err != nil {
-				return nil, err
+			if sel != nil && len(sel) == 0 {
+				continue
 			}
-			cols[j] = c
-		}
-		emit := func(i int) {
-			nr := arena.alloc(len(sp.Exprs))
-			for j := range cols {
-				nr[j] = cols[j].Value(i)
+			if limit >= 0 {
+				remaining := limit - len(out)
+				if sel == nil && n > remaining {
+					sel = allSel(sbuf, n)[:remaining]
+				} else if sel != nil && len(sel) > remaining {
+					sel = sel[:remaining]
+				}
 			}
-			out = append(out, nr)
-		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				emit(i)
+			if sp.Exprs == nil {
+				if sel == nil {
+					out = append(out, rows[lo:hi]...)
+				} else {
+					for _, i := range sel {
+						out = append(out, rows[lo+int(i)])
+					}
+				}
+				continue
 			}
-		} else {
-			for _, i := range sel {
-				emit(int(i))
+			for j, e := range sp.Exprs {
+				c, err := plan.EvalVec(ec, e, &view, sel)
+				if err != nil {
+					return err
+				}
+				cols[j] = c
+			}
+			emit := func(i int) {
+				nr := arena.alloc(len(sp.Exprs))
+				for j := range cols {
+					nr[j] = cols[j].Value(i)
+				}
+				out = append(out, nr)
+			}
+			if sel == nil {
+				for i := 0; i < n; i++ {
+					emit(i)
+				}
+			} else {
+				for _, i := range sel {
+					emit(int(i))
+				}
 			}
 		}
+		if full() {
+			return errStopScan
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errStopScan) {
+		return nil, err
 	}
 	return out, nil
 }

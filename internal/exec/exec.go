@@ -54,9 +54,31 @@ func (r *Relation) NumRows() int {
 	return n
 }
 
-// TableSource resolves table names to stored partitions.
+// Table is one table as the executor reads it: a partition count and, per
+// partition, a stream of row windows in stored order. fn may keep the rows it
+// is handed; a table never reuses a window.
+type Table interface {
+	Parts() int
+	ScanPart(part int, fn func(rows []value.Row) error) error
+}
+
+// TableSource resolves table names to tables.
 type TableSource interface {
-	TableParts(name string) ([][]value.Row, error)
+	OpenTable(name string) (Table, error)
+}
+
+// MemTable is a Table over in-memory partitions: each partition is a single
+// window, handed out with its capacity clipped so that an append by the
+// consumer never writes into the table.
+type MemTable [][]value.Row
+
+// Parts implements Table.
+func (m MemTable) Parts() int { return len(m) }
+
+// ScanPart implements Table.
+func (m MemTable) ScanPart(part int, fn func(rows []value.Row) error) error {
+	p := m[part]
+	return fn(p[:len(p):len(p)])
 }
 
 // Timings accumulates wall-clock time per operator label; Figure 4's
@@ -212,12 +234,12 @@ func Run(ctx *Context, n plan.Node) (*Relation, error) {
 		return runScan(ctx, x)
 	case *plan.Project:
 		if sp := matchPipeline(ctx, x); sp != nil {
-			return runPipeline(ctx, sp)
+			return runPipeline(ctx, sp, -1)
 		}
 		return runProject(ctx, x)
 	case *plan.Filter:
 		if sp := matchPipeline(ctx, x); sp != nil {
-			return runPipeline(ctx, sp)
+			return runPipeline(ctx, sp, -1)
 		}
 		return runFilter(ctx, x)
 	case *plan.Join:
@@ -261,32 +283,66 @@ func Run(ctx *Context, n plan.Node) (*Relation, error) {
 
 func runScan(ctx *Context, s *plan.Scan) (*Relation, error) {
 	defer ctx.Timings.Track("scan")()
-	parts, keys, err := scanParts(ctx, s)
+	t, keys, err := scanParts(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	parts, err := readParts(t)
 	if err != nil {
 		return nil, err
 	}
 	return &Relation{Schema: s.Out, Parts: parts, HashKeys: keys}, nil
 }
 
-// scanParts resolves the stored partitions behind a scan, re-spreading when
-// the stored layout doesn't match the cluster shape, and returns the hash
-// keys the scan may advertise. Shared by runScan and the fused pipeline.
-func scanParts(ctx *Context, s *plan.Scan) ([][]value.Row, []string, error) {
-	parts, err := ctx.Tables.TableParts(s.Table.Name)
+// scanParts opens the table behind a scan and returns it with the hash keys
+// the scan may advertise. A table stored under a partition count other than
+// the cluster's is read whole and re-spread round-robin (e.g. a data
+// directory reopened under a different layout); the re-spread advertises no
+// keys.
+func scanParts(ctx *Context, s *plan.Scan) (Table, []string, error) {
+	t, err := ctx.Tables.OpenTable(s.Table.Name)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(parts) != ctx.Cluster.Partitions() {
-		// Re-spread (e.g. when a table was loaded under a different layout).
-		return ctx.Cluster.ScatterRoundRobin(flatten(parts)), nil, nil
+	if t.Parts() == ctx.Cluster.Partitions() {
+		return t, scanHashKeys(s), nil
 	}
-	return parts, scanHashKeys(s), nil
+	parts, err := readParts(t)
+	if err != nil {
+		return nil, nil, err
+	}
+	var all []value.Row
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	return MemTable(ctx.Cluster.ScatterRoundRobin(all)), nil, nil
+}
+
+// readParts collects every partition of t, in partition order. A partition
+// that arrives as one window, as every in-memory one does, is kept without a
+// copy.
+func readParts(t Table) ([][]value.Row, error) {
+	parts := make([][]value.Row, t.Parts())
+	for i := range parts {
+		err := t.ScanPart(i, func(rows []value.Row) error {
+			if len(parts[i]) == 0 {
+				parts[i] = rows
+			} else {
+				parts[i] = append(parts[i], rows...)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }
 
 // scanHashKeys returns the hash keys a layout-matching scan may advertise:
 // a declared hash-partitioned table scans out pre-placed, so joins and
 // groupings on the column skip their shuffle (the paper's "R was already
-// partitioned on the join key"). Shared by the materialized and paged paths.
+// partitioned on the join key").
 func scanHashKeys(s *plan.Scan) []string {
 	if s.Table.PartitionCol == "" {
 		return nil
@@ -297,18 +353,6 @@ func scanHashKeys(s *plan.Scan) []string {
 	}
 	keyCol := &plan.Col{Idx: idx, Name: s.Out[idx].Name, T: s.Out[idx].T}
 	return []string{keyCol.String()}
-}
-
-func flatten(parts [][]value.Row) []value.Row {
-	var n int
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]value.Row, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }
 
 func runProject(ctx *Context, p *plan.Project) (*Relation, error) {
@@ -338,23 +382,13 @@ func runProject(ctx *Context, p *plan.Project) (*Relation, error) {
 		return nil, err
 	}
 	defer ctx.Timings.Track("project")()
-	out := make([][]value.Row, len(in.Parts))
-	ec := ctx.EvalCtx()
-	err = ctx.Cluster.ParallelTasks("project", taskObs(ctx), func(part, _ int) (func() error, error) {
-		rows, err := batchProjectPart(ec, p.Exprs, in.Parts[part])
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			out[part] = rows
-			return nil
-		}, nil
-	})
+	exprs := p.Exprs
+	if exprs == nil {
+		exprs = []plan.Expr{} // nil Exprs would mean "no projection"
+	}
+	out, err := runWindows(ctx, "project", &plan.Pipeline{Exprs: exprs}, MemTable(in.Parts), -1)
 	if err != nil {
 		return nil, err
-	}
-	if err := ctx.Cluster.ChargeTuples(int64(in.NumRows())); err != nil {
-		return nil, opErr("project", err)
 	}
 	// A projection keeps the physical placement of its input; preserved
 	// hash keys would require rewriting them through the projection, so we
@@ -368,29 +402,11 @@ func runFilter(ctx *Context, f *plan.Filter) (*Relation, error) {
 		return nil, err
 	}
 	defer ctx.Timings.Track("filter")()
-	out := make([][]value.Row, len(in.Parts))
-	ec := ctx.EvalCtx()
-	err = ctx.Cluster.ParallelTasks("filter", taskObs(ctx), func(part, _ int) (func() error, error) {
-		rows, err := batchFilterPart(ec, f.Pred, in.Parts[part])
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			out[part] = rows
-			return nil
-		}, nil
-	})
+	out, err := runWindows(ctx, "filter", &plan.Pipeline{Filters: []plan.Expr{f.Pred}}, MemTable(in.Parts), -1)
 	if err != nil {
 		return nil, err
 	}
-	rel := &Relation{Schema: f.Schema(), Parts: out, HashKeys: in.HashKeys, Single: in.Single}
-	// Filters materialize their kept rows just like projections materialize
-	// theirs; charge them so filtering is not free in the simulated cost
-	// model.
-	if err := ctx.Cluster.ChargeTuples(int64(rel.NumRows())); err != nil {
-		return nil, opErr("filter", err)
-	}
-	return rel, nil
+	return &Relation{Schema: f.Schema(), Parts: out, HashKeys: in.HashKeys, Single: in.Single}, nil
 }
 
 func runSort(ctx *Context, s *plan.Sort) (*Relation, error) {
@@ -481,7 +497,7 @@ func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
 		err error
 	)
 	if sp := matchPipeline(ctx, l.Input); sp != nil {
-		in, err = runPipelineLimited(ctx, sp, l.N)
+		in, err = runPipeline(ctx, sp, l.N)
 	} else {
 		in, err = Run(ctx, l.Input)
 	}

@@ -15,12 +15,12 @@ import (
 // memSource is an in-memory TableSource for tests.
 type memSource map[string][][]value.Row
 
-func (m memSource) TableParts(name string) ([][]value.Row, error) {
+func (m memSource) OpenTable(name string) (Table, error) {
 	parts, ok := m[name]
 	if !ok {
 		return nil, fmt.Errorf("no table %q", name)
 	}
-	return parts, nil
+	return MemTable(parts), nil
 }
 
 func testCtx(tables memSource) *Context {

@@ -17,7 +17,7 @@ import (
 // failingSource errors on lookup, simulating a lost storage node.
 type failingSource struct{}
 
-func (failingSource) TableParts(string) ([][]value.Row, error) {
+func (failingSource) OpenTable(string) (Table, error) {
 	return nil, errors.New("storage node lost")
 }
 

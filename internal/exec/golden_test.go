@@ -86,13 +86,26 @@ var batchEquivQueries = []string{
 	"SELECT g, y FROM pts WHERE g < 5 ORDER BY y, g LIMIT 20",
 }
 
-func batchTestDB(t *testing.T, nodes, parts int, budget int64) *core.Database {
+// batchTestDB opens a database with the batch-equivalence tables. paged
+// stores them on disk in 1 KiB pages behind a 16 KiB buffer pool, so every
+// partition reaches the executor as many page windows whose boundaries fall
+// inside the operators' own windows.
+func batchTestDB(t *testing.T, nodes, parts int, budget int64, paged bool) *core.Database {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Cluster.Nodes = nodes
 	cfg.Cluster.PartitionsPerNode = parts
 	cfg.Cluster.MemoryBudgetBytes = budget
-	db := core.Open(cfg)
+	if paged {
+		cfg.DataDir = t.TempDir()
+		cfg.PageBytes = 1024
+		cfg.BufferPoolBytes = 16 << 10
+	}
+	db, err := core.OpenData(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
 	batchTestLoad(t, db)
 	return db
 }
@@ -137,9 +150,9 @@ func matchesGolden(t *testing.T, golden map[string]string, key string, res *core
 }
 
 // TestBatchExecutorBitIdentical pins the windowed operators' core contract:
-// for every query, cluster shape, and memory budget, every window size —
-// including degenerate (1), odd (3, 1023), default (1024) and oversized (4096)
-// windows — reproduces the row executor's golden result.
+// for every query, cluster shape, memory budget and table store, every window
+// size — including degenerate (1), odd (3, 1023), default (1024) and oversized
+// (4096) windows — reproduces the row executor's golden result.
 func TestBatchExecutorBitIdentical(t *testing.T) {
 	golden := loadGolden(t)
 	shapes := []struct{ nodes, parts int }{{1, 1}, {2, 2}, {1, 3}}
@@ -149,18 +162,20 @@ func TestBatchExecutorBitIdentical(t *testing.T) {
 		shapes = shapes[1:2]
 		windows = []int{3, 1024}
 	}
-	for _, sh := range shapes {
-		for _, budget := range budgets {
-			for _, w := range windows {
-				exec.SetWindow(t, w)
-				db := batchTestDB(t, sh.nodes, sh.parts, budget)
-				for _, q := range batchEquivQueries {
-					res, err := db.Query(q)
-					if err != nil {
-						t.Fatalf("window=%d %dx%d budget=%d %q: %v", w, sh.nodes, sh.parts, budget, q, err)
-					}
-					if !matchesGolden(t, golden, goldenKey(sh.nodes, sh.parts, budget, q), res) {
-						t.Errorf("window=%d %dx%d budget=%d %q: result differs from the row executor's golden", w, sh.nodes, sh.parts, budget, q)
+	for _, paged := range []bool{false, true} {
+		for _, sh := range shapes {
+			for _, budget := range budgets {
+				for _, w := range windows {
+					exec.SetWindow(t, w)
+					db := batchTestDB(t, sh.nodes, sh.parts, budget, paged)
+					for _, q := range batchEquivQueries {
+						res, err := db.Query(q)
+						if err != nil {
+							t.Fatalf("paged=%v window=%d %dx%d budget=%d %q: %v", paged, w, sh.nodes, sh.parts, budget, q, err)
+						}
+						if !matchesGolden(t, golden, goldenKey(sh.nodes, sh.parts, budget, q), res) {
+							t.Errorf("paged=%v window=%d %dx%d budget=%d %q: result differs from the row executor's golden", paged, w, sh.nodes, sh.parts, budget, q)
+						}
 					}
 				}
 			}
@@ -177,7 +192,7 @@ func TestBatchExecutorSpillLegSpills(t *testing.T) {
 	golden := loadGolden(t)
 	for _, w := range []int{1023, 1024} {
 		exec.SetWindow(t, w)
-		res, err := batchTestDB(t, 2, 2, budget).Query(q)
+		res, err := batchTestDB(t, 2, 2, budget, false).Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +215,7 @@ func TestBatchLimitChargesOnlyEmitted(t *testing.T) {
 		n          = 3
 		partitions = 2 * 2
 	)
-	res, err := batchTestDB(t, 2, 2, 0).Query(q)
+	res, err := batchTestDB(t, 2, 2, 0, false).Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,10 @@ import (
 // This file implements the fused scan→filter→project pipeline: when a plan
 // subtree has the shape Project?(Filter*(Scan)), the executor runs it as one
 // per-partition pass instead of materializing a relation per operator. Rows
-// stream from the stored partition through the predicates into the
+// stream from the table's partition windows through the predicates into the
 // projection, so filtered-out rows cost nothing downstream and projected rows
-// are carved out of a chunked arena instead of one allocation each. This
+// are carved out of a chunked arena instead of one allocation each. A lone
+// Filter or Project over any other input runs through the same loop. This
 // extends the join-projection fusion in runProject to the leaf chains the
 // optimizer pushes filters into.
 
@@ -64,36 +65,39 @@ func (a *rowArena) alloc(n int) value.Row {
 }
 
 // runPipeline executes a fused Project?(Filter*(Scan)) chain in one pass per
-// partition. Placement metadata follows the same rules as the unfused
-// operators: a filter-only chain keeps the scan's advertised hash keys (rows
-// only disappear, placement is untouched), a projecting chain drops them
-// (rewriting keys through the projection is the same conservative gap as
-// runProject). Only the rows that leave the pipeline are charged to the
-// cluster budget — the fused chain genuinely never materializes the
-// intermediates the stage-at-a-time executor would have paid for.
-func runPipeline(ctx *Context, sp *plan.Pipeline) (*Relation, error) {
-	return runPipelineLimited(ctx, sp, -1)
-}
-
-// runPipelineLimited is runPipeline with an optional per-partition row cap
-// (limit < 0 means none): runLimit pushes its N down so each partition stops
-// producing — and charging — at N rows, truncating inside a window via the
-// selection vector.
-func runPipelineLimited(ctx *Context, sp *plan.Pipeline, limit int) (*Relation, error) {
-	// A paged table source streams the scan through the buffer pool instead
-	// of materializing partitions; see paged.go.
-	if pt := pagedScan(ctx, sp.Scan); pt != nil {
-		return runPipelinePaged(ctx, sp, pt, limit)
-	}
+// partition, streaming each partition's windows straight out of the table.
+// limit >= 0 is runLimit's pushed-down N: each partition stops producing, and
+// stops reading, at N rows. Placement metadata follows the same rules as the
+// unfused operators: a filter-only chain keeps the scan's advertised hash keys
+// (rows only disappear, placement is untouched), a projecting chain drops
+// them (rewriting keys through the projection is the same conservative gap as
+// runProject).
+func runPipeline(ctx *Context, sp *plan.Pipeline, limit int) (*Relation, error) {
 	defer ctx.Timings.Track("pipeline")()
-	parts, keys, err := scanParts(ctx, sp.Scan)
+	t, keys, err := scanParts(ctx, sp.Scan)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]value.Row, len(parts))
+	out, err := runWindows(ctx, "pipeline", sp, t, limit)
+	if err != nil {
+		return nil, err
+	}
+	rel := &Relation{Schema: sp.Out, Parts: out}
+	if sp.Exprs == nil {
+		rel.HashKeys = keys
+	}
+	return rel, nil
+}
+
+// runWindows runs the one window loop: it applies sp's filters and
+// projection (sp.Scan is not read) over every partition of t as one cluster
+// stage and charges only the rows that leave it. A filter is a chain with one
+// predicate and no projection, a projection one with no predicates.
+func runWindows(ctx *Context, label string, sp *plan.Pipeline, t Table, limit int) ([][]value.Row, error) {
+	out := make([][]value.Row, t.Parts())
 	ec := ctx.EvalCtx()
-	err = ctx.Cluster.ParallelTasks("pipeline", taskObs(ctx), func(part, _ int) (func() error, error) {
-		rows, err := batchPipelinePart(ec, sp, parts[part], limit)
+	err := ctx.Cluster.ParallelTasks(label, taskObs(ctx), func(part, _ int) (func() error, error) {
+		rows, err := batchPipelinePart(ec, sp, t, part, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -105,12 +109,12 @@ func runPipelineLimited(ctx *Context, sp *plan.Pipeline, limit int) (*Relation, 
 	if err != nil {
 		return nil, err
 	}
-	rel := &Relation{Schema: sp.Out, Parts: out}
-	if sp.Exprs == nil {
-		rel.HashKeys = keys
+	n := 0
+	for _, p := range out {
+		n += len(p)
 	}
-	if err := ctx.Cluster.ChargeTuples(int64(rel.NumRows())); err != nil {
-		return nil, opErr("pipeline", err)
+	if err := ctx.Cluster.ChargeTuples(int64(n)); err != nil {
+		return nil, opErr(label, err)
 	}
-	return rel, nil
+	return out, nil
 }

@@ -217,41 +217,36 @@ func TestPipelineAllocs(t *testing.T) {
 
 // TestShortPartitionArenaFitsItsRows: projecting a 20-row partition to two
 // columns takes an arena chunk of at most twice the 40 slots it returns, not
-// a 4096-slot one, on both projecting operators.
+// a 4096-slot one.
 func TestShortPartitionArenaFitsItsRows(t *testing.T) {
 	rows := make([]value.Row, 20)
 	for i := range rows {
 		rows[i] = value.Row{value.Int(int64(i)), value.Int(int64(i % 3))}
 	}
-	exprs := []plan.Expr{col(1, types.TInt), col(0, types.TInt)}
+	sp := &plan.Pipeline{Exprs: []plan.Expr{col(1, types.TInt), col(0, types.TInt)}}
 	slotBytes := uint64(unsafe.Sizeof(value.Value{}))
 	// Everything else the operator allocates for 20 rows (the output slice,
 	// two gathered columns, selection and prefetch state) fits in 4 KiB.
 	limit := 2*40*slotBytes + 4<<10
-	for name, op := range map[string]func() ([]value.Row, error){
-		"project":  func() ([]value.Row, error) { return batchProjectPart(nil, exprs, rows) },
-		"pipeline": func() ([]value.Row, error) { return batchPipelinePart(nil, &plan.Pipeline{Exprs: exprs}, rows, -1) },
-	} {
-		// TotalAlloc counts every goroutine's allocations, so take the least of
-		// a few attempts: a stray allocation elsewhere only ever adds.
-		least := ^uint64(0)
-		for attempt := 0; attempt < 5; attempt++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			out, err := op()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(out) != 20 || len(out[7]) != 2 || out[7][0].I != 1 || out[7][1].I != 7 {
-				t.Fatalf("%s: wrong rows: %v", name, out)
-			}
-			if got := after.TotalAlloc - before.TotalAlloc; got < least {
-				least = got
-			}
+	// TotalAlloc counts every goroutine's allocations, so take the least of
+	// a few attempts: a stray allocation elsewhere only ever adds.
+	least := ^uint64(0)
+	for attempt := 0; attempt < 5; attempt++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := batchPipelinePart(nil, sp, MemTable{rows}, 0, -1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if least > limit {
-			t.Fatalf("%s: allocated %d bytes for 40 result slots of %d bytes, want <= %d", name, least, slotBytes, limit)
+		if len(out) != 20 || len(out[7]) != 2 || out[7][0].I != 1 || out[7][1].I != 7 {
+			t.Fatalf("wrong rows: %v", out)
 		}
+		if got := after.TotalAlloc - before.TotalAlloc; got < least {
+			least = got
+		}
+	}
+	if least > limit {
+		t.Fatalf("allocated %d bytes for 40 result slots of %d bytes, want <= %d", least, slotBytes, limit)
 	}
 }

@@ -109,35 +109,3 @@ func decodeStoredRows(payload []byte, nrows int) ([]value.Row, error) {
 	}
 	return rows, nil
 }
-
-// decodeStoredBatch decodes a page payload straight into a columnar batch,
-// appending each cell into its value.Col without materializing rows — the
-// entry point the vectorized executor scans paged tables through. Every row
-// on a page must have the same width (pages never mix tables, so they do).
-func decodeStoredBatch(payload []byte, nrows int) (*value.Batch, error) {
-	b := &value.Batch{N: nrows}
-	for i := 0; i < nrows; i++ {
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("storage: short row header in page payload")
-		}
-		n := int(binary.LittleEndian.Uint32(payload))
-		payload = payload[4:]
-		if b.Cols == nil {
-			b.Cols = make([]value.Col, n)
-		} else if n != len(b.Cols) {
-			return nil, fmt.Errorf("storage: page mixes row widths (%d then %d)", len(b.Cols), n)
-		}
-		for j := 0; j < n; j++ {
-			v, rest, err := decodeStoredValue(payload)
-			if err != nil {
-				return nil, err
-			}
-			payload = rest
-			b.Cols[j].Append(v)
-		}
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes in page payload", len(payload))
-	}
-	return b, nil
-}

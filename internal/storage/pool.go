@@ -22,6 +22,8 @@ import (
 // under one mutex. That serializes concurrent misses, which is the price of
 // making pin/evict/writeback races impossible by construction; the executor's
 // scans pin one page per partition for a short decode, so the window is small.
+// A pin exists only inside withPage, which releases it however its callback
+// returns, so a page cannot be left pinned.
 
 type frameKey struct {
 	table uint64
@@ -63,9 +65,24 @@ func newPool(budget int64) *pool {
 	return &pool{budget: budget, frames: make(map[frameKey]*frame)}
 }
 
-// fetch returns a pinned handle for the page described by pi, reading it
-// from the table file on a miss. Callers must Release the handle.
-func (p *pool) fetch(t *Table, pi pageInfo) (*Page, error) {
+// withPage pins the page described by pi, reading it from the table file on
+// a miss, hands its image to fn, and unpins it when fn returns, on every path.
+// fn must not retain the image.
+func (p *pool) withPage(t *Table, pi pageInfo, fn func(image []byte) error) error {
+	fr, err := p.pin(t, pi)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		p.mu.Lock()
+		fr.pins--
+		p.mu.Unlock()
+	}()
+	return fn(fr.data)
+}
+
+// pin returns the frame for pi with one more pin; only withPage calls it.
+func (p *pool) pin(t *Table, pi pageInfo) (*frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := frameKey{table: t.id, slot: pi.Slot}
@@ -73,7 +90,7 @@ func (p *pool) fetch(t *Table, pi pageInfo) (*Page, error) {
 		fr.pins++
 		fr.ref = true
 		p.hits++
-		return &Page{p: p, fr: fr}, nil
+		return fr, nil
 	}
 	p.misses++
 	data := make([]byte, pi.Bytes)
@@ -84,7 +101,7 @@ func (p *pool) fetch(t *Table, pi pageInfo) (*Page, error) {
 	if err := p.admitLocked(fr); err != nil {
 		return nil, err
 	}
-	return &Page{p: p, fr: fr}, nil
+	return fr, nil
 }
 
 // install admits a freshly sealed page image, dirty, without pinning it.
@@ -220,25 +237,4 @@ func (p *pool) stats() PoolStats {
 		Evictions:   p.evictions,
 		Writebacks:  p.writebacks,
 	}
-}
-
-// Page is a pinned handle on a cached page image. Release it as soon as the
-// payload has been decoded; the image must not be retained past Release.
-type Page struct {
-	p  *pool
-	fr *frame
-}
-
-// Data returns the full page image. Valid only while the page is pinned.
-func (pg *Page) Data() []byte { return pg.fr.data }
-
-// Release unpins the page. Safe to call more than once.
-func (pg *Page) Release() {
-	if pg.fr == nil {
-		return
-	}
-	pg.p.mu.Lock()
-	pg.fr.pins--
-	pg.p.mu.Unlock()
-	pg.fr = nil
 }

@@ -28,7 +28,7 @@ func workload(s *Store) (committed map[string][]byte, err error) {
 			}
 			var all []value.Row
 			for part := 0; part < tb.Parts(); part++ {
-				rows, err := tb.MaterializePart(part)
+				rows, err := readPart(tb, part)
 				if err != nil {
 					return err
 				}
@@ -107,7 +107,7 @@ func verifyRecovered(t *testing.T, dir string, want map[string][]byte, label str
 		}
 		var all []value.Row
 		for part := 0; part < tb.Parts(); part++ {
-			rows, err := tb.MaterializePart(part)
+			rows, err := readPart(tb, part)
 			if err != nil {
 				t.Fatalf("%s: table %q part %d: %v", label, tb.Name(), part, err)
 			}
@@ -198,8 +198,8 @@ func TestPoisonAfterTear(t *testing.T) {
 		if err := tb.Append(0, bigRows(1, 1, 4)); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("Append after tear: %v", err)
 		}
-		if _, err := tb.Pager(0); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("Pager after tear: %v", err)
+		if _, err := readPart(tb, 0); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("ScanPart after tear: %v", err)
 		}
 	}
 }

@@ -130,26 +130,6 @@ func TestStoredRowCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoredBatchMatchesRows(t *testing.T) {
-	rows := []value.Row{ // uniform width for the batch path
-		{value.Int(1), value.Vector(&linalg.Vector{Data: []float64{0, 0, 1.5}})},
-		{value.Int(2), value.Vector(&linalg.Vector{Data: []float64{math.NaN(), 0, 0}})},
-		{value.Int(3), value.Null()},
-	}
-	var payload []byte
-	for _, r := range rows {
-		payload = appendStoredRow(payload, r)
-	}
-	b, err := decodeStoredBatch(payload, len(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := b.AppendRows(nil)
-	if !bytes.Equal(value.EncodeRows(got), value.EncodeRows(rows)) {
-		t.Fatal("batch decode disagrees with row decode")
-	}
-}
-
 // bigRows builds deterministic multi-part content big enough to span pages.
 func bigRows(seed uint64, n, veclen int) []value.Row {
 	r := rng(seed)
@@ -166,12 +146,22 @@ func bigRows(seed uint64, n, veclen int) []value.Row {
 	return rows
 }
 
+// readPart collects one partition's rows, page window by page window.
+func readPart(tb *Table, part int) ([]value.Row, error) {
+	var out []value.Row
+	err := tb.ScanPart(part, func(rows []value.Row) error {
+		out = append(out, rows...)
+		return nil
+	})
+	return out, err
+}
+
 // snapshot encodes a table's full committed contents part by part.
 func snapshot(t *testing.T, tb *Table) []byte {
 	t.Helper()
 	var all []value.Row
 	for part := 0; part < tb.Parts(); part++ {
-		rows, err := tb.MaterializePart(part)
+		rows, err := readPart(tb, part)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,52 +378,5 @@ func TestOversizedRowSpansSlots(t *testing.T) {
 	tb2, _ := s2.Table("wide")
 	if got := snapshot(t, tb2); !bytes.Equal(got, want) {
 		t.Fatal("oversized row mangled across restart")
-	}
-}
-
-func TestPagerBatchAgreesWithRows(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{PageBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	tb, err := s.CreateTable("b", 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := bigRows(11, 80, 16)
-	if err := tb.Append(0, rows[:40]); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Append(1, rows[40:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for part := 0; part < 2; part++ {
-		pr, err := tb.Pager(part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaBatch []value.Row
-		for {
-			b, err := pr.NextBatch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			viaBatch = b.AppendRows(viaBatch)
-		}
-		viaRows, err := tb.MaterializePart(part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(value.EncodeRows(viaBatch), value.EncodeRows(viaRows)) {
-			t.Fatalf("part %d: batch pager disagrees with row pager", part)
-		}
 	}
 }

@@ -825,100 +825,30 @@ func (t *Table) partPages(part int) ([]pageInfo, error) {
 	return pages, nil
 }
 
-// Pager iterates one partition's committed pages, pinning each page only
-// for the duration of its decode. The zero page count is a valid empty
-// iteration.
-type Pager struct {
-	t     *Table
-	pages []pageInfo
-	idx   int
-}
-
-// Pager returns an iterator over partition part's committed pages as of now.
-func (t *Table) Pager(part int) (*Pager, error) {
-	pages, err := t.partPages(part)
-	if err != nil {
-		return nil, err
-	}
-	return &Pager{t: t, pages: pages}, nil
-}
-
-// next fetches, validates, and unpins the next page, handing its payload to
-// decode while pinned. Returns false at the end of the partition.
-func (pg *Pager) next(decode func(payload []byte, nrows int) error) (bool, error) {
-	if pg.idx >= len(pg.pages) {
-		return false, nil
-	}
-	pi := pg.pages[pg.idx]
-	pg.idx++
-	page, err := pg.t.st.pool.fetch(pg.t, pi)
-	if err != nil {
-		return false, err
-	}
-	payload, err := decodePage(page.Data(), pi)
-	if err == nil {
-		err = decode(payload, int(pi.Rows))
-	}
-	page.Release()
-	return err == nil, err
-}
-
-// Next decodes the next page into rows; nil rows means the partition is
-// exhausted. The rows own their storage — the page is already unpinned.
-func (pg *Pager) Next() ([]value.Row, error) {
-	var rows []value.Row
-	ok, err := pg.next(func(payload []byte, nrows int) error {
-		var derr error
-		rows, derr = decodeStoredRows(payload, nrows)
-		return derr
-	})
-	if !ok || err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// NextBatch decodes the next page straight into a columnar batch; nil means
-// the partition is exhausted.
-func (pg *Pager) NextBatch() (*value.Batch, error) {
-	var b *value.Batch
-	ok, err := pg.next(func(payload []byte, nrows int) error {
-		var derr error
-		b, derr = decodeStoredBatch(payload, nrows)
-		return derr
-	})
-	if !ok || err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// ScanPart streams partition part's committed rows page by page.
+// ScanPart streams partition part's rows, one decoded page per call of fn.
+// The pages are those committed when the scan starts; each is pinned only
+// while it decodes, and the rows fn receives own their storage.
 func (t *Table) ScanPart(part int, fn func(rows []value.Row) error) error {
-	pg, err := t.Pager(part)
+	pages, err := t.partPages(part)
 	if err != nil {
 		return err
 	}
-	for {
-		rows, err := pg.Next()
+	for _, pi := range pages {
+		var rows []value.Row
+		err := t.st.pool.withPage(t, pi, func(image []byte) error {
+			payload, err := decodePage(image, pi)
+			if err != nil {
+				return err
+			}
+			rows, err = decodeStoredRows(payload, int(pi.Rows))
+			return err
+		})
+		if err == nil {
+			err = fn(rows)
+		}
 		if err != nil {
 			return err
 		}
-		if rows == nil {
-			return nil
-		}
-		if err := fn(rows); err != nil {
-			return err
-		}
 	}
-}
-
-// MaterializePart reads one partition fully into memory.
-func (t *Table) MaterializePart(part int) ([]value.Row, error) {
-	var out []value.Row
-	err := t.ScanPart(part, func(rows []value.Row) error {
-		out = append(out, rows...)
-		return nil
-	})
-	return out, err
+	return nil
 }

@@ -111,11 +111,6 @@ func (c *Col) Gather(rows []Row, lo, hi, idx int) {
 	}
 }
 
-// Append appends v as the next lane. It is the exported entry point for
-// producers that build columns value-at-a-time from an external source (the
-// storage engine decodes page payloads straight into columns this way).
-func (c *Col) Append(v Value) { c.appendValue(v) }
-
 // appendValue appends v as the next lane, starting optimistically typed from
 // the first value's kind and degrading to generic storage on a mismatch or
 // NULL, exactly as Gather does. The column must be Reset before the first
