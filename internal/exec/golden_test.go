@@ -72,7 +72,11 @@ func batchTestLoad(t *testing.T, db *core.Database) {
 // batchEquivQueries exercises every vectorized operator: chained filters with
 // integer division guarded by an earlier predicate, projection arithmetic,
 // logic over NaN/Inf comparisons, equi-join build/probe with a residual,
-// grouped and global aggregation, LIMIT inside a pipeline, and sorts.
+// grouped and global aggregation, LIMIT inside a pipeline, and sorts. The last
+// three are a grouped aggregate over a many-to-many join with more than 1024
+// matches per probe window, a grouped aggregate over a cross join whose
+// residual compares NaN/±Inf with the other side, and a bare cross-join
+// projection whose residual leaves pair windows partly selected.
 var batchEquivQueries = []string{
 	"SELECT g, a + b AS s, x * 2.0 AS xx FROM pts WHERE y > -5 AND b <> 0 AND a / b > 1",
 	"SELECT tag, -a AS na, NOT (x >= 0) AS nonneg FROM pts WHERE tag >= 't1' AND tag < 't4'",
@@ -84,6 +88,9 @@ var batchEquivQueries = []string{
 	"SELECT SUM(inner_product(jl.vec, jl.vec)) AS ip FROM jl",
 	"SELECT g, x FROM pts WHERE y > 0 LIMIT 7",
 	"SELECT g, y FROM pts WHERE g < 5 ORDER BY y, g LIMIT 20",
+	"SELECT q.tag, p.b, COUNT(*) AS n, SUM(p.y / (q.b + 10)) AS s, MIN(q.x) AS mx FROM pts AS p, pts AS q WHERE p.g = q.g AND p.tag = 't1' AND p.a + q.b > 8 GROUP BY q.tag, p.b",
+	"SELECT p.tag, COUNT(*) AS n, MIN(jr.z - p.x) AS m FROM pts AS p, jr WHERE p.g < 2 AND p.x < jr.z GROUP BY p.tag",
+	"SELECT jl.id, p.g, inner_product(jl.vec, jl.vec) * p.y AS v, jl.w - p.x AS d FROM jl, pts AS p WHERE p.g = 5 AND jl.w > p.y",
 }
 
 // batchTestDB opens a database with the batch-equivalence tables. paged
