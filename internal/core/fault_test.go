@@ -75,6 +75,43 @@ func TestTransientFaultsPreserveResults(t *testing.T) {
 	}
 }
 
+// crossAggQuery is the distance computation's shape over the spill tables: a
+// grouped MIN over a cross join, which streams into the local aggregate.
+const crossAggQuery = `SELECT a.id, MIN(inner_product(a.v, b.v)) AS m
+FROM r AS a, r AS b WHERE a.id <> b.id GROUP BY a.id ORDER BY a.id`
+
+// TestTransientFaultsPreserveCrossJoinAggregate runs the same property over the
+// cross join → aggregate stage: retried and speculated attempts leave the rows
+// unchanged and charge their tuples once, for the winning attempt.
+func TestTransientFaultsPreserveCrossJoinAggregate(t *testing.T) {
+	baseline := mustQuery(t, spillTestDB(t, 0, 0), crossAggQuery)
+	if len(baseline.Rows) != 150 {
+		t.Fatalf("baseline groups = %d, want 150", len(baseline.Rows))
+	}
+	var retries int64
+	for seed := uint64(1); seed <= 3; seed++ {
+		res := mustQuery(t, faultSpillDB(t, 0, transientFaults(seed)), crossAggQuery)
+		if len(res.Rows) != len(baseline.Rows) {
+			t.Fatalf("seed %d: rows = %d, want %d", seed, len(res.Rows), len(baseline.Rows))
+		}
+		for i := range res.Rows {
+			for j := range res.Rows[i] {
+				if !res.Rows[i][j].Equal(baseline.Rows[i][j]) {
+					t.Fatalf("seed %d: row %d col %d: faulted %v != baseline %v",
+						seed, i, j, res.Rows[i][j], baseline.Rows[i][j])
+				}
+			}
+		}
+		if res.Stats.TuplesProduced != baseline.Stats.TuplesProduced {
+			t.Fatalf("seed %d: %d tuples produced, fault-free run %d", seed, res.Stats.TuplesProduced, baseline.Stats.TuplesProduced)
+		}
+		retries += res.Stats.TaskRetries
+	}
+	if retries == 0 {
+		t.Fatal("no task retries observed across any seed")
+	}
+}
+
 // TestTransientFaultsPreserveOutOfCoreResults runs the same property with a
 // memory budget small enough to force spilling, so retried tasks re-execute
 // through the external join/aggregation paths — including injected spill

@@ -22,31 +22,13 @@ type aggGroup struct {
 // matrices cheap and whose absence makes the tuple-based plans of Figure 4
 // aggregation-bound.
 func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
-	in, err := Run(ctx, a.Input)
-	if err != nil {
-		return nil, err
-	}
-
 	// Phase 1: local pre-aggregation (out-of-core when a memory budget is
 	// set: new groups beyond the reservation scatter to spill files and are
-	// aggregated recursively — see partAgg).
-	stopLocal := ctx.Timings.Track("aggregate")
-	locals := make([]map[uint64][]*aggGroup, len(in.Parts))
-	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, attempt int) (func() error, error) {
-		pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, attempt: attempt}
-		groups, err := pa.aggregate(in.Parts[part])
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			locals[part] = groups
-			return nil
-		}, nil
-	})
+	// aggregated recursively — see aggBuilder).
+	in, locals, err := localAgg(ctx, a)
 	if err != nil {
 		return nil, err
 	}
-	stopLocal()
 
 	// Phase 2: move partial states to their destination partition. When the
 	// input is already partitioned on (a subset of) the group keys — or
@@ -172,6 +154,51 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	return rel, nil
 }
 
+// localAgg runs phase 1 and returns the input's placement with each
+// partition's sealed group map. A projection over a hash join or cross join
+// runs as the join's own stage with this aggregate as its sink, so the join
+// relation never materializes and the local aggregation is timed as "join";
+// any other input is materialized first.
+func localAgg(ctx *Context, a *plan.Agg) (*Relation, []map[uint64][]*aggGroup, error) {
+	input := a.Input
+	if p, ok := input.(*plan.Project); ok && ctx.bound[p] == nil {
+		p, err := adaptProject(ctx, p)
+		if err != nil {
+			return nil, nil, err
+		}
+		spec := &projectSpec{exprs: p.Exprs, out: p.Out}
+		switch j := p.Input.(type) {
+		case *plan.Join:
+			return runJoinWith(ctx, j, spec, a)
+		case *plan.Cross:
+			return runCrossWith(ctx, j, spec, a)
+		}
+		input = p
+	}
+	in, err := Run(ctx, input)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ctx.Timings.Track("aggregate")()
+	locals := make([]map[uint64][]*aggGroup, len(in.Parts))
+	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, attempt int) (func() error, error) {
+		pa := newPartAgg(ctx, a, part, attempt)
+		defer pa.release()
+		groups, err := pa.aggregate(in.Parts[part])
+		if err != nil {
+			return nil, err
+		}
+		return func() error {
+			locals[part] = groups
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return in, locals, nil
+}
+
 // sortedHashes returns the keys of a group-hash map in ascending order, the
 // iteration order every phase uses so merge and output sequences are
 // deterministic.
@@ -235,28 +262,70 @@ const aggSpillFanout = 16
 // NEW table entries are scattered raw into spill files by a salted re-hash of
 // the group hash, then aggregated recursively. Raw input rows are spilled —
 // not partial states — because aggregate states have no serialized form and
-// finalized values (avg) cannot be re-merged.
+// finalized values (avg) cannot be re-merged. It holds what every recursion
+// level (aggBuilder) shares: the reservation and the per-window scratch.
 type partAgg struct {
 	ctx     *Context
 	ec      *plan.EvalCtx
 	a       *plan.Agg
 	part    int
-	attempt int // owning task attempt; keys spill write-fault draws
+	attempt int                // owning task attempt; keys spill write-fault draws
+	res     *spill.Reservation // nil without a memory budget
+	fuse    bool
+	vecArg  []bool // aggregate j's argument evaluates columnar (plain calls)
+	rowArg  bool   // some aggregate is fused and steps from the whole row
+	argCols []*value.Col
+	ke      keyEval
+	view    batchView
+	pre     *prefetcher
 }
 
-// aggregate builds the partition's group map from rows.
-func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
-	var res *spill.Reservation
-	if pa.ctx.spillEnabled() {
-		res = pa.ctx.Spill.Governor().Reservation("hash aggregate")
-		defer res.Release()
+// newPartAgg sets up one partition attempt's aggregation, taking its "hash
+// aggregate" reservation under a memory budget; release returns it.
+func newPartAgg(ctx *Context, a *plan.Agg, part, attempt int) *partAgg {
+	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, attempt: attempt, fuse: !ctx.DisableAggFusion,
+		vecArg: make([]bool, len(a.Aggs)), argCols: make([]*value.Col, len(a.Aggs))}
+	if ctx.spillEnabled() {
+		pa.res = ctx.Spill.Governor().Reservation("hash aggregate")
 	}
-	groups, err := pa.build(sliceIter(rows), res, 0)
+	// Aggregate argument columns vectorize only for plain (non-fused,
+	// non-COUNT(*)) calls; fused states step from the row.
+	var vecInputs []plan.Expr
+	for j, c := range a.Aggs {
+		pa.vecArg[j] = c.Input != nil && !(pa.fuse && fusedOf(c) != fusedNone)
+		if pa.vecArg[j] {
+			vecInputs = append(vecInputs, c.Input)
+		} else if c.Input != nil {
+			pa.rowArg = true
+		}
+	}
+	pa.pre = newPrefetcher(a.GroupBy, vecInputs)
+	return pa
+}
+
+func (pa *partAgg) release() {
+	if pa.res != nil {
+		pa.res.Release()
+	}
+}
+
+// aggregate builds the partition's sealed group map from rows.
+func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
+	b := pa.builder(0)
+	if err := b.addRows(rows); err != nil {
+		return nil, err
+	}
+	return pa.seal(b)
+}
+
+// seal finishes the top-level builder and seals every fused state while the
+// states still belong to this attempt alone: the finalize tasks may read one
+// state from two attempts at once.
+func (pa *partAgg) seal(b *aggBuilder) (map[uint64][]*aggGroup, error) {
+	groups, err := b.finish()
 	if err != nil {
 		return nil, err
 	}
-	// Seal here, while the states still belong to this attempt alone: the
-	// finalize tasks may read one state from two attempts at once.
 	for _, gs := range groups {
 		for _, g := range gs {
 			for _, st := range g.states {
@@ -269,36 +338,18 @@ func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
 	return groups, nil
 }
 
-// rowIter yields rows; the bool result is false at end of input.
-type rowIter func() (value.Row, bool, error)
-
-func sliceIter(rows []value.Row) rowIter {
-	i := 0
-	return func() (value.Row, bool, error) {
-		if i >= len(rows) {
-			return nil, false, nil
-		}
-		r := rows[i]
-		i++
-		return r, true, nil
-	}
-}
-
 // stateFootprint estimates the bytes of one group's aggregate states.
 func stateFootprint(n int) int64 { return 64 + int64(n)*64 }
 
-// buildFromRun recursively aggregates one overflow file and removes it.
-func (pa *partAgg) buildFromRun(run *spill.Run, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
-	rd, err := run.Reader()
-	if err != nil {
+// aggregateRun aggregates one overflow file at depth and removes it.
+func (pa *partAgg) aggregateRun(run *spill.Run, depth int) (map[uint64][]*aggGroup, error) {
+	b := pa.builder(depth)
+	if err := forRunWindows(run, b.addRows); err != nil {
+		b.abort()
 		return nil, err
 	}
-	groups, err := pa.build(rd.Next, res, depth)
+	groups, err := b.finish()
 	if err != nil {
-		_ = rd.Close() // the build error is the actionable one
-		return nil, err
-	}
-	if err := rd.Close(); err != nil {
 		return nil, err
 	}
 	if err := run.Remove(); err != nil {

@@ -355,27 +355,38 @@ func scanHashKeys(s *plan.Scan) []string {
 	return []string{keyCol.String()}
 }
 
-func runProject(ctx *Context, p *plan.Project) (*Relation, error) {
-	// The projection-over-join fusion below bypasses Run's Join/Cross cases,
-	// so the adaptive check must happen here too before the region executes.
+// adaptProject applies the adaptive check to a projection over a join region,
+// which the projection-over-join fusion reaches without Run's Join/Cross cases,
+// and returns the projection to run: p itself or p over the re-planned region.
+func adaptProject(ctx *Context, p *plan.Project) (*plan.Project, error) {
 	switch p.Input.(type) {
 	case *plan.Join, *plan.Cross:
 		adapted, err := adaptPlan(ctx, p.Input)
 		if err != nil {
 			return nil, err
 		}
-		p = &plan.Project{Input: adapted, Exprs: p.Exprs, Out: p.Out}
+		return &plan.Project{Input: adapted, Exprs: p.Exprs, Out: p.Out}, nil
 	}
-	// Fuse a projection directly above a join into the join itself: the
-	// concatenated row is built transiently per match and only the
-	// projected row materializes. This is what makes the optimizer's eager
-	// projections (§4.1) pay off — the wide matrix pair never exists as an
-	// intermediate.
+	return p, nil
+}
+
+func runProject(ctx *Context, p *plan.Project) (*Relation, error) {
+	p, err := adaptProject(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	// Fuse a projection directly above a join into the join itself: each
+	// pair window is projected columnar and only the projected row
+	// materializes. This is what makes the optimizer's eager projections
+	// (§4.1) pay off — the wide matrix pair never exists as an intermediate.
+	spec := &projectSpec{exprs: p.Exprs, out: p.Out}
 	switch in := p.Input.(type) {
 	case *plan.Join:
-		return runJoinWith(ctx, in, &projectSpec{exprs: p.Exprs, out: p.Out})
+		rel, _, err := runJoinWith(ctx, in, spec, nil)
+		return rel, err
 	case *plan.Cross:
-		return runCrossWith(ctx, in, &projectSpec{exprs: p.Exprs, out: p.Out})
+		rel, _, err := runCrossWith(ctx, in, spec, nil)
+		return rel, err
 	}
 	in, err := Run(ctx, p.Input)
 	if err != nil {

@@ -153,6 +153,16 @@ func TestBudgetErrorsNameOperator(t *testing.T) {
 	tables["r"] = intTable(seed, 40)
 	l := scanNode("l", 40, catalog.Column{Name: "a", Type: types.TInt}, catalog.Column{Name: "b", Type: types.TInt})
 	r := scanNode("r", 40, catalog.Column{Name: "c", Type: types.TInt}, catalog.Column{Name: "d", Type: types.TInt})
+	// countOver is Agg ← Project ← in: the join streams into the local
+	// aggregate, so the budget must still trip inside the join's own stage.
+	countOver := func(in plan.Node) plan.Node {
+		proj := &plan.Project{Input: in, Exprs: []plan.Expr{col(0, types.TInt), col(3, types.TInt)},
+			Out: plan.Schema{{Name: "a", T: types.TInt}, {Name: "d", T: types.TInt}}}
+		return aggNode(proj, 1, "count", -1)
+	}
+	cross := func() *plan.Cross {
+		return &plan.Cross{L: l, R: r, Out: append(append(plan.Schema{}, l.Out...), r.Out...)}
+	}
 
 	cases := []struct {
 		label  string
@@ -163,7 +173,9 @@ func TestBudgetErrorsNameOperator(t *testing.T) {
 		// budget inside the probe loop. Sort and aggregate charge their 40
 		// output rows, so a budget of 30 trips them (scans don't charge).
 		{"hash join", 50, joinNode(l, r, 1, 1)},
-		{"cross join", 50, &plan.Cross{L: l, R: r, Out: append(append(plan.Schema{}, l.Out...), r.Out...)}},
+		{"cross join", 50, cross()},
+		{"hash join", 50, countOver(joinNode(l, r, 1, 1))},
+		{"cross join", 50, countOver(cross())},
 		{"sort", 30, &plan.Sort{Input: l, Keys: []plan.OrderKey{{Col: 0}}}},
 		{"aggregate", 30, &plan.Agg{Input: l,
 			GroupBy: []plan.Expr{col(0, types.TInt)},

@@ -121,8 +121,7 @@ func sameBits(a, b *linalg.Matrix) error {
 func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*fusedSumState, error) {
 	t.Helper()
 	ctx := testCtx(memSource{})
-	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a}
-	groups, err := pa.aggregate(rows)
+	groups, err := newPartAgg(ctx, a, 0, 0).aggregate(rows)
 	if err != nil {
 		return nil, err
 	}

@@ -75,41 +75,30 @@ func valsEqual(a, b []value.Value) bool {
 	return true
 }
 
-// projectSpec is a projection fused into a join: each surviving
-// concatenated row is transformed through exprs before materializing.
+// projectSpec is a projection fused into a join: each pair window's
+// surviving lanes are projected columnar before anything materializes.
 type projectSpec struct {
 	exprs []plan.Expr
 	out   plan.Schema
 }
 
-// emit applies the fused projection (if any) to a concatenated row.
-func (p *projectSpec) emit(ec *plan.EvalCtx, concat value.Row) (value.Row, error) {
-	if p == nil {
-		return concat, nil
-	}
-	out := make(value.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(ec, concat)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 func runJoin(ctx *Context, j *plan.Join) (*Relation, error) {
-	return runJoinWith(ctx, j, nil)
+	rel, _, err := runJoinWith(ctx, j, nil, nil)
+	return rel, err
 }
 
-func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec) (*Relation, error) {
+// runJoinWith runs the hash join stage. Each partition's pair windows go to
+// its emitter's sink: the rows of the returned relation, or, when agg is set
+// (always with a projection), agg's partition-local aggregate, whose sealed
+// group maps come back instead and leave the relation's partitions empty.
+func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec, agg *plan.Agg) (*Relation, []map[uint64][]*aggGroup, error) {
 	left, err := Run(ctx, j.L)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	right, err := Run(ctx, j.R)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer ctx.Timings.Track("join")()
 
@@ -122,7 +111,7 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec) (*Relation, erro
 	if !left.Single && !sameKeys(left.HashKeys, lkeyStr) {
 		lparts, err = shuffleByKeys(ctx, left.Parts, j.LKeys)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	rparts := right.Parts
@@ -134,18 +123,19 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec) (*Relation, erro
 			// the reverse, but correctness first: co-locate on partitions).
 			lparts, err = shuffleByKeys(ctx, left.Parts, j.LKeys)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if !sameKeys(right.HashKeys, rkeyStr) || right.Single {
 			rparts, err = shuffleByKeys(ctx, right.Parts, j.RKeys)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 
 	out := make([][]value.Row, ctx.Cluster.Partitions())
+	locals := make([]map[uint64][]*aggGroup, len(out))
 	err = ctx.Cluster.ParallelTasks("hash join", taskObs(ctx), func(part, attempt int) (func() error, error) {
 		// Build on the smaller side of this partition.
 		lrows, rrows := lparts[part], rparts[part]
@@ -157,28 +147,32 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec) (*Relation, erro
 			buildRows, probeRows = rrows, lrows
 			buildKeys, probeKeys = j.RKeys, j.LKeys
 		}
+		em := newBatchEmitter(ctx, "hash join", j.Residual, proj, agg, part, attempt)
+		defer em.release()
 		pj := &partJoin{
 			ctx:       ctx,
 			ec:        ctx.EvalCtx(),
-			j:         j,
-			proj:      proj,
 			buildKeys: buildKeys,
 			probeKeys: probeKeys,
 			buildLeft: buildLeft,
-			charge:    newCharger(ctx, "hash join"),
 			part:      part,
 			attempt:   attempt,
+			em:        em,
 		}
 		if err := pj.run(buildRows, probeRows); err != nil {
 			return nil, err
 		}
+		groups, err := em.close()
+		if err != nil {
+			return nil, err
+		}
 		return func() error {
-			out[part] = pj.rows
-			return pj.charge.commit()
+			out[part], locals[part] = em.rows, groups
+			return em.charge.commit()
 		}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rel := &Relation{Schema: j.Out, Parts: out, HashKeys: lkeyStr}
 	if proj != nil {
@@ -186,7 +180,7 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec) (*Relation, erro
 		rel.Schema = proj.out
 		rel.HashKeys = nil
 	}
-	return rel, nil
+	return rel, locals, nil
 }
 
 // joinBucket is one build-side entry of the hash table: the evaluated key
@@ -202,16 +196,12 @@ type joinBucket struct {
 type partJoin struct {
 	ctx       *Context
 	ec        *plan.EvalCtx
-	j         *plan.Join
-	proj      *projectSpec
 	buildKeys []plan.Expr
 	probeKeys []plan.Expr
 	buildLeft bool
-	charge    *charger
 	part      int
 	attempt   int // owning task attempt; keys spill write-fault draws
 	em        *batchEmitter
-	rows      []value.Row
 }
 
 // maxGraceDepth bounds the recursive re-partitioning of a grace join; at the
@@ -313,11 +303,11 @@ type charger struct {
 
 func newCharger(ctx *Context, op string) *charger { return &charger{ctx: ctx, op: op} }
 
-// tick counts one produced tuple and periodically peeks at the budget so a
+// tick counts n produced tuples and periodically peeks at the budget so a
 // runaway operator aborts mid-production.
-func (c *charger) tick() error {
-	c.total++
-	c.sinceCheck++
+func (c *charger) tick(n int) error {
+	c.total += int64(n)
+	c.sinceCheck += int64(n)
 	if c.sinceCheck >= 4096 {
 		c.sinceCheck = 0
 		return opErr(c.op, c.ctx.Cluster.CheckBudget(c.total))
@@ -367,17 +357,22 @@ func shuffleByKeys(ctx *Context, parts [][]value.Row, keys []plan.Expr) ([][]val
 }
 
 func runCross(ctx *Context, c *plan.Cross) (*Relation, error) {
-	return runCrossWith(ctx, c, nil)
+	rel, _, err := runCrossWith(ctx, c, nil, nil)
+	return rel, err
 }
 
-func runCrossWith(ctx *Context, c *plan.Cross, proj *projectSpec) (*Relation, error) {
+// runCrossWith runs the cross join stage with runJoinWith's sinks. Each
+// partition pairs its rows of the bigger side (outer loop) with every
+// broadcast row of the smaller one (inner loop) and emits them in pair
+// windows, so the residual and projection run columnar like the hash join's.
+func runCrossWith(ctx *Context, c *plan.Cross, proj *projectSpec, agg *plan.Agg) (*Relation, []map[uint64][]*aggGroup, error) {
 	left, err := Run(ctx, c.L)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	right, err := Run(ctx, c.R)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer ctx.Timings.Track("join")()
 
@@ -391,58 +386,40 @@ func runCrossWith(ctx *Context, c *plan.Cross, proj *projectSpec) (*Relation, er
 	}
 	smallParts, err := ctx.Cluster.BroadcastObs(taskObs(ctx), small.Parts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	out := make([][]value.Row, ctx.Cluster.Partitions())
-	ec := ctx.EvalCtx()
-	err = ctx.Cluster.ParallelTasks("cross join", taskObs(ctx), func(part, _ int) (func() error, error) {
-		var rows []value.Row
-		charge := newCharger(ctx, "cross join")
+	locals := make([]map[uint64][]*aggGroup, len(out))
+	err = ctx.Cluster.ParallelTasks("cross join", taskObs(ctx), func(part, attempt int) (func() error, error) {
+		em := newBatchEmitter(ctx, "cross join", c.Residual, proj, agg, part, attempt)
+		defer em.release()
 		for _, br := range big.Parts[part] {
 			for _, sr := range smallParts[part] {
-				nr := make(value.Row, 0, len(c.Out))
-				if broadcastRight {
-					nr = append(nr, br...)
-					nr = append(nr, sr...)
-				} else {
-					nr = append(nr, sr...)
-					nr = append(nr, br...)
+				l, r := br, sr
+				if !broadcastRight {
+					l, r = sr, br
 				}
-				keep := true
-				for _, res := range c.Residual {
-					v, err := res.Eval(ec, nr)
-					if err != nil {
-						return nil, err
-					}
-					if !(v.Kind == value.KindBool && v.B) {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					emitted, err := proj.emit(ec, nr)
-					if err != nil {
-						return nil, err
-					}
-					rows = append(rows, emitted)
-					if err := charge.tick(); err != nil {
-						return nil, err
-					}
+				if err := em.emit(l, r); err != nil {
+					return nil, err
 				}
 			}
 		}
+		groups, err := em.close()
+		if err != nil {
+			return nil, err
+		}
 		return func() error {
-			out[part] = rows
-			return charge.commit()
+			out[part], locals[part] = em.rows, groups
+			return em.charge.commit()
 		}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rel := &Relation{Schema: c.Out, Parts: out}
 	if proj != nil {
 		rel.Schema = proj.out
 	}
-	return rel, nil
+	return rel, locals, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"relalg/internal/builtins"
 	"relalg/internal/catalog"
 	"relalg/internal/plan"
 	"relalg/internal/types"
@@ -212,6 +213,86 @@ func TestPipelineAllocs(t *testing.T) {
 	}
 	if fusedAllocs > unfusedAllocs {
 		t.Fatalf("fused pipeline allocates %.0f per run, more than the unfused chain's %.0f", fusedAllocs, unfusedAllocs)
+	}
+}
+
+// TestJoinAggregateAllocs is the allocation gate for a join whose only
+// consumer is a grouped aggregate, in the tuple-layout Gram's shape: a table of
+// (row_index, col_index, value) rows, d per row_index, joined on row_index and
+// grouped into d² cells. Tables are placed by row_index, so nothing shuffles.
+// The gate is the marginal cost of a matched pair: the self-join against the
+// same join with every probe row present three times, whose extra bytes over
+// its extra pairs leave out the build table, the d² groups and the
+// per-partition buffers, which do not grow with the pairs. Pair windows are
+// reused and their projected columns go straight into the aggregate, so what
+// is left per pair is the window's product column (8 bytes a lane). When the
+// join materialized its pairs before aggregating, this measured 508 bytes per
+// extra pair, and the self-join allocated 37.5 MB a run (748 bytes a pair).
+func TestJoinAggregateAllocs(t *testing.T) {
+	const n, d = 87, 24 // 50 112 pairs in the self-join
+	tables := memSource{}
+	ctx := testCtx(tables)
+	p := ctx.Cluster.Partitions()
+	cols := []catalog.Column{{Name: "row_index", Type: types.TInt}, {Name: "col_index", Type: types.TInt}, {Name: "value", Type: types.TDouble}}
+	out := plan.Schema{{Name: "row_index", T: types.TInt}, {Name: "col_index", T: types.TInt}, {Name: "value", T: types.TDouble}}
+	scan := func(name string, copies int) *plan.Scan {
+		parts := make([][]value.Row, p)
+		for i := 0; i < n; i++ {
+			key := value.Int(int64(i))
+			dest := int(hashVals([]value.Value{key}) % uint64(p))
+			for c := 0; c < copies; c++ {
+				for j := 0; j < d; j++ {
+					parts[dest] = append(parts[dest], value.Row{key, value.Int(int64(j)), value.Double(float64(i%7) + float64(j)/3)})
+				}
+			}
+		}
+		tables[name] = parts
+		meta := catalog.NewTableMeta(name, catalog.Schema{Cols: cols}, int64(copies*n*d))
+		meta.PartitionCol = "row_index"
+		return &plan.Scan{Table: meta, Out: out}
+	}
+	x1 := scan("xt", 1)
+	gram := func(x2 *plan.Scan) *plan.Agg {
+		key := &plan.Col{Idx: 0, Name: "row_index", T: types.TInt}
+		join := &plan.Join{L: x1, R: x2, LKeys: []plan.Expr{key}, RKeys: []plan.Expr{key}, Out: append(append(plan.Schema{}, out...), out...)}
+		product := &plan.Binary{Op: "*", Kind: plan.BinArith, L: col(2, types.TDouble), R: col(5, types.TDouble), T: types.TDouble}
+		proj := &plan.Project{Input: join, Exprs: []plan.Expr{col(1, types.TInt), col(4, types.TInt), product},
+			Out: plan.Schema{{Name: "i", T: types.TInt}, {Name: "j", T: types.TInt}, {Name: "p", T: types.TDouble}}}
+		sum, _ := builtins.LookupAgg("sum")
+		return &plan.Agg{Input: proj, GroupBy: []plan.Expr{col(0, types.TInt), col(1, types.TInt)},
+			Aggs: []plan.AggCall{{Spec: sum, Input: col(2, types.TDouble), T: types.TDouble}},
+			Out:  plan.Schema{{Name: "i", T: types.TInt}, {Name: "j", T: types.TInt}, {Name: "s", T: types.TDouble}}}
+	}
+	// allocated returns the bytes one run of q allocates, over several runs
+	// after a warm-up.
+	allocated := func(q *plan.Agg) float64 {
+		run := func() {
+			rel, err := Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel.NumRows() != d*d {
+				t.Fatalf("%d cells, want %d", rel.NumRows(), d*d)
+			}
+		}
+		run()
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	self := allocated(gram(x1))
+	tripled := allocated(gram(scan("xt3", 3)))
+	const pairs = n * d * d
+	perPair := (tripled - self) / (2 * pairs)
+	t.Logf("%.0f bytes per run over %d pairs; %.1f bytes per extra matched pair", self, pairs, perPair)
+	if perPair > 16 {
+		t.Fatalf("join → aggregate allocates %.1f bytes per matched pair, want <= 16", perPair)
 	}
 }
 
