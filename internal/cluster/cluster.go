@@ -131,6 +131,21 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
+// add adds a snapshot's counts into s.
+func (s *Stats) add(o StatsSnapshot) {
+	s.TuplesShuffled.Add(o.TuplesShuffled)
+	s.BytesShuffled.Add(o.BytesShuffled)
+	s.TuplesProduced.Add(o.TuplesProduced)
+	s.ShuffleRounds.Add(o.ShuffleRounds)
+	s.BroadcastRounds.Add(o.BroadcastRounds)
+	s.SpillEvents.Add(o.SpillEvents)
+	s.BytesSpilled.Add(o.BytesSpilled)
+	s.FaultsInjected.Add(o.FaultsInjected)
+	s.TaskRetries.Add(o.TaskRetries)
+	s.SpeculativeLaunches.Add(o.SpeculativeLaunches)
+	s.Replans.Add(o.Replans)
+}
+
 // StatsSnapshot is a point-in-time copy of Stats.
 type StatsSnapshot struct {
 	TuplesShuffled      int64
@@ -162,12 +177,14 @@ func (s StatsSnapshot) String() string {
 	return out
 }
 
-// Cluster is one simulated cluster instance.
+// Cluster is one simulated cluster instance, or one statement's view of it
+// (Statement).
 type Cluster struct {
 	cfg      Config
 	stats    Stats
 	used     atomic.Int64 // intermediate tuples charged so far
 	injector *fault.Injector
+	parent   *Cluster // a view's cluster, which End adds its counters into
 }
 
 // New creates a cluster from the config.
@@ -190,9 +207,21 @@ func (c *Cluster) Partitions() int { return c.cfg.Partitions() }
 // Stats exposes the movement counters.
 func (c *Cluster) Stats() *Stats { return &c.stats }
 
-// ResetBudget clears the intermediate-tuple accounting (call between
-// queries).
-func (c *Cluster) ResetBudget() { c.used.Store(0) }
+// Statement returns a view of c for one statement. The view shares c's
+// configuration, topology and fault injector, and has its own Stats and its
+// own intermediate-tuple budget, so concurrent statements neither see nor
+// spend each other's work. End, called once when the statement finishes,
+// adds the view's counters into c's.
+func (c *Cluster) Statement() *Cluster {
+	return &Cluster{cfg: c.cfg, injector: c.injector, parent: c}
+}
+
+// End adds a statement view's counters into the cluster it was taken from.
+func (c *Cluster) End() {
+	if c.parent != nil {
+		c.parent.stats.add(c.stats.Snapshot())
+	}
+}
 
 // ChargeTuples records that n intermediate tuples were materialized; it
 // fails once the configured budget is exhausted. Call it from a task's

@@ -169,9 +169,21 @@ func TestTupleBudget(t *testing.T) {
 	if !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("error = %v, want ErrResourceExhausted", err)
 	}
-	c.ResetBudget()
-	if err := c.ChargeTuples(100); err != nil {
+	// A statement view spends its own budget and adds its counts into the
+	// cluster's when it ends.
+	v := c.Statement()
+	if err := v.ChargeTuples(100); err != nil {
 		t.Fatal(err)
+	}
+	if err := v.ChargeTuples(1); !errors.Is(err, ErrResourceExhausted) {
+		t.Fatalf("view error = %v, want ErrResourceExhausted", err)
+	}
+	if got := c.Stats().Snapshot().TuplesProduced; got != 101 {
+		t.Fatalf("cluster produced %d before End, want 101", got)
+	}
+	v.End()
+	if got := c.Stats().Snapshot().TuplesProduced; got != 202 {
+		t.Fatalf("cluster produced %d after End, want 202", got)
 	}
 }
 

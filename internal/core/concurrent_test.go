@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"relalg/internal/cluster"
 	"relalg/internal/value"
 )
 
@@ -92,6 +93,62 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentStatsMatchSerial: every statement counts on its own view of
+// the cluster, so a statement's Result.Stats under 8 concurrent callers equal
+// its serial stats exactly, and the database's cumulative counters grow by
+// exactly the sum of the statements' own.
+func TestConcurrentStatsMatchSerial(t *testing.T) {
+	db := concurrentTestDB(t)
+	queries := []string{
+		"SELECT g, SUM(v) AS total FROM pts GROUP BY g ORDER BY g",
+		"SELECT COUNT(*) FROM pts WHERE v > 100",
+		"SELECT g, v * 2 FROM pts WHERE v < 50",
+		"SELECT p.g, COUNT(*) FROM pts p, vecs w WHERE p.g = w.id GROUP BY p.g ORDER BY p.g",
+		"SELECT a.id, MIN(inner_product(a.vec, b.vec)) FROM vecs a, vecs b WHERE a.id <> b.id GROUP BY a.id",
+	}
+	want := make([]cluster.StatsSnapshot, len(queries))
+	var produced int64
+	for i, q := range queries {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("serial %q: %v", q, err)
+		}
+		want[i] = res.Stats
+		produced += res.Stats.TuplesProduced
+	}
+
+	const callers = 8
+	before := db.Cluster().Stats().Snapshot()
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := range queries {
+				i := (c + k) % len(queries)
+				res, err := db.Query(queries[i])
+				if err != nil {
+					errs <- fmt.Errorf("caller %d %q: %w", c, queries[i], err)
+					return
+				}
+				if res.Stats != want[i] {
+					errs <- fmt.Errorf("caller %d %q: stats %+v, serial %+v", c, queries[i], res.Stats, want[i])
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := db.Cluster().Stats().Snapshot().TuplesProduced - before.TuplesProduced; got != callers*produced {
+		t.Errorf("cumulative TuplesProduced grew by %d, want %d", got, callers*produced)
 	}
 }
 

@@ -325,21 +325,31 @@ func (db *Database) createTableAs(ct *sqlparse.CreateTableAs, rsrc Resources) er
 		return err
 	}
 	cols := make([]catalog.Column, len(res.Schema))
-	seen := map[string]int{}
+	// Every output name is taken up front, so a repeated name gets the first
+	// free _k suffix and never steals a name another column carries.
+	taken := map[string]bool{}
 	for i, f := range res.Schema {
-		t := f.T
-		if t.Base == types.Any || t.Base == types.Invalid {
+		cols[i].Name = f.Name
+		if f.Name == "" {
+			cols[i].Name = fmt.Sprintf("col%d", i)
+		}
+		taken[cols[i].Name] = true
+	}
+	seen := map[string]bool{}
+	for i, f := range res.Schema {
+		if f.T.Base == types.Any || f.T.Base == types.Invalid {
 			return fmt.Errorf("core: column %q of CREATE TABLE AS has no concrete type", f.Name)
 		}
-		name := f.Name
-		if name == "" {
-			name = fmt.Sprintf("col%d", i)
+		name := cols[i].Name
+		if seen[name] {
+			base := name
+			for k := 1; taken[name]; k++ {
+				name = fmt.Sprintf("%s_%d", base, k)
+			}
+			taken[name] = true
 		}
-		if n := seen[name]; n > 0 {
-			name = fmt.Sprintf("%s_%d", name, n)
-		}
-		seen[f.Name]++
-		cols[i] = catalog.Column{Name: name, Type: t}
+		seen[name] = true
+		cols[i] = catalog.Column{Name: name, Type: f.T}
 	}
 	meta := &catalog.TableMeta{Name: ct.Name, Schema: catalog.Schema{Cols: cols}}
 	db.mu.Lock()
@@ -626,31 +636,31 @@ func (db *Database) query(sel *sqlparse.Select, rsrc Resources) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	// The single-caller path may reset the shared tuple budget per statement;
-	// the serving layer goes through ExecutePlanned, where concurrent queries
-	// share whatever budget the cluster currently has.
-	db.cl.ResetBudget()
 	return db.ExecutePlanned(optimized, rsrc)
 }
 
 // ExecutePlanned executes an already-optimized plan under a resource lease.
 // Plans are immutable during execution, so the serving layer's plan cache
-// may hand the same node tree to many concurrent callers. Unlike Run, it
-// never resets the cluster-wide tuple budget.
+// may hand the same node tree to many concurrent callers. The statement runs
+// on its own view of the cluster, so its Result.Stats and its
+// MaxIntermediateTuples budget are its own however many statements run at
+// once; the view's counters join the database's cumulative Stats when it
+// returns, on the error path too.
 func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Result, err error) {
-	before := db.cl.Stats().Snapshot()
+	cl := db.cl.Statement()
+	defer cl.End()
 	timings := exec.NewTimings()
 	// One spill manager (and so one temp directory and one memory budget)
 	// covers the whole query, subqueries included; its Close at return sweeps
 	// every run file the operators created.
-	stats := db.cl.Stats()
+	stats := cl.Stats()
 	mgr := spill.NewManager(db.memBudget(rsrc), spill.Hooks{
 		RunSpilled: func(bytes int64) {
 			stats.SpillEvents.Add(1)
 			stats.BytesSpilled.Add(bytes)
 		},
 		TrackIO:    func() func() { return timings.Track("spill") },
-		WriteFault: db.cl.SpillWriteFault,
+		WriteFault: cl.SpillWriteFault,
 	})
 	defer func() {
 		if cerr := mgr.Close(); cerr != nil && err == nil {
@@ -658,7 +668,7 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 		}
 	}()
 	ctx := &exec.Context{
-		Cluster:          db.cl,
+		Cluster:          cl,
 		Tables:           db,
 		Timings:          timings,
 		Spill:            mgr,
@@ -682,24 +692,11 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 	if err != nil {
 		return nil, err
 	}
-	after := db.cl.Stats().Snapshot()
 	return &Result{
 		Schema:  rel.Schema,
 		Rows:    rel.Rows(),
 		Timings: timings,
-		Stats: cluster.StatsSnapshot{
-			TuplesShuffled:  after.TuplesShuffled - before.TuplesShuffled,
-			BytesShuffled:   after.BytesShuffled - before.BytesShuffled,
-			TuplesProduced:  after.TuplesProduced - before.TuplesProduced,
-			ShuffleRounds:   after.ShuffleRounds - before.ShuffleRounds,
-			BroadcastRounds: after.BroadcastRounds - before.BroadcastRounds,
-			SpillEvents:         after.SpillEvents - before.SpillEvents,
-			BytesSpilled:        after.BytesSpilled - before.BytesSpilled,
-			FaultsInjected:      after.FaultsInjected - before.FaultsInjected,
-			TaskRetries:         after.TaskRetries - before.TaskRetries,
-			SpeculativeLaunches: after.SpeculativeLaunches - before.SpeculativeLaunches,
-			Replans:             after.Replans - before.Replans,
-		},
+		Stats:   stats.Snapshot(),
 	}, nil
 }
 

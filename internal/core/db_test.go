@@ -576,6 +576,24 @@ func TestCreateTableAs(t *testing.T) {
 	}
 }
 
+// TestCreateTableAsDuplicateNames: a generated column name never takes one
+// that another output column carries. Here a_1 stays the third column's name
+// and the repeated a gets the next free suffix, so SELECT a_1 is unambiguous.
+func TestCreateTableAsDuplicateNames(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE src (g INTEGER, v DOUBLE)")
+	db.MustExec("INSERT INTO src VALUES (1, 2), (1, 3), (2, 10)")
+	db.MustExec("CREATE TABLE u AS SELECT g AS a, v AS a, v + 100 AS a_1 FROM src")
+	meta, _ := db.Catalog().Table("u")
+	if got := meta.Schema.String(); got != "(a INTEGER, a_2 DOUBLE, a_1 DOUBLE)" {
+		t.Fatalf("schema %s, want (a INTEGER, a_2 DOUBLE, a_1 DOUBLE)", got)
+	}
+	res := mustQuery(t, db, "SELECT a_1, a_2 FROM u ORDER BY a_1")
+	if len(res.Rows) != 3 || res.Rows[0][0].D != 102 || res.Rows[0][1].D != 2 {
+		t.Fatalf("rows %v", res.Rows)
+	}
+}
+
 // TestScalarSubqueries covers the standard-SQL form of the harness's
 // "max of the minimums" pattern.
 func TestScalarSubqueries(t *testing.T) {

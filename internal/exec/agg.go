@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"relalg/internal/builtins"
@@ -22,10 +23,10 @@ type aggGroup struct {
 // matrices cheap and whose absence makes the tuple-based plans of Figure 4
 // aggregation-bound.
 func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
-	// Phase 1: local pre-aggregation (out-of-core when a memory budget is
-	// set: new groups beyond the reservation scatter to spill files and are
-	// aggregated recursively — see aggBuilder).
-	in, locals, err := localAgg(ctx, a)
+	// Phase 1: local pre-aggregation, the sink of the input's stage (out of
+	// core when a memory budget is set: new groups beyond the reservation
+	// scatter to spill files and are aggregated recursively — see aggBuilder).
+	in, locals, err := runStage(ctx, a.Input, -1, a)
 	if err != nil {
 		return nil, err
 	}
@@ -154,51 +155,6 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	return rel, nil
 }
 
-// localAgg runs phase 1 and returns the input's placement with each
-// partition's sealed group map. A projection over a hash join or cross join
-// runs as the join's own stage with this aggregate as its sink, so the join
-// relation never materializes and the local aggregation is timed as "join";
-// any other input is materialized first.
-func localAgg(ctx *Context, a *plan.Agg) (*Relation, []map[uint64][]*aggGroup, error) {
-	input := a.Input
-	if p, ok := input.(*plan.Project); ok && ctx.bound[p] == nil {
-		p, err := adaptProject(ctx, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		spec := &projectSpec{exprs: p.Exprs, out: p.Out}
-		switch j := p.Input.(type) {
-		case *plan.Join:
-			return runJoinWith(ctx, j, spec, a)
-		case *plan.Cross:
-			return runCrossWith(ctx, j, spec, a)
-		}
-		input = p
-	}
-	in, err := Run(ctx, input)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ctx.Timings.Track("aggregate")()
-	locals := make([]map[uint64][]*aggGroup, len(in.Parts))
-	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, attempt int) (func() error, error) {
-		pa := newPartAgg(ctx, a, part, attempt)
-		defer pa.release()
-		groups, err := pa.aggregate(in.Parts[part])
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			locals[part] = groups
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return in, locals, nil
-}
-
 // sortedHashes returns the keys of a group-hash map in ascending order, the
 // iteration order every phase uses so merge and output sequences are
 // deterministic.
@@ -276,8 +232,7 @@ type partAgg struct {
 	rowArg  bool   // some aggregate is fused and steps from the whole row
 	argCols []*value.Col
 	ke      keyEval
-	view    batchView
-	pre     *prefetcher
+	reads   []plan.Expr // what the aggregate evaluates over its input: group keys and plain arguments
 }
 
 // newPartAgg sets up one partition attempt's aggregation, taking its "hash
@@ -290,16 +245,15 @@ func newPartAgg(ctx *Context, a *plan.Agg, part, attempt int) *partAgg {
 	}
 	// Aggregate argument columns vectorize only for plain (non-fused,
 	// non-COUNT(*)) calls; fused states step from the row.
-	var vecInputs []plan.Expr
+	pa.reads = slices.Clip(a.GroupBy)
 	for j, c := range a.Aggs {
 		pa.vecArg[j] = c.Input != nil && !(pa.fuse && fusedOf(c) != fusedNone)
 		if pa.vecArg[j] {
-			vecInputs = append(vecInputs, c.Input)
+			pa.reads = append(pa.reads, c.Input)
 		} else if c.Input != nil {
 			pa.rowArg = true
 		}
 	}
-	pa.pre = newPrefetcher(a.GroupBy, vecInputs)
 	return pa
 }
 
@@ -307,15 +261,6 @@ func (pa *partAgg) release() {
 	if pa.res != nil {
 		pa.res.Release()
 	}
-}
-
-// aggregate builds the partition's sealed group map from rows.
-func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
-	b := pa.builder(0)
-	if err := b.addRows(rows); err != nil {
-		return nil, err
-	}
-	return pa.seal(b)
 }
 
 // seal finishes the top-level builder and seals every fused state while the
@@ -344,7 +289,10 @@ func stateFootprint(n int) int64 { return 64 + int64(n)*64 }
 // aggregateRun aggregates one overflow file at depth and removes it.
 func (pa *partAgg) aggregateRun(run *spill.Run, depth int) (map[uint64][]*aggGroup, error) {
 	b := pa.builder(depth)
-	if err := forRunWindows(run, b.addRows); err != nil {
+	// The file's rows are the stage's output, so they go through a bare stage
+	// into the deeper builder.
+	ps := &partStage{stage: &stage{limit: -1}, ec: pa.ec, pre: newPrefetcher(pa.reads), sink: b}
+	if err := forRunWindows(run, ps.rows); err != nil {
 		b.abort()
 		return nil, err
 	}

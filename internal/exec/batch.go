@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"relalg/internal/builtins"
@@ -12,8 +10,8 @@ import (
 	"relalg/internal/value"
 )
 
-// This file holds the windowed operators: the fused pipeline (which also runs
-// every filter and projection), hash-join build/probe (including the grace
+// This file holds the windowed operators beneath the stage (stage.go): the
+// row and pair windows it reads, hash-join build/probe (including the grace
 // spill legs), and partition-local aggregation process windows of rows as
 // per-column arrays with selection vectors instead of dispatching the
 // expression tree per row.
@@ -71,6 +69,9 @@ func (v *batchView) BatchCol(idx int) (*value.Col, error) {
 
 // BatchRow implements plan.BatchSource.
 func (v *batchView) BatchRow(i int) value.Row { return v.rows[v.lo+i] }
+
+// own returns the window's row i itself: a row window's rows outlive it.
+func (v *batchView) own(i int, _ *rowArena) value.Row { return v.rows[v.lo+i] }
 
 // prefetcher gathers the column set an operator's expressions reference in a
 // single pass per window (value.GatherMulti) instead of one lazy pass per
@@ -196,116 +197,6 @@ func allSel(buf []int32, n int) []int32 {
 		buf[i] = int32(i)
 	}
 	return buf
-}
-
-// errStopScan ends a ScanPart early once a pushed-down LIMIT is satisfied.
-var errStopScan = errors.New("exec: scan stopped at limit")
-
-// batchPipelinePart runs the fused filter→project chain over partition part
-// of t, one table window at a time and each in windows of at most window rows.
-// The arena, the output and the selection buffer live across the partition's
-// table windows, so rows come out in input order whatever either window size.
-// limit < 0 means unbounded; otherwise production stops after limit rows,
-// truncating inside the final window via the selection vector so the
-// discarded tail is never materialized (or charged by the caller, which
-// charges emitted rows only), and the scan stops reading.
-func batchPipelinePart(ec *plan.EvalCtx, sp *plan.Pipeline, t Table, part, limit int) ([]value.Row, error) {
-	var (
-		out   []value.Row
-		view  batchView
-		sbuf  []int32
-		arena rowArena
-		cols  []*value.Col
-	)
-	if sp.Exprs != nil {
-		cols = make([]*value.Col, len(sp.Exprs))
-	}
-	pre := newPrefetcher(sp.Filters, sp.Exprs)
-	full := func() bool { return limit >= 0 && len(out) >= limit }
-	err := t.ScanPart(part, func(rows []value.Row) error {
-		most := len(rows)
-		if limit >= 0 && limit-len(out) < most {
-			most = limit - len(out)
-		}
-		arena.left += most * len(sp.Exprs)
-		if len(sp.Filters) == 0 {
-			out = slices.Grow(out, most)
-		}
-		width := viewWidth(rows)
-		for lo := 0; lo < len(rows) && !full(); lo += window {
-			hi := lo + window
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			view.reset(rows, lo, hi, width)
-			pre.gather(&view)
-			n := hi - lo
-			sel := []int32(nil) // nil = every lane live
-			for _, pred := range sp.Filters {
-				col, err := plan.EvalVec(ec, pred, &view, sel)
-				if err != nil {
-					return err
-				}
-				sbuf = filterSel(col, n, sel, sbuf)
-				sel = sbuf
-				if len(sel) == 0 {
-					break
-				}
-			}
-			if sel != nil && len(sel) == 0 {
-				continue
-			}
-			if limit >= 0 {
-				remaining := limit - len(out)
-				if sel == nil && n > remaining {
-					sel = allSel(sbuf, n)[:remaining]
-				} else if sel != nil && len(sel) > remaining {
-					sel = sel[:remaining]
-				}
-			}
-			if sp.Exprs == nil {
-				if sel == nil {
-					out = append(out, rows[lo:hi]...)
-				} else {
-					for _, i := range sel {
-						out = append(out, rows[lo+int(i)])
-					}
-				}
-				continue
-			}
-			for j, e := range sp.Exprs {
-				c, err := plan.EvalVec(ec, e, &view, sel)
-				if err != nil {
-					return err
-				}
-				cols[j] = c
-			}
-			emit := func(i int) {
-				nr := arena.alloc(len(sp.Exprs))
-				for j := range cols {
-					nr[j] = cols[j].Value(i)
-				}
-				out = append(out, nr)
-			}
-			if sel == nil {
-				for i := 0; i < n; i++ {
-					emit(i)
-				}
-			} else {
-				for _, i := range sel {
-					emit(int(i))
-				}
-			}
-		}
-		if full() {
-			return errStopScan
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopScan) {
-		return nil, err
-	}
-	return out, nil
 }
 
 // keyEval is the reusable vectorized key-evaluation state for one window:
@@ -483,7 +374,7 @@ func (pj *partJoin) buildTable(rows []value.Row, res *spill.Reservation, force b
 // probe probes probeRows against the table in windows: probe keys and hashes
 // are computed columnar, bucket scans compare column lanes against the stored
 // key tuples without materializing probe-side tuples, and matches go to the
-// emitter in match order, which flushes every window of them.
+// stage as pairs in match order.
 func (pj *partJoin) probe(table map[uint64][]joinBucket, probeRows []value.Row) error {
 	var (
 		view batchView
@@ -513,7 +404,7 @@ func (pj *partJoin) probe(table map[uint64][]joinBucket, probeRows []value.Row) 
 				if !pj.buildLeft {
 					l, r = pr, b.row
 				}
-				if err := pj.em.emit(l, r); err != nil {
+				if err := pj.st.pair(l, r); err != nil {
 					return err
 				}
 			}
@@ -522,14 +413,14 @@ func (pj *partJoin) probe(table map[uint64][]joinBucket, probeRows []value.Row) 
 	return nil
 }
 
-// pairSource is a plan.BatchSource over the matched pairs of one probe
-// window: column idx < split gathers from the left-side rows, the rest from
-// the right side, so the vectorized residual and projection never pay for
-// materializing concatenated rows. The scalar fallback (BatchRow) builds the
-// concat rows lazily, costing what the eager copy cost only when a generic
-// expression actually needs whole rows.
+// pairSource is a plan.BatchSource over a window of joined pairs: column
+// idx < split gathers from the left-side rows, the rest from the right side,
+// so the vectorized residual and projection never pay for materializing
+// concatenated rows. The scalar fallback (BatchRow) builds the concat rows
+// lazily, costing what the eager copy cost only when a generic expression
+// actually needs whole rows.
 type pairSource struct {
-	left, right []value.Row
+	left, right []value.Row // the buffered pairs
 	split, w    int
 	cols        []value.Col
 	have        []bool
@@ -537,15 +428,16 @@ type pairSource struct {
 	concat      []value.Row
 }
 
-func (ps *pairSource) reset(left, right []value.Row, split, w int) {
-	ps.left, ps.right = left, right
-	ps.split, ps.w = split, w
-	if cap(ps.cols) < w {
-		ps.cols = make([]value.Col, w)
-		ps.have = make([]bool, w)
+// open readies the buffered pairs as one window.
+func (ps *pairSource) open() {
+	ps.split = len(ps.left[0])
+	ps.w = ps.split + len(ps.right[0])
+	if cap(ps.cols) < ps.w {
+		ps.cols = make([]value.Col, ps.w)
+		ps.have = make([]bool, ps.w)
 	}
-	ps.cols = ps.cols[:w]
-	ps.have = ps.have[:w]
+	ps.cols = ps.cols[:ps.w]
+	ps.have = ps.have[:ps.w]
 	for i := range ps.have {
 		ps.have[i] = false
 	}
@@ -586,6 +478,13 @@ func (ps *pairSource) BatchRow(i int) value.Row {
 	return ps.concat[i]
 }
 
+// own concatenates pair i into a row from the arena.
+func (ps *pairSource) own(i int, a *rowArena) value.Row {
+	nr := a.alloc(ps.w)[:0]
+	nr = append(nr, ps.left[i]...)
+	return append(nr, ps.right[i]...)
+}
+
 // colsView is a plan.BatchSource over columns already evaluated for one
 // window. BatchRow materializes a lane into a single scratch row that the next
 // call overwrites, so a caller must be done with the row before asking again.
@@ -609,168 +508,6 @@ func (v *colsView) BatchRow(i int) value.Row {
 		v.row[j] = c.Value(i)
 	}
 	return v.row
-}
-
-// batchEmitter is the pair-window tail of the hash join and the cross join.
-// It buffers (left, right) row pairs in production order and flushes each
-// window of them: the residual predicates and the fused projection evaluate
-// columnar over a pairSource, and the surviving lanes are charged. They then
-// either materialize as rows, or, when agg is set, hand the projected columns
-// and the selection vector straight to the partition-local aggregate, which
-// sees exactly the rows the materialized relation would hold, in its order.
-// One emitter serves one partition attempt and reuses every buffer.
-type batchEmitter struct {
-	ec       *plan.EvalCtx
-	residual []plan.Expr
-	proj     *projectSpec
-	charge   *charger
-	agg      *aggBuilder // the aggregate's top-level group table; nil when survivors materialize
-	rows     []value.Row // materialized survivors
-	ls, rs   []value.Row // the buffered pairs' left and right rows
-	pair     pairSource
-	view     batchView
-	out      colsView
-	sbuf     []int32
-	arena    rowArena
-}
-
-// newBatchEmitter returns the emitter for one partition attempt of the join
-// stage op. With agg set it takes the aggregate's reservation; release returns
-// it.
-func newBatchEmitter(ctx *Context, op string, residual []plan.Expr, proj *projectSpec, agg *plan.Agg, part, attempt int) *batchEmitter {
-	em := &batchEmitter{ec: ctx.EvalCtx(), residual: residual, proj: proj, charge: newCharger(ctx, op)}
-	if proj != nil {
-		em.out.cols = make([]*value.Col, len(proj.exprs))
-	}
-	if agg != nil {
-		em.agg = newPartAgg(ctx, agg, part, attempt).builder(0)
-		em.out.row = make(value.Row, len(proj.exprs))
-	}
-	return em
-}
-
-// emit buffers one pair, flushing when the window is full.
-func (em *batchEmitter) emit(l, r value.Row) error {
-	em.ls = append(em.ls, l)
-	em.rs = append(em.rs, r)
-	if len(em.ls) < window {
-		return nil
-	}
-	return em.flush()
-}
-
-// close flushes the last window and, with an aggregate sink, returns the
-// partition's sealed group map.
-func (em *batchEmitter) close() (map[uint64][]*aggGroup, error) {
-	if err := em.flush(); err != nil {
-		return nil, err
-	}
-	if em.agg == nil {
-		return nil, nil
-	}
-	return em.agg.pa.seal(em.agg)
-}
-
-// release returns the aggregate's reservation and aborts any overflow files an
-// attempt that failed left open.
-func (em *batchEmitter) release() {
-	if em.agg != nil {
-		em.agg.abort()
-		em.agg.pa.release()
-	}
-}
-
-// flush emits the buffered pairs and empties the buffers.
-func (em *batchEmitter) flush() error {
-	n := len(em.ls)
-	if n == 0 {
-		return nil
-	}
-	left, right := em.ls, em.rs
-	em.ls, em.rs = em.ls[:0], em.rs[:0]
-	w := len(left[0]) + len(right[0])
-	if em.proj == nil {
-		return em.flushConcat(left, right, w)
-	}
-	em.pair.reset(left, right, len(left[0]), w)
-	sel, err := em.filter(&em.pair, n)
-	if err != nil {
-		return err
-	}
-	if sel == nil {
-		em.sbuf = allSel(em.sbuf, n)
-		sel = em.sbuf
-	}
-	if len(sel) == 0 {
-		return nil
-	}
-	if err := em.charge.tick(len(sel)); err != nil {
-		return err
-	}
-	for j, e := range em.proj.exprs {
-		c, err := plan.EvalVec(em.ec, e, &em.pair, sel)
-		if err != nil {
-			return err
-		}
-		em.out.cols[j] = c
-	}
-	if em.agg != nil {
-		em.out.n = n
-		return em.agg.add(&em.out, n, sel)
-	}
-	for _, i := range sel {
-		nr := em.arena.alloc(len(em.out.cols))
-		for j, c := range em.out.cols {
-			nr[j] = c.Value(int(i))
-		}
-		em.rows = append(em.rows, nr)
-	}
-	return nil
-}
-
-// filter applies the residual predicates over src's n lanes; nil means every
-// lane survives.
-func (em *batchEmitter) filter(src plan.BatchSource, n int) ([]int32, error) {
-	var sel []int32
-	for _, res := range em.residual {
-		col, err := plan.EvalVec(em.ec, res, src, sel)
-		if err != nil {
-			return nil, err
-		}
-		em.sbuf = filterSel(col, n, sel, em.sbuf)
-		sel = em.sbuf
-		if len(sel) == 0 {
-			break
-		}
-	}
-	return sel, nil
-}
-
-// flushConcat is the no-projection leg: the concatenated rows are the output
-// rows themselves, so they must materialize (from the arena); the residual
-// then runs vectorized over a view of them.
-func (em *batchEmitter) flushConcat(left, right []value.Row, w int) error {
-	n := len(left)
-	concat := make([]value.Row, 0, n)
-	for i := 0; i < n; i++ {
-		nr := em.arena.alloc(w)[:0]
-		nr = append(nr, left[i]...)
-		nr = append(nr, right[i]...)
-		concat = append(concat, nr)
-	}
-	em.view.reset(concat, 0, n, w)
-	sel, err := em.filter(&em.view, n)
-	if err != nil {
-		return err
-	}
-	if sel == nil {
-		em.rows = append(em.rows, concat...)
-		return em.charge.tick(n)
-	}
-	for _, i := range sel {
-		em.rows = append(em.rows, concat[i])
-	}
-	return em.charge.tick(len(sel))
 }
 
 // grace runs the out-of-core join: both sides are hash-partitioned into F
@@ -967,21 +704,6 @@ type aggBuilder struct {
 
 func (pa *partAgg) builder(depth int) *aggBuilder {
 	return &aggBuilder{pa: pa, depth: depth, salt: graceSalt(depth), groups: map[uint64][]*aggGroup{}}
-}
-
-// addRows pushes rows through add as window-row views.
-func (b *aggBuilder) addRows(rows []value.Row) error {
-	pa := b.pa
-	width := viewWidth(rows)
-	for lo := 0; lo < len(rows); lo += window {
-		hi := min(lo+window, len(rows))
-		pa.view.reset(rows, lo, hi, width)
-		pa.pre.gather(&pa.view)
-		if err := b.add(&pa.view, hi-lo, nil); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // add aggregates the lanes of src named by sel (all n when sel is nil), in

@@ -1,7 +1,9 @@
 // Package exec is the physical executor: it runs optimized logical plans on
-// the simulated shared-nothing cluster, materializing a partitioned relation
-// per operator (stage-at-a-time, like the Hadoop-based SimSQL the paper
-// built on). Joins and aggregations shuffle through the cluster — paying
+// the simulated shared-nothing cluster, stage at a time like the Hadoop-based
+// SimSQL the paper built on. A stage is one Project?(Filter*(X)) chain run per
+// partition over X's windows into a partitioned relation or straight into the
+// local aggregate above it (stage.go). Joins and aggregations shuffle through
+// the cluster — paying
 // serialization and network accounting — and aggregation is two-phase:
 // partition-local pre-aggregation, a shuffle of partial states, then a
 // merge, which is what makes SUM over vectors and matrix blocks scale.
@@ -181,10 +183,6 @@ type Context struct {
 	// re-plans each region at most once.
 	bound           map[plan.Node]*Relation
 	adaptiveHandled map[plan.Node]bool
-	// noPipelineFusion runs scan→filter→project chains stage at a time, one
-	// materialized relation per operator: the unfused reference the
-	// pipeline tests compare against.
-	noPipelineFusion bool
 }
 
 // EvalCtx returns the expression-evaluation context for this query. The
@@ -230,36 +228,9 @@ func Run(ctx *Context, n plan.Node) (*Relation, error) {
 		return rel, nil
 	}
 	switch x := n.(type) {
-	case *plan.Scan:
-		return runScan(ctx, x)
-	case *plan.Project:
-		if sp := matchPipeline(ctx, x); sp != nil {
-			return runPipeline(ctx, sp, -1)
-		}
-		return runProject(ctx, x)
-	case *plan.Filter:
-		if sp := matchPipeline(ctx, x); sp != nil {
-			return runPipeline(ctx, sp, -1)
-		}
-		return runFilter(ctx, x)
-	case *plan.Join:
-		adapted, err := adaptPlan(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-		if j, still := adapted.(*plan.Join); still {
-			return runJoin(ctx, j)
-		}
-		return Run(ctx, adapted)
-	case *plan.Cross:
-		adapted, err := adaptPlan(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-		if c, still := adapted.(*plan.Cross); still {
-			return runCross(ctx, c)
-		}
-		return Run(ctx, adapted)
+	case *plan.Scan, *plan.Project, *plan.Filter, *plan.Join, *plan.Cross:
+		rel, _, err := runStage(ctx, n, -1, nil)
+		return rel, err
 	case *plan.Bound:
 		if rel, ok := ctx.bound[x.Input]; ok {
 			return rel, nil
@@ -281,19 +252,6 @@ func Run(ctx *Context, n plan.Node) (*Relation, error) {
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 }
 
-func runScan(ctx *Context, s *plan.Scan) (*Relation, error) {
-	defer ctx.Timings.Track("scan")()
-	t, keys, err := scanParts(ctx, s)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := readParts(t)
-	if err != nil {
-		return nil, err
-	}
-	return &Relation{Schema: s.Out, Parts: parts, HashKeys: keys}, nil
-}
-
 // scanParts opens the table behind a scan and returns it with the hash keys
 // the scan may advertise. A table stored under a partition count other than
 // the cluster's is read whole and re-spread round-robin (e.g. a data
@@ -307,36 +265,16 @@ func scanParts(ctx *Context, s *plan.Scan) (Table, []string, error) {
 	if t.Parts() == ctx.Cluster.Partitions() {
 		return t, scanHashKeys(s), nil
 	}
-	parts, err := readParts(t)
-	if err != nil {
-		return nil, nil, err
-	}
 	var all []value.Row
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	return MemTable(ctx.Cluster.ScatterRoundRobin(all)), nil, nil
-}
-
-// readParts collects every partition of t, in partition order. A partition
-// that arrives as one window, as every in-memory one does, is kept without a
-// copy.
-func readParts(t Table) ([][]value.Row, error) {
-	parts := make([][]value.Row, t.Parts())
-	for i := range parts {
-		err := t.ScanPart(i, func(rows []value.Row) error {
-			if len(parts[i]) == 0 {
-				parts[i] = rows
-			} else {
-				parts[i] = append(parts[i], rows...)
-			}
+	for part := 0; part < t.Parts(); part++ {
+		if err := t.ScanPart(part, func(rows []value.Row) error {
+			all = append(all, rows...)
 			return nil
-		})
-		if err != nil {
-			return nil, err
+		}); err != nil {
+			return nil, nil, err
 		}
 	}
-	return parts, nil
+	return MemTable(ctx.Cluster.ScatterRoundRobin(all)), nil, nil
 }
 
 // scanHashKeys returns the hash keys a layout-matching scan may advertise:
@@ -353,71 +291,6 @@ func scanHashKeys(s *plan.Scan) []string {
 	}
 	keyCol := &plan.Col{Idx: idx, Name: s.Out[idx].Name, T: s.Out[idx].T}
 	return []string{keyCol.String()}
-}
-
-// adaptProject applies the adaptive check to a projection over a join region,
-// which the projection-over-join fusion reaches without Run's Join/Cross cases,
-// and returns the projection to run: p itself or p over the re-planned region.
-func adaptProject(ctx *Context, p *plan.Project) (*plan.Project, error) {
-	switch p.Input.(type) {
-	case *plan.Join, *plan.Cross:
-		adapted, err := adaptPlan(ctx, p.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Project{Input: adapted, Exprs: p.Exprs, Out: p.Out}, nil
-	}
-	return p, nil
-}
-
-func runProject(ctx *Context, p *plan.Project) (*Relation, error) {
-	p, err := adaptProject(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	// Fuse a projection directly above a join into the join itself: each
-	// pair window is projected columnar and only the projected row
-	// materializes. This is what makes the optimizer's eager projections
-	// (§4.1) pay off — the wide matrix pair never exists as an intermediate.
-	spec := &projectSpec{exprs: p.Exprs, out: p.Out}
-	switch in := p.Input.(type) {
-	case *plan.Join:
-		rel, _, err := runJoinWith(ctx, in, spec, nil)
-		return rel, err
-	case *plan.Cross:
-		rel, _, err := runCrossWith(ctx, in, spec, nil)
-		return rel, err
-	}
-	in, err := Run(ctx, p.Input)
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.Timings.Track("project")()
-	exprs := p.Exprs
-	if exprs == nil {
-		exprs = []plan.Expr{} // nil Exprs would mean "no projection"
-	}
-	out, err := runWindows(ctx, "project", &plan.Pipeline{Exprs: exprs}, MemTable(in.Parts), -1)
-	if err != nil {
-		return nil, err
-	}
-	// A projection keeps the physical placement of its input; preserved
-	// hash keys would require rewriting them through the projection, so we
-	// conservatively keep only Single.
-	return &Relation{Schema: p.Out, Parts: out, Single: in.Single}, nil
-}
-
-func runFilter(ctx *Context, f *plan.Filter) (*Relation, error) {
-	in, err := Run(ctx, f.Input)
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.Timings.Track("filter")()
-	out, err := runWindows(ctx, "filter", &plan.Pipeline{Filters: []plan.Expr{f.Pred}}, MemTable(in.Parts), -1)
-	if err != nil {
-		return nil, err
-	}
-	return &Relation{Schema: f.Schema(), Parts: out, HashKeys: in.HashKeys, Single: in.Single}, nil
 }
 
 func runSort(ctx *Context, s *plan.Sort) (*Relation, error) {
@@ -499,36 +372,18 @@ func compareForSort(a, b value.Value) (int, error) {
 }
 
 func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
-	// A fused-pipeline input takes the limit as a per-partition cap:
-	// production stops at l.N rows via the selection vector, so the discarded
-	// tail of a window is neither materialized by the arena nor charged to the
-	// tuple budget.
-	var (
-		in  *Relation
-		err error
-	)
-	if sp := matchPipeline(ctx, l.Input); sp != nil {
-		in, err = runPipeline(ctx, sp, l.N)
-	} else {
-		in, err = Run(ctx, l.Input)
-	}
+	// The input's stage cuts every partition at l.N rows: production stops
+	// there via the selection vector, so the discarded tail of a window is
+	// neither materialized nor charged, and a scan stops reading. LIMIT k can
+	// never surface more than the first k rows of any partition, and Gather
+	// concatenates partitions in order, so the first k of the cut gather equal
+	// the first k of the uncut one.
+	in, _, err := runStage(ctx, l.Input, l.N, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.Timings.Track("limit")()
-	// Truncate every partition before the gather: LIMIT k can never surface
-	// more than the first k rows of any partition, so a huge relation
-	// contributes O(P·k) rows to the single-partition gather instead of its
-	// full size. Gather concatenates partitions in order, so the first k of
-	// the trimmed gather equal the first k of the untrimmed one.
-	trimmed := make([][]value.Row, len(in.Parts))
-	for i, p := range in.Parts {
-		if len(p) > l.N {
-			p = p[:l.N]
-		}
-		trimmed[i] = p
-	}
-	rows := ctx.Cluster.Gather(trimmed)
+	rows := ctx.Cluster.Gather(in.Parts)
 	if len(rows) > l.N {
 		rows = rows[:l.N]
 	}

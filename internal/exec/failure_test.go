@@ -160,6 +160,7 @@ func TestBudgetErrorsNameOperator(t *testing.T) {
 			Out: plan.Schema{{Name: "a", T: types.TInt}, {Name: "d", T: types.TInt}}}
 		return aggNode(proj, 1, "count", -1)
 	}
+	keepAll := &plan.Binary{Op: ">=", Kind: plan.BinCompare, L: col(0, types.TInt), R: &plan.Const{V: value.Int(0), T: types.TInt}, T: types.TBool}
 	cross := func() *plan.Cross {
 		return &plan.Cross{L: l, R: r, Out: append(append(plan.Schema{}, l.Out...), r.Out...)}
 	}
@@ -176,6 +177,11 @@ func TestBudgetErrorsNameOperator(t *testing.T) {
 		{"cross join", 50, cross()},
 		{"hash join", 50, countOver(joinNode(l, r, 1, 1))},
 		{"cross join", 50, countOver(cross())},
+		// A filter over a scan and the same filter feeding an aggregate are
+		// one stage each: its 40 surviving lanes trip a budget of 30 at the
+		// stage's commit, before the aggregate runs.
+		{"pipeline", 30, &plan.Filter{Input: l, Pred: keepAll}},
+		{"pipeline", 30, aggNode(&plan.Filter{Input: l, Pred: keepAll}, 1, "count", -1)},
 		{"sort", 30, &plan.Sort{Input: l, Keys: []plan.OrderKey{{Col: 0}}}},
 		{"aggregate", 30, &plan.Agg{Input: l,
 			GroupBy: []plan.Expr{col(0, types.TInt)},

@@ -120,8 +120,12 @@ func sameBits(a, b *linalg.Matrix) error {
 // group's fused state.
 func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*fusedSumState, error) {
 	t.Helper()
-	ctx := testCtx(memSource{})
-	groups, err := newPartAgg(ctx, a, 0, 0).aggregate(rows)
+	ps := newPartStage(testCtx(memSource{}), &stage{limit: -1, agg: a}, 0, 0)
+	defer ps.release()
+	if err := ps.rows(rows); err != nil {
+		return nil, err
+	}
+	groups, err := ps.seal()
 	if err != nil {
 		return nil, err
 	}

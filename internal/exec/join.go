@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
 	"relalg/internal/plan"
@@ -75,23 +76,11 @@ func valsEqual(a, b []value.Value) bool {
 	return true
 }
 
-// projectSpec is a projection fused into a join: each pair window's
-// surviving lanes are projected columnar before anything materializes.
-type projectSpec struct {
-	exprs []plan.Expr
-	out   plan.Schema
-}
-
-func runJoin(ctx *Context, j *plan.Join) (*Relation, error) {
-	rel, _, err := runJoinWith(ctx, j, nil, nil)
-	return rel, err
-}
-
-// runJoinWith runs the hash join stage. Each partition's pair windows go to
-// its emitter's sink: the rows of the returned relation, or, when agg is set
-// (always with a projection), agg's partition-local aggregate, whose sealed
-// group maps come back instead and leave the relation's partitions empty.
-func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec, agg *plan.Agg) (*Relation, []map[uint64][]*aggGroup, error) {
+// runJoin runs the hash join as st's source. Once both inputs are placed on
+// their join keys, each partition builds on its smaller side and probes, and
+// every match is a pair of the stage; the join's residual is the stage's first
+// filter.
+func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []map[uint64][]*aggGroup, error) {
 	left, err := Run(ctx, j.L)
 	if err != nil {
 		return nil, nil, err
@@ -134,9 +123,8 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec, agg *plan.Agg) (
 		}
 	}
 
-	out := make([][]value.Row, ctx.Cluster.Partitions())
-	locals := make([]map[uint64][]*aggGroup, len(out))
-	err = ctx.Cluster.ParallelTasks("hash join", taskObs(ctx), func(part, attempt int) (func() error, error) {
+	st.filters = append(slices.Clip(j.Residual), st.filters...)
+	return st.run(ctx, "hash join", true, lkeyStr, false, func(ps *partStage, part, attempt int) error {
 		// Build on the smaller side of this partition.
 		lrows, rrows := lparts[part], rparts[part]
 		buildLeft := len(lrows) <= len(rrows)
@@ -147,40 +135,18 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec, agg *plan.Agg) (
 			buildRows, probeRows = rrows, lrows
 			buildKeys, probeKeys = j.RKeys, j.LKeys
 		}
-		em := newBatchEmitter(ctx, "hash join", j.Residual, proj, agg, part, attempt)
-		defer em.release()
 		pj := &partJoin{
 			ctx:       ctx,
-			ec:        ctx.EvalCtx(),
+			ec:        ps.ec,
 			buildKeys: buildKeys,
 			probeKeys: probeKeys,
 			buildLeft: buildLeft,
 			part:      part,
 			attempt:   attempt,
-			em:        em,
+			st:        ps,
 		}
-		if err := pj.run(buildRows, probeRows); err != nil {
-			return nil, err
-		}
-		groups, err := em.close()
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			out[part], locals[part] = em.rows, groups
-			return em.charge.commit()
-		}, nil
+		return pj.run(buildRows, probeRows)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rel := &Relation{Schema: j.Out, Parts: out, HashKeys: lkeyStr}
-	if proj != nil {
-		// The projection invalidates the key-expression column indexes.
-		rel.Schema = proj.out
-		rel.HashKeys = nil
-	}
-	return rel, locals, nil
 }
 
 // joinBucket is one build-side entry of the hash table: the evaluated key
@@ -200,8 +166,8 @@ type partJoin struct {
 	probeKeys []plan.Expr
 	buildLeft bool
 	part      int
-	attempt   int // owning task attempt; keys spill write-fault draws
-	em        *batchEmitter
+	attempt   int        // owning task attempt; keys spill write-fault draws
+	st        *partStage // where matched pairs go
 }
 
 // maxGraceDepth bounds the recursive re-partitioning of a grace join; at the
@@ -304,8 +270,11 @@ type charger struct {
 func newCharger(ctx *Context, op string) *charger { return &charger{ctx: ctx, op: op} }
 
 // tick counts n produced tuples and periodically peeks at the budget so a
-// runaway operator aborts mid-production.
+// runaway operator aborts mid-production. A nil charger counts nothing.
 func (c *charger) tick(n int) error {
+	if c == nil {
+		return nil
+	}
 	c.total += int64(n)
 	c.sinceCheck += int64(n)
 	if c.sinceCheck >= 4096 {
@@ -318,7 +287,7 @@ func (c *charger) tick(n int) error {
 // commit charges everything this attempt produced; the task runner invokes
 // it exactly once, from the winning attempt.
 func (c *charger) commit() error {
-	if c.total == 0 {
+	if c == nil || c.total == 0 {
 		return nil
 	}
 	return opErr(c.op, c.ctx.Cluster.ChargeTuples(c.total))
@@ -356,16 +325,11 @@ func shuffleByKeys(ctx *Context, parts [][]value.Row, keys []plan.Expr) ([][]val
 	return out, nil
 }
 
-func runCross(ctx *Context, c *plan.Cross) (*Relation, error) {
-	rel, _, err := runCrossWith(ctx, c, nil, nil)
-	return rel, err
-}
-
-// runCrossWith runs the cross join stage with runJoinWith's sinks. Each
-// partition pairs its rows of the bigger side (outer loop) with every
-// broadcast row of the smaller one (inner loop) and emits them in pair
-// windows, so the residual and projection run columnar like the hash join's.
-func runCrossWith(ctx *Context, c *plan.Cross, proj *projectSpec, agg *plan.Agg) (*Relation, []map[uint64][]*aggGroup, error) {
+// runCross runs the cross join as st's source: each partition pairs its rows
+// of the bigger side (outer loop) with every broadcast row of the smaller one
+// (inner loop), so the residual and projection run columnar over pair windows
+// like the hash join's.
+func runCross(ctx *Context, c *plan.Cross, st *stage) (*Relation, []map[uint64][]*aggGroup, error) {
 	left, err := Run(ctx, c.L)
 	if err != nil {
 		return nil, nil, err
@@ -388,38 +352,19 @@ func runCrossWith(ctx *Context, c *plan.Cross, proj *projectSpec, agg *plan.Agg)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	out := make([][]value.Row, ctx.Cluster.Partitions())
-	locals := make([]map[uint64][]*aggGroup, len(out))
-	err = ctx.Cluster.ParallelTasks("cross join", taskObs(ctx), func(part, attempt int) (func() error, error) {
-		em := newBatchEmitter(ctx, "cross join", c.Residual, proj, agg, part, attempt)
-		defer em.release()
+	st.filters = append(slices.Clip(c.Residual), st.filters...)
+	return st.run(ctx, "cross join", true, nil, false, func(ps *partStage, part, _ int) error {
 		for _, br := range big.Parts[part] {
 			for _, sr := range smallParts[part] {
 				l, r := br, sr
 				if !broadcastRight {
 					l, r = sr, br
 				}
-				if err := em.emit(l, r); err != nil {
-					return nil, err
+				if err := ps.pair(l, r); err != nil {
+					return err
 				}
 			}
 		}
-		groups, err := em.close()
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			out[part], locals[part] = em.rows, groups
-			return em.charge.commit()
-		}, nil
+		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rel := &Relation{Schema: c.Out, Parts: out}
-	if proj != nil {
-		rel.Schema = proj.out
-	}
-	return rel, locals, nil
 }

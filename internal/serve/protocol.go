@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame types. Every frame on the wire is 4 bytes of big-endian payload
@@ -44,6 +45,11 @@ const (
 // maxFrameBytes bounds a single frame payload; anything larger indicates a
 // corrupt stream (or an attempt to make the server allocate unboundedly).
 const maxFrameBytes = 64 << 20
+
+// frameChunk is the most of a payload ReadFrame allocates before any of it
+// has arrived; past it the buffer doubles as bytes come in, so a length prefix
+// alone cannot make a reader allocate up to maxFrameBytes.
+const frameChunk = 64 << 10
 
 // rowsPerFrame is the row-batch granularity of FrameRows. Batching amortizes
 // framing overhead without letting one frame grow past maxFrameBytes for
@@ -83,12 +89,21 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("serve: frame payload %d bytes exceeds limit %d", n, maxFrameBytes)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	size := int(n)
+	payload = make([]byte, min(size, frameChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, payload[got:])
+		got += k
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
 		}
-		return 0, nil, err
+		if got == size {
+			return hdr[4], payload, nil
+		}
+		more := min(size-got, got)
+		payload = slices.Grow(payload, more)[:got+more]
 	}
-	return hdr[4], payload, nil
 }

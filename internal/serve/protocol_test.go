@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -79,4 +80,84 @@ func TestNormalizeSQL(t *testing.T) {
 	if NormalizeSQL("SELECT  1") != NormalizeSQL("select 1\n") {
 		t.Error("equivalent statements normalize differently")
 	}
+}
+
+// TestFrameReadAllocatesWhatArrives: a length prefix near the cap on a short
+// stream fails without allocating the claimed payload, and a frame larger
+// than the first chunk still reads back whole.
+func TestFrameReadAllocatesWhatArrives(t *testing.T) {
+	hdr := []byte{0x03, 0xff, 0xff, 0xff, FrameRows} // 64 MiB - 1 claimed, nothing sent
+	// TotalAlloc counts every goroutine's allocations, so take the least of a
+	// few attempts: a stray allocation elsewhere only ever adds.
+	least := ^uint64(0)
+	for attempt := 0; attempt < 5; attempt++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadFrame(bytes.NewReader(hdr))
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("got %v, want ErrUnexpectedEOF", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 2*frameChunk {
+		t.Fatalf("a bare header allocated %d bytes, want <= %d", least, 2*frameChunk)
+	}
+	big := make([]byte, 3*frameChunk+5)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, FrameRows, big); err != nil {
+		t.Fatal(err)
+	}
+	typ, p, err := ReadFrame(&buf)
+	if err != nil || typ != FrameRows || !bytes.Equal(p, big) {
+		t.Fatalf("large frame: type %q, %d bytes, err %v", typ, len(p), err)
+	}
+}
+
+// FuzzReadFrame: ReadFrame never panics on any byte stream, and the frames it
+// reads, written back with WriteFrame, reproduce exactly the bytes it
+// consumed.
+func FuzzReadFrame(f *testing.F) {
+	var stream bytes.Buffer
+	for _, fr := range []struct {
+		typ byte
+		p   []byte
+	}{
+		{FrameHello, []byte(Banner)},
+		{FrameQuery, []byte("SELECT 1")},
+		{FrameRows, []byte{0, 1, 2, 255}},
+		{FrameStats, []byte("produced 3 tuples")},
+		{FrameDone, nil},
+	} {
+		if err := WriteFrame(&stream, fr.typ, fr.p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	all := stream.Bytes()
+	f.Add(all)
+	f.Add(all[:len(all)-3])                          // truncated payload
+	f.Add(all[:1])                                   // truncated header
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, FrameRows}) // past the cap
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		var out bytes.Buffer
+		good := 0 // bytes consumed by whole frames
+		for {
+			typ, p, err := ReadFrame(r)
+			if err != nil {
+				break
+			}
+			if err := WriteFrame(&out, typ, p); err != nil {
+				t.Fatalf("WriteFrame of a frame ReadFrame accepted: %v", err)
+			}
+			good = len(b) - r.Len()
+		}
+		if !bytes.Equal(out.Bytes(), b[:good]) {
+			t.Fatalf("frames re-encode to %x, read from %x", out.Bytes(), b[:good])
+		}
+	})
 }

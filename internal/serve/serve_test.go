@@ -17,9 +17,16 @@ import (
 // vecs (vector rows for the LA kernels).
 func testDB(t *testing.T) *core.Database {
 	t.Helper()
+	return testDBWith(t, 0)
+}
+
+// testDBWith is testDB with a MaxIntermediateTuples budget (0 = none).
+func testDBWith(t *testing.T, maxTuples int64) *core.Database {
+	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Cluster.Nodes = 2
 	cfg.Cluster.PartitionsPerNode = 2
+	cfg.Cluster.MaxIntermediateTuples = maxTuples
 	db := core.Open(cfg)
 	db.MustExec("CREATE TABLE pts (g INTEGER, v DOUBLE)")
 	rows := make([]value.Row, 2000)
@@ -275,5 +282,35 @@ func TestServeStatsCommand(t *testing.T) {
 		if !strings.Contains(text, key) {
 			t.Errorf("stats output missing %q:\n%s", key, text)
 		}
+	}
+}
+
+// TestServeLoopUnderTupleBudget: the tuple budget is per statement, so a
+// served loop whose statements each fit MaxIntermediateTuples keeps succeeding
+// long after their sum has passed it, while one statement over the budget
+// still fails.
+func TestServeLoopUnderTupleBudget(t *testing.T) {
+	_, addr := startServer(t, testDBWith(t, 3000), Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	const fits = "SELECT g, v * 2 FROM pts WHERE v >= 0" // 2 000 tuples
+	for i := 0; i < 10; i++ {
+		reply, err := c.Do(fits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.ErrMsg != "" || len(reply.Rows) != 2000 {
+			t.Fatalf("statement %d: %d rows, error %q", i, len(reply.Rows), reply.ErrMsg)
+		}
+	}
+	reply, err := c.Do("SELECT COUNT(*) FROM pts a, pts b WHERE a.g = b.g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(reply.ErrMsg, "budget") {
+		t.Fatalf("a 41 260-pair join under a 3 000-tuple budget: error %q, want a budget error", reply.ErrMsg)
 	}
 }

@@ -99,8 +99,13 @@ func DecodeRow(buf []byte) (Row, []byte, error) {
 	if len(buf) < 4 {
 		return nil, nil, fmt.Errorf("value: short row header")
 	}
-	n := binary.LittleEndian.Uint32(buf)
+	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
+	// Every value takes at least its kind byte, so a count the input cannot
+	// hold is refused before it sizes an allocation.
+	if n > len(buf) {
+		return nil, nil, fmt.Errorf("value: row of %d values in %d bytes", n, len(buf))
+	}
 	row := make(Row, n)
 	var err error
 	for i := range row {
@@ -127,7 +132,12 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 		if len(buf) < 1 {
 			return Value{}, nil, fmt.Errorf("value: short bool")
 		}
-		return Bool(buf[0] != 0), buf[1:], nil
+		// Only the two bytes AppendValue writes decode, so every accepted
+		// input re-encodes to itself.
+		if buf[0] > 1 {
+			return Value{}, nil, fmt.Errorf("value: bool byte %d", buf[0])
+		}
+		return Bool(buf[0] == 1), buf[1:], nil
 	case KindInt:
 		if len(buf) < 8 {
 			return Value{}, nil, fmt.Errorf("value: short int")
@@ -155,7 +165,7 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 		label := int64(binary.LittleEndian.Uint64(buf))
 		n := int(binary.LittleEndian.Uint32(buf[8:]))
 		buf = buf[12:]
-		if len(buf) < 8*n {
+		if n > len(buf)/8 {
 			return Value{}, nil, fmt.Errorf("value: short vector body")
 		}
 		data := make([]float64, n)
@@ -169,18 +179,19 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 		if len(buf) < 8 {
 			return Value{}, nil, fmt.Errorf("value: short matrix header")
 		}
-		rows := int(binary.LittleEndian.Uint32(buf))
-		cols := int(binary.LittleEndian.Uint32(buf[4:]))
+		rows := binary.LittleEndian.Uint32(buf)
+		cols := binary.LittleEndian.Uint32(buf[4:])
 		buf = buf[8:]
-		if len(buf) < 8*rows*cols {
+		// Two uint32 factors cannot overflow a uint64 product.
+		if uint64(rows)*uint64(cols) > uint64(len(buf)/8) {
 			return Value{}, nil, fmt.Errorf("value: short matrix body")
 		}
-		data := make([]float64, rows*cols)
+		data := make([]float64, int(rows)*int(cols))
 		for i := range data {
 			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
-		buf = buf[8*rows*cols:]
-		return Matrix(matOf(rows, cols, data)), buf, nil
+		buf = buf[8*len(data):]
+		return Matrix(matOf(int(rows), int(cols), data)), buf, nil
 	case KindLabeledScalar:
 		if len(buf) < 16 {
 			return Value{}, nil, fmt.Errorf("value: short labeled scalar")
@@ -213,6 +224,11 @@ func DecodeRows(buf []byte) ([]Row, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
+	// Every row takes at least its 4-byte count, so a count the input cannot
+	// hold is refused before it sizes an allocation.
+	if n > len(buf)/4 {
+		return nil, fmt.Errorf("value: batch of %d rows in %d bytes", n, len(buf))
+	}
 	rows := make([]Row, n)
 	var err error
 	for i := range rows {

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -312,4 +314,73 @@ func TestPropHashAgreesWithEqual(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCodecHostileHeaders: a count or shape that the input cannot hold is an
+// error before it sizes an allocation. The first case used to end the process
+// with "fatal error: runtime: out of memory", which recover cannot catch.
+func TestCodecHostileHeaders(t *testing.T) {
+	u32 := func(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+	vector := append([]byte{byte(KindVector)}, make([]byte, 8)...) // label 0
+	matrix := func(rows, cols uint32) []byte { return u32(u32([]byte{byte(KindMatrix)}, rows), cols) }
+	row := func(vals ...[]byte) []byte {
+		b := u32(nil, uint32(len(vals)))
+		for _, v := range vals {
+			b = append(b, v...)
+		}
+		return b
+	}
+	batch := func(rows ...[]byte) []byte {
+		b := u32(nil, uint32(len(rows)))
+		for _, r := range rows {
+			b = append(b, r...)
+		}
+		return b
+	}
+	cases := []struct {
+		name string
+		buf  []byte
+	}{
+		{"batch of 2^31-1 rows in 0 bytes", []byte{0xff, 0xff, 0xff, 0x7f}},
+		{"batch of 2 rows in 4 bytes", u32(u32(nil, 2), 0)},
+		{"row of 2^32-1 values", batch(u32(nil, 0xffffffff))},
+		{"row of 3 values in 2 bytes", batch(append(u32(nil, 3), byte(KindNull), byte(KindNull)))},
+		{"vector of 2^32-1 entries", batch(row(u32(vector, 0xffffffff)))},
+		{"vector of 2 entries in 8 bytes", batch(row(append(u32(vector, 2), make([]byte, 8)...)))},
+		{"matrix whose 8*rows*cols wraps to 0", batch(row(matrix(1<<30, 1<<31)))},
+		{"matrix of (2^32-1)^2 entries", batch(row(matrix(0xffffffff, 0xffffffff)))},
+		{"matrix of 2x2 in 24 bytes", batch(row(append(matrix(2, 2), make([]byte, 24)...)))},
+		{"string of 2^32-1 bytes", batch(row(u32([]byte{byte(KindString)}, 0xffffffff)))},
+	}
+	for _, c := range cases {
+		if rows, err := DecodeRows(c.buf); err == nil {
+			t.Errorf("%s: decoded %d rows, want an error", c.name, len(rows))
+		}
+	}
+}
+
+// FuzzDecodeRows: DecodeRows never panics, refuses what its input cannot
+// hold before allocating it, and re-encodes whatever it accepts to exactly
+// the bytes it read.
+func FuzzDecodeRows(f *testing.F) {
+	f.Add(EncodeRows([]Row{{
+		Null(), Bool(true), Bool(false), Int(-42), Double(3.14159), String_(""),
+		String_("hello, codec"), Vector(linalg.VectorOf(1, -2, 3.5)),
+		LabeledVector(linalg.VectorOf(9), 77), Matrix(linalg.Identity(3)), LabeledScalar(-1.5, 123),
+	}}))
+	f.Add(EncodeRows([]Row{{Int(1), Double(2)}, {String_("a"), Null()}, {Vector(linalg.VectorOf(5, 6))}}))
+	f.Add(EncodeRows([]Row{{}, {Double(math.NaN()), Double(math.Inf(-1)), Double(math.Copysign(0, -1))}}))
+	f.Add(EncodeRows([]Row{{Vector(linalg.NewVector(0)), Matrix(linalg.NewMatrix(0, 0))}}))
+	f.Add(EncodeRows(nil))
+	f.Add([]byte{9})
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rows, err := DecodeRows(b)
+		if err != nil {
+			return
+		}
+		if got := EncodeRows(rows); !bytes.Equal(got, b) {
+			t.Fatalf("accepted %x, re-encodes to %x", b, got)
+		}
+	})
 }

@@ -3,10 +3,11 @@
 # project-specific lalint analysis suite, the test suite, the race detector
 # over the concurrent packages (the simulated cluster, the executor, the
 # columnar value layer it gathers into, the BLAS-like kernels, the server, and
-# the figure harness that drives them), the end-to-end server smoke, the
-# SIGKILL restart-recovery smoke over a persistent data directory, and the
-# smoke test of the repository's benchmark (benchmark/ is a module of its own,
-# so "go test ./..." does not reach it).
+# the figure harness that drives them), a short fuzz of the two decoders that
+# read untrusted bytes (the row codec and the wire frame reader), the
+# end-to-end server smoke, the SIGKILL restart-recovery smoke over a
+# persistent data directory, and the smoke test of the repository's benchmark
+# (benchmark/ is a module of its own, so "go test ./..." does not reach it).
 #
 # Every gate runs even if an earlier one fails (except that a failed build
 # skips the gates that cannot run without a building tree); the run ends with
@@ -53,11 +54,13 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "go test" go test -short ./...
   gate "go test -race" go test -race ./internal/cluster/ ./internal/exec/ ./internal/value/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/
   gate "storage race" go test -race -count=1 ./internal/storage/ ./internal/blockio/
+  gate "fuzz smoke" bash -c 'go test -run "^$" -fuzz "^FuzzDecodeRows$" -fuzztime 5s ./internal/value/ &&
+    go test -run "^$" -fuzz "^FuzzReadFrame$" -fuzztime 5s ./internal/serve/'
   gate "serve smoke" bash scripts/serve_smoke.sh
   gate "restart smoke" bash scripts/storage_smoke.sh
   gate "bench smoke" bash -c 'cd benchmark && go test -short ./...'
 else
-  for g in "go vet" "lalint" "go test" "go test -race" "storage race" "serve smoke" "restart smoke" "bench smoke"; do
+  for g in "go vet" "lalint" "go test" "go test -race" "storage race" "fuzz smoke" "serve smoke" "restart smoke" "bench smoke"; do
     skip "$g" "build failed"
   done
 fi
