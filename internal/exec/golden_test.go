@@ -76,7 +76,10 @@ func batchTestLoad(t *testing.T, db *core.Database) {
 // three are a grouped aggregate over a many-to-many join with more than 1024
 // matches per probe window, a grouped aggregate over a cross join whose
 // residual compares NaN/±Inf with the other side, and a bare cross-join
-// projection whose residual leaves pair windows partly selected.
+// projection whose residual leaves pair windows partly selected. The three
+// after them pin join placement: one side co-partitioned on its key and the
+// other not, a join against a single-partition aggregate, and a filtered
+// self-join on a DOUBLE key with NaN, ±Inf and -0 lanes.
 var batchEquivQueries = []string{
 	"SELECT g, a + b AS s, x * 2.0 AS xx FROM pts WHERE y > -5 AND b <> 0 AND a / b > 1",
 	"SELECT tag, -a AS na, NOT (x >= 0) AS nonneg FROM pts WHERE tag >= 't1' AND tag < 't4'",
@@ -91,6 +94,9 @@ var batchEquivQueries = []string{
 	"SELECT q.tag, p.b, COUNT(*) AS n, SUM(p.y / (q.b + 10)) AS s, MIN(q.x) AS mx FROM pts AS p, pts AS q WHERE p.g = q.g AND p.tag = 't1' AND p.a + q.b > 8 GROUP BY q.tag, p.b",
 	"SELECT p.tag, COUNT(*) AS n, MIN(jr.z - p.x) AS m FROM pts AS p, jr WHERE p.g < 2 AND p.x < jr.z GROUP BY p.tag",
 	"SELECT jl.id, p.g, inner_product(jl.vec, jl.vec) * p.y AS v, jl.w - p.x AS d FROM jl, pts AS p WHERE p.g = 5 AND jl.w > p.y",
+	"SELECT jl.id, p.g, jl.w + p.y AS s, jl.vec FROM jl, pts AS p WHERE jl.id = p.a",
+	"SELECT p.g, p.tag, p.y FROM pts AS p, (SELECT MAX(y) AS top FROM pts) AS mm WHERE p.y = mm.top",
+	"SELECT p.g, q.g AS qg, p.x FROM pts AS p, pts AS q WHERE p.x = q.x AND p.g < 3 AND q.g > 10",
 }
 
 // batchTestDB opens a database with the batch-equivalence tables. paged
@@ -232,5 +238,37 @@ func TestBatchLimitChargesOnlyEmitted(t *testing.T) {
 	if got := res.Stats.TuplesProduced; got > n*partitions+n {
 		t.Fatalf("LIMIT %d over %d partitions charged %d tuples, want <= %d (discarded rows must not be charged)",
 			n, partitions, got, n*partitions+n)
+	}
+}
+
+// TestJoinPlacementTraffic pins what a join moves for each placement of its
+// inputs on a 2×2 cluster. A side moves unless it is already hash-placed on
+// its own join keys, or both sides are single-partition; a single-partition
+// side facing a partitioned one always moves. The counts were recorded at
+// commit 5ff88e4, which materialized each input before shuffling it row by
+// row; they include the aggregates' partial-state moves, which are not join
+// traffic but are the same on both sides of that change.
+func TestJoinPlacementTraffic(t *testing.T) {
+	cases := []struct {
+		name, q               string
+		rounds, tuples, bytes int64
+	}{
+		{"neither side keyed", "SELECT jl.id, jr.id AS rid FROM jl, jr WHERE jl.w = jr.z", 2, 561, 12414},
+		{"one side keyed", "SELECT jl.id, p.g, jl.w + p.y AS s, jl.vec FROM jl, pts AS p WHERE jl.id = p.a", 1, 525, 16323},
+		{"co-partitioned", "SELECT jl.id, jl.w + jr.z AS wz, jl.vec FROM jl, jr WHERE jl.id = jr.id", 0, 0, 0},
+		{"one side single", "SELECT p.g, p.tag, p.y FROM pts AS p, (SELECT MAX(y) AS top FROM pts) AS mm WHERE p.y = mm.top", 2, 531, 15375},
+		{"both sides single", "SELECT a.m, b.m AS bm FROM (SELECT MIN(g) AS m FROM pts) AS a, (SELECT MIN(id) AS m FROM jr) AS b WHERE a.m = b.m", 0, 6, 78},
+	}
+	db := batchTestDB(t, 2, 2, 0, false)
+	for _, c := range cases {
+		res, err := db.Query(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		s := res.Stats
+		if s.ShuffleRounds != c.rounds || s.TuplesShuffled != c.tuples || s.BytesShuffled != c.bytes {
+			t.Errorf("%s: %d rounds, %d tuples, %d bytes shuffled; want %d, %d, %d",
+				c.name, s.ShuffleRounds, s.TuplesShuffled, s.BytesShuffled, c.rounds, c.tuples, c.bytes)
+		}
 	}
 }
