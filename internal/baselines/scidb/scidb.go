@@ -167,7 +167,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 	if err != nil {
 		return 0, 0, err
 	}
-	mxt, err := e.cl.Broadcast(mxtLocal)
+	mxt, err := e.cl.Broadcast(cluster.TaskObserver{}, mxtLocal)
 	if err != nil {
 		return 0, 0, err
 	}

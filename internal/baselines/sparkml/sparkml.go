@@ -229,7 +229,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 
 	// Step 2: multiply by Xᵀ — BlockMatrix replicates the right-hand blocks
 	// to every partition (all-to-all broadcast through the shuffle path).
-	xt, err := e.cl.Broadcast(parts)
+	xt, err := e.cl.Broadcast(cluster.TaskObserver{}, parts)
 	if err != nil {
 		return 0, 0, err
 	}

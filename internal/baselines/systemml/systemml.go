@@ -248,7 +248,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 	for i := range data {
 		xRows[i] = value.Row{value.Int(int64(i)), value.Vector(linalg.VectorOf(data[i]...))}
 	}
-	bcast, err := e.cl.Broadcast(e.cl.ScatterRoundRobin(xRows))
+	bcast, err := e.cl.Broadcast(cluster.TaskObserver{}, e.cl.ScatterRoundRobin(xRows))
 	if err != nil {
 		return 0, 0, err
 	}

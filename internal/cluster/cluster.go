@@ -498,17 +498,10 @@ func (c *Cluster) Gather(parts [][]value.Row) []value.Row {
 	return out
 }
 
-// Shuffle hash-repartitions rows on the given key columns. Each source
-// partition buckets its rows in parallel; rows that land on a different
-// partition than they started on are charged as network traffic and, when
-// SerializeShuffles is set, are round-tripped through the binary codec.
+// Shuffle hash-repartitions rows on the given key columns: each source
+// partition buckets its rows by HashRowKey in parallel, and Deliver moves the
+// buckets.
 func (c *Cluster) Shuffle(parts [][]value.Row, keyCols []int) ([][]value.Row, error) {
-	return c.ShuffleObs(TaskObserver{}, parts, keyCols)
-}
-
-// ShuffleObs is Shuffle with a retry observer for the exchange's delivery
-// tasks.
-func (c *Cluster) ShuffleObs(obs TaskObserver, parts [][]value.Row, keyCols []int) ([][]value.Row, error) {
 	p := c.Partitions()
 	// buckets[src][dst]
 	buckets := make([][][]value.Row, len(parts))
@@ -524,43 +517,18 @@ func (c *Cluster) ShuffleObs(obs TaskObserver, parts [][]value.Row, keyCols []in
 	if err != nil {
 		return nil, err
 	}
-	return c.deliver("shuffle", obs, buckets)
+	return c.Deliver("shuffle", TaskObserver{}, buckets)
 }
 
-// ShuffleBy repartitions rows using an arbitrary destination function.
-func (c *Cluster) ShuffleBy(parts [][]value.Row, dest func(value.Row) int) ([][]value.Row, error) {
-	return c.ShuffleByObs(TaskObserver{}, parts, dest)
-}
-
-// ShuffleByObs is ShuffleBy with a retry observer for the exchange's
-// delivery tasks.
-func (c *Cluster) ShuffleByObs(obs TaskObserver, parts [][]value.Row, dest func(value.Row) int) ([][]value.Row, error) {
-	p := c.Partitions()
-	buckets := make([][][]value.Row, len(parts))
-	err := c.parallelOver(len(parts), func(src int) error {
-		local := make([][]value.Row, p)
-		for _, r := range parts[src] {
-			d := dest(r) % p
-			if d < 0 {
-				d += p
-			}
-			local[d] = append(local[d], r)
-		}
-		buckets[src] = local
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.deliver("shuffle", obs, buckets)
-}
-
-// deliver moves bucketed rows to their destinations. Each destination is one
-// retryable task: its compute decodes incoming chunks from the immutable
-// buckets snapshot and tallies traffic locally; its commit charges the stats
-// and installs the rows, so a retried or aborted exchange charges nothing.
-// ShuffleRounds counts completed exchanges only.
-func (c *Cluster) deliver(op string, obs TaskObserver, buckets [][][]value.Row) ([][]value.Row, error) {
+// Deliver is the hash exchange: it moves bucketed rows, buckets[src][dst], to
+// their destinations and returns each destination's rows in source order.
+// Rows that change partition are charged as network traffic and, when
+// SerializeShuffles is set, round-trip through the binary codec. Each
+// destination is one retryable task: its compute decodes incoming chunks from
+// the immutable buckets snapshot and tallies traffic locally; its commit
+// charges the stats and installs the rows, so a retried or aborted exchange
+// charges nothing. ShuffleRounds counts completed exchanges only.
+func (c *Cluster) Deliver(op string, obs TaskObserver, buckets [][][]value.Row) ([][]value.Row, error) {
 	p := c.Partitions()
 	out := make([][]value.Row, p)
 	err := c.ParallelTasks(op, obs, func(dst, attempt int) (func() error, error) {
@@ -612,15 +580,9 @@ func (c *Cluster) deliver(op string, obs TaskObserver, buckets [][][]value.Row) 
 // Broadcast replicates every row to every partition (used for the small side
 // of a cross join). Only the p-1 remote copies of each row are charged as
 // network traffic: the destination's own rows stay in place, matching
-// deliver's accounting. Each destination is one retryable task;
-// BroadcastRounds counts completed broadcasts only.
-func (c *Cluster) Broadcast(parts [][]value.Row) ([][]value.Row, error) {
-	return c.BroadcastObs(TaskObserver{}, parts)
-}
-
-// BroadcastObs is Broadcast with a retry observer for the per-destination
-// tasks.
-func (c *Cluster) BroadcastObs(obs TaskObserver, parts [][]value.Row) ([][]value.Row, error) {
+// Deliver's accounting. Each destination is one retryable task whose retries
+// obs observes; BroadcastRounds counts completed broadcasts only.
+func (c *Cluster) Broadcast(obs TaskObserver, parts [][]value.Row) ([][]value.Row, error) {
 	p := c.Partitions()
 	// Encode each source partition once; every destination decodes the
 	// remote chunks independently (the codec round-trip is the ser-de cost
@@ -699,7 +661,7 @@ func (c *Cluster) networkWait(wireBytes int64) {
 }
 
 // NetworkWait exposes the transfer-delay model for components (baselines,
-// aggregate state movement) that move bytes outside Shuffle/Broadcast.
+// aggregate state movement) that move bytes outside Deliver and Broadcast.
 func (c *Cluster) NetworkWait(wireBytes int64) { c.networkWait(wireBytes) }
 
 // parallelOver runs fn for i in [0,n) concurrently, bounded by the number of

@@ -114,35 +114,11 @@ func TestShufflePreservesRowsAndCoLocates(t *testing.T) {
 	}
 }
 
-func TestShuffleByCustomDest(t *testing.T) {
-	c := testCluster(2, 2, false)
-	parts := c.ScatterRoundRobin(intRows(40))
-	out, err := c.ShuffleBy(parts, func(r value.Row) int { return int(r[0].I) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, rows := range out {
-		for _, r := range rows {
-			if int(r[0].I)%4 != p {
-				t.Fatalf("row %d landed on partition %d", r[0].I, p)
-			}
-		}
-	}
-	// Negative destinations wrap.
-	out, err = c.ShuffleBy(parts, func(r value.Row) int { return -1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Gather(out)) != 40 {
-		t.Fatal("negative destination lost rows")
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	for _, serialize := range []bool{true, false} {
 		c := testCluster(2, 2, serialize)
 		parts := c.ScatterRoundRobin(intRows(10))
-		bc, err := c.Broadcast(parts)
+		bc, err := c.Broadcast(TaskObserver{}, parts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func TestBroadcastAccountingPinned(t *testing.T) {
 			wantBytes += per * int64(p-1)
 		}
 
-		bc, err := c.Broadcast(parts)
+		bc, err := c.Broadcast(TaskObserver{}, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestRoundsCountCompletedExchangesOnly(t *testing.T) {
 	if _, err := c.Shuffle(parts, []int{1}); err == nil {
 		t.Fatal("shuffle under permanent faults should fail")
 	}
-	if _, err := c.Broadcast(parts); err == nil {
+	if _, err := c.Broadcast(TaskObserver{}, parts); err == nil {
 		t.Fatal("broadcast under permanent faults should fail")
 	}
 	s := c.Stats().Snapshot()
@@ -166,7 +166,7 @@ func TestBroadcastDeepCopiesRemoteRows(t *testing.T) {
 	src := []value.Row{{value.Int(0), vec}}
 	parts := make([][]value.Row, c.Partitions())
 	parts[0] = src
-	bc, err := c.Broadcast(parts)
+	bc, err := c.Broadcast(TaskObserver{}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

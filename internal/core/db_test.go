@@ -693,6 +693,36 @@ func TestPartitionByHashSkipsShuffles(t *testing.T) {
 	}
 }
 
+// TestJoinKeyErrorMovesNothing: a join key that fails to evaluate fails its
+// input's stage before the exchange runs, so the statement returns the error
+// and the database is charged no shuffle for it.
+func TestJoinKeyErrorMovesNothing(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE l (a INTEGER, b INTEGER)")
+	db.MustExec("CREATE TABLE r (c INTEGER)")
+	var lr, rr []value.Row
+	for i := 0; i < 40; i++ {
+		lr = append(lr, value.Row{value.Int(int64(i)), value.Int(int64(i % 5))})
+		rr = append(rr, value.Row{value.Int(int64(i % 9))})
+	}
+	if err := db.LoadTable("l", lr); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadTable("r", rr); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Cluster().Stats().Snapshot()
+	_, err := db.Query("SELECT l.a, r.c FROM l, r WHERE l.a / l.b = r.c")
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("error = %v, want the key's division by zero", err)
+	}
+	after := db.Cluster().Stats().Snapshot()
+	if after.ShuffleRounds != before.ShuffleRounds || after.TuplesShuffled != before.TuplesShuffled || after.BytesShuffled != before.BytesShuffled {
+		t.Fatalf("a failed join key was charged an exchange: %d rounds, %d tuples, %d bytes",
+			after.ShuffleRounds-before.ShuffleRounds, after.TuplesShuffled-before.TuplesShuffled, after.BytesShuffled-before.BytesShuffled)
+	}
+}
+
 func TestPartitionByHashValidation(t *testing.T) {
 	db := testDB(t)
 	if err := db.Exec("CREATE TABLE t (a INTEGER) PARTITION BY HASH (nosuch)"); err == nil {

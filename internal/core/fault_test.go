@@ -41,7 +41,9 @@ func transientFaults(seed uint64) fault.Config {
 // TestTransientFaultsPreserveResults is the tentpole's acceptance property:
 // at every seed, a run with transient-only faults produces results
 // row-for-row identical to the fault-free baseline, and the fault counters
-// prove the faults actually fired.
+// prove the faults actually fired. The join shuffles both inputs, so its
+// exchange traffic must match the baseline too: a retried input-stage task or
+// delivery charges once.
 func TestTransientFaultsPreserveResults(t *testing.T) {
 	baseline := mustQuery(t, spillTestDB(t, 0, 0), spillQuery)
 	if len(baseline.Rows) != 10 {
@@ -68,6 +70,11 @@ func TestTransientFaultsPreserveResults(t *testing.T) {
 		}
 		if res.Stats.TaskRetries > 0 {
 			sawRetry = true
+		}
+		got, want := res.Stats, baseline.Stats
+		if got.TuplesShuffled != want.TuplesShuffled || got.BytesShuffled != want.BytesShuffled || got.ShuffleRounds != want.ShuffleRounds {
+			t.Fatalf("seed %d: shuffled %d tuples (%d bytes) in %d rounds, fault-free run %d (%d bytes) in %d",
+				seed, got.TuplesShuffled, got.BytesShuffled, got.ShuffleRounds, want.TuplesShuffled, want.BytesShuffled, want.ShuffleRounds)
 		}
 	}
 	if !sawRetry {

@@ -26,7 +26,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	// Phase 1: local pre-aggregation, the sink of the input's stage (out of
 	// core when a memory budget is set: new groups beyond the reservation
 	// scatter to spill files and are aggregated recursively — see aggBuilder).
-	in, locals, err := runStage(ctx, a.Input, -1, a)
+	in, locals, err := runStage(ctx, a.Input, &stage{limit: -1, agg: a})
 	if err != nil {
 		return nil, err
 	}

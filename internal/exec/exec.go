@@ -229,7 +229,7 @@ func Run(ctx *Context, n plan.Node) (*Relation, error) {
 	}
 	switch x := n.(type) {
 	case *plan.Scan, *plan.Project, *plan.Filter, *plan.Join, *plan.Cross:
-		rel, _, err := runStage(ctx, n, -1, nil)
+		rel, _, err := runStage(ctx, n, &stage{limit: -1})
 		return rel, err
 	case *plan.Bound:
 		if rel, ok := ctx.bound[x.Input]; ok {
@@ -378,7 +378,7 @@ func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
 	// never surface more than the first k rows of any partition, and Gather
 	// concatenates partitions in order, so the first k of the cut gather equal
 	// the first k of the uncut one.
-	in, _, err := runStage(ctx, l.Input, l.N, nil)
+	in, _, err := runStage(ctx, l.Input, &stage{limit: l.N})
 	if err != nil {
 		return nil, err
 	}

@@ -103,8 +103,8 @@ func testCtxShared(old *Context, tables memSource) *Context {
 	return c
 }
 
-// TestJoinKeyErrorAborts: an error while evaluating a join key (during the
-// shuffle routing) surfaces instead of silently misrouting rows.
+// TestJoinKeyErrorAborts: an error while evaluating a join key (in the input
+// stage's exchange sink) surfaces instead of silently misrouting rows.
 func TestJoinKeyErrorAborts(t *testing.T) {
 	tables := memSource{}
 	ctx := testCtx(tables)

@@ -90,23 +90,36 @@ func TestColHashesMatchValueHash(t *testing.T) {
 	}
 }
 
+// TestCombineKeyHashesMatchesHashRowKey pins the executor's columnar key hash
+// to HashRowKey, which places PARTITION BY HASH tables: a join skips moving a
+// side placed on its key only because the two agree.
 func TestCombineKeyHashesMatchesHashRowKey(t *testing.T) {
-	rows := batchTestRows()
-	b := BatchFromRows(rows)
-	keyCols := []int{0, 2, 3}
-	n := b.N
-	combined := make([]uint64, n)
-	for i := range combined {
-		combined[i] = KeyHashInit
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 2.5}
+	var doubles []Row
+	for i, x := range special {
+		doubles = append(doubles, Row{Double(x), Double(special[(i+3)%len(special)])})
 	}
-	scratch := make([]uint64, n)
-	for _, kc := range keyCols {
-		b.Cols[kc].HashesInto(scratch, nil)
-		CombineKeyHashes(combined, scratch, nil)
-	}
-	for i, r := range rows {
-		if want := HashRowKey(r, keyCols); combined[i] != want {
-			t.Fatalf("lane %d: combined %x want %x", i, combined[i], want)
+	for _, tc := range []struct {
+		rows    []Row
+		keyCols []int
+	}{
+		{batchTestRows(), []int{0, 2, 3}},
+		{doubles, []int{0, 1}}, // a DOUBLE pair key over NaN, ±Inf and -0 lanes
+	} {
+		b := BatchFromRows(tc.rows)
+		combined := make([]uint64, b.N)
+		for i := range combined {
+			combined[i] = KeyHashInit
+		}
+		scratch := make([]uint64, b.N)
+		for _, kc := range tc.keyCols {
+			b.Cols[kc].HashesInto(scratch, nil)
+			CombineKeyHashes(combined, scratch, nil)
+		}
+		for i, r := range tc.rows {
+			if want := HashRowKey(r, tc.keyCols); combined[i] != want {
+				t.Fatalf("key %v lane %d: combined %x want %x", tc.keyCols, i, combined[i], want)
+			}
 		}
 	}
 }

@@ -16,47 +16,71 @@ func matOf(rows, cols int, data []float64) *linalg.Matrix {
 
 // Hash returns a 64-bit hash of the value, used by hash partitioning and hash
 // joins. Numeric values hash by their double representation so INTEGER 3 and
-// DOUBLE 3.0 land in the same bucket (they also compare equal).
+// DOUBLE 3.0 land in the same bucket (they also compare equal). Col.HashesInto
+// hashes column lanes through the same per-kind helpers.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
 	switch v.Kind {
 	case KindNull:
-		mix(0)
+		return fnvMix(fnvOffset64, 0)
 	case KindBool:
-		if v.B {
-			mix(1)
-		} else {
-			mix(2)
-		}
+		return hashBool(v.B)
 	case KindInt:
-		mix(doubleBits(float64(v.I)))
+		return hashDouble(float64(v.I))
 	case KindDouble, KindLabeledScalar:
-		mix(doubleBits(v.D))
+		return hashDouble(v.D)
 	case KindString:
-		for i := 0; i < len(v.S); i++ {
-			h ^= uint64(v.S[i])
-			h *= prime64
-		}
+		return hashString(v.S)
 	case KindVector:
-		for _, x := range v.Vec.Data {
-			mix(doubleBits(x))
-		}
+		return hashVector(v.Vec)
 	case KindMatrix:
-		mix(uint64(v.Mat.Cols))
-		for _, x := range v.Mat.Data {
-			mix(doubleBits(x))
-		}
+		return hashMatrix(v.Mat)
+	}
+	return fnvOffset64
+}
+
+// The per-kind hashes: FNV-1a over the little-endian bytes of each word.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvMix folds the 8 little-endian bytes of x into h.
+func fnvMix(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= x & 0xff
+		h *= fnvPrime64
+		x >>= 8
+	}
+	return h
+}
+
+func hashBool(b bool) uint64 {
+	if b {
+		return fnvMix(fnvOffset64, 1)
+	}
+	return fnvMix(fnvOffset64, 2)
+}
+
+func hashDouble(d float64) uint64 { return fnvMix(fnvOffset64, doubleBits(d)) }
+
+func hashString(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+func hashVector(v *linalg.Vector) uint64 { return hashFloats(fnvOffset64, v.Data) }
+
+func hashMatrix(m *linalg.Matrix) uint64 {
+	return hashFloats(fnvMix(fnvOffset64, uint64(m.Cols)), m.Data)
+}
+
+func hashFloats(h uint64, xs []float64) uint64 {
+	for _, x := range xs {
+		h = fnvMix(h, doubleBits(x))
 	}
 	return h
 }
@@ -68,13 +92,20 @@ func doubleBits(d float64) uint64 {
 	return math.Float64bits(d)
 }
 
-// HashRowKey hashes the projection of row onto the given column indexes.
+// KeyHashInit is the seed of a key-tuple hash.
+const KeyHashInit = uint64(fnvOffset64)
+
+// foldKeyHash folds one key value's hash into a running key-tuple hash.
+func foldKeyHash(h, vh uint64) uint64 { return (h ^ vh) * fnvPrime64 }
+
+// HashRowKey hashes the projection of row onto the given column indexes: the
+// key-tuple hash that table placement (PARTITION BY HASH), Cluster.Shuffle and
+// the executor's columnar CombineKeyHashes all compute, so a table placed on a
+// key sits where an exchange on that key would send its rows.
 func HashRowKey(row Row, cols []int) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
+	h := KeyHashInit
 	for _, c := range cols {
-		h ^= row[c].Hash()
-		h *= prime64
+		h = foldKeyHash(h, row[c].Hash())
 	}
 	return h
 }
