@@ -13,19 +13,20 @@ const (
 	// roleNone: an ordinary closure, no runner contract.
 	roleNone taskRole = iota
 	// roleCompute: a speculable TaskFn compute passed to ParallelTasks (or
-	// the internal parallelTasks/runTask). It may run several times
-	// concurrently for the same partition, and losing attempts are thrown
-	// away — so it must not mutate shared state or charge the budget; all of
-	// that belongs in the commit closure it returns.
+	// the internal parallelTasks/runTask), or an exchange move passed to
+	// Exchange. It may run several times concurrently for the same
+	// partition, and losing attempts are thrown away — so it must not mutate
+	// shared state or charge the budget; all of that belongs in the commit
+	// closure it returns.
 	roleCompute
-	// roleIdem: a closure passed to Parallel/ParallelOp/RunTask/parallelOver.
+	// roleIdem: a closure passed to Parallel/ParallelOp/RunTask.
 	// These are retried (never speculated), and their contract is documented
 	// idempotence: mutating shared state is allowed, because only the final
 	// successful attempt's effects are observable given idempotent writes.
 	roleIdem
-	// roleCommit: the commit closure a compute returns. Runs exactly once,
-	// for the single winning attempt — the only place task results are
-	// installed and stats are charged.
+	// roleCommit: the commit closure a compute returns (an exchange move's
+	// install closure). Runs exactly once, for the single winning attempt —
+	// the only place task results are installed and stats are charged.
 	roleCommit
 )
 
@@ -55,10 +56,10 @@ var runnerShapes = map[string]runnerShape{
 	"Parallel":      {argIdx: 0, partIdx: 0, attemptIdx: -1, role: roleIdem},
 	"ParallelOp":    {argIdx: 1, partIdx: 0, attemptIdx: -1, role: roleIdem},
 	"RunTask":       {argIdx: 2, partIdx: -1, attemptIdx: 0, role: roleIdem},
-	"parallelOver":  {argIdx: 1, partIdx: 0, attemptIdx: -1, role: roleIdem},
 	"ParallelTasks": {argIdx: 2, partIdx: 0, attemptIdx: 1, role: roleCompute},
 	"parallelTasks": {argIdx: 3, partIdx: 0, attemptIdx: 1, role: roleCompute},
 	"runTask":       {argIdx: 4, partIdx: 0, attemptIdx: 1, role: roleCompute},
+	"Exchange":      {argIdx: 2, partIdx: 0, attemptIdx: -1, role: roleCompute},
 }
 
 // taskInfo is the classification of one function literal.

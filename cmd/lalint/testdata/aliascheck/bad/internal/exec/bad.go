@@ -28,12 +28,6 @@ func crossPartitionInstall(c *cluster.Cluster, parts [][]value.Row) ([][]value.R
 	return out, err
 }
 
-// sendBatchAliased ships a column batch whose per-column arrays still alias
-// the sender's storage.
-func sendBatchAliased(ch chan *value.Batch, b *value.Batch) {
-	ch <- b
-}
-
 // crossPartitionCols installs one partition's gathered columns into a
 // neighbour's slot: both partitions share the typed column arrays.
 func crossPartitionCols(c *cluster.Cluster, parts [][]value.Col) ([][]value.Col, error) {

@@ -56,20 +56,3 @@ func replicateDecoded(c *cluster.Cluster, parts [][]value.Row) ([][]value.Row, e
 	})
 	return out, err
 }
-
-// sendBatchCloned deep-clones the batch before the crossing; the clone shares
-// no backing storage with the original.
-func sendBatchCloned(ch chan *value.Batch, b *value.Batch) {
-	ch <- b.DeepClone()
-}
-
-// sendBatchRows ships a batch's live rows through the codec instead of the
-// columnar arrays themselves.
-func sendBatchRows(ch chan []value.Row, b *value.Batch) error {
-	decoded, err := value.DecodeRows(value.EncodeRows(b.AppendRows(nil)))
-	if err != nil {
-		return err
-	}
-	ch <- decoded
-	return nil
-}

@@ -42,3 +42,16 @@ func capturedWrites(c *cluster.Cluster, ns []int64) (int64, error) {
 	}
 	return total + out[0], nil
 }
+
+// mergeInMove merges into a captured map from an exchange move: a retried or
+// speculated move merges twice.
+func mergeInMove(c *cluster.Cluster, in []map[int]int64) (map[int]int64, error) {
+	merged := map[int]int64{}
+	err := c.Exchange("op", cluster.TaskObserver{}, func(dst int) (func() error, int64, int64, error) {
+		for k, v := range in[dst] {
+			merged[k] += v
+		}
+		return func() error { return nil }, int64(len(in[dst])), 0, nil
+	})
+	return merged, err
+}

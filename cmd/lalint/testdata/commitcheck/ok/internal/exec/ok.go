@@ -30,3 +30,18 @@ func idempotentSlotWrite(c *cluster.Cluster, ns []int64) ([]int64, error) {
 	})
 	return out, err
 }
+
+// mergeInInstall counts in the exchange move and merges in its install, which
+// runs once, for the winning attempt.
+func mergeInInstall(c *cluster.Cluster, in []map[int]int64) (map[int]int64, error) {
+	merged := map[int]int64{}
+	err := c.Exchange("op", cluster.TaskObserver{}, func(dst int) (func() error, int64, int64, error) {
+		return func() error {
+			for k, v := range in[dst] {
+				merged[k] += v
+			}
+			return nil
+		}, int64(len(in[dst])), 0, nil
+	})
+	return merged, err
+}

@@ -166,10 +166,10 @@ func isStatsMutation(p *Pkg, call *ast.CallExpr) bool {
 }
 
 // typeContainsRow reports whether t is, or transitively contains, a
-// value.Row, value.Value, value.Batch, or value.Col — the types whose
-// vector/matrix cells (or, for the columnar types, whole per-column arrays)
-// alias their backing storage and therefore must be deep-cloned or serialized
-// before they are shared across partitions or goroutines.
+// value.Row, value.Value, or value.Col — the types whose vector/matrix cells
+// (or, for the column, whole per-column arrays) alias their backing storage
+// and therefore must be deep-cloned or serialized before they are shared
+// across partitions or goroutines.
 func typeContainsRow(t types.Type) bool {
 	return containsRow(t, map[types.Type]bool{})
 }
@@ -180,7 +180,7 @@ func containsRow(t types.Type, seen map[types.Type]bool) bool {
 	}
 	seen[t] = true
 	if namedFrom(t, "internal/value", "Row") || namedFrom(t, "internal/value", "Value") ||
-		namedFrom(t, "internal/value", "Batch") || namedFrom(t, "internal/value", "Col") {
+		namedFrom(t, "internal/value", "Col") {
 		return true
 	}
 	switch u := t.Underlying().(type) {

@@ -109,11 +109,7 @@ func (e *Engine) driverReduce(partials [][]float64, d int) ([]float64, error) {
 			continue
 		}
 		if p != 0 {
-			buf := value.AppendValue(nil, value.Vector(&linalg.Vector{Data: part}))
-			e.cl.Stats().TuplesShuffled.Add(1)
-			e.cl.Stats().BytesShuffled.Add(int64(len(buf)))
-			e.cl.NetworkWait(int64(len(buf)))
-			v, _, err := value.DecodeValue(buf)
+			v, err := e.cl.SendValue(value.Vector(&linalg.Vector{Data: part}))
 			if err != nil {
 				return nil, err
 			}

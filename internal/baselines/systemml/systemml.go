@@ -134,11 +134,7 @@ func reduceMatrices(cl *cluster.Cluster, partials []*linalg.Matrix) (*linalg.Mat
 			continue
 		}
 		if p != 0 {
-			buf := value.AppendValue(nil, value.Matrix(m))
-			cl.Stats().TuplesShuffled.Add(1)
-			cl.Stats().BytesShuffled.Add(int64(len(buf)))
-			cl.NetworkWait(int64(len(buf)))
-			v, _, err := value.DecodeValue(buf)
+			v, err := cl.SendValue(value.Matrix(m))
 			if err != nil {
 				return nil, err
 			}

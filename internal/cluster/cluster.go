@@ -484,28 +484,14 @@ func (c *Cluster) ScatterHash(rows []value.Row, keyCols []int) [][]value.Row {
 	return parts
 }
 
-// Gather concatenates all partitions into a single slice (used by ORDER
-// BY/LIMIT and by callers collecting final results).
-func (c *Cluster) Gather(parts [][]value.Row) []value.Row {
-	var n int
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]value.Row, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// Shuffle hash-repartitions rows on the given key columns: each source
-// partition buckets its rows by HashRowKey in parallel, and Deliver moves the
-// buckets.
+// Shuffle hash-repartitions rows on the given key columns: each of the
+// Partitions() source partitions buckets its rows by HashRowKey under
+// Parallel, and Deliver moves the buckets.
 func (c *Cluster) Shuffle(parts [][]value.Row, keyCols []int) ([][]value.Row, error) {
 	p := c.Partitions()
 	// buckets[src][dst]
-	buckets := make([][][]value.Row, len(parts))
-	err := c.parallelOver(len(parts), func(src int) error {
+	buckets := make([][][]value.Row, p)
+	err := c.Parallel(func(src int) error {
 		local := make([][]value.Row, p)
 		for _, r := range parts[src] {
 			d := int(value.HashRowKey(r, keyCols) % uint64(p))
@@ -520,55 +506,43 @@ func (c *Cluster) Shuffle(parts [][]value.Row, keyCols []int) ([][]value.Row, er
 	return c.Deliver("shuffle", TaskObserver{}, buckets)
 }
 
-// Deliver is the hash exchange: it moves bucketed rows, buckets[src][dst], to
-// their destinations and returns each destination's rows in source order.
-// Rows that change partition are charged as network traffic and, when
-// SerializeShuffles is set, round-trip through the binary codec. Each
-// destination is one retryable task: its compute decodes incoming chunks from
-// the immutable buckets snapshot and tallies traffic locally; its commit
-// charges the stats and installs the rows, so a retried or aborted exchange
-// charges nothing. ShuffleRounds counts completed exchanges only.
-func (c *Cluster) Deliver(op string, obs TaskObserver, buckets [][][]value.Row) ([][]value.Row, error) {
-	p := c.Partitions()
-	out := make([][]value.Row, p)
-	err := c.ParallelTasks(op, obs, func(dst, attempt int) (func() error, error) {
+// MoveFn is one exchange destination's compute. It reads only immutable
+// inputs and returns the closure that installs the destination's result, with
+// the tuples and wire bytes that crossed into it from other partitions.
+type MoveFn func(dst int) (install func() error, tuples, wireBytes int64, err error)
+
+// Exchange is the one exchange runner: a retryable task per destination
+// partition, under Deliver, Broadcast and the aggregate's state move. Each
+// attempt draws the shuffle fault, then runs move. The commit of the winning
+// attempt charges move's tuples and bytes, waits out their modelled transfer
+// once, and runs install, so a retried or speculated attempt charges nothing
+// and installs nothing. Exchange counts no rounds; its callers do.
+func (c *Cluster) Exchange(op string, obs TaskObserver, move MoveFn) error {
+	return c.ParallelTasks(op, obs, func(dst, attempt int) (func() error, error) {
 		if err := c.injector.ShuffleCorrupt(op, dst, attempt); err != nil {
 			//lint:ignore commitcheck FaultsInjected counts per-attempt fault draws; a faulted attempt never commits, so the count must happen here
 			c.stats.FaultsInjected.Add(1)
 			return nil, err
 		}
-		var rows []value.Row
-		var tuples, wireBytes int64
-		for src := range buckets {
-			chunk := buckets[src][dst]
-			if len(chunk) == 0 {
-				continue
-			}
-			if src != dst {
-				tuples += int64(len(chunk))
-				if c.cfg.SerializeShuffles {
-					buf := value.EncodeRows(chunk)
-					wireBytes += int64(len(buf))
-					decoded, err := value.DecodeRows(buf)
-					if err != nil {
-						return nil, err
-					}
-					chunk = decoded
-				} else {
-					for _, r := range chunk {
-						wireBytes += int64(r.SizeBytes())
-					}
-				}
-			}
-			rows = append(rows, chunk...)
+		install, tuples, wireBytes, err := move(dst)
+		if err != nil {
+			return nil, err
 		}
 		return func() error {
 			c.stats.TuplesShuffled.Add(tuples)
 			c.stats.BytesShuffled.Add(wireBytes)
 			c.networkWait(wireBytes)
-			out[dst] = rows
-			return nil
+			return install()
 		}, nil
+	})
+}
+
+// Deliver is the hash exchange: it moves bucketed rows, buckets[src][dst], to
+// their destinations and returns each destination's rows in source order.
+// ShuffleRounds counts completed exchanges only.
+func (c *Cluster) Deliver(op string, obs TaskObserver, buckets [][][]value.Row) ([][]value.Row, error) {
+	out, err := c.receive(op, obs, len(buckets), func(src, dst int) ([]value.Row, []byte) {
+		return buckets[src][dst], nil
 	})
 	if err != nil {
 		return nil, err
@@ -580,10 +554,8 @@ func (c *Cluster) Deliver(op string, obs TaskObserver, buckets [][][]value.Row) 
 // Broadcast replicates every row to every partition (used for the small side
 // of a cross join). Only the p-1 remote copies of each row are charged as
 // network traffic: the destination's own rows stay in place, matching
-// Deliver's accounting. Each destination is one retryable task whose retries
-// obs observes; BroadcastRounds counts completed broadcasts only.
+// Deliver's accounting. BroadcastRounds counts completed broadcasts only.
 func (c *Cluster) Broadcast(obs TaskObserver, parts [][]value.Row) ([][]value.Row, error) {
-	p := c.Partitions()
 	// Encode each source partition once; every destination decodes the
 	// remote chunks independently (the codec round-trip is the ser-de cost
 	// of its private copy).
@@ -595,60 +567,75 @@ func (c *Cluster) Broadcast(obs TaskObserver, parts [][]value.Row) ([][]value.Ro
 			}
 		}
 	}
-	out := make([][]value.Row, p)
-	err := c.ParallelTasks("broadcast", obs, func(dst, attempt int) (func() error, error) {
-		if err := c.injector.ShuffleCorrupt("broadcast", dst, attempt); err != nil {
-			//lint:ignore commitcheck FaultsInjected counts per-attempt fault draws; a faulted attempt never commits, so the count must happen here
-			c.stats.FaultsInjected.Add(1)
-			return nil, err
+	out, err := c.receive("broadcast", obs, len(parts), func(src, dst int) ([]value.Row, []byte) {
+		if src == dst || c.cfg.SerializeShuffles {
+			return parts[src], bufs[src]
 		}
-		var rows []value.Row
-		var tuples, wireBytes int64
-		for src := range parts {
-			chunk := parts[src]
-			if len(chunk) == 0 {
-				continue
-			}
-			if src != dst {
-				tuples += int64(len(chunk))
-				if c.cfg.SerializeShuffles {
-					wireBytes += int64(len(bufs[src]))
-					decoded, err := value.DecodeRows(bufs[src])
-					if err != nil {
-						return nil, err
-					}
-					chunk = decoded
-				} else {
-					var n int64
-					for _, r := range chunk {
-						n += int64(r.SizeBytes())
-					}
-					wireBytes += n
-					// Without a codec round-trip every destination would
-					// alias the same vector/matrix backing arrays — deep-copy
-					// so re-executed tasks cannot observe shared mutations.
-					cp := make([]value.Row, len(chunk))
-					for i, r := range chunk {
-						cp[i] = r.DeepClone()
-					}
-					chunk = cp
-				}
-			}
-			rows = append(rows, chunk...)
+		// Without a codec round-trip every destination would alias the same
+		// vector and matrix data: each gets its own deep copy.
+		cp := make([]value.Row, len(parts[src]))
+		for i, r := range parts[src] {
+			cp[i] = r.DeepClone()
 		}
-		return func() error {
-			c.stats.TuplesShuffled.Add(tuples)
-			c.stats.BytesShuffled.Add(wireBytes)
-			c.networkWait(wireBytes)
-			out[dst] = rows
-			return nil
-		}, nil
+		return cp, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	c.stats.BroadcastRounds.Add(1)
 	return out, nil
+}
+
+// receive runs an Exchange of rows: destination dst receives chunk(src, dst)
+// from each of srcs sources, in source order. A chunk that changes partition
+// is charged as traffic. With SerializeShuffles it round-trips through the
+// binary codec, from its encoded form when chunk returns one; without, it
+// arrives as is.
+func (c *Cluster) receive(op string, obs TaskObserver, srcs int, chunk func(src, dst int) ([]value.Row, []byte)) ([][]value.Row, error) {
+	out := make([][]value.Row, c.Partitions())
+	err := c.Exchange(op, obs, func(dst int) (func() error, int64, int64, error) {
+		var rows []value.Row
+		var tuples, wireBytes int64
+		for src := 0; src < srcs; src++ {
+			in, buf := chunk(src, dst)
+			if src != dst && len(in) > 0 {
+				tuples += int64(len(in))
+				if c.cfg.SerializeShuffles {
+					if buf == nil {
+						buf = value.EncodeRows(in)
+					}
+					wireBytes += int64(len(buf))
+					decoded, err := value.DecodeRows(buf)
+					if err != nil {
+						return nil, 0, 0, err
+					}
+					in = decoded
+				} else {
+					for _, r := range in {
+						wireBytes += int64(r.SizeBytes())
+					}
+				}
+			}
+			rows = append(rows, in...)
+		}
+		return func() error {
+			out[dst] = rows
+			return nil
+		}, tuples, wireBytes, nil
+	})
+	return out, err
+}
+
+// SendValue moves one value to another partition, the way the baselines'
+// driver reductions ship each partial: it encodes v, charges one tuple and its
+// bytes, waits out the modelled transfer, and returns the decoded copy.
+func (c *Cluster) SendValue(v value.Value) (value.Value, error) {
+	buf := value.AppendValue(nil, v)
+	c.stats.TuplesShuffled.Add(1)
+	c.stats.BytesShuffled.Add(int64(len(buf)))
+	c.networkWait(int64(len(buf)))
+	out, _, err := value.DecodeValue(buf)
+	return out, err
 }
 
 // networkWait models the transfer delay of wireBytes arriving at one
@@ -658,30 +645,4 @@ func (c *Cluster) networkWait(wireBytes int64) {
 		return
 	}
 	time.Sleep(time.Duration(float64(wireBytes) / c.cfg.NetworkBytesPerSec * float64(time.Second)))
-}
-
-// NetworkWait exposes the transfer-delay model for components (baselines,
-// aggregate state movement) that move bytes outside Deliver and Broadcast.
-func (c *Cluster) NetworkWait(wireBytes int64) { c.networkWait(wireBytes) }
-
-// parallelOver runs fn for i in [0,n) concurrently, bounded by the number of
-// partition slots.
-func (c *Cluster) parallelOver(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, c.Partitions())
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }

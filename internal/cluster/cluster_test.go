@@ -32,6 +32,15 @@ func sortedInts(rows []value.Row) []int64 {
 	return out
 }
 
+// gather concatenates partitions in order.
+func gather(parts [][]value.Row) []value.Row {
+	var out []value.Row
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
 func TestConfigPartitions(t *testing.T) {
 	if got := (Config{Nodes: 10, PartitionsPerNode: 2}).Partitions(); got != 20 {
 		t.Fatalf("partitions = %d", got)
@@ -51,7 +60,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	if len(parts) != 6 {
 		t.Fatalf("parts = %d", len(parts))
 	}
-	back := c.Gather(parts)
+	back := gather(parts)
 	if len(back) != 100 {
 		t.Fatalf("gathered %d rows", len(back))
 	}
@@ -88,7 +97,7 @@ func TestShufflePreservesRowsAndCoLocates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back := c.Gather(shuffled)
+		back := gather(shuffled)
 		if len(back) != 150 {
 			t.Fatalf("serialize=%v: shuffle lost rows: %d", serialize, len(back))
 		}
@@ -204,7 +213,7 @@ func TestPropShuffleIsPermutation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back := sortedInts(c.Gather(out))
+		back := sortedInts(gather(out))
 		if len(back) != n {
 			return false
 		}
@@ -223,15 +232,15 @@ func TestPropShuffleIsPermutation(t *testing.T) {
 func TestNetworkWaitModelsBandwidth(t *testing.T) {
 	slow := New(Config{Nodes: 1, PartitionsPerNode: 1, NetworkBytesPerSec: 1e6})
 	start := time.Now()
-	slow.NetworkWait(100_000) // 0.1s at 1 MB/s
+	slow.networkWait(100_000) // 0.1s at 1 MB/s
 	if took := time.Since(start); took < 50*time.Millisecond {
 		t.Fatalf("wait too short: %v", took)
 	}
 	// Infinite bandwidth and zero bytes never wait.
 	fast := New(Config{Nodes: 1, PartitionsPerNode: 1})
 	start = time.Now()
-	fast.NetworkWait(1 << 30)
-	slow.NetworkWait(0)
+	fast.networkWait(1 << 30)
+	slow.networkWait(0)
 	if took := time.Since(start); took > 20*time.Millisecond {
 		t.Fatalf("unexpected wait: %v", took)
 	}

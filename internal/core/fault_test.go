@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"relalg/internal/fault"
+	"relalg/internal/value"
 )
 
 // faultSpillDB is spillTestDB plus an injector configuration: the same join +
@@ -147,6 +150,70 @@ func TestTransientFaultsPreserveOutOfCoreResults(t *testing.T) {
 		}
 		if res.Stats.TaskRetries == 0 {
 			t.Fatalf("seed %d: SpillProb=1 run reported no retries", seed)
+		}
+	}
+}
+
+// TestAggregateExchangeRetriesPreserveResults arms only the exchange fault and
+// speculated stragglers on a scan-only grouped aggregate, so the one exchange
+// in the query is the aggregate's state move. Its destinations are retried
+// and run twice at once, yet the rows stay bit-identical to the fault-free run
+// (SUM of -0, NaN and ±Inf included) and the state move is charged once: its
+// merge runs in the winning attempt's commit, never in a compute. The 1 µs
+// straggler delay lets a straggler and its backup both run their move, which
+// a merge in the move would turn into a double merge (and, under -race, a
+// data race).
+func TestAggregateExchangeRetriesPreserveResults(t *testing.T) {
+	specials := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	rows := make([]value.Row, 2400)
+	for i := range rows {
+		g := i % 299 // coprime to the 4 partitions: every group spans all of them
+		x := float64(i)*0.1 + 1/float64(i+1)
+		switch {
+		case g%5 == 0:
+			x = math.Copysign(0, -1) // every value of the group is -0
+		case g%7 == 0:
+			x = specials[i%len(specials)]
+		}
+		rows[i] = value.Row{value.Int(int64(g)), value.Double(x)}
+	}
+	const q = "SELECT g, SUM(x), AVG(x), MIN(x) FROM t GROUP BY g"
+	run := func(faults fault.Config) *Result {
+		cfg := DefaultConfig()
+		cfg.Cluster.Nodes = 2
+		cfg.Cluster.PartitionsPerNode = 2
+		cfg.Cluster.Faults = faults
+		db := Open(cfg)
+		db.MustExec("CREATE TABLE t (g INTEGER, x DOUBLE)")
+		if err := db.LoadTable("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		return mustQuery(t, db, q)
+	}
+	baseline := run(fault.Config{})
+	if len(baseline.Rows) != 299 || baseline.Stats.TuplesShuffled == 0 {
+		t.Fatalf("baseline: %d groups, %d tuples shuffled", len(baseline.Rows), baseline.Stats.TuplesShuffled)
+	}
+	want := value.EncodeRows(baseline.Rows)
+	for seed := uint64(1); seed <= 3; seed++ {
+		res := run(fault.Config{
+			Seed:           seed,
+			RetryBackoff:   time.Microsecond,
+			ShuffleProb:    0.5,
+			StragglerProb:  0.5,
+			StragglerDelay: time.Microsecond,
+			Speculate:      true,
+		})
+		if !bytes.Equal(value.EncodeRows(res.Rows), want) {
+			t.Fatalf("seed %d: rows differ from the fault-free run", seed)
+		}
+		got, base := res.Stats, baseline.Stats
+		if got.TuplesShuffled != base.TuplesShuffled || got.BytesShuffled != base.BytesShuffled {
+			t.Fatalf("seed %d: shuffled %d tuples (%d bytes), fault-free run %d (%d bytes)",
+				seed, got.TuplesShuffled, got.BytesShuffled, base.TuplesShuffled, base.BytesShuffled)
+		}
+		if got.TaskRetries == 0 {
+			t.Fatalf("seed %d: no task retries", seed)
 		}
 	}
 }

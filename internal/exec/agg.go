@@ -32,64 +32,13 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	}
 
 	// Phase 2: move partial states to their destination partition. When the
-	// input is already partitioned on (a subset of) the group keys — or
-	// there are no group keys and everything should meet on partition 0 —
-	// the move is local.
+	// input already sits on one partition, or is partitioned on (a subset of)
+	// the group keys, every group is complete where it is and nothing moves.
 	stopShuffle := ctx.Timings.Track("aggregate-shuffle")
-	p := ctx.Cluster.Partitions()
-	dest := func(h uint64) int { return int(h % uint64(p)) }
-	skipShuffle := in.Single || groupingAligned(in.HashKeys, a.GroupBy)
-	if len(a.GroupBy) == 0 {
-		dest = func(uint64) int { return 0 }
-		skipShuffle = false
-		if in.Single {
-			skipShuffle = true
-		}
-	}
-
-	merged := make([]map[uint64][]*aggGroup, p)
-	for i := range merged {
-		merged[i] = map[uint64][]*aggGroup{}
-	}
-	if skipShuffle {
-		for part, groups := range locals {
-			if groups != nil {
-				merged[part] = groups
-			}
-		}
-	} else {
-		// Charge the movement: every group whose destination differs from
-		// its source crosses the network as (key row + partial values).
-		// Hashes iterate in sorted order so partial states merge in the
-		// same sequence every run — floating-point accumulation order, and
-		// therefore the produced values, stay seed-deterministic.
-		for src, groups := range locals {
-			for _, h := range sortedHashes(groups) {
-				gs := groups[h]
-				d := dest(h)
-				for _, g := range gs {
-					if d != src {
-						chargeStateMove(ctx, g)
-					}
-					// Merge into the destination.
-					var tgt *aggGroup
-					for _, cand := range merged[d][h] {
-						if valsEqual(cand.keys, g.keys) {
-							tgt = cand
-							break
-						}
-					}
-					if tgt == nil {
-						merged[d][h] = append(merged[d][h], g)
-						continue
-					}
-					for i := range tgt.states {
-						if err := tgt.states[i].Merge(g.states[i]); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
+	merged := locals
+	if !in.Single && !groupingAligned(in.HashKeys, a.GroupBy) {
+		if merged, err = moveStates(ctx, locals, len(a.GroupBy) == 0); err != nil {
+			return nil, err
 		}
 	}
 	stopShuffle()
@@ -97,7 +46,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	// Phase 3: finalize. Sorted hash order keeps output row order (and so
 	// downstream shuffles and result files) identical across runs.
 	stopFinal := ctx.Timings.Track("aggregate")
-	out := make([][]value.Row, p)
+	out := make([][]value.Row, ctx.Cluster.Partitions())
 	// Finalization is retry-safe: Final is a pure read of the merged states,
 	// so a re-executed (or speculated) attempt produces the same rows.
 	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, _ int) (func() error, error) {
@@ -125,9 +74,13 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 		return nil, err
 	}
 
+	var produced int64
+	for _, pr := range out {
+		produced += int64(len(pr))
+	}
 	// A grouping with no keys over an empty input still yields one row
 	// (SQL: SELECT SUM(x) FROM empty returns a single NULL row).
-	if len(a.GroupBy) == 0 && relEmpty(out) {
+	if len(a.GroupBy) == 0 && produced == 0 {
 		row := make(value.Row, 0, len(a.Aggs))
 		for _, st := range newStates(a.Aggs, !ctx.DisableAggFusion) {
 			v, err := st.Final()
@@ -137,11 +90,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 			row = append(row, v)
 		}
 		out[0] = []value.Row{row}
-	}
-
-	var produced int64
-	for _, pr := range out {
-		produced += int64(len(pr))
+		produced = 1
 	}
 	if err := ctx.Cluster.ChargeTuples(produced); err != nil {
 		return nil, opErr("aggregate", err)
@@ -167,13 +116,72 @@ func sortedHashes(groups map[uint64][]*aggGroup) []uint64 {
 	return hs
 }
 
-func relEmpty(parts [][]value.Row) bool {
-	for _, p := range parts {
-		if len(p) > 0 {
-			return false
+// moveStates is the aggregate's state exchange. Each source's sealed groups
+// are bucketed by destination once, in hash order: the partition of the group
+// hash, or partition 0 when toZero (no group keys). Each destination is then
+// one task of the cluster's exchange runner. Its move counts the groups that
+// change partition and their wire bytes; its install merges the inbound groups
+// with mergeGroupMaps, source ascending and hash ascending, the order that
+// keeps every merged state bit-identical. The merge adopts the first inbound
+// group of each key and merges the rest into it, so it must run exactly once:
+// in the install, never in a move that may be retried or speculated.
+func moveStates(ctx *Context, locals []map[uint64][]*aggGroup, toZero bool) ([]map[uint64][]*aggGroup, error) {
+	p := ctx.Cluster.Partitions()
+	buckets := make([][][]uint64, len(locals)) // [src][dst] group hashes, ascending
+	for src, groups := range locals {
+		buckets[src] = make([][]uint64, p)
+		hs := sortedHashes(groups)
+		if toZero {
+			buckets[src][0] = hs
+			continue
+		}
+		for _, h := range hs {
+			d := int(h % uint64(p))
+			buckets[src][d] = append(buckets[src][d], h)
 		}
 	}
-	return true
+	merged := make([]map[uint64][]*aggGroup, p)
+	err := ctx.Cluster.Exchange("aggregate-shuffle", taskObs(ctx), func(dst int) (func() error, int64, int64, error) {
+		var tuples, wireBytes int64
+		var scratch value.Row
+		most := 0 // the largest inbound bucket: the merged map's size hint
+		for src := range buckets {
+			most = max(most, len(buckets[src][dst]))
+			if src == dst {
+				continue
+			}
+			for _, h := range buckets[src][dst] {
+				for _, g := range locals[src][h] {
+					tuples++
+					wireBytes += g.wireLen(&scratch)
+				}
+			}
+		}
+		return func() error {
+			m := make(map[uint64][]*aggGroup, most)
+			for src := range buckets {
+				if err := mergeGroupMaps(m, locals[src], buckets[src][dst]); err != nil {
+					return err
+				}
+			}
+			merged[dst] = m
+			return nil
+		}, tuples, wireBytes, nil
+	})
+	return merged, err
+}
+
+// wireLen returns the bytes one group costs to move: its key values and each
+// state's partial value, encoded as one row, which it builds in scratch.
+func (g *aggGroup) wireLen(scratch *value.Row) int64 {
+	row := append((*scratch)[:0], g.keys...)
+	for _, st := range g.states {
+		if v, err := st.Final(); err == nil {
+			row = append(row, v)
+		}
+	}
+	*scratch = row
+	return int64(row.EncodedLen())
 }
 
 // groupingAligned reports whether the input partitioning co-locates rows of
@@ -306,12 +314,12 @@ func (pa *partAgg) aggregateRun(run *spill.Run, depth int) (map[uint64][]*aggGro
 	return groups, nil
 }
 
-// mergeGroupMaps folds the child map into dst. Spilled groups are disjoint
-// from the parent table by construction (in-table groups keep stepping in
-// place), but merge defensively anyway, in sorted hash order so any
-// floating-point accumulation stays deterministic.
-func mergeGroupMaps(dst, src map[uint64][]*aggGroup) error {
-	for _, h := range sortedHashes(src) {
+// mergeGroupMaps folds the groups of src under the hashes hs, in that order,
+// into dst: a group whose key dst lacks is adopted, and any other is merged
+// into dst's group. Callers pass hs ascending, so floating-point accumulation
+// stays deterministic.
+func mergeGroupMaps(dst, src map[uint64][]*aggGroup, hs []uint64) error {
+	for _, h := range hs {
 		for _, g := range src[h] {
 			var tgt *aggGroup
 			for _, cand := range dst[h] {
@@ -332,20 +340,4 @@ func mergeGroupMaps(dst, src map[uint64][]*aggGroup) error {
 		}
 	}
 	return nil
-}
-
-// chargeStateMove accounts for a partial aggregate state crossing the
-// network: the group key plus the current partial values, serialized.
-func chargeStateMove(ctx *Context, g *aggGroup) {
-	row := make(value.Row, 0, len(g.keys)+len(g.states))
-	row = append(row, g.keys...)
-	for _, st := range g.states {
-		if v, err := st.Final(); err == nil {
-			row = append(row, v)
-		}
-	}
-	n := int64(row.EncodedLen())
-	ctx.Cluster.Stats().TuplesShuffled.Add(1)
-	ctx.Cluster.Stats().BytesShuffled.Add(n)
-	ctx.Cluster.NetworkWait(n)
 }

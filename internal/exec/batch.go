@@ -860,7 +860,7 @@ func (b *aggBuilder) finish() (map[uint64][]*aggGroup, error) {
 			removeRunSlice(runs)
 			return nil, err
 		}
-		if err := mergeGroupMaps(b.groups, child); err != nil {
+		if err := mergeGroupMaps(b.groups, child, sortedHashes(child)); err != nil {
 			removeRunSlice(runs)
 			return nil, err
 		}

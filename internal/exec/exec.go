@@ -299,7 +299,7 @@ func runSort(ctx *Context, s *plan.Sort) (*Relation, error) {
 		return nil, err
 	}
 	defer ctx.Timings.Track("sort")()
-	rows := ctx.Cluster.Gather(in.Parts)
+	rows := in.Rows()
 	// The sort is one retryable task: the external path reads the gathered
 	// rows without reordering them and writes fresh runs per attempt, the
 	// in-memory path sorts in place (idempotent — re-sorting sorted rows).
@@ -375,7 +375,7 @@ func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
 	// The input's stage cuts every partition at l.N rows: production stops
 	// there via the selection vector, so the discarded tail of a window is
 	// neither materialized nor charged, and a scan stops reading. LIMIT k can
-	// never surface more than the first k rows of any partition, and Gather
+	// never surface more than the first k rows of any partition, and Rows
 	// concatenates partitions in order, so the first k of the cut gather equal
 	// the first k of the uncut one.
 	in, _, err := runStage(ctx, l.Input, &stage{limit: l.N})
@@ -383,7 +383,7 @@ func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
 		return nil, err
 	}
 	defer ctx.Timings.Track("limit")()
-	rows := ctx.Cluster.Gather(in.Parts)
+	rows := in.Rows()
 	if len(rows) > l.N {
 		rows = rows[:l.N]
 	}

@@ -6,16 +6,16 @@ import (
 	"relalg/internal/linalg"
 )
 
-// This file defines the columnar batch representation the vectorized executor
-// passes between operators: a window of 1-4K rows stored as per-column typed
-// arrays plus a selection vector of live lanes. A column is "typed" when every
+// This file defines the column the executor's windows are made of: one
+// column of a window of rows stored as a typed array, with the live lanes
+// named by a separate selection vector. A column is "typed" when every
 // value in the window has the same kind — the common case for relational data
 // — and falls back to a generic []Value otherwise (mixed kinds or NULLs), so
 // vectorized fast paths never have to reason about per-lane kind dispatch:
 // they either run over a homogeneous array or the evaluator degrades to
 // element-at-a-time evaluation with exactly scalar Expr.Eval's semantics.
 
-// Col is one column of a batch: either a homogeneous typed array (Generic
+// Col is one column of a window: either a homogeneous typed array (Generic
 // false; Kind names the storage) or a generic value array (Generic true).
 // The typed arrays alias the vectors/matrices of the rows they were gathered
 // from — like Row.Clone, a gathered column shares cell backing storage, so a
@@ -326,43 +326,6 @@ func (c *Col) SizeBytesAt(i int) int {
 	return 1 // NULL
 }
 
-// AppendFrom appends lane i of src to the column, degrading to generic
-// storage on a kind mismatch. It is how join key stores accumulate key
-// columns across batches.
-func (c *Col) AppendFrom(src *Col, i int) {
-	v := src.Value(i)
-	if c.Generic {
-		c.Any = append(c.Any, v)
-		return
-	}
-	if c.Len() == 0 {
-		c.Kind = v.Kind
-	}
-	if v.Kind != c.Kind || v.Kind == KindNull {
-		c.degrade()
-		c.Any = append(c.Any, v)
-		return
-	}
-	switch c.Kind {
-	case KindBool:
-		c.B = append(c.B, v.B)
-	case KindInt:
-		c.I = append(c.I, v.I)
-	case KindDouble:
-		c.F = append(c.F, v.D)
-	case KindLabeledScalar:
-		c.F = append(c.F, v.D)
-		c.Label = append(c.Label, v.Label)
-	case KindString:
-		c.S = append(c.S, v.S)
-	case KindVector:
-		c.Vec = append(c.Vec, v.Vec)
-		c.Label = append(c.Label, v.Label)
-	case KindMatrix:
-		c.Mat = append(c.Mat, v.Mat)
-	}
-}
-
 // degrade converts typed storage to generic in place.
 func (c *Col) degrade() {
 	n := c.Len()
@@ -485,95 +448,4 @@ func CombineKeyHashes(dst, colHashes []uint64, sel []int32) {
 			dst[i] = foldKeyHash(dst[i], colHashes[i])
 		}
 	}
-}
-
-// Batch is a window of rows in columnar form: per-column typed arrays plus a
-// selection vector of live lanes. Sel nil means all N lanes are live; a
-// non-nil Sel lists live lane indexes in ascending order.
-type Batch struct {
-	Cols []Col
-	N    int
-	Sel  []int32
-}
-
-// BatchFromRows gathers every column of rows into a fresh batch with all
-// lanes live.
-func BatchFromRows(rows []Row) *Batch {
-	width := 0
-	if len(rows) > 0 {
-		width = len(rows[0])
-	}
-	b := &Batch{Cols: make([]Col, width), N: len(rows)}
-	for i := range b.Cols {
-		b.Cols[i].Gather(rows, 0, len(rows), i)
-	}
-	return b
-}
-
-// Live returns the number of live lanes.
-func (b *Batch) Live() int {
-	if b.Sel == nil {
-		return b.N
-	}
-	return len(b.Sel)
-}
-
-// AppendRows materializes the live lanes as rows appended to dst. Cells
-// share vector/matrix storage with the batch, mirroring Row.Clone semantics.
-func (b *Batch) AppendRows(dst []Row) []Row {
-	emit := func(i int) {
-		r := make(Row, len(b.Cols))
-		for j := range b.Cols {
-			r[j] = b.Cols[j].Value(i)
-		}
-		dst = append(dst, r)
-	}
-	if b.Sel == nil {
-		for i := 0; i < b.N; i++ {
-			emit(i)
-		}
-	} else {
-		for _, i := range b.Sel {
-			emit(int(i))
-		}
-	}
-	return dst
-}
-
-// DeepClone returns a batch sharing no backing storage with the original:
-// every live lane's vectors and matrices are cloned (dead lanes are dropped
-// by compacting the batch first). It is the batch analogue of Row.DeepClone
-// — the required sanitizer when a batch crosses a partition or channel
-// boundary outside the row codec.
-func (b *Batch) DeepClone() *Batch {
-	out := &Batch{Cols: make([]Col, len(b.Cols)), N: b.Live()}
-	for j := range b.Cols {
-		src := &b.Cols[j]
-		dst := &out.Cols[j]
-		clone := func(i int) {
-			dst.AppendFrom(src, i)
-			// AppendFrom shares cells; deep-copy the lane just appended.
-			n := dst.Len() - 1
-			if dst.Generic {
-				dst.Any[n] = dst.Any[n].DeepClone()
-				return
-			}
-			switch dst.Kind {
-			case KindVector:
-				dst.Vec[n] = dst.Vec[n].Clone()
-			case KindMatrix:
-				dst.Mat[n] = dst.Mat[n].Clone()
-			}
-		}
-		if b.Sel == nil {
-			for i := 0; i < b.N; i++ {
-				clone(i)
-			}
-		} else {
-			for _, i := range b.Sel {
-				clone(int(i))
-			}
-		}
-	}
-	return out
 }

@@ -16,18 +16,24 @@ func batchTestRows() []Row {
 	}
 }
 
+// gatherCols gathers every column of rows.
+func gatherCols(rows []Row) []Col {
+	cols := make([]Col, len(rows[0]))
+	for j := range cols {
+		cols[j].Gather(rows, 0, len(rows), j)
+	}
+	return cols
+}
+
 func TestColGatherValueRoundTrip(t *testing.T) {
 	rows := batchTestRows()
-	b := BatchFromRows(rows)
-	if b.N != len(rows) || len(b.Cols) != 4 {
-		t.Fatalf("batch shape N=%d cols=%d", b.N, len(b.Cols))
-	}
-	for j := range b.Cols {
-		if b.Cols[j].Generic {
-			t.Fatalf("col %d unexpectedly generic", j)
+	cols := gatherCols(rows)
+	for j := range cols {
+		if cols[j].Len() != len(rows) || cols[j].Generic {
+			t.Fatalf("col %d: %d lanes, generic %v", j, cols[j].Len(), cols[j].Generic)
 		}
 		for i := range rows {
-			got, want := b.Cols[j].Value(i), rows[i][j]
+			got, want := cols[j].Value(i), rows[i][j]
 			gb := EncodeRows([]Row{{got}})
 			wb := EncodeRows([]Row{{want}})
 			if string(gb) != string(wb) {
@@ -106,14 +112,14 @@ func TestCombineKeyHashesMatchesHashRowKey(t *testing.T) {
 		{batchTestRows(), []int{0, 2, 3}},
 		{doubles, []int{0, 1}}, // a DOUBLE pair key over NaN, ±Inf and -0 lanes
 	} {
-		b := BatchFromRows(tc.rows)
-		combined := make([]uint64, b.N)
+		cols := gatherCols(tc.rows)
+		combined := make([]uint64, len(tc.rows))
 		for i := range combined {
 			combined[i] = KeyHashInit
 		}
-		scratch := make([]uint64, b.N)
+		scratch := make([]uint64, len(tc.rows))
 		for _, kc := range tc.keyCols {
-			b.Cols[kc].HashesInto(scratch, nil)
+			cols[kc].HashesInto(scratch, nil)
 			CombineKeyHashes(combined, scratch, nil)
 		}
 		for i, r := range tc.rows {
@@ -124,62 +130,12 @@ func TestCombineKeyHashesMatchesHashRowKey(t *testing.T) {
 	}
 }
 
-func TestBatchAppendRowsHonorsSelection(t *testing.T) {
+func TestColSizeBytesAt(t *testing.T) {
 	rows := batchTestRows()
-	b := BatchFromRows(rows)
-	b.Sel = []int32{1, 3}
-	out := b.AppendRows(nil)
-	if len(out) != 2 {
-		t.Fatalf("got %d rows", len(out))
-	}
-	for k, i := range []int{1, 3} {
-		gb := EncodeRows([]Row{out[k]})
-		wb := EncodeRows([]Row{rows[i]})
-		if string(gb) != string(wb) {
-			t.Fatalf("selected row %d mismatch", i)
-		}
-	}
-}
-
-func TestBatchDeepCloneSeversAliasing(t *testing.T) {
-	v := &linalg.Vector{Data: []float64{1, 2, 3}}
-	rows := []Row{
-		{Vector(v), Int(1)},
-		{Vector(v), Int(2)},
-	}
-	b := BatchFromRows(rows)
-	b.Sel = []int32{1}
-	clone := b.DeepClone()
-	if clone.N != 1 || clone.Sel != nil {
-		t.Fatalf("clone must be compacted: N=%d sel=%v", clone.N, clone.Sel)
-	}
-	clone.Cols[0].Vec[0].Data[0] = 99
-	if v.Data[0] != 1 {
-		t.Fatal("DeepClone shares vector backing storage")
-	}
-	if got := clone.Cols[1].I[0]; got != 2 {
-		t.Fatalf("clone kept wrong lane: %d", got)
-	}
-}
-
-func TestColAppendFromAndSizeBytes(t *testing.T) {
-	rows := batchTestRows()
-	b := BatchFromRows(rows)
-	var key Col
-	for i := 0; i < b.N; i++ {
-		key.AppendFrom(&b.Cols[2], i)
-	}
-	if key.Generic || key.Kind != KindString {
-		t.Fatal("uniform string appends must stay typed")
-	}
-	// Mismatched kind degrades.
-	key.AppendFrom(&b.Cols[0], 0)
-	if !key.Generic || key.Len() != b.N+1 {
-		t.Fatal("mixed append must degrade to generic")
-	}
-	for j := range b.Cols {
-		for i := 0; i < b.N; i++ {
-			if got, want := b.Cols[j].SizeBytesAt(i), rows[i][j].SizeBytes(); got != want {
+	cols := gatherCols(rows)
+	for j := range cols {
+		for i := range rows {
+			if got, want := cols[j].SizeBytesAt(i), rows[i][j].SizeBytes(); got != want {
 				t.Fatalf("col %d lane %d: size %d want %d", j, i, got, want)
 			}
 		}
