@@ -52,7 +52,7 @@ func runAliascheck(pass *Pass) {
 				r.Reportf(x.Pos(), "row-bearing value sent over a channel without DeepClone or the row codec; the receiver aliases the sender's cell arrays")
 			case *ast.AssignStmt:
 				info, lit := tm.atLit(stack)
-				if info == nil || info.role == roleNone {
+				if info == nil {
 					return true
 				}
 				scope := ast.Node(lit)

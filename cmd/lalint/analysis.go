@@ -58,7 +58,6 @@ var Analyzers = []*Analyzer{
 	ErrcheckAnalyzer,
 	PanicpolicyAnalyzer,
 	BigcopyAnalyzer,
-	ChargecheckAnalyzer,
 	CommitcheckAnalyzer,
 	SpillkeyAnalyzer,
 	AliascheckAnalyzer,
@@ -89,8 +88,8 @@ func (pass *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Program owns the cross-package state of one lint invocation: the typed
-// loader and the effect facts (which functions transitively charge the tuple
-// budget, peek it, or mutate cluster stats) accumulated over every package
+// loader and the effect facts (which functions transitively peek at the tuple
+// budget or mutate cluster stats) accumulated over every package
 // the loader has type-checked, in dependency order. See facts.go.
 type Program struct {
 	loader *Loader

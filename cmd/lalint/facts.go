@@ -10,10 +10,8 @@ import (
 type effect uint8
 
 const (
-	// effCharges: the function transitively calls Cluster.ChargeTuples.
-	effCharges effect = 1 << iota
 	// effChecksBudget: the function transitively calls Cluster.CheckBudget.
-	effChecksBudget
+	effChecksBudget effect = 1 << iota
 	// effMutatesStats: the function transitively mutates a cluster.Stats
 	// counter (Add/Store/... through a Stats-typed receiver chain).
 	effMutatesStats
@@ -22,8 +20,8 @@ const (
 // Facts is the program-wide effect table: for each function or method object
 // the loader has seen, the effects its body (including nested closures) can
 // reach. Analyzer passes use it to see through helper calls — a compute
-// closure that calls a helper in another package which charges the budget is
-// as wrong as one that charges directly.
+// closure that calls a helper in another package which mutates the stats is
+// as wrong as one that mutates them directly.
 type Facts struct {
 	effects map[types.Object]effect
 }
@@ -33,8 +31,7 @@ func newFacts() *Facts {
 }
 
 // Of returns the recorded effects of a function object (zero for unknown
-// objects, e.g. stdlib functions, which the engine's invariants never route
-// charges through).
+// objects, e.g. stdlib functions, which never reach the cluster).
 func (f *Facts) Of(obj types.Object) effect {
 	if obj == nil {
 		return 0
@@ -106,15 +103,9 @@ func (f *Facts) bodyEffect(p *Pkg, body *ast.BlockStmt) effect {
 		if callee == nil {
 			return true
 		}
-		switch {
-		case isClusterMethod(callee, "ChargeTuples"):
-			// ChargeTuples itself mutates stats, but the charge effect is the
-			// one the checkers care about; keeping the bits separate lets
-			// commitcheck leave charge calls to chargecheck.
-			eff |= effCharges
-		case isClusterMethod(callee, "CheckBudget"):
+		if isClusterMethod(callee, "CheckBudget") {
 			eff |= effChecksBudget
-		default:
+		} else {
 			eff |= f.effects[callee]
 		}
 		return true

@@ -23,7 +23,7 @@ var GocheckAnalyzer = &Analyzer{
 // per connection; everything a session runs goes through those runners).
 var goAllowlist = map[string][]string{
 	"internal/linalg":  {"parallelRanges"},
-	"internal/cluster": {"parallelTasks", "speculateAttempt"},
+	"internal/cluster": {"ParallelTasks", "speculateAttempt"},
 	"internal/serve":   {"Serve"},
 }
 

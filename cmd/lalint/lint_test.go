@@ -27,7 +27,6 @@ var goldenCases = []struct {
 	{"errcheck", "errcheck/bad/pkg", "errcheck/ok/pkg", false},
 	{"panicpolicy", "panicpolicy/bad/internal/opt", "panicpolicy/ok/internal/opt", false},
 	{"bigcopy", "bigcopy/bad/internal/exec", "bigcopy/ok/internal/exec", false},
-	{"chargecheck", "chargecheck/bad/internal/exec", "chargecheck/ok/internal/exec", true},
 	{"commitcheck", "commitcheck/bad/internal/exec", "commitcheck/ok/internal/exec", true},
 	{"spillkey", "spillkey/bad/internal/exec", "spillkey/ok/internal/exec", true},
 	{"aliascheck", "aliascheck/bad/internal/exec", "aliascheck/ok/internal/exec", true},
@@ -117,17 +116,17 @@ func TestSuppressed(t *testing.T) {
 // TestCheckerFlag checks -checker style filtering: only the selected
 // analyzers run.
 func TestCheckerFlag(t *testing.T) {
-	badCharge := "./cmd/lalint/testdata/chargecheck/bad/internal/exec"
-	diags, status := lint(options{checkers: map[string]bool{"gocheck": true}}, []string{badCharge})
+	badCommit := "./cmd/lalint/testdata/commitcheck/bad/internal/exec"
+	diags, status := lint(options{checkers: map[string]bool{"gocheck": true}}, []string{badCommit})
 	if status != 0 || len(diags) != 0 {
-		t.Errorf("filtering to gocheck on a chargecheck fixture: got %d findings, status %d; want clean", len(diags), status)
+		t.Errorf("filtering to gocheck on a commitcheck fixture: got %d findings, status %d; want clean", len(diags), status)
 	}
-	diags, status = lint(options{checkers: map[string]bool{"chargecheck": true}}, []string{badCharge})
+	diags, status = lint(options{checkers: map[string]bool{"commitcheck": true}}, []string{badCommit})
 	if status != 1 || len(diags) == 0 {
-		t.Fatalf("filtering to chargecheck on its bad fixture: got %d findings, status %d; want findings, status 1", len(diags), status)
+		t.Fatalf("filtering to commitcheck on its bad fixture: got %d findings, status %d; want findings, status 1", len(diags), status)
 	}
 	for _, d := range diags {
-		if d.Analyzer != "chargecheck" {
+		if d.Analyzer != "commitcheck" {
 			t.Errorf("filtered run emitted %s finding: %s", d.Analyzer, d)
 		}
 	}

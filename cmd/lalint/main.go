@@ -7,7 +7,7 @@
 //
 //	go run ./cmd/lalint ./...                      # whole module
 //	go run ./cmd/lalint ./internal/...             # one subtree
-//	go run ./cmd/lalint -checker chargecheck ./... # one analyzer
+//	go run ./cmd/lalint -checker commitcheck ./... # one analyzer
 //	go run ./cmd/lalint -json ./...                # machine-readable output
 //
 // Findings print as "file:line: [analyzer] message" (or a JSON array under

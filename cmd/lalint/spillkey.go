@@ -93,7 +93,7 @@ func checkCrossAttemptReuse(p *Pkg, r *Reporter, tm *taskMap, f *ast.File) {
 			return true
 		}
 		info, lit := tm.atLit(stack)
-		if info == nil || info.role == roleNone {
+		if info == nil {
 			return true
 		}
 		// A commit belongs to one specific winning attempt; measuring scope

@@ -18,12 +18,12 @@ func sendAliased(ch chan []value.Row, rows []value.Row) {
 func crossPartitionInstall(c *cluster.Cluster, parts [][]value.Row) ([][]value.Row, error) {
 	p := c.Partitions()
 	out := make([][]value.Row, p)
-	err := c.ParallelTasks("replicate", cluster.TaskObserver{}, func(dst, attempt int) (func() error, error) {
+	err := c.ParallelTasks("replicate", cluster.TaskObserver{}, func(dst, attempt int) (cluster.Commit, error) {
 		rows := parts[dst]
-		return func() error {
+		return cluster.Commit{Install: func() error {
 			out[(dst+1)%p] = rows
 			return nil
-		}, nil
+		}}, nil
 	})
 	return out, err
 }
@@ -33,12 +33,12 @@ func crossPartitionInstall(c *cluster.Cluster, parts [][]value.Row) ([][]value.R
 func crossPartitionCols(c *cluster.Cluster, parts [][]value.Col) ([][]value.Col, error) {
 	p := c.Partitions()
 	out := make([][]value.Col, p)
-	err := c.ParallelTasks("scatter", cluster.TaskObserver{}, func(dst, attempt int) (func() error, error) {
+	err := c.ParallelTasks("scatter", cluster.TaskObserver{}, func(dst, attempt int) (cluster.Commit, error) {
 		cols := parts[dst]
-		return func() error {
+		return cluster.Commit{Install: func() error {
 			out[(dst+1)%p] = cols
 			return nil
-		}, nil
+		}}, nil
 	})
 	return out, err
 }

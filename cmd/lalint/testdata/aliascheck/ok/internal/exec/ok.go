@@ -29,12 +29,12 @@ func sendDecoded(ch chan []value.Row, rows []value.Row) error {
 // rows never leave their partition, so no copy is needed.
 func ownSlotInstall(c *cluster.Cluster, parts [][]value.Row) ([][]value.Row, error) {
 	out := make([][]value.Row, c.Partitions())
-	err := c.ParallelTasks("install", cluster.TaskObserver{}, func(dst, attempt int) (func() error, error) {
+	err := c.ParallelTasks("install", cluster.TaskObserver{}, func(dst, attempt int) (cluster.Commit, error) {
 		rows := parts[dst]
-		return func() error {
+		return cluster.Commit{Install: func() error {
 			out[dst] = rows
 			return nil
-		}, nil
+		}}, nil
 	})
 	return out, err
 }
@@ -44,15 +44,15 @@ func ownSlotInstall(c *cluster.Cluster, parts [][]value.Row) ([][]value.Row, err
 func replicateDecoded(c *cluster.Cluster, parts [][]value.Row) ([][]value.Row, error) {
 	p := c.Partitions()
 	out := make([][]value.Row, p)
-	err := c.ParallelTasks("mirror", cluster.TaskObserver{}, func(dst, attempt int) (func() error, error) {
+	err := c.ParallelTasks("mirror", cluster.TaskObserver{}, func(dst, attempt int) (cluster.Commit, error) {
 		decoded, err := value.DecodeRows(value.EncodeRows(parts[dst]))
 		if err != nil {
-			return nil, err
+			return cluster.Commit{}, err
 		}
-		return func() error {
+		return cluster.Commit{Install: func() error {
 			out[(dst+1)%p] = decoded
 			return nil
-		}, nil
+		}}, nil
 	})
 	return out, err
 }

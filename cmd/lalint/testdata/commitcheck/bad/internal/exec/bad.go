@@ -1,15 +1,15 @@
-// Deliberately broken fixtures: speculable computes mutating state that
-// outlives the attempt.
+// Deliberately broken fixtures: task computes mutating state that outlives
+// the attempt, and an Install closure peeking at the budget.
 package exec
 
 import "relalg/internal/cluster"
 
-// statsInCompute bumps a shared counter from a speculable compute; a
-// speculated duplicate attempt double-counts.
+// statsInCompute bumps a shared counter from a compute; a speculated
+// duplicate attempt double-counts.
 func statsInCompute(c *cluster.Cluster, ns []int64) error {
-	return c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (func() error, error) {
+	return c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
 		c.Stats().TuplesShuffled.Add(ns[part])
-		return func() error { return nil }, nil
+		return cluster.Commit{}, nil
 	})
 }
 
@@ -21,9 +21,9 @@ func bumpSpills(c *cluster.Cluster) {
 // helperInCompute mutates stats through a same-package helper; the effect
 // facts must see through the call.
 func helperInCompute(c *cluster.Cluster) error {
-	return c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (func() error, error) {
+	return c.RunTask("op", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
 		bumpSpills(c)
-		return func() error { return nil }, nil
+		return cluster.Commit{}, nil
 	})
 }
 
@@ -32,10 +32,10 @@ func helperInCompute(c *cluster.Cluster) error {
 func capturedWrites(c *cluster.Cluster, ns []int64) (int64, error) {
 	out := make([]int64, c.Partitions())
 	var total int64
-	err := c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (func() error, error) {
+	err := c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
 		out[part] = ns[part]
 		total += ns[part]
-		return func() error { return nil }, nil
+		return cluster.Commit{}, nil
 	})
 	if err != nil {
 		return 0, err
@@ -43,15 +43,29 @@ func capturedWrites(c *cluster.Cluster, ns []int64) (int64, error) {
 	return total + out[0], nil
 }
 
-// mergeInMove merges into a captured map from an exchange move: a retried or
-// speculated move merges twice.
+// mergeInMove merges into a captured map from an exchange compute: a retried
+// or speculated attempt merges twice.
 func mergeInMove(c *cluster.Cluster, in []map[int]int64) (map[int]int64, error) {
 	merged := map[int]int64{}
-	err := c.Exchange("op", cluster.TaskObserver{}, func(dst int) (func() error, int64, int64, error) {
+	err := c.Exchange("op", cluster.TaskObserver{}, func(dst, attempt int) (cluster.Commit, error) {
 		for k, v := range in[dst] {
 			merged[k] += v
 		}
-		return func() error { return nil }, int64(len(in[dst])), 0, nil
+		return cluster.Commit{Shuffled: int64(len(in[dst]))}, nil
 	})
 	return merged, err
+}
+
+// budgetInInstall peeks at the budget from the Install closure, after the
+// rows it would admit already exist.
+func budgetInInstall(c *cluster.Cluster, ns []int64) ([]int64, error) {
+	out := make([]int64, c.Partitions())
+	err := c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
+		n := ns[part]
+		return cluster.Commit{Produced: n, Install: func() error {
+			out[part] = n
+			return c.CheckBudget(n)
+		}}, nil
+	})
+	return out, err
 }

@@ -1,47 +1,52 @@
-// Clean fixtures: computes build private results; commits install them and
-// touch the stats; retry-only runners use the per-partition-slot idiom.
+// Clean fixtures: computes build private results and return their counts;
+// Install closures install them.
 package exec
 
 import "relalg/internal/cluster"
 
 // commitInstalls is the sanctioned shape: the compute reads its immutable
-// inputs and builds a local result, the commit (which runs exactly once)
-// installs it and updates the counters.
+// inputs, builds a local result and returns its count; the Install closure
+// (which runs exactly once) installs it.
 func commitInstalls(c *cluster.Cluster, ns []int64) ([]int64, error) {
 	out := make([]int64, c.Partitions())
-	err := c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (func() error, error) {
+	err := c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
 		local := ns[part] * 2
-		return func() error {
+		return cluster.Commit{Produced: local, Install: func() error {
 			out[part] = local
-			c.Stats().TuplesShuffled.Add(local)
 			return nil
-		}, nil
+		}}, nil
 	})
 	return out, err
 }
 
-// idempotentSlotWrite is the retry-only runner idiom: Parallel closures are
-// documented idempotent, and a per-partition slot write is idempotent.
-func idempotentSlotWrite(c *cluster.Cluster, ns []int64) ([]int64, error) {
-	out := make([]int64, c.Partitions())
-	err := c.Parallel(func(part int) error {
-		out[part] = ns[part]
-		return nil
+// budgetInCompute peeks at the budget from the compute, before producing,
+// and installs through a named closure.
+func budgetInCompute(c *cluster.Cluster, n int64) (int64, error) {
+	var got int64
+	err := c.RunTask("op", cluster.TaskObserver{}, func(_, attempt int) (cluster.Commit, error) {
+		if err := c.CheckBudget(n); err != nil {
+			return cluster.Commit{}, err
+		}
+		install := func() error {
+			got = n
+			return nil
+		}
+		return cluster.Commit{Produced: n, Install: install}, nil
 	})
-	return out, err
+	return got, err
 }
 
-// mergeInInstall counts in the exchange move and merges in its install, which
-// runs once, for the winning attempt.
+// mergeInInstall counts in the exchange compute and merges in its Install
+// closure, which runs once, for the winning attempt.
 func mergeInInstall(c *cluster.Cluster, in []map[int]int64) (map[int]int64, error) {
 	merged := map[int]int64{}
-	err := c.Exchange("op", cluster.TaskObserver{}, func(dst int) (func() error, int64, int64, error) {
-		return func() error {
+	err := c.Exchange("op", cluster.TaskObserver{}, func(dst, attempt int) (cluster.Commit, error) {
+		return cluster.Commit{Shuffled: int64(len(in[dst])), Install: func() error {
 			for k, v := range in[dst] {
 				merged[k] += v
 			}
 			return nil
-		}, int64(len(in[dst])), 0, nil
+		}}, nil
 	})
 	return merged, err
 }

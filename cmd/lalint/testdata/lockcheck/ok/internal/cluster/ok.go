@@ -22,11 +22,11 @@ func ByValueSuppressed(g guarded) int {
 	return g.n
 }
 
-// parallelTasks passes the loop variable as an argument and guards the
+// ParallelTasks passes the loop variable as an argument and guards the
 // shared accumulator with the mutex (the clean fix, no directive needed). It
 // carries the sanctioned runner entry point's name: in a cluster-path
 // package, goroutine creation is confined to the runner (see gocheck).
-func parallelTasks(items []int) int {
+func ParallelTasks(items []int) int {
 	var g guarded
 	var wg sync.WaitGroup
 	for i := range items {

@@ -86,13 +86,13 @@ func crossAttempt(c *cluster.Cluster, m *spill.Manager, rows []value.Row) error 
 	if err != nil {
 		return err
 	}
-	err = c.ParallelTasks("spill", cluster.TaskObserver{}, func(part, attempt int) (func() error, error) {
+	err = c.ParallelTasks("spill", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
 		for _, r := range rows {
 			if err := w.Append(r); err != nil {
-				return nil, err
+				return cluster.Commit{}, err
 			}
 		}
-		return func() error { return nil }, nil
+		return cluster.Commit{}, nil
 	})
 	if err != nil {
 		_ = w.Abort()

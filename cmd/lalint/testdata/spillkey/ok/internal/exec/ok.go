@@ -12,25 +12,25 @@ import (
 // and finishes or aborts it on every path.
 func attemptKeyed(c *cluster.Cluster, m *spill.Manager, rows []value.Row) ([]*spill.Run, error) {
 	runs := make([]*spill.Run, c.Partitions())
-	err := c.ParallelTasks("spill", cluster.TaskObserver{}, func(part, attempt int) (func() error, error) {
+	err := c.ParallelTasks("spill", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
 		w, err := m.NewWriterAt("run", attempt)
 		if err != nil {
-			return nil, err
+			return cluster.Commit{}, err
 		}
 		for _, r := range rows {
 			if err := w.Append(r); err != nil {
 				_ = w.Abort()
-				return nil, err
+				return cluster.Commit{}, err
 			}
 		}
 		run, err := w.Finish()
 		if err != nil {
-			return nil, err
+			return cluster.Commit{}, err
 		}
-		return func() error {
+		return cluster.Commit{Install: func() error {
 			runs[part] = run
 			return nil
-		}, nil
+		}}, nil
 	})
 	return runs, err
 }

@@ -6,11 +6,13 @@ package baselines_test
 import (
 	"math"
 	"testing"
+	"time"
 
 	"relalg/internal/baselines/scidb"
 	"relalg/internal/baselines/sparkml"
 	"relalg/internal/baselines/systemml"
 	"relalg/internal/cluster"
+	"relalg/internal/fault"
 	"relalg/internal/linalg"
 	"relalg/internal/workload"
 )
@@ -35,14 +37,15 @@ func platforms() []platform {
 	}
 }
 
-// smallPlatforms forces the distributed paths even on tiny data.
-func smallPlatforms() []platform {
-	sm := systemml.New(newCluster())
+// smallPlatforms forces the distributed paths even on tiny data, all three
+// on cl.
+func smallPlatforms(cl *cluster.Cluster) []platform {
+	sm := systemml.New(cl)
 	sm.BlockSize = 8
 	sm.LocalThreshold = 1 // never local
-	sc := scidb.New(newCluster())
+	sc := scidb.New(cl)
 	sc.ChunkSize = 8
-	sp := sparkml.New(newCluster())
+	sp := sparkml.New(cl)
 	sp.BlockSize = 8
 	return []platform{sm, sc, sp}
 }
@@ -93,7 +96,7 @@ func refDistance(t *testing.T, data [][]float64, metric *linalg.Matrix) (int, fl
 func TestGramAgreesAcrossPlatforms(t *testing.T) {
 	data := workload.DenseVectors(42, 60, 7)
 	want := refGram(t, data)
-	for _, pl := range append(platforms(), smallPlatforms()...) {
+	for _, pl := range append(platforms(), smallPlatforms(newCluster())...) {
 		got, err := pl.Gram(data)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
@@ -113,7 +116,7 @@ func TestRegressionRecoversBeta(t *testing.T) {
 		y[i] = r[1].D
 	}
 	want := linalg.VectorOf(beta...)
-	for _, pl := range append(platforms(), smallPlatforms()...) {
+	for _, pl := range append(platforms(), smallPlatforms(newCluster())...) {
 		got, err := pl.Regression(data, y)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
@@ -128,7 +131,7 @@ func TestDistanceAgreesAcrossPlatforms(t *testing.T) {
 	data := workload.DenseVectors(5, 30, 4)
 	metric := workload.MetricMatrix(6, 4)
 	wantIdx, wantVal := refDistance(t, data, metric)
-	for _, pl := range append(platforms(), smallPlatforms()...) {
+	for _, pl := range append(platforms(), smallPlatforms(newCluster())...) {
 		idx, val, err := pl.Distance(data, metric)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
@@ -248,5 +251,67 @@ func TestSparkMultiBlockDistance(t *testing.T) {
 	wantIdx, wantVal := refDistance(t, data, metric)
 	if idx != wantIdx || math.Abs(val-wantVal) > 1e-9 {
 		t.Fatalf("multi-block distance (%d, %g), want (%d, %g)", idx, val, wantIdx, wantVal)
+	}
+}
+
+// TestBaselinesUnderTransientFaults: every baseline task is a speculable
+// compute that installs its partial at commit, so under crash, shuffle and
+// straggler faults with speculation the distributed paths return results
+// bit-identical to the fault-free run.
+func TestBaselinesUnderTransientFaults(t *testing.T) {
+	data := workload.DenseVectors(31, 40, 5)
+	yRows := workload.RegressionTargets(32, data, workload.Beta(33, 5), 0.1)
+	y := make([]float64, len(yRows))
+	for i, r := range yRows {
+		y[i] = r[1].D
+	}
+	metric := workload.MetricMatrix(34, 5)
+	// bits runs the three computations and returns every output float's bits.
+	bits := func(pl platform) []uint64 {
+		g, err := pl.Gram(data)
+		if err != nil {
+			t.Fatalf("%s gram: %v", pl.Name(), err)
+		}
+		beta, err := pl.Regression(data, y)
+		if err != nil {
+			t.Fatalf("%s regression: %v", pl.Name(), err)
+		}
+		idx, val, err := pl.Distance(data, metric)
+		if err != nil {
+			t.Fatalf("%s distance: %v", pl.Name(), err)
+		}
+		var out []uint64
+		for _, v := range append(append(g.Data, beta.Data...), float64(idx), val) {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	var want [][]uint64
+	for _, pl := range smallPlatforms(newCluster()) {
+		want = append(want, bits(pl))
+	}
+	var retries, launches int64
+	for seed := uint64(1); seed <= 3; seed++ {
+		cl := cluster.New(cluster.Config{Nodes: 2, PartitionsPerNode: 2, SerializeShuffles: true,
+			Faults: fault.Config{Seed: seed, MaxAttempts: 3, RetryBackoff: time.Microsecond,
+				CrashProb: 0.3, ShuffleProb: 0.3, StragglerProb: 0.3,
+				StragglerDelay: 200 * time.Microsecond, Speculate: true}})
+		for i, pl := range smallPlatforms(cl) {
+			got := bits(pl)
+			if len(got) != len(want[i]) {
+				t.Fatalf("seed %d %s: %d outputs, want %d", seed, pl.Name(), len(got), len(want[i]))
+			}
+			for j := range got {
+				if got[j] != want[i][j] {
+					t.Fatalf("seed %d %s: output %d differs from the fault-free run", seed, pl.Name(), j)
+				}
+			}
+		}
+		s := cl.Stats().Snapshot()
+		retries += s.TaskRetries
+		launches += s.SpeculativeLaunches
+	}
+	if retries == 0 || launches == 0 {
+		t.Fatalf("faults did not exercise the runner: %d retries, %d speculative launches", retries, launches)
 	}
 }

@@ -59,16 +59,18 @@ func (e *Engine) Gram(data [][]float64) (*linalg.Matrix, error) {
 	}
 	d := len(data[0])
 	partials := make([]*linalg.Matrix, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("scidb gram", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		acc := linalg.NewMatrix(d, d)
 		for _, r := range parts[p] {
 			c := r[1].Mat
 			if err := c.Transpose().MulMatAddInto(acc, c); err != nil {
-				return err
+				return cluster.Commit{}, err
 			}
 		}
-		partials[p] = acc
-		return nil
+		return cluster.Commit{Install: func() error {
+			partials[p] = acc
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -89,14 +91,14 @@ func (e *Engine) Regression(data [][]float64, y []float64) (*linalg.Vector, erro
 	gparts := make([]*linalg.Matrix, e.cl.Partitions())
 	vparts := make([]*linalg.Vector, e.cl.Partitions())
 	cs := e.ChunkSize
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("scidb regression", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		gacc := linalg.NewMatrix(d, d)
 		vacc := linalg.NewVector(d)
 		for _, r := range parts[p] {
 			c := r[1].Mat
 			ct := c.Transpose()
 			if err := ct.MulMatAddInto(gacc, c); err != nil {
-				return err
+				return cluster.Commit{}, err
 			}
 			base := int(r[0].I) * cs
 			for i := 0; i < c.Rows; i++ {
@@ -107,9 +109,10 @@ func (e *Engine) Regression(data [][]float64, y []float64) (*linalg.Vector, erro
 				}
 			}
 		}
-		gparts[p] = gacc
-		vparts[p] = vacc
-		return nil
+		return cluster.Commit{Install: func() error {
+			gparts[p], vparts[p] = gacc, vacc
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -152,17 +155,19 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 	}
 	// mxt chunks: for each data chunk c, (m · c^T) is d×|c|; broadcast them.
 	mxtLocal := make([][]value.Row, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("scidb mxt", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		var rows []value.Row
 		for _, r := range parts[p] {
 			prod, err := metric.MulMat(r[1].Mat.Transpose())
 			if err != nil {
-				return err
+				return cluster.Commit{}, err
 			}
 			rows = append(rows, value.Row{r[0], value.Matrix(prod)})
 		}
-		mxtLocal[p] = rows
-		return nil
+		return cluster.Commit{Install: func() error {
+			mxtLocal[p] = rows
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return 0, 0, err
@@ -177,7 +182,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 		val float64
 	}
 	bests := make([]best, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("scidb distance", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		b := best{idx: -1, val: math.Inf(-1)}
 		for _, r := range parts[p] {
 			xc := r[1].Mat
@@ -189,7 +194,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 			for _, mr := range mxt[p] {
 				block, err := xc.MulMat(mr[1].Mat) // |c| × |c'| distances
 				if err != nil {
-					return err
+					return cluster.Commit{}, err
 				}
 				colBase := int(mr[0].I) * cs
 				for i := 0; i < block.Rows; i++ {
@@ -210,8 +215,10 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 				}
 			}
 		}
-		bests[p] = b
-		return nil
+		return cluster.Commit{Install: func() error {
+			bests[p] = b
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return 0, 0, err

@@ -67,7 +67,7 @@ func (e *Engine) Gram(data [][]float64) (*linalg.Matrix, error) {
 	d := len(data[0])
 	parts := e.rdd(data)
 	partials := make([][]float64, e.cl.Partitions())
-	err := e.cl.Parallel(func(p int) error {
+	err := e.cl.ParallelTasks("spark gram", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		var acc []float64
 		for _, r := range parts[p] {
 			x := r[1].Vec.Data
@@ -87,8 +87,10 @@ func (e *Engine) Gram(data [][]float64) (*linalg.Matrix, error) {
 				acc = zippedAdd(acc, outer)
 			}
 		}
-		partials[p] = acc
-		return nil
+		return cluster.Commit{Install: func() error {
+			partials[p] = acc
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -144,7 +146,7 @@ func (e *Engine) Regression(data [][]float64, y []float64) (*linalg.Vector, erro
 	}
 	parts := e.rdd(data)
 	partials := make([][]float64, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("spark xty", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		var acc []float64
 		for _, r := range parts[p] {
 			i := int(r[0].I)
@@ -159,8 +161,10 @@ func (e *Engine) Regression(data [][]float64, y []float64) (*linalg.Vector, erro
 				acc = zippedAdd(acc, xy)
 			}
 		}
-		partials[p] = acc
-		return nil
+		return cluster.Commit{Install: func() error {
+			partials[p] = acc
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -207,17 +211,19 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 
 	// Step 1: XM blocks (local: metric is a single block here).
 	xm := make([][]value.Row, e.cl.Partitions())
-	err := e.cl.Parallel(func(p int) error {
+	err := e.cl.ParallelTasks("spark xm", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		var rows []value.Row
 		for _, r := range parts[p] {
 			prod, err := r[1].Mat.MulMat(metric)
 			if err != nil {
-				return err
+				return cluster.Commit{}, err
 			}
 			rows = append(rows, value.Row{r[0], value.Matrix(prod)})
 		}
-		xm[p] = rows
-		return nil
+		return cluster.Commit{Install: func() error {
+			xm[p] = rows
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return 0, 0, err
@@ -237,7 +243,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 		val float64
 	}
 	bests := make([]best, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("spark distance", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		b := best{idx: -1, val: math.Inf(-1)}
 		for _, r := range xm[p] {
 			rowBase := int(r[0].I) * bs
@@ -247,10 +253,10 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 			for _, xr := range xt[p] {
 				prod, err := r[1].Mat.MulMat(xr[1].Mat.Transpose())
 				if err != nil {
-					return err
+					return cluster.Commit{}, err
 				}
 				if err := blockRow.SetSubMatrix(0, int(xr[0].I)*bs, prod); err != nil {
-					return err
+					return cluster.Commit{}, err
 				}
 			}
 			for i := 0; i < h; i++ {
@@ -269,8 +275,10 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 				}
 			}
 		}
-		bests[p] = b
-		return nil
+		return cluster.Commit{Install: func() error {
+			bests[p] = b
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return 0, 0, err

@@ -88,20 +88,27 @@ func (e *Engine) Gram(data [][]float64) (*linalg.Matrix, error) {
 		return nil, err
 	}
 	partials := make([]*linalg.Matrix, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("systemml gram", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		acc := linalg.NewMatrix(d, d)
+		// Row blocks in order of first arrival, so every run (and every
+		// attempt) sums the tiles in the same order.
+		var order []int64
 		byRow := map[int64][]value.Row{}
 		for _, r := range shuffled[p] {
+			if _, ok := byRow[r[0].I]; !ok {
+				order = append(order, r[0].I)
+			}
 			byRow[r[0].I] = append(byRow[r[0].I], r)
 		}
 		bs := e.BlockSize
-		for _, blocks := range byRow {
+		for _, bi := range order {
+			blocks := byRow[bi]
 			for _, a := range blocks {
 				at := a[2].Mat.Transpose()
 				for _, b := range blocks {
 					prod, err := at.MulMat(b[2].Mat)
 					if err != nil {
-						return err
+						return cluster.Commit{}, err
 					}
 					// Accumulate into the (a.bj, b.bj) tile of the result.
 					r0 := int(a[1].I) * bs
@@ -115,8 +122,10 @@ func (e *Engine) Gram(data [][]float64) (*linalg.Matrix, error) {
 				}
 			}
 		}
-		partials[p] = acc
-		return nil
+		return cluster.Commit{Install: func() error {
+			partials[p] = acc
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -168,7 +177,7 @@ func (e *Engine) Regression(data [][]float64, y []float64) (*linalg.Vector, erro
 	// t(X) %*% y distributed: per partition over row ranges.
 	parts := e.cl.ScatterRoundRobin(indexRows(n))
 	partials := make([]*linalg.Vector, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("systemml xty", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		acc := linalg.NewVector(d)
 		for _, r := range parts[p] {
 			i := int(r[0].I)
@@ -176,8 +185,10 @@ func (e *Engine) Regression(data [][]float64, y []float64) (*linalg.Vector, erro
 				acc.Data[j] += x * y[i]
 			}
 		}
-		partials[p] = acc
-		return nil
+		return cluster.Commit{Install: func() error {
+			partials[p] = acc
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -253,7 +264,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 		val float64
 	}
 	bests := make([]best, e.cl.Partitions())
-	err = e.cl.Parallel(func(p int) error {
+	err = e.cl.ParallelTasks("systemml distance", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
 		b := best{idx: -1, val: math.Inf(-1)}
 		// Rebuild the broadcast copy of X on this partition.
 		local := make([][]float64, n)
@@ -265,7 +276,7 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 			// row_i of XM = x_i^T m
 			xim, err := metric.VecMul(linalg.VectorOf(data[i]...))
 			if err != nil {
-				return err
+				return cluster.Commit{}, err
 			}
 			minD := math.Inf(1)
 			for j := 0; j < n; j++ {
@@ -284,8 +295,10 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 				b = best{idx: i, val: minD}
 			}
 		}
-		bests[p] = b
-		return nil
+		return cluster.Commit{Install: func() error {
+			bests[p] = b
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return 0, 0, err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,22 +74,6 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScatterHashCoLocates(t *testing.T) {
-	c := testCluster(4, 1, false)
-	parts := c.ScatterHash(intRows(200), []int{1})
-	// All rows with the same key column must be in the same partition.
-	keyPart := map[int64]int{}
-	for p, rows := range parts {
-		for _, r := range rows {
-			k := r[1].I
-			if prev, ok := keyPart[k]; ok && prev != p {
-				t.Fatalf("key %d split across partitions %d and %d", k, prev, p)
-			}
-			keyPart[k] = p
-		}
-	}
-}
-
 func TestShufflePreservesRowsAndCoLocates(t *testing.T) {
 	for _, serialize := range []bool{true, false} {
 		c := testCluster(3, 2, serialize)
@@ -144,23 +130,23 @@ func TestBroadcast(t *testing.T) {
 
 func TestTupleBudget(t *testing.T) {
 	c := New(Config{Nodes: 1, PartitionsPerNode: 1, MaxIntermediateTuples: 100})
-	if err := c.ChargeTuples(50); err != nil {
+	if err := c.chargeTuples(50); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ChargeTuples(50); err != nil {
+	if err := c.chargeTuples(50); err != nil {
 		t.Fatal(err)
 	}
-	err := c.ChargeTuples(1)
+	err := c.chargeTuples(1)
 	if !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("error = %v, want ErrResourceExhausted", err)
 	}
 	// A statement view spends its own budget and adds its counts into the
 	// cluster's when it ends.
 	v := c.Statement()
-	if err := v.ChargeTuples(100); err != nil {
+	if err := v.chargeTuples(100); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.ChargeTuples(1); !errors.Is(err, ErrResourceExhausted) {
+	if err := v.chargeTuples(1); !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("view error = %v, want ErrResourceExhausted", err)
 	}
 	if got := c.Stats().Snapshot().TuplesProduced; got != 101 {
@@ -172,12 +158,42 @@ func TestTupleBudget(t *testing.T) {
 	}
 }
 
+// TestCommitChargesProducedUnderOp: a task's Produced count is charged at
+// commit, and a budget failure names the task's operator.
+func TestCommitChargesProducedUnderOp(t *testing.T) {
+	c := New(Config{Nodes: 1, PartitionsPerNode: 2, MaxIntermediateTuples: 10})
+	var installed atomic.Int64
+	err := c.ParallelTasks("probe", TaskObserver{}, func(p, _ int) (Commit, error) {
+		return Commit{Produced: 4, Install: func() error {
+			installed.Add(1)
+			return nil
+		}}, nil
+	})
+	if err != nil || installed.Load() != 2 || c.Stats().Snapshot().TuplesProduced != 8 {
+		t.Fatalf("err %v, installed %d, produced %d; want nil, 2, 8", err, installed.Load(), c.Stats().Snapshot().TuplesProduced)
+	}
+	err = c.RunTask("gather", TaskObserver{}, func(_, _ int) (Commit, error) {
+		return Commit{Produced: 3, Install: func() error {
+			installed.Add(1)
+			return nil
+		}}, nil
+	})
+	if !errors.Is(err, ErrResourceExhausted) || !strings.HasPrefix(err.Error(), "gather: ") {
+		t.Fatalf("error = %v, want ErrResourceExhausted tagged \"gather: \"", err)
+	}
+	if installed.Load() != 2 {
+		t.Fatal("a commit over budget installed its result")
+	}
+}
+
 func TestParallelRunsAllPartitions(t *testing.T) {
 	c := testCluster(3, 3, false)
 	seen := make([]bool, c.Partitions())
-	err := c.Parallel(func(p int) error {
-		seen[p] = true
-		return nil
+	err := c.ParallelTasks("op", TaskObserver{}, func(p, _ int) (Commit, error) {
+		return Commit{Install: func() error {
+			seen[p] = true
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +204,11 @@ func TestParallelRunsAllPartitions(t *testing.T) {
 		}
 	}
 	wantErr := errors.New("boom")
-	err = c.Parallel(func(p int) error {
+	err = c.ParallelTasks("op", TaskObserver{}, func(p, _ int) (Commit, error) {
 		if p == 2 {
-			return wantErr
+			return Commit{}, wantErr
 		}
-		return nil
+		return Commit{}, nil
 	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("error = %v", err)

@@ -184,18 +184,18 @@ func TestBroadcastDeepCopiesRemoteRows(t *testing.T) {
 }
 
 // TestParallelRetriesTransientCrashes: with transient crashes at every
-// partition, Parallel still succeeds (the final attempt is always clean) and
-// the retry counters move.
+// partition, ParallelTasks still succeeds (the final attempt is always clean)
+// and the retry counters move.
 func TestParallelRetriesTransientCrashes(t *testing.T) {
 	cfg := Config{Nodes: 2, PartitionsPerNode: 2,
 		Faults: fault.Config{Seed: 11, CrashProb: 1, MaxAttempts: 3, RetryBackoff: time.Microsecond}}
 	c := New(cfg)
 	var runs atomic.Int64
 	seen := make([]atomic.Int64, c.Partitions())
-	err := c.Parallel(func(p int) error {
+	err := c.ParallelTasks("op", TaskObserver{}, func(p, _ int) (Commit, error) {
 		runs.Add(1)
 		seen[p].Add(1)
-		return nil
+		return Commit{}, nil
 	})
 	if err != nil {
 		t.Fatalf("transient-only faults must converge: %v", err)
@@ -229,13 +229,13 @@ func TestParallelTasksCommitExactlyOnce(t *testing.T) {
 	c := New(cfg)
 	commits := make([]atomic.Int64, c.Partitions())
 	out := make([]int, c.Partitions())
-	err := c.ParallelTasks("square", TaskObserver{}, func(part, attempt int) (func() error, error) {
+	err := c.ParallelTasks("square", TaskObserver{}, func(part, attempt int) (Commit, error) {
 		v := part * part
-		return func() error {
+		return Commit{Produced: int64(part + 1), Install: func() error {
 			commits[part].Add(1)
 			out[part] = v
 			return nil
-		}, nil
+		}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +248,12 @@ func TestParallelTasksCommitExactlyOnce(t *testing.T) {
 			t.Fatalf("partition %d result %d, want %d", p, out[p], p*p)
 		}
 	}
-	if c.Stats().Snapshot().SpeculativeLaunches == 0 {
+	s := c.Stats().Snapshot()
+	if s.SpeculativeLaunches == 0 {
 		t.Fatal("no speculative launches counted under StragglerProb=1 + Speculate")
+	}
+	if want := int64(1 + 2 + 3 + 4); s.TuplesProduced != want {
+		t.Fatalf("TuplesProduced = %d, want %d: only the winning attempts charge", s.TuplesProduced, want)
 	}
 }
 
@@ -259,7 +263,7 @@ func TestPermanentFaultSurfacesTaskError(t *testing.T) {
 	cfg := Config{Nodes: 1, PartitionsPerNode: 2,
 		Faults: fault.Config{Seed: 2, PermanentProb: 1, RetryBackoff: -1}}
 	c := New(cfg)
-	err := c.ParallelOp("hash join", func(p int) error { return nil })
+	err := c.ParallelTasks("hash join", TaskObserver{}, func(p, _ int) (Commit, error) { return Commit{}, nil })
 	if err == nil {
 		t.Fatal("permanent faults must fail the operation")
 	}
@@ -320,8 +324,8 @@ func TestRetryObserverReceivesBackoff(t *testing.T) {
 	c := New(cfg)
 	var waited atomic.Int64
 	obs := TaskObserver{RetryWait: func(d time.Duration) { waited.Add(int64(d)) }}
-	err := c.ParallelTasks("op", obs, func(part, attempt int) (func() error, error) {
-		return nil, nil
+	err := c.ParallelTasks("op", obs, func(part, attempt int) (Commit, error) {
+		return Commit{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +339,7 @@ func TestRetryObserverReceivesBackoff(t *testing.T) {
 // never consumes budget or moves counters.
 func TestCheckBudgetPeeksWithoutCharging(t *testing.T) {
 	c := New(Config{Nodes: 1, PartitionsPerNode: 1, MaxIntermediateTuples: 100})
-	if err := c.ChargeTuples(90); err != nil {
+	if err := c.chargeTuples(90); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckBudget(10); err != nil {
@@ -345,7 +349,7 @@ func TestCheckBudgetPeeksWithoutCharging(t *testing.T) {
 		t.Fatalf("CheckBudget(11) = %v, want ErrResourceExhausted", err)
 	}
 	// The peek charged nothing: a real charge of 10 still fits.
-	if err := c.ChargeTuples(10); err != nil {
+	if err := c.chargeTuples(10); err != nil {
 		t.Fatalf("charge after peek failed: %v", err)
 	}
 	if got := c.Stats().Snapshot().TuplesProduced; got != 100 {

@@ -448,31 +448,42 @@ func (db *Database) appendRows(name string, rows []value.Row) error {
 	if parts == nil {
 		parts = make([][]value.Row, db.cl.Partitions())
 	}
-	// Declared hash partitioning places each row by its partition-column
-	// hash (with the same hash the executor's shuffles use), so scans come
-	// out already co-located for joins and groupings on that column.
-	meta, _ := db.cat.Table(name)
-	if meta != nil && meta.PartitionCol != "" {
+	for d, b := range db.placeLocked(name, rows, len(parts)) {
+		if len(parts[d]) == 0 {
+			parts[d] = b
+		} else {
+			parts[d] = append(parts[d], b...)
+		}
+	}
+	db.tables[name] = parts
+	db.cat.AddRowCount(name, int64(len(rows)))
+	return nil
+}
+
+// placeLocked buckets rows over a table's nparts partitions, in both stores.
+// Declared hash partitioning places each row by its partition-column hash
+// (the hash the executor's shuffles use), so scans come out already
+// co-located for joins and groupings on that column; any other table is
+// dealt round-robin from its cursor, which advances. Callers hold db.mu.
+func (db *Database) placeLocked(name string, rows []value.Row, nparts int) [][]value.Row {
+	buckets := make([][]value.Row, nparts)
+	if meta, _ := db.cat.Table(name); meta != nil && meta.PartitionCol != "" {
 		if idx := meta.Schema.IndexOf(meta.PartitionCol); idx >= 0 {
 			key := []int{idx}
 			for _, r := range rows {
-				d := int(value.HashRowKey(r, key) % uint64(len(parts)))
-				parts[d] = append(parts[d], r)
+				d := int(value.HashRowKey(r, key) % uint64(nparts))
+				buckets[d] = append(buckets[d], r)
 			}
-			db.tables[name] = parts
-			db.cat.AddRowCount(name, int64(len(rows)))
-			return nil
+			return buckets
 		}
 	}
 	cursor := db.nextRR[name]
 	for _, r := range rows {
-		parts[cursor%len(parts)] = append(parts[cursor%len(parts)], r)
+		buckets[cursor%nparts] = append(buckets[cursor%nparts], r)
 		cursor++
 	}
 	db.nextRR[name] = cursor
-	db.tables[name] = parts
-	db.cat.AddRowCount(name, int64(len(rows)))
-	return nil
+	return buckets
 }
 
 // analyze recomputes per-column distinct estimates for scalar columns and,

@@ -104,37 +104,15 @@ func (db *Database) registerTableLocked(meta *catalog.TableMeta) error {
 	return nil
 }
 
-// appendStoredLocked places rows into a stored table's partitions — the same
-// hash/round-robin policy as the in-memory path — and commits them durably.
-// Callers hold db.mu.
+// appendStoredLocked places rows into a stored table's partitions with
+// placeLocked, as the in-memory path does, and commits them durably. Callers
+// hold db.mu.
 func (db *Database) appendStoredLocked(name string, rows []value.Row) error {
 	tb, ok := db.store.Table(name)
 	if !ok {
 		return fmt.Errorf("core: table %q has no storage", name)
 	}
-	nparts := tb.Parts()
-	buckets := make([][]value.Row, nparts)
-	placed := false
-	meta, _ := db.cat.Table(name)
-	if meta != nil && meta.PartitionCol != "" {
-		if idx := meta.Schema.IndexOf(meta.PartitionCol); idx >= 0 {
-			key := []int{idx}
-			for _, r := range rows {
-				d := int(value.HashRowKey(r, key) % uint64(nparts))
-				buckets[d] = append(buckets[d], r)
-			}
-			placed = true
-		}
-	}
-	if !placed {
-		cursor := db.nextRR[name]
-		for _, r := range rows {
-			buckets[cursor%nparts] = append(buckets[cursor%nparts], r)
-			cursor++
-		}
-		db.nextRR[name] = cursor
-	}
-	for part, b := range buckets {
+	for part, b := range db.placeLocked(name, rows, tb.Parts()) {
 		if len(b) == 0 {
 			continue
 		}

@@ -155,14 +155,21 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 		"SELECT k, v FROM r WHERE k = 7 ORDER BY v",
 		"SELECT COUNT(*) FROM r",
 	}
+	// r is dealt round-robin and h is hash-placed on k; each is loaded in
+	// two batches, so the round-robin cursor carries across loads.
 	load := func(db *Database) {
 		db.MustExec("CREATE TABLE r (k INTEGER, v DOUBLE)")
-		var rows []value.Row
-		for i := 0; i < 500; i++ {
-			rows = append(rows, value.Row{value.Int(int64(i % 40)), value.Double(float64(i))})
-		}
-		if err := db.LoadTable("r", rows); err != nil {
-			t.Fatal(err)
+		db.MustExec("CREATE TABLE h (k INTEGER, v DOUBLE) PARTITION BY HASH (k)")
+		for _, batch := range [][2]int{{0, 301}, {301, 500}} {
+			var rows []value.Row
+			for i := batch[0]; i < batch[1]; i++ {
+				rows = append(rows, value.Row{value.Int(int64(i % 40)), value.Double(float64(i))})
+			}
+			for _, name := range []string{"r", "h"} {
+				if err := db.LoadTable(name, rows); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 	mem := Open(Config{Cluster: cluster.Config{Nodes: 2, PartitionsPerNode: 2, SerializeShuffles: true}, Optimizer: DefaultConfig().Optimizer})
@@ -172,16 +179,47 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	load(db)
-	for _, q := range queries {
+	for _, q := range append(queries, "SELECT k, SUM(v) FROM h GROUP BY k ORDER BY k") {
 		want := mustQuery(t, mem, q)
 		got := mustQuery(t, db, q)
 		if !bytes.Equal(value.EncodeRows(got.Rows), value.EncodeRows(want.Rows)) {
 			t.Errorf("%s: persistent result differs from in-memory", q)
 		}
 	}
+	// Both stores place every row on the same partition, in the same order.
+	for _, name := range []string{"r", "h"} {
+		want, got := partitionRows(t, mem, name), partitionRows(t, db, name)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d partitions stored, want %d", name, len(got), len(want))
+		}
+		for p := range want {
+			if !bytes.Equal(value.EncodeRows(got[p]), value.EncodeRows(want[p])) {
+				t.Errorf("%s partition %d: stored rows differ from in-memory", name, p)
+			}
+		}
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// partitionRows scans each partition of a table through OpenTable.
+func partitionRows(t *testing.T, db *Database, name string) [][]value.Row {
+	t.Helper()
+	tb, err := db.OpenTable(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]value.Row, tb.Parts())
+	for p := range out {
+		if err := tb.ScanPart(p, func(rows []value.Row) error {
+			out[p] = append(out[p], rows...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestScanBoundedByBufferPool loads a table several times larger than the

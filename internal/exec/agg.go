@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"relalg/internal/builtins"
+	"relalg/internal/cluster"
 	"relalg/internal/plan"
 	"relalg/internal/spill"
 	"relalg/internal/value"
@@ -49,7 +50,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	out := make([][]value.Row, ctx.Cluster.Partitions())
 	// Finalization is retry-safe: Final is a pure read of the merged states,
 	// so a re-executed (or speculated) attempt produces the same rows.
-	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, _ int) (func() error, error) {
+	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, _ int) (cluster.Commit, error) {
 		var rows []value.Row
 		for _, h := range sortedHashes(merged[part]) {
 			for _, g := range merged[part][h] {
@@ -58,42 +59,34 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 				for _, st := range g.states {
 					v, err := st.Final()
 					if err != nil {
-						return nil, err
+						return cluster.Commit{}, err
 					}
 					row = append(row, v)
 				}
 				rows = append(rows, row)
 			}
 		}
-		return func() error {
+		// A grouping with no keys over an empty input still yields one row
+		// (SQL: SELECT SUM(x) FROM empty returns a single NULL row), on
+		// partition 0.
+		if part == 0 && len(a.GroupBy) == 0 && noGroups(merged) {
+			row := make(value.Row, 0, len(a.Aggs))
+			for _, st := range newStates(a.Aggs, !ctx.DisableAggFusion) {
+				v, err := st.Final()
+				if err != nil {
+					return cluster.Commit{}, err
+				}
+				row = append(row, v)
+			}
+			rows = []value.Row{row}
+		}
+		return cluster.Commit{Produced: int64(len(rows)), Install: func() error {
 			out[part] = rows
 			return nil
-		}, nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	var produced int64
-	for _, pr := range out {
-		produced += int64(len(pr))
-	}
-	// A grouping with no keys over an empty input still yields one row
-	// (SQL: SELECT SUM(x) FROM empty returns a single NULL row).
-	if len(a.GroupBy) == 0 && produced == 0 {
-		row := make(value.Row, 0, len(a.Aggs))
-		for _, st := range newStates(a.Aggs, !ctx.DisableAggFusion) {
-			v, err := st.Final()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out[0] = []value.Row{row}
-		produced = 1
-	}
-	if err := ctx.Cluster.ChargeTuples(produced); err != nil {
-		return nil, opErr("aggregate", err)
 	}
 	stopFinal()
 
@@ -102,6 +95,16 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 		rel.Single = true
 	}
 	return rel, nil
+}
+
+// noGroups reports whether every partition's group map is empty.
+func noGroups(maps []map[uint64][]*aggGroup) bool {
+	for _, m := range maps {
+		if len(m) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sortedHashes returns the keys of a group-hash map in ascending order, the
@@ -141,7 +144,7 @@ func moveStates(ctx *Context, locals []map[uint64][]*aggGroup, toZero bool) ([]m
 		}
 	}
 	merged := make([]map[uint64][]*aggGroup, p)
-	err := ctx.Cluster.Exchange("aggregate-shuffle", taskObs(ctx), func(dst int) (func() error, int64, int64, error) {
+	err := ctx.Cluster.Exchange("aggregate-shuffle", taskObs(ctx), func(dst, _ int) (cluster.Commit, error) {
 		var tuples, wireBytes int64
 		var scratch value.Row
 		most := 0 // the largest inbound bucket: the merged map's size hint
@@ -157,7 +160,7 @@ func moveStates(ctx *Context, locals []map[uint64][]*aggGroup, toZero bool) ([]m
 				}
 			}
 		}
-		return func() error {
+		return cluster.Commit{Shuffled: tuples, WireBytes: wireBytes, Install: func() error {
 			m := make(map[uint64][]*aggGroup, most)
 			for src := range buckets {
 				if err := mergeGroupMaps(m, locals[src], buckets[src][dst]); err != nil {
@@ -166,7 +169,7 @@ func moveStates(ctx *Context, locals []map[uint64][]*aggGroup, toZero bool) ([]m
 			}
 			merged[dst] = m
 			return nil
-		}, tuples, wireBytes, nil
+		}}, nil
 	})
 	return merged, err
 }

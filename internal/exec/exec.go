@@ -243,9 +243,7 @@ func Run(ctx *Context, n plan.Node) (*Relation, error) {
 	case *plan.Limit:
 		return runLimit(ctx, x)
 	case *plan.OneRow:
-		parts := make([][]value.Row, ctx.Cluster.Partitions())
-		parts[0] = []value.Row{{}}
-		return &Relation{Schema: plan.Schema{}, Parts: parts, Single: true}, nil
+		return single(ctx, plan.Schema{}, []value.Row{{}}), nil
 	case *plan.MultiJoin:
 		return nil, fmt.Errorf("exec: unoptimized MultiJoin reached the executor")
 	}
@@ -299,31 +297,38 @@ func runSort(ctx *Context, s *plan.Sort) (*Relation, error) {
 		return nil, err
 	}
 	defer ctx.Timings.Track("sort")()
-	rows := in.Rows()
-	// The sort is one retryable task: the external path reads the gathered
-	// rows without reordering them and writes fresh runs per attempt, the
-	// in-memory path sorts in place (idempotent — re-sorting sorted rows).
-	err = ctx.Cluster.RunTask("sort", taskObs(ctx), func(attempt int) error {
+	// The sort is one task. Each attempt gathers its own copy of the input:
+	// the in-memory path sorts that copy in place, the external path reads it
+	// without reordering and writes fresh runs per attempt.
+	var sorted []value.Row
+	err = ctx.Cluster.RunTask("sort", taskObs(ctx), func(_, attempt int) (cluster.Commit, error) {
+		rows := in.Rows()
+		var err error
 		if ctx.spillEnabled() {
-			sorted, serr := externalSort(ctx, s.Keys, rows, attempt)
-			if serr != nil {
-				return serr
-			}
-			rows = sorted
-			return nil
+			rows, err = externalSort(ctx, s.Keys, rows, attempt)
+		} else {
+			err = sortRowsStable(s.Keys, rows)
 		}
-		return sortRowsStable(s.Keys, rows)
+		if err != nil {
+			return cluster.Commit{}, opErr("sort", err)
+		}
+		// The gather materializes every row on one partition.
+		return cluster.Commit{Produced: int64(len(rows)), Install: func() error {
+			sorted = rows
+			return nil
+		}}, nil
 	})
 	if err != nil {
-		return nil, opErr("sort", err)
+		return nil, err
 	}
-	// The gather materializes every row on one partition.
-	if err := ctx.Cluster.ChargeTuples(int64(len(rows))); err != nil {
-		return nil, opErr("sort", err)
-	}
+	return single(ctx, s.Schema(), sorted), nil
+}
+
+// single returns rows as a relation gathered onto partition 0.
+func single(ctx *Context, schema plan.Schema, rows []value.Row) *Relation {
 	parts := make([][]value.Row, ctx.Cluster.Partitions())
 	parts[0] = rows
-	return &Relation{Schema: s.Schema(), Parts: parts, Single: true}, nil
+	return &Relation{Schema: schema, Parts: parts, Single: true}
 }
 
 // sortRowsStable stable-sorts rows in place by the order keys.
@@ -383,16 +388,21 @@ func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
 		return nil, err
 	}
 	defer ctx.Timings.Track("limit")()
-	rows := in.Rows()
-	if len(rows) > l.N {
-		rows = rows[:l.N]
+	// The gather is one task, charged for the rows that survive the
+	// truncation: what the operator materializes on its output partition.
+	var rows []value.Row
+	err = ctx.Cluster.RunTask("limit", taskObs(ctx), func(_, _ int) (cluster.Commit, error) {
+		gathered := in.Rows()
+		if len(gathered) > l.N {
+			gathered = gathered[:l.N]
+		}
+		return cluster.Commit{Produced: int64(len(gathered)), Install: func() error {
+			rows = gathered
+			return nil
+		}}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Charge the rows that survive the truncation — what the operator
-	// actually materializes on its single output partition.
-	if err := ctx.Cluster.ChargeTuples(int64(len(rows))); err != nil {
-		return nil, opErr("limit", err)
-	}
-	parts := make([][]value.Row, ctx.Cluster.Partitions())
-	parts[0] = rows
-	return &Relation{Schema: l.Schema(), Parts: parts, Single: true}, nil
+	return single(ctx, l.Schema(), rows), nil
 }

@@ -186,6 +186,9 @@ func TestBudgetErrorsNameOperator(t *testing.T) {
 		{"aggregate", 30, &plan.Agg{Input: l,
 			GroupBy: []plan.Expr{col(0, types.TInt)},
 			Out:     plan.Schema{{Name: "a", T: types.TInt}}}},
+		// The bare scan stage under the LIMIT charges nothing: its gather
+		// of 35 rows is what trips the budget.
+		{"limit", 30, &plan.Limit{Input: l, N: 35}},
 	}
 	for _, tc := range cases {
 		_, err := Run(newCtx(tables, tc.budget), tc.node)

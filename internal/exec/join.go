@@ -254,13 +254,12 @@ func graceSalt(depth int) uint64 {
 	return mix64(0x9e3779b97f4a7c15 * uint64(depth+1))
 }
 
-// charger batches intermediate-tuple accounting so the budget guard fires
-// while a runaway join is still producing, not after it has materialized
-// everything (the mechanism behind the paper's "Fail" entries). It splits
-// the accounting along the task runner's compute/commit line: tick (compute)
-// only peeks at the budget, so an attempt that is retried or loses a
-// speculation race charges nothing; commit performs the one definitive
-// charge for the winning attempt.
+// charger counts the intermediate tuples one task attempt produces and peeks
+// at the budget as it goes, so the budget guard fires while a runaway join is
+// still producing, not after it has materialized everything (the mechanism
+// behind the paper's "Fail" entries). The count is the attempt's
+// Commit.Produced: the task runner charges it once, for the winning attempt,
+// so an attempt that is retried or loses a speculation race charges nothing.
 type charger struct {
 	ctx        *Context
 	op         string
@@ -283,15 +282,6 @@ func (c *charger) tick(n int) error {
 		return opErr(c.op, c.ctx.Cluster.CheckBudget(c.total))
 	}
 	return nil
-}
-
-// commit charges everything this attempt produced; the task runner invokes
-// it exactly once, from the winning attempt.
-func (c *charger) commit() error {
-	if c == nil || c.total == 0 {
-		return nil
-	}
-	return opErr(c.op, c.ctx.Cluster.ChargeTuples(c.total))
 }
 
 // runCross runs the cross join as st's source: each partition pairs its rows

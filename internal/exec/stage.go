@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 
+	"relalg/internal/cluster"
 	"relalg/internal/plan"
 	"relalg/internal/value"
 )
@@ -147,7 +148,7 @@ func (st *stage) relation(ctx *Context, x plan.Node) (*Relation, []map[uint64][]
 // run runs the stage as one cluster task per partition under op, the task
 // and budget-error label. feed pushes a partition's windows. charges says
 // whether the surviving lanes are new tuples: everything but a bare pass over
-// a table or relation. They are charged once, at commit, with a budget peek
+// a table or relation. They are the task's Produced count, with a budget peek
 // every 4 096 during compute. keys and single are the source's placement,
 // which filters keep and a projection loses its hash keys from. An exchange
 // the placement does not settle gets every partition's buckets.
@@ -159,7 +160,7 @@ func (st *stage) run(ctx *Context, op string, charges bool, keys []string, singl
 	if st.ex != nil {
 		st.ex.buckets = make([][][]value.Row, len(out))
 	}
-	err := ctx.Cluster.ParallelTasks(op, taskObs(ctx), func(part, attempt int) (func() error, error) {
+	err := ctx.Cluster.ParallelTasks(op, taskObs(ctx), func(part, attempt int) (cluster.Commit, error) {
 		ps := newPartStage(ctx, st, part, attempt)
 		if charges {
 			ps.charge = newCharger(ctx, op)
@@ -170,19 +171,23 @@ func (st *stage) run(ctx *Context, op string, charges bool, keys []string, singl
 			err = ps.flushPairs()
 		}
 		if err != nil && !errors.Is(err, errStopScan) {
-			return nil, err
+			return cluster.Commit{}, err
 		}
 		groups, err := ps.seal()
 		if err != nil {
-			return nil, err
+			return cluster.Commit{}, err
 		}
-		return func() error {
+		var produced int64
+		if ps.charge != nil {
+			produced = ps.charge.total
+		}
+		return cluster.Commit{Produced: produced, Install: func() error {
 			out[part], locals[part] = ps.out, groups
 			if ps.px != nil {
 				ps.ex.buckets[part] = ps.px.buckets
 			}
-			return ps.charge.commit()
-		}, nil
+			return nil
+		}}, nil
 	})
 	if err != nil {
 		return nil, nil, err

@@ -52,7 +52,7 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "go vet" go vet ./...
   gate "lalint" go run ./cmd/lalint ./...
   gate "go test" go test -short ./...
-  gate "go test -race" go test -race ./internal/cluster/ ./internal/exec/ ./internal/value/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/
+  gate "go test -race" go test -race ./internal/cluster/ ./internal/baselines/... ./internal/exec/ ./internal/value/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/
   gate "storage race" go test -race -count=1 ./internal/storage/ ./internal/blockio/
   gate "fuzz smoke" bash -c 'go test -run "^$" -fuzz "^FuzzDecodeRows$" -fuzztime 5s ./internal/value/ &&
     go test -run "^$" -fuzz "^FuzzReadFrame$" -fuzztime 5s ./internal/serve/'
