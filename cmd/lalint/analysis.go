@@ -59,7 +59,6 @@ var Analyzers = []*Analyzer{
 	PanicpolicyAnalyzer,
 	BigcopyAnalyzer,
 	CommitcheckAnalyzer,
-	SpillkeyAnalyzer,
 	AliascheckAnalyzer,
 	GocheckAnalyzer,
 }

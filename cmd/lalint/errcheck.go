@@ -10,10 +10,10 @@ import (
 // is allowed; the fmt print family is excluded (printing failures are not
 // actionable, and builder writes cannot fail).
 //
-// This gate matters most in internal/spill and the exec operators that use
-// it: a dropped Close/Remove/Finish error there silently leaks temp files or
-// truncates a spilled run. Those paths discard errors only via `_ =` on
-// cleanup-after-failure, where the original error is the actionable one.
+// In internal/spill and the exec operators that use it, a dropped Finish or
+// Scratch.Close error would silently truncate a spilled run or leak a scratch
+// file. Their error paths need no cleanup of their own: an attempt's runs
+// all go when its scratch closes.
 var ErrcheckAnalyzer = &Analyzer{
 	Name: "errcheck",
 	Doc:  "flags dropped error returns in non-test code",

@@ -28,7 +28,6 @@ var goldenCases = []struct {
 	{"panicpolicy", "panicpolicy/bad/internal/opt", "panicpolicy/ok/internal/opt", false},
 	{"bigcopy", "bigcopy/bad/internal/exec", "bigcopy/ok/internal/exec", false},
 	{"commitcheck", "commitcheck/bad/internal/exec", "commitcheck/ok/internal/exec", true},
-	{"spillkey", "spillkey/bad/internal/exec", "spillkey/ok/internal/exec", true},
 	{"aliascheck", "aliascheck/bad/internal/exec", "aliascheck/ok/internal/exec", true},
 	{"gocheck", "gocheck/bad/internal/linalg", "gocheck/ok/internal/linalg", true},
 }
@@ -134,9 +133,9 @@ func TestCheckerFlag(t *testing.T) {
 
 // TestParseCheckers checks the -checker flag's name validation.
 func TestParseCheckers(t *testing.T) {
-	got, err := parseCheckers("gocheck, spillkey")
-	if err != nil || !got["gocheck"] || !got["spillkey"] || len(got) != 2 {
-		t.Errorf("parseCheckers(\"gocheck, spillkey\") = %v, %v", got, err)
+	got, err := parseCheckers("gocheck, aliascheck")
+	if err != nil || !got["gocheck"] || !got["aliascheck"] || len(got) != 2 {
+		t.Errorf("parseCheckers(\"gocheck, aliascheck\") = %v, %v", got, err)
 	}
 	if _, err := parseCheckers("nosuchcheck"); err == nil {
 		t.Error("parseCheckers accepted an unknown checker name")

@@ -31,7 +31,6 @@ var taskRunners = map[string]bool{"ParallelTasks": true, "RunTask": true, "Excha
 type taskInfo struct {
 	role    taskRole
 	part    types.Object // the partition parameter object, if any
-	attempt types.Object // the attempt parameter object, if any
 	compute *ast.FuncLit // for a commit: the compute literal that returns it
 }
 
@@ -64,7 +63,6 @@ func buildTaskMap(p *Pkg, f *ast.File) *taskMap {
 		}
 		if len(flat) == 2 {
 			info.part = p.Info.Defs[flat[0]]
-			info.attempt = p.Info.Defs[flat[1]]
 		}
 		tm.lits[lit] = info
 		tm.markCommits(p, lit, info)
@@ -102,7 +100,7 @@ func (tm *taskMap) markCommits(p *Pkg, compute *ast.FuncLit, ci *taskInfo) {
 	})
 	mark := func(lit *ast.FuncLit) {
 		if _, done := tm.lits[lit]; !done {
-			tm.lits[lit] = &taskInfo{role: roleCommit, part: ci.part, attempt: ci.attempt, compute: compute}
+			tm.lits[lit] = &taskInfo{role: roleCommit, part: ci.part, compute: compute}
 		}
 	}
 	inspectWithStack(compute.Body, func(n ast.Node, stack []ast.Node) bool {

@@ -238,18 +238,3 @@ func identObj(p *Pkg, id *ast.Ident) types.Object {
 func declaredWithin(obj types.Object, node ast.Node) bool {
 	return obj != nil && obj.Pos() >= node.Pos() && obj.Pos() <= node.End()
 }
-
-// inLoop reports whether the innermost statements around the visited node
-// include a for/range loop before the enclosing function boundary — i.e. the
-// node executes once per iteration of a loop in its own function.
-func inLoop(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			return true
-		case *ast.FuncLit, *ast.FuncDecl:
-			return false
-		}
-	}
-	return false
-}

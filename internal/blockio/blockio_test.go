@@ -86,8 +86,8 @@ func TestTornTailDetection(t *testing.T) {
 	}
 	whole := buf.Bytes()
 	tornCases := [][]byte{
-		whole[:len(whole)-1],            // payload cut short
-		whole[:8],                       // header cut short
+		whole[:len(whole)-1], // payload cut short
+		whole[:8],            // header cut short
 		append(append([]byte{}, whole...), 0x01, 0x02), // trailing garbage = torn next header
 	}
 	for i, data := range tornCases {
@@ -132,4 +132,61 @@ func TestLengthCapEnforced(t *testing.T) {
 	if !errors.Is(err, ErrTorn) {
 		t.Fatalf("want ErrTorn on oversized frame, got %v", err)
 	}
+}
+
+// FuzzBlockFrames: on any file image, ReadHeader and ReadFrame never panic
+// and never return a payload past the cap; every frame they accept,
+// re-encoded, reproduces exactly the bytes it was read from, and reading it
+// again at its offset alone (as spill runs read their frames) gives it back.
+func FuzzBlockFrames(f *testing.F) {
+	const (
+		magic      = "LAFUZZ01"
+		version    = 1
+		maxPayload = 1 << 10
+	)
+	file, err := AppendHeader(nil, Header{Magic: magic, Version: version, Extra: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, p := range [][]byte{[]byte("rows"), {}, bytes.Repeat([]byte{0xab}, 300)} {
+		file = AppendFrame(file, uint32(i), p)
+	}
+	f.Add(file)
+	f.Add(file[:len(file)-5])                                                                // torn payload
+	f.Add(file[:HeaderLen+3])                                                                // torn frame header
+	f.Add(AppendFrame(file[:HeaderLen:HeaderLen], 1, bytes.Repeat([]byte{1}, maxPayload+1))) // past the cap
+	corrupt := append([]byte(nil), file...)
+	corrupt[len(corrupt)-1] ^= 0x40 // checksum mismatch
+	f.Add(corrupt)
+	f.Add(file[:HeaderLen-1]) // short header
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		if _, err := ReadHeader(r, magic, version); err != nil {
+			return
+		}
+		off := HeaderLen
+		for {
+			p, aux, err := ReadFrame(r, maxPayload)
+			if err != nil {
+				if err != io.EOF && !errors.Is(err, ErrTorn) {
+					t.Fatalf("ReadFrame: unexpected error kind %v", err)
+				}
+				return
+			}
+			if cap(p) > maxPayload {
+				t.Fatalf("payload capacity %d past the cap %d", cap(p), maxPayload)
+			}
+			enc := AppendFrame(nil, aux, p)
+			end := len(b) - r.Len()
+			if !bytes.Equal(enc, b[off:end]) {
+				t.Fatalf("frame re-encodes to %x, read from %x", enc, b[off:end])
+			}
+			again, aux2, err := ReadFrame(io.NewSectionReader(r, int64(off), int64(end-off)), maxPayload)
+			if err != nil || aux2 != aux || !bytes.Equal(again, p) {
+				t.Fatalf("frame at offset %d reads back differently: %v", off, err)
+			}
+			off = end
+		}
+	})
 }

@@ -26,7 +26,7 @@ type aggGroup struct {
 func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	// Phase 1: local pre-aggregation, the sink of the input's stage (out of
 	// core when a memory budget is set: new groups beyond the reservation
-	// scatter to spill files and are aggregated recursively — see aggBuilder).
+	// scatter to spill runs and are aggregated recursively — see aggBuilder).
 	in, locals, err := runStage(ctx, a.Input, &stage{limit: -1, agg: a})
 	if err != nil {
 		return nil, err
@@ -219,14 +219,14 @@ func newStates(aggs []plan.AggCall, fuse bool) []builtins.AggState {
 	return out
 }
 
-// aggSpillFanout is how many spill files new-group rows scatter into once
+// aggSpillFanout is how many spill runs new-group rows scatter into once
 // the group table hits its reservation.
 const aggSpillFanout = 16
 
 // partAgg runs one partition's local pre-aggregation, hybrid-hash style:
 // under memory pressure the groups already in the table keep aggregating in
 // place (their rows never touch disk), while rows of groups that would need
-// NEW table entries are scattered raw into spill files by a salted re-hash of
+// NEW table entries are scattered raw into spill runs by a salted re-hash of
 // the group hash, then aggregated recursively. Raw input rows are spilled —
 // not partial states — because aggregate states have no serialized form and
 // finalized values (avg) cannot be re-merged. It holds what every recursion
@@ -236,7 +236,7 @@ type partAgg struct {
 	ec      *plan.EvalCtx
 	a       *plan.Agg
 	part    int
-	attempt int                // owning task attempt; keys spill write-fault draws
+	scr     *spill.Scratch     // the owning task attempt's, for overflow runs
 	res     *spill.Reservation // nil without a memory budget
 	fuse    bool
 	vecArg  []bool // aggregate j's argument evaluates columnar (plain calls)
@@ -248,8 +248,8 @@ type partAgg struct {
 
 // newPartAgg sets up one partition attempt's aggregation, taking its "hash
 // aggregate" reservation under a memory budget; release returns it.
-func newPartAgg(ctx *Context, a *plan.Agg, part, attempt int) *partAgg {
-	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, attempt: attempt, fuse: !ctx.DisableAggFusion,
+func newPartAgg(ctx *Context, a *plan.Agg, part int, scr *spill.Scratch) *partAgg {
+	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, scr: scr, fuse: !ctx.DisableAggFusion,
 		vecArg: make([]bool, len(a.Aggs)), argCols: make([]*value.Col, len(a.Aggs))}
 	if ctx.spillEnabled() {
 		pa.res = ctx.Spill.Governor().Reservation("hash aggregate")
@@ -297,24 +297,16 @@ func (pa *partAgg) seal(b *aggBuilder) (map[uint64][]*aggGroup, error) {
 // stateFootprint estimates the bytes of one group's aggregate states.
 func stateFootprint(n int) int64 { return 64 + int64(n)*64 }
 
-// aggregateRun aggregates one overflow file at depth and removes it.
+// aggregateRun aggregates one overflow run at depth.
 func (pa *partAgg) aggregateRun(run *spill.Run, depth int) (map[uint64][]*aggGroup, error) {
 	b := pa.builder(depth)
-	// The file's rows are the stage's output, so they go through a bare stage
+	// The run's rows are the stage's output, so they go through a bare stage
 	// into the deeper builder.
 	ps := &partStage{stage: &stage{limit: -1}, ec: pa.ec, pre: newPrefetcher(pa.reads), sink: b}
 	if err := forRunWindows(run, ps.rows); err != nil {
-		b.abort()
 		return nil, err
 	}
-	groups, err := b.finish()
-	if err != nil {
-		return nil, err
-	}
-	if err := run.Remove(); err != nil {
-		return nil, err
-	}
-	return groups, nil
+	return b.finish()
 }
 
 // mergeGroupMaps folds the groups of src under the hashes hs, in that order,

@@ -16,7 +16,7 @@ import (
 // per-column arrays with selection vectors instead of dispatching the
 // expression tree per row.
 // Rows are visited in input order whatever the window size, so output rows
-// and their order, tuple charges, spill decisions and spill file contents do
+// and their order, tuple charges, spill decisions and spill run contents do
 // not depend on it. Every key is evaluated and hashed by keyEval: a join
 // input's exchange, build and probe, the grace scatter and aggregate grouping
 // all agree on a key's hash, and so does value.HashRowKey, which places
@@ -327,7 +327,7 @@ func (pj *partJoin) run(buildRows, probeRows []value.Row) error {
 		return pj.probe(table, probeRows)
 	}
 	// The build side does not fit. Discard the partial table (re-reading the
-	// original slice keeps the spill files in input order; draining the map
+	// original slice keeps the spill runs in input order; draining the map
 	// would write them in nondeterministic map order) and grace-partition.
 	res.Reset()
 	return pj.grace(buildRows, probeRows, res, 0)
@@ -515,10 +515,10 @@ func (v *colsView) BatchRow(i int) value.Row {
 }
 
 // grace runs the out-of-core join: both sides are hash-partitioned into F
-// spill files by a salted re-hash of the join keys, then each sub-partition
+// spill runs by a salted re-hash of the join keys, then each sub-partition
 // pair is joined independently — build sides that still don't fit recurse with
 // a fresh salt until maxGraceDepth. Sub-partitions are processed in index
-// order and each file preserves input order, so the output is deterministic
+// order and each run preserves input order, so the output is deterministic
 // (though bucket-major, unlike the in-memory probe order).
 func (pj *partJoin) grace(buildRows, probeRows []value.Row, res *spill.Reservation, depth int) error {
 	f := pj.graceFanout(buildRows)
@@ -529,41 +529,28 @@ func (pj *partJoin) grace(buildRows, probeRows []value.Row, res *spill.Reservati
 	}
 	probeRuns, err := pj.spillSide("join-probe", pj.probeKeys, probeRows, f, salt)
 	if err != nil {
-		removeRunSlice(buildRuns)
 		return err
 	}
 	for i := 0; i < f; i++ {
-		err := pj.graceSub(buildRuns[i], probeRuns[i], res, depth)
-		buildRuns[i], probeRuns[i] = nil, nil
-		if err != nil {
-			removeRunSlice(buildRuns)
-			removeRunSlice(probeRuns)
+		if err := pj.graceSub(buildRuns[i], probeRuns[i], res, depth); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// graceSub joins one sub-partition pair and removes its run files.
+// graceSub joins one sub-partition pair.
 func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservation, depth int) error {
 	defer res.Reset()
 	if buildRun.Rows == 0 || probeRun.Rows == 0 {
-		// No matches possible; just reclaim the disk.
-		if err := buildRun.Remove(); err != nil {
-			return err
-		}
-		return probeRun.Remove()
+		return nil // no matches possible
 	}
 	subBuild, err := readRun(buildRun)
 	if err != nil {
 		return err
 	}
-	if err := buildRun.Remove(); err != nil {
-		return err
-	}
 	table, ok, err := pj.buildTable(subBuild, res, depth+1 >= maxGraceDepth)
 	if err != nil {
-		_ = probeRun.Remove() // the build error is the actionable one
 		return err
 	}
 	if !ok {
@@ -573,31 +560,21 @@ func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservati
 		if err != nil {
 			return err
 		}
-		if err := probeRun.Remove(); err != nil {
-			return err
-		}
 		return pj.grace(subBuild, subProbe, res, depth+1)
 	}
 	// Stream the probe run a window at a time, so the probe side never
 	// materializes whole.
-	if err := forRunWindows(probeRun, func(rows []value.Row) error { return pj.probe(table, rows) }); err != nil {
-		return err
-	}
-	return probeRun.Remove()
+	return forRunWindows(probeRun, func(rows []value.Row) error { return pj.probe(table, rows) })
 }
 
 // forRunWindows streams run's rows to fn in windows of at most window rows,
-// in file order, reusing one buffer, and closes the reader.
+// in run order, reusing one buffer.
 func forRunWindows(run *spill.Run, fn func(rows []value.Row) error) error {
-	rd, err := run.Reader()
-	if err != nil {
-		return err
-	}
+	rd := run.Reader()
 	buf := make([]value.Row, 0, window)
 	for {
 		row, more, err := rd.Next()
 		if err != nil {
-			_ = rd.Close() // the read error is the actionable one
 			return err
 		}
 		if more {
@@ -605,35 +582,22 @@ func forRunWindows(run *spill.Run, fn func(rows []value.Row) error) error {
 		}
 		if len(buf) == window || (!more && len(buf) > 0) {
 			if err := fn(buf); err != nil {
-				_ = rd.Close()
 				return err
 			}
 			buf = buf[:0]
 		}
 		if !more {
-			return rd.Close()
+			return nil
 		}
 	}
 }
 
-// spillSide hash-scatters one side's rows into f run files by
-// mix64(keyHash^salt) % f, preserving input order within each file.
+// spillSide hash-scatters one side's rows into f runs by
+// mix64(keyHash^salt) % f, preserving input order within each run.
 func (pj *partJoin) spillSide(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
 	writers := make([]*spill.Writer, f)
-	abortAll := func() {
-		for _, w := range writers {
-			if w != nil {
-				_ = w.Abort() // the original error is the actionable one
-			}
-		}
-	}
 	for i := range writers {
-		w, err := pj.ctx.Spill.NewWriterAt(fmt.Sprintf("%s-p%d-%d", label, pj.part, i), pj.attempt)
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		writers[i] = w
+		writers[i] = pj.scr.Writer(fmt.Sprintf("%s-p%d-%d", label, pj.part, i))
 	}
 	var (
 		view batchView
@@ -647,27 +611,26 @@ func (pj *partJoin) spillSide(label string, keys []plan.Expr, rows []value.Row, 
 		}
 		view.reset(rows, lo, hi, width)
 		if err := ke.eval(pj.ec, keys, &view, nil); err != nil {
-			abortAll()
 			return nil, err
 		}
 		for i := 0; i < hi-lo; i++ {
 			idx := int(mix64(ke.hashes[i]^salt) % uint64(f))
 			if err := writers[idx].Append(rows[lo+i]); err != nil {
-				abortAll()
 				return nil, err
 			}
 		}
 	}
-	runs := make([]*spill.Run, f)
+	return finishAll(writers)
+}
+
+// finishAll finishes the writers in order, returning their runs.
+func finishAll(writers []*spill.Writer) ([]*spill.Run, error) {
+	runs := make([]*spill.Run, len(writers))
 	for i, w := range writers {
 		run, err := w.Finish()
 		if err != nil {
-			writers[i] = nil
-			abortAll()
-			removeRunSlice(runs)
 			return nil, err
 		}
-		writers[i] = nil
 		runs[i] = run
 	}
 	return runs, nil
@@ -696,14 +659,14 @@ func stepCol(st builtins.AggState, c *value.Col, i int) error {
 
 // aggBuilder is one level of a partition's hybrid hash aggregation: add routes
 // windows of lanes into the group table and, once the reservation denies a new
-// group, new groups' rows into overflow files; finish aggregates each file one
+// group, new groups' rows into overflow runs; finish aggregates each run one
 // level deeper and merges the result into the table.
 type aggBuilder struct {
 	pa      *partAgg
 	depth   int
 	salt    uint64
 	groups  map[uint64][]*aggGroup
-	writers []*spill.Writer // overflow files, nil until the first denial
+	writers []*spill.Writer // overflow runs, nil until the first denial
 }
 
 func (pa *partAgg) builder(depth int) *aggBuilder {
@@ -714,14 +677,8 @@ func (pa *partAgg) builder(depth int) *aggBuilder {
 // order. Group keys, their hashes and the plain aggregates' arguments are
 // evaluated columnar; a key tuple materializes only when its group enters the
 // table, and a lane becomes a row (src.BatchRow) only for a fused state or an
-// overflow file, neither of which keeps it. On error the overflow files are
-// aborted.
-func (b *aggBuilder) add(src plan.BatchSource, n int, sel []int32) (err error) {
-	defer func() {
-		if err != nil {
-			b.abort()
-		}
-	}()
+// overflow run, neither of which keeps it.
+func (b *aggBuilder) add(src plan.BatchSource, n int, sel []int32) error {
 	pa := b.pa
 	if err := pa.ke.eval(pa.ec, pa.a.GroupBy, src, sel); err != nil {
 		return err
@@ -755,10 +712,10 @@ func (b *aggBuilder) add(src plan.BatchSource, n int, sel []int32) (err error) {
 // step routes lane i into its group's states. A lane of a group not in the
 // table enters it while the reservation grants the group's bytes; once it
 // denies them, that lane and every later lane of a group not in the table
-// scatter to the overflow files (all of a group's rows — same hash, same file
-// — so each spilled group is complete within its file). At maxGraceDepth the
+// scatter to the overflow runs (all of a group's rows — same hash, same run
+// — so each spilled group is complete within its run). At maxGraceDepth the
 // bytes are forced instead: a single group's rows always re-scatter to the
-// same file, so depth alone cannot split skew.
+// same run, so depth alone cannot split skew.
 func (b *aggBuilder) step(src plan.BatchSource, i int) error {
 	pa := b.pa
 	h := pa.ke.hashes[i]
@@ -775,9 +732,7 @@ func (b *aggBuilder) step(src plan.BatchSource, i int) error {
 			if b.depth >= maxGraceDepth {
 				pa.res.Force(fp)
 			} else if !pa.res.Grow(fp) {
-				if err := b.openOverflow(); err != nil {
-					return err
-				}
+				b.openOverflow()
 			}
 		}
 		if b.writers != nil {
@@ -812,56 +767,30 @@ func (b *aggBuilder) step(src plan.BatchSource, i int) error {
 	return nil
 }
 
-// openOverflow opens the level's overflow files.
-func (b *aggBuilder) openOverflow() error {
+// openOverflow starts the level's overflow runs.
+func (b *aggBuilder) openOverflow() {
 	b.writers = make([]*spill.Writer, aggSpillFanout)
 	for i := range b.writers {
-		w, err := b.pa.ctx.Spill.NewWriterAt(fmt.Sprintf("agg-p%d-d%d-%d", b.pa.part, b.depth, i), b.pa.attempt)
-		if err != nil {
-			return err
-		}
-		b.writers[i] = w
+		b.writers[i] = b.pa.scr.Writer(fmt.Sprintf("agg-p%d-d%d-%d", b.pa.part, b.depth, i))
 	}
-	return nil
 }
 
-// abort discards the open overflow files.
-func (b *aggBuilder) abort() {
-	for _, w := range b.writers {
-		if w != nil {
-			_ = w.Abort() // the original error is the actionable one
-		}
-	}
-	b.writers = nil
-}
-
-// finish closes the overflow files, aggregates each recursively one level
+// finish finishes the overflow runs, aggregates each recursively one level
 // deeper, and returns the merged group map.
 func (b *aggBuilder) finish() (map[uint64][]*aggGroup, error) {
 	if b.writers == nil {
 		return b.groups, nil
 	}
-	runs := make([]*spill.Run, len(b.writers))
-	for i, w := range b.writers {
-		run, err := w.Finish()
-		b.writers[i] = nil
-		if err != nil {
-			b.abort()
-			removeRunSlice(runs)
-			return nil, err
-		}
-		runs[i] = run
+	runs, err := finishAll(b.writers)
+	if err != nil {
+		return nil, err
 	}
-	b.writers = nil
-	for i, run := range runs {
+	for _, run := range runs {
 		child, err := b.pa.aggregateRun(run, b.depth+1)
-		runs[i] = nil
 		if err != nil {
-			removeRunSlice(runs)
 			return nil, err
 		}
 		if err := mergeGroupMaps(b.groups, child, sortedHashes(child)); err != nil {
-			removeRunSlice(runs)
 			return nil, err
 		}
 	}

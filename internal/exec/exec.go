@@ -162,7 +162,7 @@ type Context struct {
 	// result object per input row — the behaviour of the paper's 2017
 	// SimSQL, which the benchmark harness emulates (ablation A4).
 	DisableAggFusion bool
-	// Spill carries the per-query memory governor and temp-file layer. When
+	// Spill carries the per-query memory governor and scratch-file layer. When
 	// nil or budget-less, every operator runs strictly in memory (the seed
 	// behaviour); when enabled, the hash join, hash aggregation, and sort go
 	// out-of-core under pressure instead of growing without bound.
@@ -299,13 +299,19 @@ func runSort(ctx *Context, s *plan.Sort) (*Relation, error) {
 	defer ctx.Timings.Track("sort")()
 	// The sort is one task. Each attempt gathers its own copy of the input:
 	// the in-memory path sorts that copy in place, the external path reads it
-	// without reordering and writes fresh runs per attempt.
+	// without reordering and writes fresh runs into the attempt's scratch,
+	// which it closes on return.
 	var sorted []value.Row
-	err = ctx.Cluster.RunTask("sort", taskObs(ctx), func(_, attempt int) (cluster.Commit, error) {
+	err = ctx.Cluster.RunTask("sort", taskObs(ctx), func(_, attempt int) (_ cluster.Commit, err error) {
+		scr := ctx.Spill.Scratch(attempt)
+		defer func() {
+			if cerr := scr.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
 		rows := in.Rows()
-		var err error
 		if ctx.spillEnabled() {
-			rows, err = externalSort(ctx, s.Keys, rows, attempt)
+			rows, err = externalSort(ctx, s.Keys, rows, scr)
 		} else {
 			err = sortRowsStable(s.Keys, rows)
 		}

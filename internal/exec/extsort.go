@@ -14,28 +14,20 @@ import (
 // produced — external and in-memory sorts are bit-identical.
 
 // externalSort sorts rows by keys under the query's memory budget, spilling
-// sorted runs when the sort buffer exceeds its reservation. The attempt is
-// the owning task's execution count: it keys the spill write-fault draws and
-// guarantees fresh, eventually-clean runs on retry (the input slice is never
-// reordered, so every attempt sees the same rows).
-func externalSort(ctx *Context, keys []plan.OrderKey, rows []value.Row, attempt int) ([]value.Row, error) {
+// sorted runs into scr, the owning task attempt's scratch, when the sort
+// buffer exceeds its reservation. The input slice is never reordered, so
+// every attempt sees the same rows.
+func externalSort(ctx *Context, keys []plan.OrderKey, rows []value.Row, scr *spill.Scratch) ([]value.Row, error) {
 	res := ctx.Spill.Governor().Reservation("sort")
 	defer res.Release()
 
 	var runs []*spill.Run
-	removeRuns := func() {
-		for _, r := range runs {
-			_ = r.Remove() // best-effort on error paths; Manager.Close sweeps the rest
-		}
-	}
-
 	var batch []value.Row
 	for _, r := range rows {
 		fp := rowFootprint(r)
 		if !res.Grow(fp) {
-			run, err := spillSortedRun(ctx, keys, batch, attempt)
+			run, err := spillSortedRun(keys, batch, scr)
 			if err != nil {
-				removeRuns()
 				return nil, err
 			}
 			runs = append(runs, run)
@@ -45,42 +37,23 @@ func externalSort(ctx *Context, keys []plan.OrderKey, rows []value.Row, attempt 
 		}
 		batch = append(batch, r)
 	}
-	if len(runs) == 0 {
-		// Everything fit: plain in-memory sort.
-		if err := sortRowsStable(keys, batch); err != nil {
-			return nil, err
-		}
-		return batch, nil
-	}
 	if err := sortRowsStable(keys, batch); err != nil {
-		removeRuns()
 		return nil, err
 	}
-	out, err := mergeSortedRuns(ctx, keys, runs, batch, len(rows))
-	if err != nil {
-		removeRuns()
-		return nil, err
+	if len(runs) == 0 {
+		return batch, nil // everything fit: plain in-memory sort
 	}
-	for _, run := range runs {
-		if err := run.Remove(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return mergeSortedRuns(keys, runs, batch, len(rows))
 }
 
 // spillSortedRun stable-sorts batch and writes it out as one run.
-func spillSortedRun(ctx *Context, keys []plan.OrderKey, batch []value.Row, attempt int) (*spill.Run, error) {
+func spillSortedRun(keys []plan.OrderKey, batch []value.Row, scr *spill.Scratch) (*spill.Run, error) {
 	if err := sortRowsStable(keys, batch); err != nil {
 		return nil, err
 	}
-	w, err := ctx.Spill.NewWriterAt("sort", attempt)
-	if err != nil {
-		return nil, err
-	}
+	w := scr.Writer("sort")
 	for _, r := range batch {
 		if err := w.Append(r); err != nil {
-			_ = w.Abort() // the append error is the actionable one
 			return nil, err
 		}
 	}
@@ -119,27 +92,14 @@ func (s *mergeSource) advance() error {
 // batch. Sources are ordered by creation (run 0 holds the earliest input
 // rows, the batch the latest), and ties select the lowest source index, which
 // is what preserves the stable order of the original input.
-func mergeSortedRuns(ctx *Context, keys []plan.OrderKey, runs []*spill.Run, batch []value.Row, total int) ([]value.Row, error) {
+func mergeSortedRuns(keys []plan.OrderKey, runs []*spill.Run, batch []value.Row, total int) ([]value.Row, error) {
 	sources := make([]*mergeSource, 0, len(runs)+1)
-	closeAll := func() {
-		for _, s := range sources {
-			if s.reader != nil {
-				_ = s.reader.Close() // read-side error already reported
-			}
-		}
-	}
 	for _, run := range runs {
-		rd, err := run.Reader()
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		sources = append(sources, &mergeSource{reader: rd})
+		sources = append(sources, &mergeSource{reader: run.Reader()})
 	}
 	sources = append(sources, &mergeSource{batch: batch})
 	for _, s := range sources {
 		if err := s.advance(); err != nil {
-			closeAll()
 			return nil, err
 		}
 	}
@@ -157,7 +117,6 @@ func mergeSortedRuns(ctx *Context, keys []plan.OrderKey, runs []*spill.Run, batc
 			}
 			c, err := compareRowsByKeys(keys, s.cur, sources[best].cur)
 			if err != nil {
-				closeAll()
 				return nil, err
 			}
 			if c < 0 {
@@ -169,15 +128,7 @@ func mergeSortedRuns(ctx *Context, keys []plan.OrderKey, runs []*spill.Run, batc
 		}
 		out = append(out, sources[best].cur)
 		if err := sources[best].advance(); err != nil {
-			closeAll()
 			return nil, err
-		}
-	}
-	for _, s := range sources {
-		if s.reader != nil {
-			if err := s.reader.Close(); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return out, nil

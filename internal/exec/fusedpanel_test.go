@@ -120,7 +120,7 @@ func sameBits(a, b *linalg.Matrix) error {
 // group's fused state.
 func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*fusedSumState, error) {
 	t.Helper()
-	ps := newPartStage(testCtx(memSource{}), &stage{limit: -1, agg: a}, 0, 0)
+	ps := newPartStage(testCtx(memSource{}), &stage{limit: -1, agg: a}, 0, nil)
 	defer ps.release()
 	if err := ps.rows(rows); err != nil {
 		return nil, err

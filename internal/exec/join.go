@@ -78,7 +78,7 @@ func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []map[uint64][]*
 		return nil, nil, err
 	}
 	st.filters = append(slices.Clip(j.Residual), st.filters...)
-	return st.run(ctx, "hash join", true, keyStrings(j.LKeys), false, func(ps *partStage, part, attempt int) error {
+	return st.run(ctx, "hash join", true, keyStrings(j.LKeys), false, func(ps *partStage, part int) error {
 		// Build on the smaller side of this partition.
 		lrows, rrows := lparts[part], rparts[part]
 		buildLeft := len(lrows) <= len(rrows)
@@ -96,7 +96,7 @@ func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []map[uint64][]*
 			probeKeys: probeKeys,
 			buildLeft: buildLeft,
 			part:      part,
-			attempt:   attempt,
+			scr:       ps.scr,
 			st:        ps,
 		}
 		return pj.run(buildRows, probeRows)
@@ -167,8 +167,8 @@ type partJoin struct {
 	probeKeys []plan.Expr
 	buildLeft bool
 	part      int
-	attempt   int        // owning task attempt; keys spill write-fault draws
-	st        *partStage // where matched pairs go
+	scr       *spill.Scratch // the owning task attempt's, for grace runs
+	st        *partStage     // where matched pairs go
 }
 
 // maxGraceDepth bounds the recursive re-partitioning of a grace join; at the
@@ -204,35 +204,17 @@ const minGraceShare = 16 << 10
 
 // readRun materializes a run's rows back into memory.
 func readRun(run *spill.Run) ([]value.Row, error) {
-	rd, err := run.Reader()
-	if err != nil {
-		return nil, err
-	}
+	rd := run.Reader()
 	rows := make([]value.Row, 0, run.Rows)
 	for {
 		row, more, err := rd.Next()
 		if err != nil {
-			_ = rd.Close()
 			return nil, err
 		}
 		if !more {
-			break
+			return rows, nil
 		}
 		rows = append(rows, row)
-	}
-	if err := rd.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// removeRunSlice best-effort-removes runs on error paths (nil entries are
-// already handled); Manager.Close sweeps anything left behind.
-func removeRunSlice(runs []*spill.Run) {
-	for _, r := range runs {
-		if r != nil {
-			_ = r.Remove()
-		}
 	}
 }
 
@@ -312,7 +294,7 @@ func runCross(ctx *Context, c *plan.Cross, st *stage) (*Relation, []map[uint64][
 		return nil, nil, err
 	}
 	st.filters = append(slices.Clip(c.Residual), st.filters...)
-	return st.run(ctx, "cross join", true, nil, false, func(ps *partStage, part, _ int) error {
+	return st.run(ctx, "cross join", true, nil, false, func(ps *partStage, part int) error {
 		for _, br := range big.Parts[part] {
 			for _, sr := range smallParts[part] {
 				l, r := br, sr

@@ -8,6 +8,7 @@ import (
 	"relalg/internal/builtins"
 	"relalg/internal/catalog"
 	"relalg/internal/cluster"
+	"relalg/internal/fault"
 	"relalg/internal/plan"
 	"relalg/internal/spill"
 	"relalg/internal/types"
@@ -113,8 +114,8 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 	if spilled.Load() == 0 {
 		t.Fatal("no runs spilled at an 8KB budget")
 	}
-	if mgr.LiveRuns() != 0 {
-		t.Fatalf("%d run files leaked", mgr.LiveRuns())
+	if mgr.LiveScratches() != 0 {
+		t.Fatalf("%d run files leaked", mgr.LiveScratches())
 	}
 }
 
@@ -170,8 +171,8 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 	if spilled.Load() == 0 {
 		t.Fatal("no spills at an 8KB budget")
 	}
-	if mgr.LiveRuns() != 0 {
-		t.Fatalf("%d run files leaked", mgr.LiveRuns())
+	if mgr.LiveScratches() != 0 {
+		t.Fatalf("%d run files leaked", mgr.LiveScratches())
 	}
 
 	// Determinism: a second identical run produces the identical row order.
@@ -238,8 +239,69 @@ func TestSpillAggMatchesInMemory(t *testing.T) {
 	if spilled.Load() == 0 {
 		t.Fatal("no spills at an 8KB budget")
 	}
-	if mgr.LiveRuns() != 0 {
-		t.Fatalf("%d run files leaked", mgr.LiveRuns())
+	if mgr.LiveScratches() != 0 {
+		t.Fatalf("%d run files leaked", mgr.LiveScratches())
+	}
+}
+
+// TestFaultedSpillLeavesNoFiles: with every spill write of a non-final
+// attempt failing, each operator's spilling tasks fail mid-spill and retry,
+// yet the query returns the fault-free rows and no scratch file is left on
+// disk when Run returns — a failed attempt's runs go with its scratch.
+func TestFaultedSpillLeavesNoFiles(t *testing.T) {
+	const n = 600
+	cnt, sum := mustLookupAgg(t, "count"), mustLookupAgg(t, "sum")
+	cases := []struct {
+		name  string
+		node  func() plan.Node
+		order bool // the operator promises its row order
+	}{
+		{"hash aggregate", func() plan.Node {
+			return &plan.Agg{Input: wideScan("l", n),
+				GroupBy: []plan.Expr{col(0, types.TInt)},
+				Aggs:    []plan.AggCall{{Spec: cnt, T: types.TInt}, {Spec: sum, Input: col(1, types.TInt), T: types.TInt}},
+				Out:     plan.Schema{{Name: "id", T: types.TInt}, {Name: "n", T: types.TInt}, {Name: "s", T: types.TInt}}}
+		}, true},
+		{"grace join", func() plan.Node {
+			l, r := wideScan("l", n), wideScan("r", n/4)
+			return &plan.Join{L: l, R: r,
+				LKeys: []plan.Expr{col(1, types.TInt)}, RKeys: []plan.Expr{col(1, types.TInt)},
+				Out: append(append(plan.Schema{}, l.Out...), r.Out...)}
+		}, false},
+		{"external sort", func() plan.Node {
+			return &plan.Sort{Input: wideScan("l", n), Keys: []plan.OrderKey{{Col: 1}}}
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := memSource{}
+			bctx := testCtx(base)
+			base["l"], base["r"] = wideTable(bctx, n), wideTable(bctx, n/4)
+			want := mustRows(t, bctx, c.node())
+
+			cl := cluster.New(cluster.Config{Nodes: 2, PartitionsPerNode: 2, SerializeShuffles: true,
+				Faults: fault.Config{SpillProb: 1, MaxAttempts: 3, RetryBackoff: -1}})
+			mgr := spill.NewManager(8<<10, spill.Hooks{WriteFault: cl.SpillWriteFault})
+			t.Cleanup(func() {
+				if err := mgr.Close(); err != nil {
+					t.Errorf("spill manager close: %v", err)
+				}
+			})
+			ctx := &Context{Cluster: cl, Tables: base, Timings: NewTimings(), Spill: mgr}
+			got := mustRows(t, ctx, c.node())
+			if !c.order {
+				got, want = sortCanonical(got), sortCanonical(want)
+			}
+			if !sameRows(got, want) {
+				t.Fatal("faulted spilling run differs from the in-memory run")
+			}
+			if cl.Stats().FaultsInjected.Load() == 0 {
+				t.Fatal("no spill write faults fired")
+			}
+			if live := mgr.LiveScratches(); live != 0 {
+				t.Fatalf("%d scratch files live after Run", live)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"relalg/internal/cluster"
 	"relalg/internal/plan"
+	"relalg/internal/spill"
 	"relalg/internal/value"
 )
 
@@ -109,7 +110,7 @@ func (st *stage) scan(ctx *Context, s *plan.Scan) (*Relation, []map[uint64][]*ag
 	if err != nil {
 		return nil, nil, err
 	}
-	return st.run(ctx, op, !st.bare(), keys, false, func(ps *partStage, part, _ int) error {
+	return st.run(ctx, op, !st.bare(), keys, false, func(ps *partStage, part int) error {
 		return t.ScanPart(part, ps.rows)
 	})
 }
@@ -140,7 +141,7 @@ func (st *stage) relation(ctx *Context, x plan.Node) (*Relation, []map[uint64][]
 	}
 	defer ctx.Timings.Track(op)()
 	t := MemTable(in.Parts)
-	return st.run(ctx, op, !st.bare(), in.HashKeys, in.Single, func(ps *partStage, part, _ int) error {
+	return st.run(ctx, op, !st.bare(), in.HashKeys, in.Single, func(ps *partStage, part int) error {
 		return t.ScanPart(part, ps.rows)
 	})
 }
@@ -151,22 +152,29 @@ func (st *stage) relation(ctx *Context, x plan.Node) (*Relation, []map[uint64][]
 // a table or relation. They are the task's Produced count, with a budget peek
 // every 4 096 during compute. keys and single are the source's placement,
 // which filters keep and a projection loses its hash keys from. An exchange
-// the placement does not settle gets every partition's buckets.
+// the placement does not settle gets every partition's buckets. Each attempt
+// spills into its own scratch, which it closes on return.
 func (st *stage) run(ctx *Context, op string, charges bool, keys []string, single bool,
-	feed func(ps *partStage, part, attempt int) error) (*Relation, []map[uint64][]*aggGroup, error) {
+	feed func(ps *partStage, part int) error) (*Relation, []map[uint64][]*aggGroup, error) {
 	st.settle(keys)
 	out := make([][]value.Row, ctx.Cluster.Partitions())
 	locals := make([]map[uint64][]*aggGroup, len(out))
 	if st.ex != nil {
 		st.ex.buckets = make([][][]value.Row, len(out))
 	}
-	err := ctx.Cluster.ParallelTasks(op, taskObs(ctx), func(part, attempt int) (cluster.Commit, error) {
-		ps := newPartStage(ctx, st, part, attempt)
+	err := ctx.Cluster.ParallelTasks(op, taskObs(ctx), func(part, attempt int) (_ cluster.Commit, err error) {
+		scr := ctx.Spill.Scratch(attempt)
+		defer func() {
+			if cerr := scr.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
+		ps := newPartStage(ctx, st, part, scr)
 		if charges {
 			ps.charge = newCharger(ctx, op)
 		}
 		defer ps.release()
-		err := feed(ps, part, attempt)
+		err = feed(ps, part)
 		if err == nil {
 			err = ps.flushPairs()
 		}
@@ -216,6 +224,7 @@ type lanes interface {
 type partStage struct {
 	*stage
 	ec     *plan.EvalCtx
+	scr    *spill.Scratch
 	charge *charger // nil when the stage makes no new tuples
 	pre    *prefetcher
 	view   batchView  // the current row window
@@ -236,17 +245,17 @@ type partExchange struct {
 	ke      keyEval
 }
 
-// newPartStage sets up one partition attempt. With an aggregate sink it takes
-// the aggregate's reservation; release returns it.
-func newPartStage(ctx *Context, st *stage, part, attempt int) *partStage {
-	ps := &partStage{stage: st, ec: ctx.EvalCtx()}
+// newPartStage sets up one partition attempt that spills into scr. With an
+// aggregate sink it takes the aggregate's reservation; release returns it.
+func newPartStage(ctx *Context, st *stage, part int, scr *spill.Scratch) *partStage {
+	ps := &partStage{stage: st, ec: ctx.EvalCtx(), scr: scr}
 	reads := st.exprs
 	if st.exprs != nil {
 		ps.proj.cols = make([]*value.Col, len(st.exprs))
 	}
 	switch {
 	case st.agg != nil:
-		ps.pa = newPartAgg(ctx, st.agg, part, attempt)
+		ps.pa = newPartAgg(ctx, st.agg, part, scr)
 		ps.sink = ps.pa.builder(0)
 		if st.exprs == nil {
 			reads = ps.pa.reads
@@ -269,11 +278,9 @@ func (ps *partStage) seal() (map[uint64][]*aggGroup, error) {
 	return ps.pa.seal(ps.sink)
 }
 
-// release aborts any overflow files a failed attempt left open and returns
-// the aggregate's reservation.
+// release returns the aggregate's reservation.
 func (ps *partStage) release() {
 	if ps.pa != nil {
-		ps.sink.abort()
 		ps.pa.release()
 	}
 }

@@ -375,7 +375,7 @@ func TestShortPartitionArenaFitsItsRows(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ps := newPartStage(ctx, st, 0, 0)
+		ps := newPartStage(ctx, st, 0, nil)
 		err := ps.rows(rows)
 		runtime.ReadMemStats(&after)
 		if err != nil {

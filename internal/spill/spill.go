@@ -1,32 +1,33 @@
 // Package spill is the engine's out-of-core layer: a per-query memory
 // governor (a byte budget shared by all operators of one query, tracked via
-// the row codec's encoded sizes) and a temp-file run format that operators
+// the row codec's encoded sizes) and a scratch-file run format that operators
 // write sorted runs and hash partitions into when the governor denies them
 // memory. It is what turns the executor's strictly-in-memory hash join, hash
 // aggregation, and sort into grace hash join, hybrid hash aggregation, and
 // external merge sort — bounded memory over unbounded data, the property the
 // paper's "Fail" table entries show the comparison systems losing.
 //
-// Run files are block-framed so read-back is buffered, not row-at-a-time IO.
-// The framing is the shared internal/blockio format (a versioned file header
-// followed by checksummed frames, the same layer the storage engine's
-// journal uses): each frame's payload is aux=rowCount rows in the value
-// package's binary row encoding (the same codec shuffles use, so a spilled
-// row round-trips bit-identically — NaN payloads, labels, and matrix shapes
-// included), and the per-frame checksum turns silent temp-file corruption
-// into a diagnosable decode error instead of garbage rows.
+// Every run one task attempt spills lives in that attempt's Scratch: one
+// file, created on the attempt's first frame write and removed by
+// Scratch.Close when the attempt ends. A run is a list of frames in it, in
+// the shared internal/blockio format (the checksummed frames the storage
+// engine's journal uses too): each frame's payload is aux=rowCount rows in
+// the value package's binary row encoding (the same codec shuffles use, so a
+// spilled row round-trips bit-identically — NaN payloads, labels, and matrix
+// shapes included), and the checksum turns silent scratch-file corruption
+// into a diagnosable decode error instead of garbage rows. Writers come only
+// from a Scratch, so a retried attempt always spills into a fresh file under
+// its own attempt number, and nothing it wrote outlives it.
 //
-// All temp files of one query live in one MkdirTemp directory that
-// Manager.Close removes at query end; the file-count accounting lets tests
-// assert that no run leaks.
+// All scratch files of one query live in one MkdirTemp directory that
+// Manager.Close removes at query end.
 package spill
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"relalg/internal/blockio"
@@ -37,15 +38,7 @@ import (
 // cleanup tests key on it.
 const DirPrefix = "relalg-spill-"
 
-// The run-file header: spill runs are process-lifetime temp files, but the
-// header still versions the format so a stale run from a crashed previous
-// build can never be mis-decoded.
-const (
-	runMagic   = "LASPILL1"
-	runVersion = 1
-)
-
-// blockBytes is the target encoded payload size of one run-file block;
+// blockBytes is the target encoded payload size of one frame;
 // maxBlockPayload caps what a reader will allocate for a frame (one giant
 // row can legitimately exceed the target, but a corrupt length prefix is
 // caught by the frame checksum and this bound).
@@ -54,35 +47,38 @@ const (
 	maxBlockPayload = 1 << 30
 )
 
+// errScratchClosed is what a writer or run of a closed scratch returns.
+var errScratchClosed = errors.New("spill: scratch closed")
+
 // Hooks receive the spill layer's accounting events; either field may be nil.
 // The executor wires them to the cluster's SpillEvents/BytesSpilled counters
 // and to the "spill" Timings label.
 type Hooks struct {
-	// RunSpilled is called once per finished run with its file size.
+	// RunSpilled is called once per finished run with the bytes of its
+	// frames.
 	RunSpilled func(bytes int64)
-	// TrackIO returns a stopwatch-stop function; it brackets run-file reads
-	// and writes so spill IO shows up as its own entry in the per-operator
-	// timing breakdown.
+	// TrackIO returns a stopwatch-stop function; it brackets frame reads and
+	// writes so spill IO shows up as its own entry in the per-operator timing
+	// breakdown.
 	TrackIO func() func()
 	// WriteFault, when set, is consulted once per run writer with the run's
 	// label and the owning task's attempt number; a non-nil return makes the
 	// writer's block writes fail with that error. This is the fault-injection
-	// point for spill-file write failures — the core wires it to the
-	// cluster's injector, which never faults a task's final allowed attempt.
+	// point for spill write failures — the core wires it to the cluster's
+	// injector, which never faults a task's final allowed attempt.
 	WriteFault func(label string, attempt int) error
 }
 
 // Manager owns one query's spill state: the governor, the temp directory,
-// and every run file created under it. Safe for concurrent use by the
-// per-partition operator goroutines.
+// and every scratch file created under it. Safe for concurrent use by the
+// per-partition task attempts.
 type Manager struct {
 	gov   *Governor
 	hooks Hooks
 
 	mu     sync.Mutex
 	dir    string
-	seq    int
-	live   int // run files created and not yet removed
+	live   int // scratch files created and not yet removed
 	closed bool
 }
 
@@ -111,8 +107,8 @@ func (m *Manager) Dir() string {
 	return m.dir
 }
 
-// LiveRuns returns the number of run files currently on disk.
-func (m *Manager) LiveRuns() int {
+// LiveScratches returns the number of scratch files currently on disk.
+func (m *Manager) LiveScratches() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.live
@@ -120,46 +116,36 @@ func (m *Manager) LiveRuns() int {
 
 // track starts the IO stopwatch, returning the stop function.
 func (m *Manager) track() func() {
-	if m == nil || m.hooks.TrackIO == nil {
+	if m.hooks.TrackIO == nil {
 		return func() {}
 	}
 	return m.hooks.TrackIO()
 }
 
-// newFile creates the next run file, creating the temp directory on first
-// use.
-func (m *Manager) newFile(label string) (*os.File, string, error) {
+// newFile creates a scratch file, creating the temp directory on first use.
+func (m *Manager) newFile() (*os.File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, "", fmt.Errorf("spill: manager closed")
+		return nil, fmt.Errorf("spill: manager closed")
 	}
 	if m.dir == "" {
 		dir, err := os.MkdirTemp("", DirPrefix)
 		if err != nil {
-			return nil, "", fmt.Errorf("spill: create temp dir: %w", err)
+			return nil, fmt.Errorf("spill: create temp dir: %w", err)
 		}
 		m.dir = dir
 	}
-	m.seq++
-	path := filepath.Join(m.dir, fmt.Sprintf("%06d-%s.run", m.seq, label))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	f, err := os.CreateTemp(m.dir, "attempt-")
 	if err != nil {
-		return nil, "", fmt.Errorf("spill: create run file: %w", err)
+		return nil, fmt.Errorf("spill: create scratch file: %w", err)
 	}
 	m.live++
-	return f, path, nil
+	return f, nil
 }
 
-// fileRemoved adjusts the live-file accounting.
-func (m *Manager) fileRemoved() {
-	m.mu.Lock()
-	m.live--
-	m.mu.Unlock()
-}
-
-// Close removes the temp directory and every run file under it. It is called
-// once at query end; creating writers afterwards fails.
+// Close removes the temp directory and every scratch file under it. It is
+// called once at query end; scratch files cannot be created afterwards.
 func (m *Manager) Close() error {
 	if m == nil {
 		return nil
@@ -180,71 +166,101 @@ func (m *Manager) Close() error {
 	return nil
 }
 
-// NewWriter opens a new run file for writing. The label (sanitized to
-// [a-z0-9-]) names the operator and partition for debuggability.
-func (m *Manager) NewWriter(label string) (*Writer, error) {
-	return m.NewWriterAt(label, 0)
+// Scratch returns the spill file of one task attempt. The attempt owns it:
+// a Scratch is not safe for concurrent use, and the attempt must Close it
+// when it ends. No file exists until the first frame is written.
+func (m *Manager) Scratch(attempt int) *Scratch {
+	return &Scratch{m: m, attempt: attempt}
 }
 
-// NewWriterAt is NewWriter for a run created inside a retryable task's
-// attempt'th execution: the attempt keys the write-fault draw, so retried
-// tasks re-create their runs under a fresh (and eventually clean) attempt.
-func (m *Manager) NewWriterAt(label string, attempt int) (*Writer, error) {
-	f, path, err := m.newFile(sanitize(label))
-	if err != nil {
-		return nil, err
-	}
-	w := &Writer{
-		m:    m,
-		f:    f,
-		bw:   bufio.NewWriterSize(f, 64<<10),
-		path: path,
-	}
-	if m.hooks.WriteFault != nil {
-		w.fail = m.hooks.WriteFault(label, attempt)
-	}
-	if err := blockio.WriteHeader(w.bw, blockio.Header{Magic: runMagic, Version: runVersion}); err != nil {
-		_ = w.f.Close()
-		_ = os.Remove(path)
-		m.fileRemoved()
-		return nil, fmt.Errorf("spill: write run header: %w", err)
-	}
-	w.bytes += blockio.HeaderLen
-	return w, nil
+// Scratch is one task attempt's spill file: every run the attempt writes is a
+// list of frames appended to it.
+type Scratch struct {
+	m       *Manager
+	attempt int
+	f       *os.File // nil until the first frame
+	end     int64    // the file's size: where the next frame goes
+	closed  bool
 }
 
-// sanitize maps a label onto filename-safe characters.
-func sanitize(label string) string {
-	out := make([]byte, 0, len(label))
-	for i := 0; i < len(label); i++ {
-		c := label[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
+// Writer starts a run. The label names the operator and partition; with the
+// scratch's attempt it keys the write-fault draw, so a retried task redraws
+// its faults under a fresh (and eventually clean) attempt.
+func (s *Scratch) Writer(label string) *Writer {
+	w := &Writer{s: s}
+	if s.m.hooks.WriteFault != nil {
+		w.fail = s.m.hooks.WriteFault(label, s.attempt)
+	}
+	return w
+}
+
+// Close closes and removes the file. Writers and runs of a closed scratch
+// fail.
+func (s *Scratch) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	if s.f == nil {
+		return nil
+	}
+	cerr := s.f.Close()
+	m := s.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		// Manager.Close already swept the directory.
+		return cerr
+	}
+	m.live--
+	if err := errors.Join(cerr, os.Remove(s.f.Name())); err != nil {
+		return fmt.Errorf("spill: close scratch: %w", err)
+	}
+	return nil
+}
+
+// extent is one frame's place in the scratch file.
+type extent struct{ off, n int64 }
+
+// appendFrame writes one frame at the end of the file, creating the file on
+// the first, and returns where it went.
+func (s *Scratch) appendFrame(nrows uint32, payload []byte) (extent, error) {
+	if s.closed {
+		return extent{}, errScratchClosed
+	}
+	if s.f == nil {
+		f, err := s.m.newFile()
+		if err != nil {
+			return extent{}, err
 		}
+		s.f = f
 	}
-	return string(out)
+	stop := s.m.track()
+	defer stop()
+	n, err := blockio.WriteFrame(io.NewOffsetWriter(s.f, s.end), nrows, payload)
+	if err != nil {
+		return extent{}, fmt.Errorf("spill: write block: %w", err)
+	}
+	e := extent{s.end, n}
+	s.end += n
+	return e, nil
 }
 
-// Writer appends rows to a run file, framing them into blocks. Not safe for
-// concurrent use (each partition goroutine owns its writers).
+// Writer appends rows to one run, framing them into blocks. It belongs to its
+// scratch's attempt.
 type Writer struct {
-	m     *Manager
-	f     *os.File
-	bw    *bufio.Writer
-	path  string
-	block []byte // encoded rows of the current block
-	nrows uint32 // rows in the current block
-	rows  int64
-	bytes int64
-	done  bool
-	fail  error // injected write fault; every block write fails with it
+	s      *Scratch
+	block  []byte // encoded rows of the current block
+	nrows  uint32 // rows in the current block
+	frames []extent
+	rows   int64
+	bytes  int64
+	done   bool
+	fail   error // injected write fault; every block write fails with it
 }
 
-// Append encodes one row into the current block, flushing the block to the
-// file when it reaches the target size.
+// Append encodes one row into the current block, writing the block out as a
+// frame when it reaches the target size.
 func (w *Writer) Append(r value.Row) error {
 	w.block = value.AppendRow(w.block, r)
 	w.nrows++
@@ -265,100 +281,55 @@ func (w *Writer) flushBlock() error {
 	if w.fail != nil {
 		return fmt.Errorf("spill: write block: %w", w.fail)
 	}
-	stop := w.m.track()
-	defer stop()
-	n, err := blockio.WriteFrame(w.bw, w.nrows, w.block)
+	e, err := w.s.appendFrame(w.nrows, w.block)
 	if err != nil {
-		return fmt.Errorf("spill: write block: %w", err)
+		return err
 	}
-	w.bytes += n
+	w.frames = append(w.frames, e)
+	w.bytes += e.n
 	w.block = w.block[:0]
 	w.nrows = 0
 	return nil
 }
 
-// Finish flushes and closes the file, charges the spill to the hooks, and
-// returns the readable Run. The writer must not be used afterwards.
+// Finish writes the last block, charges the run to the hooks, and returns
+// the readable Run. The writer must not be used afterwards.
 func (w *Writer) Finish() (*Run, error) {
 	if w.done {
 		return nil, fmt.Errorf("spill: writer already finished")
 	}
 	w.done = true
+	if w.s.closed {
+		return nil, errScratchClosed
+	}
 	if err := w.flushBlock(); err != nil {
-		_ = w.f.Close() // the write error is the actionable one
 		return nil, err
 	}
-	if err := w.bw.Flush(); err != nil {
-		_ = w.f.Close()
-		return nil, fmt.Errorf("spill: flush run: %w", err)
+	if w.s.m.hooks.RunSpilled != nil {
+		w.s.m.hooks.RunSpilled(w.bytes)
 	}
-	if err := w.f.Close(); err != nil {
-		return nil, fmt.Errorf("spill: close run: %w", err)
-	}
-	if w.m.hooks.RunSpilled != nil {
-		w.m.hooks.RunSpilled(w.bytes)
-	}
-	return &Run{m: w.m, path: w.path, Rows: w.rows, Bytes: w.bytes}, nil
+	return &Run{s: w.s, frames: w.frames, Rows: w.rows, Bytes: w.bytes}, nil
 }
 
-// Abort closes and removes a half-written run (error paths).
-func (w *Writer) Abort() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	cerr := w.f.Close()
-	rerr := os.Remove(w.path)
-	w.m.fileRemoved()
-	if cerr != nil {
-		return fmt.Errorf("spill: abort run: %w", cerr)
-	}
-	if rerr != nil {
-		return fmt.Errorf("spill: abort run: %w", rerr)
-	}
-	return nil
-}
-
-// Run is one finished, readable spill run.
+// Run is one finished, readable spill run: frames in its scratch file.
 type Run struct {
-	m     *Manager
-	path  string
-	Rows  int64
-	Bytes int64
+	s      *Scratch
+	frames []extent
+	Rows   int64
+	Bytes  int64
 }
 
-// Reader opens the run for sequential reading. A run supports any number of
-// sequential read passes (each Reader is independent).
-func (r *Run) Reader() (*Reader, error) {
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, fmt.Errorf("spill: open run: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	if _, err := blockio.ReadHeader(br, runMagic, runVersion); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("spill: open run: %w", err)
-	}
-	return &Reader{m: r.m, f: f, br: br}, nil
-}
+// Reader starts a sequential read of the run. A run supports any number of
+// read passes (each Reader is independent); readers share the scratch's file
+// and hold nothing to close.
+func (r *Run) Reader() *Reader { return &Reader{s: r.s, frames: r.frames} }
 
-// Remove deletes the run file; the manager's Close catches anything the
-// operators forget, but operators remove runs eagerly to bound disk use.
-func (r *Run) Remove() error {
-	if err := os.Remove(r.path); err != nil {
-		return fmt.Errorf("spill: remove run: %w", err)
-	}
-	r.m.fileRemoved()
-	return nil
-}
-
-// Reader streams a run's rows back, decoding one block at a time.
+// Reader streams a run's rows back, decoding one frame at a time.
 type Reader struct {
-	m     *Manager
-	f     *os.File
-	br    *bufio.Reader
-	block []value.Row
-	i     int
+	s      *Scratch
+	frames []extent // frames not yet read
+	block  []value.Row
+	i      int
 }
 
 // Next returns the next row. The second result is false at end of run.
@@ -377,19 +348,23 @@ func (r *Reader) Next() (value.Row, bool, error) {
 	return row, true, nil
 }
 
-// readBlock loads the next block; false means clean EOF.
+// readBlock loads the next frame; false means end of run.
 func (r *Reader) readBlock() (bool, error) {
-	stop := r.m.track()
+	if r.s.closed {
+		return false, errScratchClosed
+	}
+	if len(r.frames) == 0 {
+		return false, nil
+	}
+	e := r.frames[0]
+	r.frames = r.frames[1:]
+	stop := r.s.m.track()
 	defer stop()
-	buf, nrowsU32, err := blockio.ReadFrame(r.br, maxBlockPayload)
+	buf, nrowsU32, err := blockio.ReadFrame(io.NewSectionReader(r.s.f, e.off, e.n), maxBlockPayload)
 	if err != nil {
-		if err == io.EOF {
-			return false, nil
-		}
 		return false, fmt.Errorf("spill: read block: %w", err)
 	}
-	nrows := int(nrowsU32)
-	rows := make([]value.Row, nrows)
+	rows := make([]value.Row, nrowsU32)
 	for i := range rows {
 		rows[i], buf, err = value.DecodeRow(buf)
 		if err != nil {
@@ -401,12 +376,4 @@ func (r *Reader) readBlock() (bool, error) {
 	}
 	r.block, r.i = rows, 0
 	return true, nil
-}
-
-// Close closes the reader's file handle.
-func (r *Reader) Close() error {
-	if err := r.f.Close(); err != nil {
-		return fmt.Errorf("spill: close reader: %w", err)
-	}
-	return nil
 }

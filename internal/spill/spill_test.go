@@ -25,12 +25,21 @@ func testRows(n int) []value.Row {
 	return rows
 }
 
-func writeRun(t *testing.T, m *Manager, rows []value.Row) *Run {
+// scratch returns an attempt-0 scratch of m that the test closes.
+func scratch(t *testing.T, m *Manager) *Scratch {
 	t.Helper()
-	w, err := m.NewWriter("test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := m.Scratch(0)
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return s
+}
+
+func writeRun(t *testing.T, s *Scratch, rows []value.Row) *Run {
+	t.Helper()
+	w := s.Writer("test")
 	for _, r := range rows {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
@@ -45,15 +54,7 @@ func writeRun(t *testing.T, m *Manager, rows []value.Row) *Run {
 
 func readAll(t *testing.T, run *Run) []value.Row {
 	t.Helper()
-	rd, err := run.Reader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := rd.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	rd := run.Reader()
 	var out []value.Row
 	for {
 		r, ok, err := rd.Next()
@@ -92,7 +93,7 @@ func TestRunRoundTrip(t *testing.T) {
 		}
 	}()
 	rows := testRows(100)
-	run := writeRun(t, m, rows)
+	run := writeRun(t, scratch(t, m), rows)
 	if run.Rows != 100 {
 		t.Fatalf("run.Rows = %d", run.Rows)
 	}
@@ -102,12 +103,6 @@ func TestRunRoundTrip(t *testing.T) {
 	// A second sequential pass works too.
 	if got := readAll(t, run); !rowsEqual(got, rows) {
 		t.Fatal("second read pass differs")
-	}
-	if err := run.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	if m.LiveRuns() != 0 {
-		t.Fatalf("live runs = %d after remove", m.LiveRuns())
 	}
 }
 
@@ -128,7 +123,7 @@ func TestRunMultiBlock(t *testing.T) {
 	for i := range rows {
 		rows[i] = value.Row{value.Int(int64(i)), value.Vector(big)}
 	}
-	run := writeRun(t, m, rows)
+	run := writeRun(t, scratch(t, m), rows)
 	if run.Bytes <= blockBytes {
 		t.Fatalf("run.Bytes = %d: expected multiple blocks (> %d)", run.Bytes, blockBytes)
 	}
@@ -147,7 +142,7 @@ func TestNaNRoundTrip(t *testing.T) {
 		}
 	}()
 	rows := []value.Row{{value.Double(math.NaN()), value.Double(math.Inf(1))}}
-	got := readAll(t, writeRun(t, m, rows))
+	got := readAll(t, writeRun(t, scratch(t, m), rows))
 	if len(got) != 1 || len(got[0]) != 2 {
 		t.Fatalf("shape mismatch: %v", got)
 	}
@@ -159,18 +154,21 @@ func TestNaNRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManagerCleanup: Manager.Close sweeps scratch files an attempt never
+// closed, and a scratch closed after it has nothing left to remove.
 func TestManagerCleanup(t *testing.T) {
 	m := NewManager(1<<20, Hooks{})
-	r1 := writeRun(t, m, testRows(10))
-	writeRun(t, m, testRows(5))
+	s1, s2 := m.Scratch(0), m.Scratch(1)
+	writeRun(t, s1, testRows(10))
+	writeRun(t, s2, testRows(5))
 	dir := m.Dir()
 	if dir == "" || !strings.Contains(filepath.Base(dir), DirPrefix) {
 		t.Fatalf("temp dir %q", dir)
 	}
-	if m.LiveRuns() != 2 {
-		t.Fatalf("live runs = %d", m.LiveRuns())
+	if m.LiveScratches() != 2 {
+		t.Fatalf("live scratches = %d", m.LiveScratches())
 	}
-	if err := r1.Remove(); err != nil {
+	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -179,12 +177,19 @@ func TestManagerCleanup(t *testing.T) {
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("temp dir still exists after Close (stat err %v)", err)
 	}
-	// Close is idempotent, and writers after Close fail.
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close is idempotent, and spilling after Close fails.
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.NewWriter("late"); err == nil {
-		t.Fatal("NewWriter after Close succeeded")
+	w := m.Scratch(2).Writer("late")
+	if err := w.Append(value.Row{value.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Finish(); err == nil {
+		t.Fatal("spilling after Close succeeded")
 	}
 }
 
@@ -210,7 +215,7 @@ func TestHooksAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	run := writeRun(t, m, testRows(50))
+	run := writeRun(t, scratch(t, m), testRows(50))
 	if events != 1 {
 		t.Fatalf("RunSpilled calls = %d", events)
 	}
@@ -220,28 +225,6 @@ func TestHooksAccounting(t *testing.T) {
 	readAll(t, run)
 	if ioCalls == 0 {
 		t.Fatal("TrackIO never called")
-	}
-}
-
-func TestWriterAbort(t *testing.T) {
-	m := NewManager(1<<20, Hooks{})
-	defer func() {
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	w, err := m.NewWriter("abort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(value.Row{value.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if m.LiveRuns() != 0 {
-		t.Fatalf("live runs = %d after abort", m.LiveRuns())
 	}
 }
 
@@ -255,5 +238,132 @@ func TestDisabledManager(t *testing.T) {
 	}
 	if NewManager(0, Hooks{}).Enabled() {
 		t.Fatal("zero-budget manager enabled")
+	}
+}
+
+// scratchFiles lists the files in m's temp directory.
+func scratchFiles(t *testing.T, m *Manager) []os.DirEntry {
+	t.Helper()
+	if m.Dir() == "" {
+		return nil
+	}
+	ents, err := os.ReadDir(m.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ents
+}
+
+// TestOneFilePerScratch: every run of one scratch shares its one file, and
+// Close removes it.
+func TestOneFilePerScratch(t *testing.T) {
+	m := NewManager(1<<20, Hooks{})
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	s := m.Scratch(0)
+	runs := make([]*Run, 16)
+	for i := range runs {
+		runs[i] = writeRun(t, s, testRows(i+1))
+	}
+	if n := len(scratchFiles(t, m)); n != 1 || m.LiveScratches() != 1 {
+		t.Fatalf("16 runs left %d files (%d live scratches), want 1", n, m.LiveScratches())
+	}
+	for i, run := range runs {
+		if got := readAll(t, run); !rowsEqual(got, testRows(i+1)) {
+			t.Fatalf("run %d read back differs", i)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(scratchFiles(t, m)); n != 0 || m.LiveScratches() != 0 {
+		t.Fatalf("after Close: %d files, %d live scratches", n, m.LiveScratches())
+	}
+}
+
+// TestEmptyRunsCreateNoFile: a scratch whose runs are all empty never touches
+// the disk, yet each run still counts as spilled.
+func TestEmptyRunsCreateNoFile(t *testing.T) {
+	var events int
+	m := NewManager(1<<20, Hooks{RunSpilled: func(int64) { events++ }})
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	s := scratch(t, m)
+	for i := 0; i < 3; i++ {
+		if got := readAll(t, writeRun(t, s, nil)); len(got) != 0 {
+			t.Fatalf("empty run read back %d rows", len(got))
+		}
+	}
+	if m.Dir() != "" || m.LiveScratches() != 0 {
+		t.Fatalf("empty runs created dir %q, %d live scratches", m.Dir(), m.LiveScratches())
+	}
+	if events != 3 {
+		t.Fatalf("RunSpilled calls = %d, want 3", events)
+	}
+}
+
+// TestInterleavedRuns: two writers whose frames alternate in the file each
+// read back their own rows in order.
+func TestInterleavedRuns(t *testing.T) {
+	m := NewManager(1<<20, Hooks{})
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	s := scratch(t, m)
+	big := linalg.NewVector(8192) // 64KB per row: a frame every few rows
+	var want [2][]value.Row
+	ws := [2]*Writer{s.Writer("a"), s.Writer("b")}
+	for i := 0; i < 40; i++ {
+		k := i % 2
+		r := value.Row{value.Int(int64(i)), value.Vector(big)}
+		want[k] = append(want[k], r)
+		if err := ws[k].Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, w := range ws {
+		run, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(run.frames) < 2 {
+			t.Fatalf("run %d has %d frames; the test needs them interleaved", k, len(run.frames))
+		}
+		if got := readAll(t, run); !rowsEqual(got, want[k]) {
+			t.Fatalf("interleaved run %d read back differs", k)
+		}
+	}
+}
+
+// TestStaleAfterClose: a writer or run of a closed scratch returns an error.
+func TestStaleAfterClose(t *testing.T) {
+	m := NewManager(1<<20, Hooks{})
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	s := m.Scratch(0)
+	run := writeRun(t, s, testRows(10))
+	w := s.Writer("stale")
+	if err := w.Append(value.Row{value.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Finish(); err == nil {
+		t.Fatal("Finish on a closed scratch succeeded")
+	}
+	if _, _, err := run.Reader().Next(); err == nil {
+		t.Fatal("reading a run of a closed scratch succeeded")
 	}
 }

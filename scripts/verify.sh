@@ -3,8 +3,9 @@
 # project-specific lalint analysis suite, the test suite, the race detector
 # over the concurrent packages (the simulated cluster, the executor, the
 # columnar value layer it gathers into, the BLAS-like kernels, the server, and
-# the figure harness that drives them), a short fuzz of the two decoders that
-# read untrusted bytes (the row codec and the wire frame reader), the
+# the figure harness that drives them), a short fuzz of the three decoders
+# that read untrusted bytes (the row codec, the block frames of spill runs and
+# the storage journal, and the wire frame reader), the
 # end-to-end server smoke, the SIGKILL restart-recovery smoke over a
 # persistent data directory, and the smoke test of the repository's benchmark
 # (benchmark/ is a module of its own, so "go test ./..." does not reach it).
@@ -55,6 +56,7 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "go test -race" go test -race ./internal/cluster/ ./internal/baselines/... ./internal/exec/ ./internal/value/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/
   gate "storage race" go test -race -count=1 ./internal/storage/ ./internal/blockio/
   gate "fuzz smoke" bash -c 'go test -run "^$" -fuzz "^FuzzDecodeRows$" -fuzztime 5s ./internal/value/ &&
+    go test -run "^$" -fuzz "^FuzzBlockFrames$" -fuzztime 5s ./internal/blockio/ &&
     go test -run "^$" -fuzz "^FuzzReadFrame$" -fuzztime 5s ./internal/serve/'
   gate "serve smoke" bash scripts/serve_smoke.sh
   gate "restart smoke" bash scripts/storage_smoke.sh
