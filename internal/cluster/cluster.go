@@ -109,6 +109,7 @@ type Stats struct {
 	BroadcastRounds     atomic.Int64
 	SpillEvents         atomic.Int64 // spill runs written under memory pressure
 	BytesSpilled        atomic.Int64 // file bytes of those runs
+	SpillFiles          atomic.Int64 // scratch files those runs were written to
 	FaultsInjected      atomic.Int64 // faults the injector fired
 	TaskRetries         atomic.Int64 // partition-task re-executions after transient failure
 	SpeculativeLaunches atomic.Int64 // backup attempts launched against stragglers
@@ -125,6 +126,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		BroadcastRounds:     s.BroadcastRounds.Load(),
 		SpillEvents:         s.SpillEvents.Load(),
 		BytesSpilled:        s.BytesSpilled.Load(),
+		SpillFiles:          s.SpillFiles.Load(),
 		FaultsInjected:      s.FaultsInjected.Load(),
 		TaskRetries:         s.TaskRetries.Load(),
 		SpeculativeLaunches: s.SpeculativeLaunches.Load(),
@@ -141,6 +143,7 @@ func (s *Stats) add(o StatsSnapshot) {
 	s.BroadcastRounds.Add(o.BroadcastRounds)
 	s.SpillEvents.Add(o.SpillEvents)
 	s.BytesSpilled.Add(o.BytesSpilled)
+	s.SpillFiles.Add(o.SpillFiles)
 	s.FaultsInjected.Add(o.FaultsInjected)
 	s.TaskRetries.Add(o.TaskRetries)
 	s.SpeculativeLaunches.Add(o.SpeculativeLaunches)
@@ -156,6 +159,7 @@ type StatsSnapshot struct {
 	BroadcastRounds     int64
 	SpillEvents         int64
 	BytesSpilled        int64
+	SpillFiles          int64
 	FaultsInjected      int64
 	TaskRetries         int64
 	SpeculativeLaunches int64
@@ -166,7 +170,7 @@ func (s StatsSnapshot) String() string {
 	out := fmt.Sprintf("shuffled %d tuples (%d bytes) in %d rounds, %d broadcasts, produced %d tuples",
 		s.TuplesShuffled, s.BytesShuffled, s.ShuffleRounds, s.BroadcastRounds, s.TuplesProduced)
 	if s.SpillEvents > 0 {
-		out += fmt.Sprintf(", spilled %d runs (%d bytes)", s.SpillEvents, s.BytesSpilled)
+		out += fmt.Sprintf(", spilled %d runs (%d bytes) to %d files", s.SpillEvents, s.BytesSpilled, s.SpillFiles)
 	}
 	if s.FaultsInjected > 0 || s.TaskRetries > 0 || s.SpeculativeLaunches > 0 {
 		out += fmt.Sprintf(", injected %d faults (%d retries, %d speculative launches)",

@@ -670,8 +670,9 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 			stats.SpillEvents.Add(1)
 			stats.BytesSpilled.Add(bytes)
 		},
-		TrackIO:    func() func() { return timings.Track("spill") },
-		WriteFault: cl.SpillWriteFault,
+		FileCreated: func() { stats.SpillFiles.Add(1) },
+		TrackIO:     func() func() { return timings.Track("spill") },
+		WriteFault:  cl.SpillWriteFault,
 	})
 	defer func() {
 		if cerr := mgr.Close(); cerr != nil && err == nil {

@@ -2,20 +2,12 @@ package exec
 
 import (
 	"slices"
-	"sort"
 
-	"relalg/internal/builtins"
 	"relalg/internal/cluster"
 	"relalg/internal/plan"
 	"relalg/internal/spill"
 	"relalg/internal/value"
 )
-
-// aggGroup is the running state for one group on one partition.
-type aggGroup struct {
-	keys   []value.Value
-	states []builtins.AggState
-}
 
 // runAgg executes a two-phase distributed aggregation: partition-local
 // pre-aggregation, a shuffle of partial states keyed by group, and a final
@@ -36,47 +28,48 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	// input already sits on one partition, or is partitioned on (a subset of)
 	// the group keys, every group is complete where it is and nothing moves.
 	stopShuffle := ctx.Timings.Track("aggregate-shuffle")
-	merged := locals
-	if !in.Single && !groupingAligned(in.HashKeys, a.GroupBy) {
+	var merged [][]groupRef
+	moved := !in.Single && !groupingAligned(in.HashKeys, a.GroupBy)
+	if moved {
 		if merged, err = moveStates(ctx, locals, len(a.GroupBy) == 0); err != nil {
 			return nil, err
 		}
 	}
 	stopShuffle()
 
-	// Phase 3: finalize. Sorted hash order keeps output row order (and so
-	// downstream shuffles and result files) identical across runs.
+	// Phase 3: finalize, in each partition's group order: hash ascending, then
+	// source partition and insertion order, which keeps output row order (and
+	// so downstream shuffles and result files) identical across runs.
 	stopFinal := ctx.Timings.Track("aggregate")
 	out := make([][]value.Row, ctx.Cluster.Partitions())
-	// Finalization is retry-safe: Final is a pure read of the merged states,
-	// so a re-executed (or speculated) attempt produces the same rows.
+	// Finalization is retry-safe: the finals are a pure read of the merged
+	// states, so a re-executed (or speculated) attempt produces the same rows.
 	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, _ int) (cluster.Commit, error) {
-		var rows []value.Row
-		for _, h := range sortedHashes(merged[part]) {
-			for _, g := range merged[part][h] {
-				row := make(value.Row, 0, len(a.Out))
-				row = append(row, g.keys...)
-				for _, st := range g.states {
-					v, err := st.Final()
-					if err != nil {
-						return cluster.Commit{}, err
-					}
-					row = append(row, v)
-				}
-				rows = append(rows, row)
+		var refs []groupRef
+		if moved {
+			refs = merged[part]
+		} else {
+			refs = refsOf(locals, part) // distinct keys: nothing to merge
+		}
+		w := len(a.Out)
+		flat := make([]value.Value, 0, len(refs)*w)
+		rows := make([]value.Row, len(refs))
+		for k, r := range refs {
+			row, err := locals[r.src].appendRow(flat[k*w:k*w:(k+1)*w], r.id)
+			if err != nil {
+				return cluster.Commit{}, err
 			}
+			rows[k] = row
 		}
 		// A grouping with no keys over an empty input still yields one row
 		// (SQL: SELECT SUM(x) FROM empty returns a single NULL row), on
 		// partition 0.
-		if part == 0 && len(a.GroupBy) == 0 && noGroups(merged) {
-			row := make(value.Row, 0, len(a.Aggs))
-			for _, st := range newStates(a.Aggs, !ctx.DisableAggFusion) {
-				v, err := st.Final()
-				if err != nil {
-					return cluster.Commit{}, err
-				}
-				row = append(row, v)
+		if part == 0 && len(a.GroupBy) == 0 && !slices.ContainsFunc(locals, func(t *groupTable) bool { return t.len() > 0 }) {
+			empty := newGroupTable(a, !ctx.DisableAggFusion)
+			empty.addStates()
+			row, err := empty.appendRow(nil, 0)
+			if err != nil {
+				return cluster.Commit{}, err
 			}
 			rows = []value.Row{row}
 		}
@@ -97,94 +90,59 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	return rel, nil
 }
 
-// noGroups reports whether every partition's group map is empty.
-func noGroups(maps []map[uint64][]*aggGroup) bool {
-	for _, m := range maps {
-		if len(m) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedHashes returns the keys of a group-hash map in ascending order, the
-// iteration order every phase uses so merge and output sequences are
-// deterministic.
-func sortedHashes(groups map[uint64][]*aggGroup) []uint64 {
-	hs := make([]uint64, 0, len(groups))
-	for h := range groups {
-		hs = append(hs, h)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	return hs
-}
-
-// moveStates is the aggregate's state exchange. Each source's sealed groups
-// are bucketed by destination once, in hash order: the partition of the group
-// hash, or partition 0 when toZero (no group keys). Each destination is then
-// one task of the cluster's exchange runner. Its move counts the groups that
-// change partition and their wire bytes; its install merges the inbound groups
-// with mergeGroupMaps, source ascending and hash ascending, the order that
-// keeps every merged state bit-identical. The merge adopts the first inbound
-// group of each key and merges the rest into it, so it must run exactly once:
-// in the install, never in a move that may be retried or speculated.
-func moveStates(ctx *Context, locals []map[uint64][]*aggGroup, toZero bool) ([]map[uint64][]*aggGroup, error) {
+// moveStates is the aggregate's state exchange. Each source's groups are
+// bucketed once by destination: the partition of the group hash, or 0 when
+// toZero (no group keys). Each destination is one task of the cluster's
+// exchange runner. Its move counts the groups that change partition and their
+// wire bytes; its install merges the inbound groups (mergeRefs), which folds
+// states into the first inbound group of each key, in its own table, so it must
+// run exactly once: in the install, never in a move that may be retried or
+// speculated.
+func moveStates(ctx *Context, locals []*groupTable, toZero bool) ([][]groupRef, error) {
 	p := ctx.Cluster.Partitions()
-	buckets := make([][][]uint64, len(locals)) // [src][dst] group hashes, ascending
-	for src, groups := range locals {
-		buckets[src] = make([][]uint64, p)
-		hs := sortedHashes(groups)
-		if toZero {
-			buckets[src][0] = hs
-			continue
-		}
-		for _, h := range hs {
-			d := int(h % uint64(p))
-			buckets[src][d] = append(buckets[src][d], h)
-		}
+	m := uint64(p)
+	if toZero {
+		m = 1
 	}
-	merged := make([]map[uint64][]*aggGroup, p)
+	ids, at := make([][]int32, len(locals)), make([][]int32, len(locals))
+	for src, t := range locals {
+		ids[src], at[src] = bucketSort(int(t.len()), p, func(id int) int32 { return int32(t.hash(int32(id)) % m) })
+	}
+	bucket := func(src, dst int) []int32 { return ids[src][at[src][dst]:at[src][dst+1]] }
+	merged := make([][]groupRef, p)
 	err := ctx.Cluster.Exchange("aggregate-shuffle", taskObs(ctx), func(dst, _ int) (cluster.Commit, error) {
 		var tuples, wireBytes int64
 		var scratch value.Row
-		most := 0 // the largest inbound bucket: the merged map's size hint
-		for src := range buckets {
-			most = max(most, len(buckets[src][dst]))
+		n := 0 // the inbound groups, this partition's own included
+		for src, t := range locals {
+			n += len(bucket(src, dst))
 			if src == dst {
 				continue
 			}
-			for _, h := range buckets[src][dst] {
-				for _, g := range locals[src][h] {
-					tuples++
-					wireBytes += g.wireLen(&scratch)
+			for _, id := range bucket(src, dst) {
+				// A moved group's bytes: its output row, encoded.
+				row, err := t.appendRow(scratch[:0], id)
+				if err != nil {
+					return cluster.Commit{}, err
 				}
+				scratch = row
+				tuples++
+				wireBytes += int64(row.EncodedLen())
 			}
 		}
 		return cluster.Commit{Shuffled: tuples, WireBytes: wireBytes, Install: func() error {
-			m := make(map[uint64][]*aggGroup, most)
-			for src := range buckets {
-				if err := mergeGroupMaps(m, locals[src], buckets[src][dst]); err != nil {
-					return err
+			refs := make([]groupRef, 0, n)
+			for src := range locals {
+				for _, id := range bucket(src, dst) {
+					refs = append(refs, groupRef{int32(src), id})
 				}
 			}
-			merged[dst] = m
-			return nil
+			var err error
+			merged[dst], err = mergeRefs(locals, refs)
+			return err
 		}}, nil
 	})
 	return merged, err
-}
-
-// wireLen returns the bytes one group costs to move: its key values and each
-// state's partial value, encoded as one row, which it builds in scratch.
-func (g *aggGroup) wireLen(scratch *value.Row) int64 {
-	row := append((*scratch)[:0], g.keys...)
-	for _, st := range g.states {
-		if v, err := st.Final(); err == nil {
-			row = append(row, v)
-		}
-	}
-	*scratch = row
-	return int64(row.EncodedLen())
 }
 
 // groupingAligned reports whether the input partitioning co-locates rows of
@@ -203,20 +161,6 @@ func groupingAligned(hashKeys []string, groupBy []plan.Expr) bool {
 		}
 	}
 	return true
-}
-
-func newStates(aggs []plan.AggCall, fuse bool) []builtins.AggState {
-	out := make([]builtins.AggState, len(aggs))
-	for i, a := range aggs {
-		if fuse {
-			if kind := fusedOf(a); kind != fusedNone {
-				out[i] = &fusedSumState{kind: kind, args: a.Input.(*plan.Call).Args}
-				continue
-			}
-		}
-		out[i] = a.Spec.New()
-	}
-	return out
 }
 
 // aggSpillFanout is how many spill runs new-group rows scatter into once
@@ -240,9 +184,10 @@ type partAgg struct {
 	res     *spill.Reservation // nil without a memory budget
 	fuse    bool
 	vecArg  []bool // aggregate j's argument evaluates columnar (plain calls)
-	rowArg  bool   // some aggregate is fused and steps from the whole row
 	argCols []*value.Col
 	ke      keyEval
+	all     []int32     // the dense selection of a window
+	ids     []int32     // a window's group ids, by lane
 	reads   []plan.Expr // what the aggregate evaluates over its input: group keys and plain arguments
 }
 
@@ -261,8 +206,6 @@ func newPartAgg(ctx *Context, a *plan.Agg, part int, scr *spill.Scratch) *partAg
 		pa.vecArg[j] = c.Input != nil && !(pa.fuse && fusedOf(c) != fusedNone)
 		if pa.vecArg[j] {
 			pa.reads = append(pa.reads, c.Input)
-		} else if c.Input != nil {
-			pa.rowArg = true
 		}
 	}
 	return pa
@@ -277,62 +220,34 @@ func (pa *partAgg) release() {
 // seal finishes the top-level builder and seals every fused state while the
 // states still belong to this attempt alone: the finalize tasks may read one
 // state from two attempts at once.
-func (pa *partAgg) seal(b *aggBuilder) (map[uint64][]*aggGroup, error) {
-	groups, err := b.finish()
-	if err != nil {
+func (pa *partAgg) seal(b *aggBuilder) (*groupTable, error) {
+	if err := b.finish(); err != nil {
 		return nil, err
 	}
-	for _, gs := range groups {
-		for _, g := range gs {
-			for _, st := range g.states {
+	t := b.t
+	for _, a := range t.aggs {
+		for _, chunk := range a.states {
+			for _, st := range chunk {
 				if fs, ok := st.(*fusedSumState); ok {
 					fs.seal()
 				}
 			}
 		}
 	}
-	return groups, nil
+	return t, nil
 }
 
 // stateFootprint estimates the bytes of one group's aggregate states.
 func stateFootprint(n int) int64 { return 64 + int64(n)*64 }
 
-// aggregateRun aggregates one overflow run at depth.
-func (pa *partAgg) aggregateRun(run *spill.Run, depth int) (map[uint64][]*aggGroup, error) {
-	b := pa.builder(depth)
+// aggregateRun aggregates one overflow run at depth into t.
+func (pa *partAgg) aggregateRun(run *spill.Run, depth int, t *groupTable) error {
+	b := pa.builder(depth, t)
 	// The run's rows are the stage's output, so they go through a bare stage
 	// into the deeper builder.
 	ps := &partStage{stage: &stage{limit: -1}, ec: pa.ec, pre: newPrefetcher(pa.reads), sink: b}
 	if err := forRunWindows(run, ps.rows); err != nil {
-		return nil, err
+		return err
 	}
 	return b.finish()
-}
-
-// mergeGroupMaps folds the groups of src under the hashes hs, in that order,
-// into dst: a group whose key dst lacks is adopted, and any other is merged
-// into dst's group. Callers pass hs ascending, so floating-point accumulation
-// stays deterministic.
-func mergeGroupMaps(dst, src map[uint64][]*aggGroup, hs []uint64) error {
-	for _, h := range hs {
-		for _, g := range src[h] {
-			var tgt *aggGroup
-			for _, cand := range dst[h] {
-				if valsEqual(cand.keys, g.keys) {
-					tgt = cand
-					break
-				}
-			}
-			if tgt == nil {
-				dst[h] = append(dst[h], g)
-				continue
-			}
-			for i := range tgt.states {
-				if err := tgt.states[i].Merge(g.states[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -55,10 +55,10 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 		{value.Vector(linalg.VectorOf(0, 5))},
 	}
 	// Fused path.
-	states := newStates([]plan.AggCall{call}, true)
-	fused, ok := states[0].(*fusedSumState)
+	st := newState(call, true)
+	fused, ok := st.(*fusedSumState)
 	if !ok {
-		t.Fatalf("state is %T, want fused", states[0])
+		t.Fatalf("state is %T, want fused", st)
 	}
 	for _, r := range rows {
 		if err := fused.stepFused(nil, r); err != nil {
@@ -91,8 +91,7 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 
 func TestFusedSumEmptyIsNull(t *testing.T) {
 	call := outerSumCall(t)
-	states := newStates([]plan.AggCall{call}, true)
-	v, err := states[0].Final()
+	v, err := newState(call, true).Final()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +102,8 @@ func TestFusedSumEmptyIsNull(t *testing.T) {
 
 func TestFusedSumMerge(t *testing.T) {
 	call := outerSumCall(t)
-	a := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
-	b := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	a := newState(call, true).(*fusedSumState)
+	b := newState(call, true).(*fusedSumState)
 	_ = a.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 0))})
 	_ = b.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(0, 2))})
 	if err := a.Merge(b); err != nil {
@@ -116,11 +115,11 @@ func TestFusedSumMerge(t *testing.T) {
 		t.Fatalf("merged = %v", got.Mat)
 	}
 	// Merging an empty state is a no-op.
-	if err := a.Merge(newStates([]plan.AggCall{call}, true)[0]); err != nil {
+	if err := a.Merge(newState(call, true)); err != nil {
 		t.Fatal(err)
 	}
 	// Merging into an empty state adopts the other side.
-	c := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	c := newState(call, true).(*fusedSumState)
 	if err := c.Merge(a); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestFusedSumMerge(t *testing.T) {
 
 func TestFusedSumNullInputsSkipped(t *testing.T) {
 	call := outerSumCall(t)
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	st := newState(call, true).(*fusedSumState)
 	if err := st.stepFused(nil, value.Row{value.Null()}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestFusedSumNullInputsSkipped(t *testing.T) {
 
 func TestFusedSumShapeError(t *testing.T) {
 	call := outerSumCall(t)
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	st := newState(call, true).(*fusedSumState)
 	_ = st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 2))})
 	if err := st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 2, 3))}); err == nil {
 		t.Fatal("shape mismatch accepted")
@@ -197,7 +196,7 @@ func TestFusedSumStepUnfusedPath(t *testing.T) {
 	// The generic Step path (fed pre-computed matrices) must agree with
 	// stepFused; the distributed merge path can deliver values this way.
 	call := outerSumCall(t)
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	st := newState(call, true).(*fusedSumState)
 	if err := st.Step(value.Null()); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestFusedSumStepUnfusedPath(t *testing.T) {
 		t.Fatal("non-matrix Step accepted")
 	}
 	// Step must not mutate its first input (it clones).
-	fresh := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	fresh := newState(call, true).(*fusedSumState)
 	_ = fresh.Step(value.Matrix(m1))
 	_ = fresh.Step(value.Matrix(m2))
 	if m1.At(0, 1) != 0 {
@@ -240,7 +239,7 @@ func TestFusedMatMulSum(t *testing.T) {
 		Input: &plan.Call{Fn: mm, Args: []plan.Expr{col(0, mt), col(1, mt)}, T: mt},
 		T:     mt,
 	}
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	st := newState(call, true).(*fusedSumState)
 	id := linalg.Identity(2)
 	two := id.Scale(2)
 	if err := st.stepFused(nil, value.Row{value.Matrix(id), value.Matrix(two)}); err != nil {
@@ -256,21 +255,6 @@ func TestFusedMatMulSum(t *testing.T) {
 	// Kind errors.
 	if err := st.stepFused(nil, value.Row{value.Int(1), value.Matrix(id)}); err == nil {
 		t.Fatal("non-matrix operand accepted")
-	}
-}
-
-func TestValsEqualCornerCases(t *testing.T) {
-	if valsEqual([]value.Value{value.Int(1)}, []value.Value{value.Int(1), value.Int(2)}) {
-		t.Fatal("length mismatch equal")
-	}
-	if !valsEqual([]value.Value{value.Null()}, []value.Value{value.Null()}) {
-		t.Fatal("NULL group keys must match")
-	}
-	if valsEqual([]value.Value{value.String_("a")}, []value.Value{value.String_("b")}) {
-		t.Fatal("different strings equal")
-	}
-	if !valsEqual([]value.Value{value.Int(2)}, []value.Value{value.Double(2)}) {
-		t.Fatal("numeric cross-kind keys must match")
 	}
 }
 

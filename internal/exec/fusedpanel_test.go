@@ -129,13 +129,10 @@ func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*fusedSumState, 
 	if err != nil {
 		return nil, err
 	}
-	if len(groups) != 1 {
-		t.Fatalf("%d group hashes, want 1", len(groups))
+	if groups.len() != 1 {
+		t.Fatalf("%d groups, want 1", groups.len())
 	}
-	for _, gs := range groups {
-		return gs[0].states[0].(*fusedSumState), nil
-	}
-	return nil, nil
+	return (*groups.aggs[0].states.at(0)).(*fusedSumState), nil
 }
 
 func matOf(t *testing.T, st builtins.AggState) *linalg.Matrix {
@@ -220,7 +217,7 @@ func TestPanelledOuterSumShapeErrorAtItsRow(t *testing.T) {
 	}
 	// Stepping directly: every other row is accepted, the bad one is refused
 	// at its position, and the rows buffered before it are not lost.
-	st := newStates(outerSumAgg(0, 0).Aggs, true)[0].(*fusedSumState)
+	st := newState(outerSumAgg(0, 0).Aggs[0], true).(*fusedSumState)
 	for i, row := range rows {
 		if err := st.stepFused(nil, row); (err != nil) != (i == badAt) {
 			t.Fatalf("row %d: %v", i, err)
@@ -244,8 +241,8 @@ func TestPanelledOuterSumMergeOfHalfFilledStates(t *testing.T) {
 		left := append(panelRows(r, k+k/2, d, mode, true), panelRows(r, k/3, d, mode, false)...)
 		right := append(panelRows(r, 2*k+k/3, d, mode, true), panelRows(r, k/2, d, mode, false)...)
 		agg := outerSumAgg(0, bi)
-		a := newStates(agg.Aggs, true)[0].(*fusedSumState)
-		b := newStates(agg.Aggs, true)[0].(*fusedSumState)
+		a := newState(agg.Aggs[0], true).(*fusedSumState)
+		b := newState(agg.Aggs[0], true).(*fusedSumState)
 		for _, row := range left {
 			if err := a.stepFused(nil, row); err != nil {
 				t.Fatal(err)
@@ -315,7 +312,7 @@ func TestPanelledOuterSumStepAllocatesNothing(t *testing.T) {
 			bi = 0
 		}
 		rows := panelRows(rand.New(rand.NewSource(4)), k+1, d, mode, false)
-		st := newStates(outerSumAgg(0, bi).Aggs, true)[0].(*fusedSumState)
+		st := newState(outerSumAgg(0, bi).Aggs[0], true).(*fusedSumState)
 		for _, row := range rows {
 			if err := st.stepFused(nil, row); err != nil {
 				t.Fatal(err)

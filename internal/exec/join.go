@@ -30,35 +30,13 @@ func sameKeys(a, b []string) bool {
 	return true
 }
 
-// valsEqual compares key tuples with SQL semantics (numeric kinds compare by
-// value; NULL equals NULL for grouping purposes).
-func valsEqual(a, b []value.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].IsNumeric() && b[i].IsNumeric() {
-			x, _ := a[i].AsDouble()
-			y, _ := b[i].AsDouble()
-			if x != y {
-				return false
-			}
-			continue
-		}
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // runJoin runs the hash join as st's source. Each input runs as its own stage
 // into a hash exchange on its join keys (joinInput), and both run before
 // either is delivered, so a key that fails to evaluate fails the join before
 // anything moves. Once both are placed, each partition builds on its smaller
 // side and probes, and every match is a pair of the stage; the join's residual
 // is the stage's first filter.
-func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []map[uint64][]*aggGroup, error) {
+func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []*groupTable, error) {
 	stay := singlePart(ctx, j.L) && singlePart(ctx, j.R)
 	left, lex, err := joinInput(ctx, j.L, j.LKeys, stay)
 	if err != nil {
@@ -148,13 +126,6 @@ func singlePart(ctx *Context, n plan.Node) bool {
 		return true
 	}
 	return false
-}
-
-// joinBucket is one build-side entry of the hash table: the evaluated key
-// tuple plus the source row.
-type joinBucket struct {
-	keys []value.Value
-	row  value.Row
 }
 
 // partJoin joins one partition's build and probe slices, going out-of-core
@@ -270,7 +241,7 @@ func (c *charger) tick(n int) error {
 // of the bigger side (outer loop) with every broadcast row of the smaller one
 // (inner loop), so the residual and projection run columnar over pair windows
 // like the hash join's.
-func runCross(ctx *Context, c *plan.Cross, st *stage) (*Relation, []map[uint64][]*aggGroup, error) {
+func runCross(ctx *Context, c *plan.Cross, st *stage) (*Relation, []*groupTable, error) {
 	left, err := Run(ctx, c.L)
 	if err != nil {
 		return nil, nil, err

@@ -54,11 +54,11 @@ func (st *stage) bare() bool { return len(st.filters) == 0 && st.exprs == nil }
 
 // runStage runs the stage rooted at n into st's sink. st.limit >= 0 cuts
 // every partition after limit rows. With st.agg set, the rows go into the
-// aggregate's partition-local phase, whose sealed group maps come back beside
+// aggregate's partition-local phase, whose sealed group tables come back beside
 // a relation that carries only the placement. With st.ex set, they go into its
 // buckets unless the stage settles it. A node the adaptive re-planner has
 // already materialized ends the chain: it is the stage's X.
-func runStage(ctx *Context, n plan.Node, st *stage) (*Relation, []map[uint64][]*aggGroup, error) {
+func runStage(ctx *Context, n plan.Node, st *stage) (*Relation, []*groupTable, error) {
 	st.out = n.Schema()
 	x := n
 	if p, ok := x.(*plan.Project); ok && ctx.bound[x] == nil {
@@ -100,7 +100,7 @@ func runStage(ctx *Context, n plan.Node, st *stage) (*Relation, []map[uint64][]*
 
 // scan streams the table's windows through the stage: "scan" when it is
 // bare, "pipeline" otherwise.
-func (st *stage) scan(ctx *Context, s *plan.Scan) (*Relation, []map[uint64][]*aggGroup, error) {
+func (st *stage) scan(ctx *Context, s *plan.Scan) (*Relation, []*groupTable, error) {
 	op := "pipeline"
 	if st.bare() {
 		op = "scan"
@@ -117,7 +117,7 @@ func (st *stage) scan(ctx *Context, s *plan.Scan) (*Relation, []map[uint64][]*ag
 
 // relation materializes x and streams its partitions through the stage. The
 // stage is timed apart from x, under the name of what it does.
-func (st *stage) relation(ctx *Context, x plan.Node) (*Relation, []map[uint64][]*aggGroup, error) {
+func (st *stage) relation(ctx *Context, x plan.Node) (*Relation, []*groupTable, error) {
 	in, err := Run(ctx, x)
 	if err != nil {
 		return nil, nil, err
@@ -155,10 +155,10 @@ func (st *stage) relation(ctx *Context, x plan.Node) (*Relation, []map[uint64][]
 // the placement does not settle gets every partition's buckets. Each attempt
 // spills into its own scratch, which it closes on return.
 func (st *stage) run(ctx *Context, op string, charges bool, keys []string, single bool,
-	feed func(ps *partStage, part int) error) (*Relation, []map[uint64][]*aggGroup, error) {
+	feed func(ps *partStage, part int) error) (*Relation, []*groupTable, error) {
 	st.settle(keys)
 	out := make([][]value.Row, ctx.Cluster.Partitions())
-	locals := make([]map[uint64][]*aggGroup, len(out))
+	locals := make([]*groupTable, len(out))
 	if st.ex != nil {
 		st.ex.buckets = make([][][]value.Row, len(out))
 	}
@@ -256,7 +256,7 @@ func newPartStage(ctx *Context, st *stage, part int, scr *spill.Scratch) *partSt
 	switch {
 	case st.agg != nil:
 		ps.pa = newPartAgg(ctx, st.agg, part, scr)
-		ps.sink = ps.pa.builder(0)
+		ps.sink = ps.pa.builder(0, newGroupTable(st.agg, ps.pa.fuse))
 		if st.exprs == nil {
 			reads = ps.pa.reads
 		}
@@ -270,8 +270,8 @@ func newPartStage(ctx *Context, st *stage, part int, scr *spill.Scratch) *partSt
 	return ps
 }
 
-// seal returns the partition's sealed group map, or nil for a row sink.
-func (ps *partStage) seal() (map[uint64][]*aggGroup, error) {
+// seal returns the partition's sealed group table, or nil for a row sink.
+func (ps *partStage) seal() (*groupTable, error) {
 	if ps.pa == nil {
 		return nil, nil
 	}

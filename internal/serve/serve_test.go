@@ -180,9 +180,15 @@ func TestServeConcurrentMatchesSerial(t *testing.T) {
 	if st.CacheMisses == 0 {
 		t.Error("no plan-cache misses recorded")
 	}
-	if spills := concDB.Cluster().Stats().SpillEvents.Load(); spills == 0 {
+	cst := concDB.Cluster().Stats().Snapshot()
+	if cst.SpillEvents == 0 {
 		t.Error("no spill events: the shared memory pool never forced a query out of core")
 	}
+	// One scratch file per spilling task attempt, however many runs it wrote.
+	if cst.SpillFiles <= 0 || cst.SpillFiles > cst.SpillEvents {
+		t.Errorf("%d spill files for %d spill runs, want 0 < files <= runs", cst.SpillFiles, cst.SpillEvents)
+	}
+	t.Logf("%d spill runs in %d files", cst.SpillEvents, cst.SpillFiles)
 	if st.SessionsOpened != numSessions {
 		t.Errorf("sessions opened = %d, want %d", st.SessionsOpened, numSessions)
 	}

@@ -192,6 +192,35 @@ func GatherMulti(rows []Row, lo, hi int, idxs []int, cols []*Col) {
 	}
 }
 
+// AppendLane appends lane i of src as the column's next lane. Like Gather, the
+// column stays typed while every lane shares one non-NULL kind and degrades to
+// generic storage when one does not.
+func (c *Col) AppendLane(src *Col, i int) {
+	if !src.Generic && !c.Generic && src.Kind == c.Kind {
+		switch c.Kind {
+		case KindInt:
+			c.I = append(c.I, src.I[i])
+			return
+		case KindDouble:
+			c.F = append(c.F, src.F[i])
+			return
+		case KindString:
+			c.S = append(c.S, src.S[i])
+			return
+		}
+	}
+	c.appendValue(src.Value(i))
+}
+
+// Grow makes room for n more lanes of the column's current storage.
+func (c *Col) Grow(n int) {
+	if c.Generic {
+		c.Any = slices.Grow(c.Any, n)
+		return
+	}
+	c.reserve(c.Kind, n)
+}
+
 func (c *Col) gatherGeneric(rows []Row, lo, hi, idx int) {
 	c.Reset()
 	c.Generic = true

@@ -114,18 +114,39 @@ func HashRowKey(row Row, cols []int) uint64 {
 // SQL equality (numeric kinds compare by value).
 func KeyEqual(a, b Row, acols, bcols []int) bool {
 	for i := range acols {
-		av, bv := a[acols[i]], b[bcols[i]]
-		if av.IsNumeric() && bv.IsNumeric() {
-			x, _ := av.AsDouble()
-			y, _ := bv.AsDouble()
-			if x != y {
-				return false
-			}
-			continue
-		}
-		if !av.Equal(bv) {
+		if !keyValuesEqual(a[acols[i]], b[bcols[i]]) {
 			return false
 		}
 	}
 	return true
+}
+
+// KeyLanesEqual reports whether lane i of a and lane j of b are equal keys,
+// as KeyEqual compares them, reading typed lanes without boxing them.
+func KeyLanesEqual(a *Col, i int, b *Col, j int) bool {
+	if !a.Generic && !b.Generic && a.Kind == b.Kind {
+		switch a.Kind {
+		case KindInt:
+			return float64(a.I[i]) == float64(b.I[j])
+		case KindDouble, KindLabeledScalar:
+			return a.F[i] == b.F[j]
+		case KindString:
+			return a.S[i] == b.S[j]
+		case KindBool:
+			return a.B[i] == b.B[j]
+		}
+	}
+	return keyValuesEqual(a.Value(i), b.Value(j))
+}
+
+// keyValuesEqual is key equality: numeric kinds compare by their double value
+// (so −0 equals +0, a NaN equals nothing, and INTEGERs past 2⁵³ that round to
+// one double are equal), everything else by Equal (so NULL equals NULL).
+func keyValuesEqual(v, w Value) bool {
+	if v.IsNumeric() && w.IsNumeric() {
+		x, _ := v.AsDouble()
+		y, _ := w.AsDouble()
+		return x == y
+	}
+	return v.Equal(w)
 }
