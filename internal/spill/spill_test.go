@@ -254,10 +254,11 @@ func scratchFiles(t *testing.T, m *Manager) []os.DirEntry {
 	return ents
 }
 
-// TestOneFilePerScratch: every run of one scratch shares its one file, and
-// Close removes it.
+// TestOneFilePerScratch: every run of one scratch shares its one file, which
+// FileCreated reports once, and Close removes it.
 func TestOneFilePerScratch(t *testing.T) {
-	m := NewManager(1<<20, Hooks{})
+	created := 0
+	m := NewManager(1<<20, Hooks{FileCreated: func() { created++ }})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
@@ -268,8 +269,8 @@ func TestOneFilePerScratch(t *testing.T) {
 	for i := range runs {
 		runs[i] = writeRun(t, s, testRows(i+1))
 	}
-	if n := len(scratchFiles(t, m)); n != 1 || m.LiveScratches() != 1 {
-		t.Fatalf("16 runs left %d files (%d live scratches), want 1", n, m.LiveScratches())
+	if n := len(scratchFiles(t, m)); n != 1 || m.LiveScratches() != 1 || created != 1 {
+		t.Fatalf("16 runs left %d files (%d live scratches, %d reported), want 1", n, m.LiveScratches(), created)
 	}
 	for i, run := range runs {
 		if got := readAll(t, run); !rowsEqual(got, testRows(i+1)) {
