@@ -262,7 +262,7 @@ func (db *Database) runStmt(stmt sqlparse.Statement, rsrc Resources) (*Result, e
 	case *sqlparse.CreateView:
 		return nil, db.createView(x)
 	case *sqlparse.Insert:
-		return nil, db.insert(x)
+		return nil, db.insert(x, rsrc)
 	case *sqlparse.DropTable:
 		return nil, db.drop(x)
 	case *sqlparse.Select:
@@ -376,12 +376,13 @@ func (db *Database) createView(cv *sqlparse.CreateView) error {
 	return db.cat.CreateView(&catalog.ViewMeta{Name: cv.Name, Cols: cv.Cols, Query: cv.Query})
 }
 
-func (db *Database) insert(ins *sqlparse.Insert) error {
+func (db *Database) insert(ins *sqlparse.Insert, rsrc Resources) error {
 	meta, ok := db.cat.Table(ins.Table)
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", ins.Table)
 	}
 	b := plan.NewBuilder(db.cat)
+	ec := &plan.EvalCtx{KernelWorkers: db.kernelWorkers(rsrc)}
 	rows := make([]value.Row, 0, len(ins.Rows))
 	for _, exprRow := range ins.Rows {
 		if len(exprRow) != meta.Schema.Arity() {
@@ -393,7 +394,7 @@ func (db *Database) insert(ins *sqlparse.Insert) error {
 			if err != nil {
 				return err
 			}
-			v, err := compiled.Eval(nil, value.Row{})
+			v, err := plan.EvalRow(ec, compiled, nil)
 			if err != nil {
 				return err
 			}

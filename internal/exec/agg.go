@@ -183,30 +183,36 @@ type partAgg struct {
 	scr     *spill.Scratch     // the owning task attempt's, for overflow runs
 	res     *spill.Reservation // nil without a memory budget
 	fuse    bool
-	vecArg  []bool // aggregate j's argument evaluates columnar (plain calls)
-	argCols []*value.Col
+	args    [][]plan.Expr  // aggregate j's arguments: none for COUNT(*), a fused SUM's two, else its input
+	argCols [][]*value.Col // the window's columns of args
+	arena   rowArena       // overflow rows of lanes that are not rows already
 	ke      keyEval
 	all     []int32     // the dense selection of a window
 	ids     []int32     // a window's group ids, by lane
-	reads   []plan.Expr // what the aggregate evaluates over its input: group keys and plain arguments
+	reads   []plan.Expr // what the aggregate evaluates over its input: group keys and arguments
 }
 
 // newPartAgg sets up one partition attempt's aggregation, taking its "hash
 // aggregate" reservation under a memory budget; release returns it.
 func newPartAgg(ctx *Context, a *plan.Agg, part int, scr *spill.Scratch) *partAgg {
 	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, scr: scr, fuse: !ctx.DisableAggFusion,
-		vecArg: make([]bool, len(a.Aggs)), argCols: make([]*value.Col, len(a.Aggs))}
+		args: make([][]plan.Expr, len(a.Aggs)), argCols: make([][]*value.Col, len(a.Aggs))}
 	if ctx.spillEnabled() {
 		pa.res = ctx.Spill.Governor().Reservation("hash aggregate")
 	}
-	// Aggregate argument columns vectorize only for plain (non-fused,
-	// non-COUNT(*)) calls; fused states step from the row.
+	// Every argument evaluates columnar; a fused SUM's are its call's two
+	// arguments, so the call itself never runs.
 	pa.reads = slices.Clip(a.GroupBy)
 	for j, c := range a.Aggs {
-		pa.vecArg[j] = c.Input != nil && !(pa.fuse && fusedOf(c) != fusedNone)
-		if pa.vecArg[j] {
-			pa.reads = append(pa.reads, c.Input)
+		switch {
+		case c.Input == nil: // COUNT(*)
+		case pa.fuse && fusedOf(c) != fusedNone:
+			pa.args[j] = c.Input.(*plan.Call).Args
+		default:
+			pa.args[j] = []plan.Expr{c.Input}
 		}
+		pa.argCols[j] = make([]*value.Col, len(pa.args[j]))
+		pa.reads = append(pa.reads, pa.args[j]...)
 	}
 	return pa
 }

@@ -67,9 +67,6 @@ func (v *batchView) BatchCol(idx int) (*value.Col, error) {
 	return &v.cols[idx], nil
 }
 
-// BatchRow implements plan.BatchSource.
-func (v *batchView) BatchRow(i int) value.Row { return v.rows[v.lo+i] }
-
 // own returns the window's row i itself: a row window's rows outlive it.
 func (v *batchView) own(i int, _ *rowArena) value.Row { return v.rows[v.lo+i] }
 
@@ -366,16 +363,12 @@ func (pj *partJoin) probe(t *joinTable, probeRows []value.Row) error {
 // pairSource is a plan.BatchSource over a window of joined pairs: column
 // idx < split gathers from the left-side rows, the rest from the right side,
 // so the vectorized residual and projection never pay for materializing
-// concatenated rows. The scalar fallback (BatchRow) builds the concat rows
-// lazily, costing what the eager copy cost only when a generic expression
-// actually needs whole rows.
+// concatenated rows; a pair becomes one row only in own.
 type pairSource struct {
 	left, right []value.Row // the buffered pairs
 	split, w    int
 	cols        []value.Col
 	have        []bool
-	buf         []value.Value // flat backing for lazily-built concat rows
-	concat      []value.Row
 }
 
 // open readies the buffered pairs as one window.
@@ -391,7 +384,6 @@ func (ps *pairSource) open() {
 	for i := range ps.have {
 		ps.have[i] = false
 	}
-	ps.concat = ps.concat[:0]
 }
 
 func (ps *pairSource) BatchLen() int { return len(ps.left) }
@@ -412,22 +404,6 @@ func (ps *pairSource) BatchCol(idx int) (*value.Col, error) {
 	return c, nil
 }
 
-func (ps *pairSource) BatchRow(i int) value.Row {
-	if len(ps.concat) == 0 {
-		n := len(ps.left)
-		if cap(ps.buf) < n*ps.w {
-			ps.buf = make([]value.Value, n*ps.w)
-		}
-		for k := 0; k < n; k++ {
-			nr := value.Row(ps.buf[k*ps.w : k*ps.w : (k+1)*ps.w])
-			nr = append(nr, ps.left[k]...)
-			nr = append(nr, ps.right[k]...)
-			ps.concat = append(ps.concat, nr)
-		}
-	}
-	return ps.concat[i]
-}
-
 // own concatenates pair i into a row from the arena.
 func (ps *pairSource) own(i int, a *rowArena) value.Row {
 	nr := a.alloc(ps.w)[:0]
@@ -436,13 +412,10 @@ func (ps *pairSource) own(i int, a *rowArena) value.Row {
 }
 
 // colsView is a plan.BatchSource over columns already evaluated for one
-// window. BatchRow materializes a lane into a single scratch row, allocated on
-// first use, that the next call overwrites, so a caller must be done with the
-// row before asking again.
+// window: a stage's projection.
 type colsView struct {
 	cols []*value.Col
 	n    int
-	row  value.Row
 }
 
 func (v *colsView) BatchLen() int { return v.n }
@@ -454,14 +427,13 @@ func (v *colsView) BatchCol(idx int) (*value.Col, error) {
 	return v.cols[idx], nil
 }
 
-func (v *colsView) BatchRow(i int) value.Row {
-	if v.row == nil {
-		v.row = make(value.Row, len(v.cols))
-	}
+// own materializes lane i into a row from the arena.
+func (v *colsView) own(i int, a *rowArena) value.Row {
+	r := a.alloc(len(v.cols))
 	for j, c := range v.cols {
-		v.row[j] = c.Value(i)
+		r[j] = c.Value(i)
 	}
-	return v.row
+	return r
 }
 
 // grace runs the out-of-core join: both sides are hash-partitioned into F
@@ -606,24 +578,23 @@ func (pa *partAgg) builder(depth int, t *groupTable) *aggBuilder {
 }
 
 // add aggregates the lanes of src named by sel (all n when sel is nil).
-// Group keys, their hashes and the plain aggregates' arguments are evaluated
+// Group keys, their hashes and the aggregates' arguments are evaluated
 // columnar; the lanes' group ids are resolved in lane order, then each
 // aggregate steps its groups over the lanes in lane order. A lane becomes a
-// row (src.BatchRow) only for a fused state or an overflow run.
-func (b *aggBuilder) add(src plan.BatchSource, n int, sel []int32) error {
+// row (src.own) only for an overflow run.
+func (b *aggBuilder) add(src lanes, n int, sel []int32) error {
 	pa := b.pa
 	if err := pa.ke.eval(pa.ec, pa.a.GroupBy, src, sel); err != nil {
 		return err
 	}
-	for j, a := range pa.a.Aggs {
-		if !pa.vecArg[j] {
-			continue
+	for j, args := range pa.args {
+		for k, e := range args {
+			c, err := plan.EvalVec(pa.ec, e, src, sel)
+			if err != nil {
+				return err
+			}
+			pa.argCols[j][k] = c
 		}
-		c, err := plan.EvalVec(pa.ec, a.Input, src, sel)
-		if err != nil {
-			return err
-		}
-		pa.argCols[j] = c
 	}
 	if sel == nil {
 		pa.all = allSel(pa.all, n)
@@ -639,7 +610,7 @@ func (b *aggBuilder) add(src plan.BatchSource, n int, sel []int32) error {
 		ids[i] = id
 	}
 	for j := range b.t.aggs {
-		if err := b.stepAgg(j, src, sel, ids); err != nil {
+		if err := b.stepAgg(j, sel, ids); err != nil {
 			return err
 		}
 	}
@@ -654,7 +625,7 @@ func (b *aggBuilder) add(src plan.BatchSource, n int, sel []int32) error {
 // complete within its run). At maxGraceDepth the bytes are forced instead: a
 // single group's rows always re-scatter to the same run, so depth alone
 // cannot split skew.
-func (b *aggBuilder) group(src plan.BatchSource, i int) (int32, error) {
+func (b *aggBuilder) group(src lanes, i int) (int32, error) {
 	pa := b.pa
 	h := pa.ke.hashes[i]
 	if id := b.t.keys.find(h, pa.ke.cols, i); id >= 0 {
@@ -669,7 +640,7 @@ func (b *aggBuilder) group(src plan.BatchSource, i int) (int32, error) {
 		}
 	}
 	if b.writers != nil {
-		return -1, b.writers[mix64(h^b.salt)%uint64(len(b.writers))].Append(src.BatchRow(i))
+		return -1, b.writers[mix64(h^b.salt)%uint64(len(b.writers))].Append(src.own(i, &pa.arena))
 	}
 	id := b.t.keys.insert(h, pa.ke.cols, i)
 	b.t.addStates()
@@ -678,8 +649,12 @@ func (b *aggBuilder) group(src plan.BatchSource, i int) (int32, error) {
 
 // stepAgg steps aggregate j's states over the lanes sel, whose groups are
 // ids (-1: the lane went to an overflow run), in lane order.
-func (b *aggBuilder) stepAgg(j int, src plan.BatchSource, sel, ids []int32) error {
-	pa, a, c := b.pa, &b.t.aggs[j], b.pa.argCols[j]
+func (b *aggBuilder) stepAgg(j int, sel, ids []int32) error {
+	a, cols := &b.t.aggs[j], b.pa.argCols[j]
+	var c *value.Col // nil for COUNT(*)
+	if len(cols) > 0 {
+		c = cols[0]
+	}
 	floats := (a.op == aggSum || a.op == aggAvg) && !c.Generic && c.Kind == value.KindDouble
 	for _, i := range sel {
 		id := ids[i]
@@ -695,10 +670,10 @@ func (b *aggBuilder) stepAgg(j int, src plan.BatchSource, sel, ids []int32) erro
 			err = a.sums.at(id).StepDouble(c.F[i])
 		case a.op != aggBoxed:
 			err = a.sums.at(id).Step(c.Value(int(i)))
-		case pa.vecArg[j]:
+		case len(cols) == 2: // a fused SUM's two arguments
+			err = (*a.states.at(id)).(*fusedSumState).stepFused(c.Value(int(i)), cols[1].Value(int(i)))
+		default:
 			err = (*a.states.at(id)).Step(c.Value(int(i)))
-		default: // COUNT(*) is never boxed, so this is a fused state
-			err = (*a.states.at(id)).(*fusedSumState).stepFused(pa.ec, src.BatchRow(int(i)))
 		}
 		if err != nil {
 			return err

@@ -15,7 +15,9 @@ import (
 // included) accumulates into a single buffer instead. These states keep the
 // generic AggState protocol (Step/Merge/Final) so the distributed two-phase
 // machinery is untouched, but the partition-local hot path goes through
-// stepFused, skipping the intermediate allocation entirely.
+// stepFused, which takes the call's two arguments (evaluated columnar with
+// the aggregate's other inputs) and skips the intermediate allocation
+// entirely.
 
 // fusedKind identifies which fusion applies to an aggregate call.
 type fusedKind uint8
@@ -65,7 +67,6 @@ func fusedOf(a plan.AggCall) fusedKind {
 // mirrors it down. Merge, Step and Final see a sealed acc.
 type fusedSumState struct {
 	kind fusedKind
-	args []plan.Expr
 	acc  *linalg.Matrix
 
 	direct int            // outer-sum rows absorbed before the panels exist
@@ -75,16 +76,9 @@ type fusedSumState struct {
 	stale  bool           // acc's lower triangle is behind its upper one
 }
 
-// stepFused accumulates one input row directly into the buffer.
-func (s *fusedSumState) stepFused(ec *plan.EvalCtx, row value.Row) error {
-	a, err := s.args[0].Eval(ec, row)
-	if err != nil {
-		return err
-	}
-	b, err := s.args[1].Eval(ec, row)
-	if err != nil {
-		return err
-	}
+// stepFused accumulates one input row's arguments a and b directly into the
+// buffer.
+func (s *fusedSumState) stepFused(a, b value.Value) error {
 	if a.IsNull() || b.IsNull() {
 		return nil
 	}

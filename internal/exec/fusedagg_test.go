@@ -61,7 +61,7 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 		t.Fatalf("state is %T, want fused", st)
 	}
 	for _, r := range rows {
-		if err := fused.stepFused(nil, r); err != nil {
+		if err := fused.stepFused(r[0], r[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,14 +69,17 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unfused reference.
+	// Unfused reference: the materialized outer products, evaluated over one
+	// window.
 	ref := call.Spec.New()
-	for _, r := range rows {
-		v, err := call.Input.Eval(nil, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Step(v); err != nil {
+	var view batchView
+	view.reset(rows, 0, len(rows), 1)
+	products, err := plan.EvalVec(&plan.EvalCtx{}, call.Input, &view, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		if err := ref.Step(products.Value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,8 +107,10 @@ func TestFusedSumMerge(t *testing.T) {
 	call := outerSumCall(t)
 	a := newState(call, true).(*fusedSumState)
 	b := newState(call, true).(*fusedSumState)
-	_ = a.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 0))})
-	_ = b.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(0, 2))})
+	x := value.Vector(linalg.VectorOf(1, 0))
+	_ = a.stepFused(x, x)
+	y := value.Vector(linalg.VectorOf(0, 2))
+	_ = b.stepFused(y, y)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +137,14 @@ func TestFusedSumMerge(t *testing.T) {
 func TestFusedSumNullInputsSkipped(t *testing.T) {
 	call := outerSumCall(t)
 	st := newState(call, true).(*fusedSumState)
-	if err := st.stepFused(nil, value.Row{value.Null()}); err != nil {
+	if err := st.stepFused(value.Null(), value.Null()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 1))}); err != nil {
+	ones := value.Vector(linalg.VectorOf(1, 1))
+	if err := st.stepFused(ones, value.Null()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.stepFused(ones, ones); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := st.Final()
@@ -148,8 +157,9 @@ func TestFusedSumNullInputsSkipped(t *testing.T) {
 func TestFusedSumShapeError(t *testing.T) {
 	call := outerSumCall(t)
 	st := newState(call, true).(*fusedSumState)
-	_ = st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 2))})
-	if err := st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 2, 3))}); err == nil {
+	two, three := value.Vector(linalg.VectorOf(1, 2)), value.Vector(linalg.VectorOf(1, 2, 3))
+	_ = st.stepFused(two, two)
+	if err := st.stepFused(three, three); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }
@@ -242,10 +252,10 @@ func TestFusedMatMulSum(t *testing.T) {
 	st := newState(call, true).(*fusedSumState)
 	id := linalg.Identity(2)
 	two := id.Scale(2)
-	if err := st.stepFused(nil, value.Row{value.Matrix(id), value.Matrix(two)}); err != nil {
+	if err := st.stepFused(value.Matrix(id), value.Matrix(two)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.stepFused(nil, value.Row{value.Matrix(two), value.Matrix(two)}); err != nil {
+	if err := st.stepFused(value.Matrix(two), value.Matrix(two)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := st.Final()
@@ -253,7 +263,7 @@ func TestFusedMatMulSum(t *testing.T) {
 		t.Fatalf("fused matmul sum = %v", got.Mat)
 	}
 	// Kind errors.
-	if err := st.stepFused(nil, value.Row{value.Int(1), value.Matrix(id)}); err == nil {
+	if err := st.stepFused(value.Int(1), value.Matrix(id)); err == nil {
 		t.Fatal("non-matrix operand accepted")
 	}
 }

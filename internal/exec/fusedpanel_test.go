@@ -219,7 +219,7 @@ func TestPanelledOuterSumShapeErrorAtItsRow(t *testing.T) {
 	// at its position, and the rows buffered before it are not lost.
 	st := newState(outerSumAgg(0, 0).Aggs[0], true).(*fusedSumState)
 	for i, row := range rows {
-		if err := st.stepFused(nil, row); (err != nil) != (i == badAt) {
+		if err := st.stepFused(row[0], row[0]); (err != nil) != (i == badAt) {
 			t.Fatalf("row %d: %v", i, err)
 		}
 	}
@@ -244,12 +244,12 @@ func TestPanelledOuterSumMergeOfHalfFilledStates(t *testing.T) {
 		a := newState(agg.Aggs[0], true).(*fusedSumState)
 		b := newState(agg.Aggs[0], true).(*fusedSumState)
 		for _, row := range left {
-			if err := a.stepFused(nil, row); err != nil {
+			if err := a.stepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, row := range right {
-			if err := b.stepFused(nil, row); err != nil {
+			if err := b.stepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -277,7 +277,7 @@ func TestPanelledOuterSumMergeOfHalfFilledStates(t *testing.T) {
 		}
 		more := panelRows(r, 2*k, d, mode, false)
 		for _, row := range more {
-			if err := a.stepFused(nil, row); err != nil {
+			if err := a.stepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -314,7 +314,7 @@ func TestPanelledOuterSumStepAllocatesNothing(t *testing.T) {
 		rows := panelRows(rand.New(rand.NewSource(4)), k+1, d, mode, false)
 		st := newState(outerSumAgg(0, bi).Aggs[0], true).(*fusedSumState)
 		for _, row := range rows {
-			if err := st.stepFused(nil, row); err != nil {
+			if err := st.stepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -323,7 +323,8 @@ func TestPanelledOuterSumStepAllocatesNothing(t *testing.T) {
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(3*k, func() {
-			if err := st.stepFused(nil, rows[i%len(rows)]); err != nil {
+			row := rows[i%len(rows)]
+			if err := st.stepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 			i++

@@ -183,7 +183,7 @@ func newGroupTable(a *plan.Agg, fuse bool) *groupTable {
 func newState(c plan.AggCall, fuse bool) builtins.AggState {
 	if fuse {
 		if kind := fusedOf(c); kind != fusedNone {
-			return &fusedSumState{kind: kind, args: c.Input.(*plan.Call).Args}
+			return &fusedSumState{kind: kind}
 		}
 	}
 	return c.Spec.New()

@@ -211,11 +211,12 @@ func (st *stage) run(ctx *Context, op string, charges bool, keys []string, singl
 // errStopScan ends a partition's source early once its LIMIT cut is full.
 var errStopScan = errors.New("exec: stage stopped at limit")
 
-// lanes is one window a stage reads: rows of a table or relation, or join
-// pairs.
+// lanes is one window of a stage: rows of a table or relation, join pairs,
+// or the projected columns of either.
 type lanes interface {
 	plan.BatchSource
-	// own returns lane i as a row that outlives the window.
+	// own returns lane i as a row that outlives the window: the row itself
+	// when the window is made of rows, else one from a.
 	own(i int, a *rowArena) value.Row
 }
 
@@ -392,7 +393,7 @@ func (ps *partStage) push(src lanes, n int) error {
 		ps.proj.cols[j] = c
 	}
 	ps.proj.n = n
-	var out plan.BatchSource = src
+	out := src
 	if ps.exprs != nil {
 		out = &ps.proj
 	}
@@ -411,15 +412,7 @@ func (ps *partStage) push(src lanes, n int) error {
 		sel = ps.sbuf
 	}
 	for _, i := range sel {
-		var r value.Row
-		if ps.exprs == nil {
-			r = src.own(int(i), &ps.arena)
-		} else {
-			r = ps.arena.alloc(len(ps.exprs))
-			for j, c := range ps.proj.cols {
-				r[j] = c.Value(int(i))
-			}
-		}
+		r := out.own(int(i), &ps.arena)
 		if ps.px == nil {
 			ps.out = append(ps.out, r)
 			continue

@@ -321,7 +321,7 @@ func TestBuildNoFrom(t *testing.T) {
 	if _, ok := p.Input.(*OneRow); !ok {
 		t.Fatalf("input %T", p.Input)
 	}
-	v, err := p.Exprs[0].Eval(nil, value.Row{})
+	v, err := EvalRow(&EvalCtx{}, p.Exprs[0], nil)
 	if err != nil || !v.Equal(value.Int(3)) {
 		t.Fatalf("eval %v %v", v, err)
 	}

@@ -12,18 +12,18 @@ import (
 	"relalg/internal/value"
 )
 
-// EvalCtx is the per-query evaluation context threaded into every Eval.
+// EvalCtx is the per-query evaluation context threaded into every EvalVec.
 // It aliases builtins.EvalCtx so the executor can hand one object to both
-// expression trees and direct builtin calls; nil is always valid.
+// expression evaluation and direct builtin calls.
 type EvalCtx = builtins.EvalCtx
 
-// Expr is a type-checked expression evaluated against a row of its input
-// relation. Expressions are pure and the context is read-only, so the
-// optimizer may move, duplicate, and pre-evaluate them freely, and one plan
-// may be evaluated by many queries concurrently.
+// Expr is a type-checked expression over the columns of its input relation,
+// evaluated a window at a time by EvalVec. Expressions are pure and the
+// context is read-only, so the optimizer may move, duplicate, and
+// pre-evaluate them freely, and one plan may be evaluated by many queries
+// concurrently.
 type Expr interface {
 	Type() types.T
-	Eval(ec *EvalCtx, row value.Row) (value.Value, error)
 	String() string
 	// Walk visits this node and all children.
 	Walk(fn func(Expr))
@@ -39,14 +39,6 @@ type Col struct {
 // Type implements Expr.
 func (c *Col) Type() types.T { return c.T }
 
-// Eval implements Expr.
-func (c *Col) Eval(_ *EvalCtx, row value.Row) (value.Value, error) {
-	if c.Idx < 0 || c.Idx >= len(row) {
-		return value.Null(), fmt.Errorf("plan: column index %d out of range for row of %d", c.Idx, len(row))
-	}
-	return row[c.Idx], nil
-}
-
 func (c *Col) String() string     { return fmt.Sprintf("#%d:%s", c.Idx, c.Name) }
 func (c *Col) Walk(fn func(Expr)) { fn(c) }
 
@@ -58,9 +50,6 @@ type Const struct {
 
 // Type implements Expr.
 func (c *Const) Type() types.T { return c.T }
-
-// Eval implements Expr.
-func (c *Const) Eval(*EvalCtx, value.Row) (value.Value, error) { return c.V, nil }
 
 func (c *Const) String() string     { return c.V.String() }
 func (c *Const) Walk(fn func(Expr)) { fn(c) }
@@ -89,38 +78,6 @@ type Binary struct {
 // Type implements Expr.
 func (b *Binary) Type() types.T { return b.T }
 
-// Eval implements Expr.
-func (b *Binary) Eval(ec *EvalCtx, row value.Row) (value.Value, error) {
-	l, err := b.L.Eval(ec, row)
-	if err != nil {
-		return value.Null(), err
-	}
-	r, err := b.R.Eval(ec, row)
-	if err != nil {
-		return value.Null(), err
-	}
-	switch b.Kind {
-	case BinArith:
-		if l.IsNull() || r.IsNull() {
-			return value.Null(), nil
-		}
-		return builtins.Arith(ec, b.Op, l, r)
-	case BinCompare:
-		if l.IsNull() || r.IsNull() {
-			return value.Bool(false), nil
-		}
-		return builtins.Compare(b.Op, l, r)
-	case BinLogic:
-		lb := !l.IsNull() && l.Kind == value.KindBool && l.B
-		rb := !r.IsNull() && r.Kind == value.KindBool && r.B
-		if b.Op == "AND" {
-			return value.Bool(lb && rb), nil
-		}
-		return value.Bool(lb || rb), nil
-	}
-	return value.Null(), fmt.Errorf("plan: unknown binary kind %d", b.Kind)
-}
-
 func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
@@ -139,16 +96,6 @@ type Not struct {
 // Type implements Expr.
 func (n *Not) Type() types.T { return types.TBool }
 
-// Eval implements Expr.
-func (n *Not) Eval(ec *EvalCtx, row value.Row) (value.Value, error) {
-	v, err := n.E.Eval(ec, row)
-	if err != nil {
-		return value.Null(), err
-	}
-	b := !v.IsNull() && v.Kind == value.KindBool && v.B
-	return value.Bool(!b), nil
-}
-
 func (n *Not) String() string     { return "NOT " + n.E.String() }
 func (n *Not) Walk(fn func(Expr)) { fn(n); n.E.Walk(fn) }
 
@@ -160,25 +107,6 @@ type Neg struct {
 
 // Type implements Expr.
 func (n *Neg) Type() types.T { return n.T }
-
-// Eval implements Expr.
-func (n *Neg) Eval(ec *EvalCtx, row value.Row) (value.Value, error) {
-	v, err := n.E.Eval(ec, row)
-	if err != nil || v.IsNull() {
-		return value.Null(), err
-	}
-	switch v.Kind {
-	case value.KindInt:
-		return value.Int(-v.I), nil
-	case value.KindDouble, value.KindLabeledScalar:
-		return value.Double(-v.D), nil
-	case value.KindVector:
-		return value.Vector(v.Vec.Scale(-1)), nil
-	case value.KindMatrix:
-		return value.Matrix(v.Mat.Scale(-1)), nil
-	}
-	return value.Null(), fmt.Errorf("plan: cannot negate %s", v.Kind)
-}
 
 func (n *Neg) String() string     { return "-" + n.E.String() }
 func (n *Neg) Walk(fn func(Expr)) { fn(n); n.E.Walk(fn) }
@@ -192,22 +120,6 @@ type Call struct {
 
 // Type implements Expr.
 func (c *Call) Type() types.T { return c.T }
-
-// Eval implements Expr.
-func (c *Call) Eval(ec *EvalCtx, row value.Row) (value.Value, error) {
-	args := make([]value.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := a.Eval(ec, row)
-		if err != nil {
-			return value.Null(), err
-		}
-		if v.IsNull() {
-			return value.Null(), nil
-		}
-		args[i] = v
-	}
-	return c.Fn.Eval(ec, args)
-}
 
 func (c *Call) String() string {
 	s := c.Fn.Name + "("
@@ -229,8 +141,8 @@ func (c *Call) Walk(fn func(Expr)) {
 
 // ScalarSubquery is an uncorrelated scalar subquery used as an expression.
 // The engine pre-executes the inner plan and substitutes its single value
-// (NULL for an empty result) before physical execution; reaching Eval means
-// that substitution was skipped.
+// (NULL for an empty result) before physical execution; EvalVec refuses one
+// that reaches it, since that substitution was skipped.
 type ScalarSubquery struct {
 	Plan Node
 	T    types.T
@@ -238,11 +150,6 @@ type ScalarSubquery struct {
 
 // Type implements Expr.
 func (s *ScalarSubquery) Type() types.T { return s.T }
-
-// Eval implements Expr.
-func (s *ScalarSubquery) Eval(*EvalCtx, value.Row) (value.Value, error) {
-	return value.Null(), fmt.Errorf("plan: unresolved scalar subquery reached execution")
-}
 
 func (s *ScalarSubquery) String() string     { return "(subquery)" }
 func (s *ScalarSubquery) Walk(fn func(Expr)) { fn(s) }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -16,23 +17,70 @@ func boolConst(b bool) *Const {
 	return &Const{V: value.Bool(b), T: types.TBool}
 }
 
-func evalOn(t *testing.T, e Expr, row value.Row) value.Value {
-	t.Helper()
-	v, err := e.Eval(nil, row)
-	if err != nil {
-		t.Fatal(err)
+// evalCase is one expression over one row and the value it must give.
+type evalCase struct {
+	e    Expr
+	row  value.Row
+	want value.Value
+}
+
+// windows are the three ways a row is evaluated: alone (EvalRow); as lane 0
+// of a typed window, whose lane 1 repeats it, so a column of non-NULL values
+// is typed and the vectorized loops run; and as lane 0 of a generic window,
+// whose lane 1 is all NULL, so every column is generic and the lane goes
+// through the scalar builtins.
+func windows(ec *EvalCtx, e Expr, row value.Row) map[string]func() (value.Value, error) {
+	nulls := make(value.Row, len(row))
+	lane0 := func(src rowsSource) func() (value.Value, error) {
+		return func() (value.Value, error) {
+			c, err := EvalVec(ec, e, src, nil)
+			if err != nil {
+				return value.Null(), err
+			}
+			return c.Value(0), nil
+		}
 	}
-	return v
+	return map[string]func() (value.Value, error){
+		"row":     func() (value.Value, error) { return EvalRow(ec, e, row) },
+		"typed":   lane0(rowsSource{row, row}),
+		"generic": lane0(rowsSource{row, nulls}),
+	}
+}
+
+// checkEval checks every case in all three windows, bit for bit.
+func checkEval(t *testing.T, cases []evalCase) {
+	t.Helper()
+	for _, c := range cases {
+		for name, eval := range windows(&EvalCtx{}, c.e, c.row) {
+			got, err := eval()
+			if err != nil {
+				t.Errorf("%s over %v (%s window): %v", c.e, c.row, name, err)
+			} else if !sameBits(got, c.want) {
+				t.Errorf("%s over %v (%s window) = %v, want %v", c.e, c.row, name, got, c.want)
+			}
+		}
+	}
+}
+
+// checkEvalErr checks that e fails over row in all three windows.
+func checkEvalErr(t *testing.T, e Expr, row value.Row) {
+	t.Helper()
+	for name, eval := range windows(&EvalCtx{}, e, row) {
+		if v, err := eval(); err == nil {
+			t.Errorf("%s over %v (%s window) = %v, want an error", e, row, name, v)
+		}
+	}
 }
 
 func TestColEval(t *testing.T) {
 	row := value.Row{value.Int(7), value.String_("x")}
-	if v := evalOn(t, intCol(0), row); v.I != 7 {
-		t.Fatalf("col eval %v", v)
-	}
-	if _, err := intCol(5).Eval(nil, row); err == nil {
-		t.Fatal("out-of-range column accepted")
-	}
+	checkEval(t, []evalCase{
+		{intCol(0), row, value.Int(7)},
+		{&Col{Idx: 1, T: types.TString}, row, value.String_("x")},
+		{intCol(0), value.Row{value.Null()}, value.Null()},
+	})
+	checkEvalErr(t, intCol(5), row)
+	checkEvalErr(t, intCol(-1), row)
 	if intCol(0).Type() != types.TInt {
 		t.Fatal("type lost")
 	}
@@ -40,79 +88,96 @@ func TestColEval(t *testing.T) {
 
 func TestBinaryArithNullPropagation(t *testing.T) {
 	e := &Binary{Op: "+", Kind: BinArith, L: intCol(0), R: intCol(1), T: types.TInt}
-	v := evalOn(t, e, value.Row{value.Int(1), value.Null()})
-	if !v.IsNull() {
-		t.Fatalf("1 + NULL = %v, want NULL", v)
-	}
-	v = evalOn(t, e, value.Row{value.Int(1), value.Int(2)})
-	if v.I != 3 {
-		t.Fatalf("1 + 2 = %v", v)
-	}
+	div := &Binary{Op: "/", Kind: BinArith, L: intCol(0), R: intCol(1), T: types.TInt}
+	checkEval(t, []evalCase{
+		{e, value.Row{value.Int(1), value.Null()}, value.Null()},
+		{e, value.Row{value.Null(), value.Double(2)}, value.Null()},
+		{e, value.Row{value.Int(1), value.Int(2)}, value.Int(3)},
+		{e, value.Row{value.Int(1), value.Double(0.5)}, value.Double(1.5)},
+		{div, value.Row{value.Int(7), value.Int(2)}, value.Int(3)},
+		{div, value.Row{value.Int(7), value.Double(2)}, value.Double(3.5)},
+		{div, value.Row{value.Double(1), value.Double(0)}, value.Double(math.Inf(1))},
+	})
+	checkEvalErr(t, div, value.Row{value.Int(1), value.Int(0)})
+	checkEvalErr(t, e, value.Row{value.Int(1), value.String_("x")})
 }
 
 func TestBinaryCompareNullIsFalse(t *testing.T) {
-	e := &Binary{Op: "=", Kind: BinCompare, L: intCol(0), R: intCol(1), T: types.TBool}
-	v := evalOn(t, e, value.Row{value.Int(1), value.Null()})
-	if v.Kind != value.KindBool || v.B {
-		t.Fatalf("1 = NULL evaluated to %v, want FALSE", v)
-	}
+	eq := &Binary{Op: "=", Kind: BinCompare, L: intCol(0), R: intCol(1), T: types.TBool}
+	le := &Binary{Op: "<=", Kind: BinCompare, L: intCol(0), R: intCol(1), T: types.TBool}
+	nan := value.Double(math.NaN())
+	checkEval(t, []evalCase{
+		{eq, value.Row{value.Int(1), value.Null()}, value.Bool(false)},
+		{eq, value.Row{value.Int(2), value.Double(2)}, value.Bool(true)},
+		{eq, value.Row{value.String_("a"), value.String_("a")}, value.Bool(true)},
+		{le, value.Row{value.String_("b"), value.String_("a")}, value.Bool(false)},
+		{le, value.Row{value.Bool(false), value.Bool(true)}, value.Bool(true)},
+		// Ordering treats a NaN as equal to everything, unlike IEEE.
+		{le, value.Row{nan, value.Int(1)}, value.Bool(true)},
+		{eq, value.Row{nan, nan}, value.Bool(false)},
+	})
+	checkEvalErr(t, le, value.Row{value.String_("a"), value.Int(1)})
 }
 
 func TestBinaryLogic(t *testing.T) {
-	and := &Binary{Op: "AND", Kind: BinLogic, L: boolConst(true), R: boolConst(false), T: types.TBool}
-	if v := evalOn(t, and, nil); v.B {
-		t.Fatal("true AND false")
-	}
-	or := &Binary{Op: "OR", Kind: BinLogic, L: boolConst(true), R: boolConst(false), T: types.TBool}
-	if v := evalOn(t, or, nil); !v.B {
-		t.Fatal("true OR false")
-	}
-	// NULL behaves as FALSE in logic.
-	nullOr := &Binary{Op: "OR", Kind: BinLogic, L: &Const{V: value.Null(), T: types.TBool}, R: boolConst(true), T: types.TBool}
-	if v := evalOn(t, nullOr, nil); !v.B {
-		t.Fatal("NULL OR true")
-	}
+	and := &Binary{Op: "AND", Kind: BinLogic, L: intCol(0), R: intCol(1), T: types.TBool}
+	or := &Binary{Op: "OR", Kind: BinLogic, L: intCol(0), R: intCol(1), T: types.TBool}
+	tr, fa := value.Bool(true), value.Bool(false)
+	checkEval(t, []evalCase{
+		{and, value.Row{tr, fa}, fa},
+		{and, value.Row{tr, tr}, tr},
+		{or, value.Row{tr, fa}, tr},
+		{or, value.Row{fa, fa}, fa},
+		// NULL, and anything not a BOOLEAN, behaves as FALSE in logic.
+		{or, value.Row{value.Null(), tr}, tr},
+		{and, value.Row{value.Null(), tr}, fa},
+		{or, value.Row{value.Int(1), fa}, fa},
+		{&Binary{Op: "OR", Kind: BinLogic, L: &Const{V: value.Null(), T: types.TBool}, R: boolConst(true), T: types.TBool}, nil, tr},
+	})
 }
 
 func TestNotAndNeg(t *testing.T) {
-	if v := evalOn(t, &Not{E: boolConst(false)}, nil); !v.B {
-		t.Fatal("NOT false")
-	}
+	not := &Not{E: intCol(0)}
 	neg := &Neg{E: intCol(0), T: types.TInt}
-	if v := evalOn(t, neg, value.Row{value.Int(5)}); v.I != -5 {
-		t.Fatalf("-5 = %v", v)
-	}
-	negd := &Neg{E: &Col{Idx: 0, T: types.TDouble}, T: types.TDouble}
-	if v := evalOn(t, negd, value.Row{value.Double(2.5)}); v.D != -2.5 {
-		t.Fatalf("-2.5 = %v", v)
-	}
-	negv := &Neg{E: &Col{Idx: 0, T: types.TVector(types.UnknownDim)}, T: types.TVector(types.UnknownDim)}
-	if v := evalOn(t, negv, value.Row{value.Vector(linalg.VectorOf(1, -2))}); !v.Vec.Equal(linalg.VectorOf(-1, 2)) {
-		t.Fatalf("-vec = %v", v)
-	}
-	negm := &Neg{E: &Col{Idx: 0, T: types.TMatrix(types.UnknownDim, types.UnknownDim)}, T: types.TMatrix(types.UnknownDim, types.UnknownDim)}
-	if v := evalOn(t, negm, value.Row{value.Matrix(linalg.Identity(2))}); v.Mat.At(0, 0) != -1 {
-		t.Fatalf("-mat = %v", v)
-	}
-	// Negating NULL stays NULL.
-	if v := evalOn(t, neg, value.Row{value.Null()}); !v.IsNull() {
-		t.Fatalf("-NULL = %v", v)
-	}
+	mat, _ := linalg.MatrixFromRows([][]float64{{1, 0}, {0, -1}})
+	negZero := math.Copysign(0, -1)
+	negMat, _ := linalg.MatrixFromRows([][]float64{{-1, negZero}, {negZero, 1}})
+	checkEval(t, []evalCase{
+		{not, value.Row{value.Bool(false)}, value.Bool(true)},
+		{not, value.Row{value.Bool(true)}, value.Bool(false)},
+		{not, value.Row{value.Null()}, value.Bool(true)},
+		{not, value.Row{value.Int(1)}, value.Bool(true)},
+		{neg, value.Row{value.Int(5)}, value.Int(-5)},
+		{neg, value.Row{value.Double(2.5)}, value.Double(-2.5)},
+		{neg, value.Row{value.Double(0)}, value.Double(negZero)},
+		// Negating a labeled scalar drops the label.
+		{neg, value.Row{value.LabeledScalar(2, 7)}, value.Double(-2)},
+		{neg, value.Row{value.Vector(linalg.VectorOf(1, -2))}, value.Vector(linalg.VectorOf(-1, 2))},
+		{neg, value.Row{value.Matrix(mat)}, value.Matrix(negMat)},
+		// Negating NULL stays NULL.
+		{neg, value.Row{value.Null()}, value.Null()},
+	})
 	// Negating a string is a runtime error.
-	if _, err := (&Neg{E: &Col{Idx: 0, T: types.TString}, T: types.TDouble}).Eval(nil, value.Row{value.String_("x")}); err == nil {
-		t.Fatal("negated a string")
-	}
+	checkEvalErr(t, neg, value.Row{value.String_("x")})
 }
 
 func TestCallEvalAndNullShortCircuit(t *testing.T) {
-	fn, _ := builtins.Lookup("sqrt")
-	call := &Call{Fn: fn, Args: []Expr{&Col{Idx: 0, T: types.TDouble}}, T: types.TDouble}
-	if v := evalOn(t, call, value.Row{value.Double(9)}); v.D != 3 {
-		t.Fatalf("sqrt(9) = %v", v)
-	}
-	if v := evalOn(t, call, value.Row{value.Null()}); !v.IsNull() {
-		t.Fatalf("sqrt(NULL) = %v, want NULL", v)
-	}
+	sqrt, _ := builtins.Lookup("sqrt")
+	pow, _ := builtins.Lookup("pow")
+	call := &Call{Fn: sqrt, Args: []Expr{&Col{Idx: 0, T: types.TDouble}}, T: types.TDouble}
+	call2 := &Call{Fn: pow, Args: []Expr{intCol(0), intCol(1)}, T: types.TDouble}
+	checkEval(t, []evalCase{
+		{call, value.Row{value.Double(9)}, value.Double(3)},
+		{call, value.Row{value.Int(16)}, value.Double(4)},
+		{call, value.Row{value.Null()}, value.Null()},
+		{call2, value.Row{value.Int(2), value.Int(10)}, value.Double(1024)},
+		{call2, value.Row{value.Null(), value.Int(10)}, value.Null()},
+	})
+	checkEvalErr(t, call, value.Row{value.String_("x")})
+}
+
+func TestUnresolvedSubqueryFails(t *testing.T) {
+	checkEvalErr(t, &ScalarSubquery{Plan: &OneRow{}, T: types.TInt}, nil)
 }
 
 func TestColsUsedAndRemap(t *testing.T) {

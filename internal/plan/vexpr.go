@@ -7,27 +7,26 @@ import (
 	"relalg/internal/value"
 )
 
-// BatchSource is the executor-side view of a column batch that EvalVec
-// evaluates against: per-column access for the vectorized fast paths and
-// per-row access for the scalar fallback. Columns returned by BatchCol are
-// read-only and may be shared between expressions.
+// BatchSource is the executor-side view of a window of columns that EvalVec
+// evaluates against. Columns returned by BatchCol are read-only and may be
+// shared between expressions.
 type BatchSource interface {
 	// BatchLen is the number of lanes in the window (live and dead).
 	BatchLen() int
 	// BatchCol returns column idx of the window.
 	BatchCol(idx int) (*value.Col, error)
-	// BatchRow materializes lane i as a row for the scalar fallback.
-	BatchRow(i int) value.Row
 }
 
 // EvalVec evaluates e over every lane of src named by sel (all lanes when sel
 // is nil), returning a column with those lanes set; unselected lanes are
-// unspecified. Typed fast paths cover column refs, constants, arithmetic,
-// comparison, and logic over homogeneous columns; everything else degrades to
-// element-at-a-time evaluation with exactly the row evaluator's semantics, so
-// a successful query computes bit-identical values either way. The returned
-// column is read-only and may alias src's storage (a bare column reference is
-// passed through without copying).
+// unspecified. It is the engine's only expression evaluator. Typed fast paths
+// cover column refs, constants, arithmetic, comparison, and logic over
+// homogeneous columns; generic columns (mixed kinds or NULLs) and calls go
+// lane by lane through the scalar builtins (Arith, Compare, Builtin.Eval),
+// which define each lane's semantics. The typed loops compute exactly what
+// those builtins compute (Arith's float leg runs VecArithFloat itself), so a
+// lane's value never depends on its neighbours. The returned column is read-only and may alias src's storage
+// (a bare column reference is passed through without copying).
 func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, error) {
 	n := src.BatchLen()
 	switch x := e.(type) {
@@ -97,23 +96,33 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 		}
 		out.Specialize(n, sel)
 		return out, nil
+	case *ScalarSubquery:
+		return nil, fmt.Errorf("plan: unresolved scalar subquery reached execution")
 	}
-	// Row-at-a-time fallback for anything else (e.g. unresolved subqueries):
-	// evaluate the scalar tree per lane.
-	out := &value.Col{Generic: true, Any: make([]value.Value, n)}
-	err := forLanes(n, sel, func(i int) error {
-		v, err := e.Eval(ec, src.BatchRow(i))
-		if err != nil {
-			return err
-		}
-		out.Any[i] = v
-		return nil
-	})
+	return nil, fmt.Errorf("plan: cannot evaluate expression %T", e)
+}
+
+// EvalRow evaluates e over one row: EvalVec over a window of that row alone.
+func EvalRow(ec *EvalCtx, e Expr, row value.Row) (value.Value, error) {
+	c, err := EvalVec(ec, e, rowLane(row), nil)
 	if err != nil {
-		return nil, err
+		return value.Null(), err
 	}
-	out.Specialize(n, sel)
-	return out, nil
+	return c.Value(0), nil
+}
+
+// rowLane is a one-lane window over a row.
+type rowLane value.Row
+
+func (r rowLane) BatchLen() int { return 1 }
+
+func (r rowLane) BatchCol(idx int) (*value.Col, error) {
+	if idx >= len(r) {
+		return nil, fmt.Errorf("plan: column index %d out of range for row of %d", idx, len(r))
+	}
+	c := &value.Col{}
+	c.Fill(r[idx], 1)
+	return c, nil
 }
 
 func forLanes(n int, sel []int32, f func(i int) error) error {
@@ -222,8 +231,8 @@ func evalVecBinary(ec *EvalCtx, b *Binary, lc, rc *value.Col, n int, sel []int32
 	return nil, fmt.Errorf("plan: unknown binary kind %d", b.Kind)
 }
 
-// boolLanes coerces a column to the two-valued truthiness the row evaluator
-// applies to logic operands: true iff the lane is a BOOLEAN true.
+// boolLanes coerces a column to the two-valued truthiness of logic operands:
+// true iff the lane is a BOOLEAN true.
 func boolLanes(c *value.Col, n int, sel []int32, scratch []bool) []bool {
 	if !c.Generic && c.Kind == value.KindBool {
 		return c.B
@@ -269,7 +278,7 @@ func evalVecNeg(inner *value.Col, n int, sel []int32) (*value.Col, error) {
 			}
 			return out, nil
 		case value.KindDouble, value.KindLabeledScalar:
-			// Negating a labeled scalar drops the label, as Neg.Eval does.
+			// Negating a labeled scalar drops the label, as the generic leg does.
 			out := &value.Col{Kind: value.KindDouble, F: make([]float64, n)}
 			if sel == nil {
 				for i, x := range inner.F {

@@ -12,8 +12,9 @@ import (
 // value in the window has the same kind — the common case for relational data
 // — and falls back to a generic []Value otherwise (mixed kinds or NULLs), so
 // vectorized fast paths never have to reason about per-lane kind dispatch:
-// they either run over a homogeneous array or the evaluator degrades to
-// element-at-a-time evaluation with exactly scalar Expr.Eval's semantics.
+// they either run over a homogeneous array or the evaluator (plan.EvalVec)
+// goes lane by lane through the scalar builtins, which define each lane's
+// semantics.
 
 // Col is one column of a window: either a homogeneous typed array (Generic
 // false; Kind names the storage) or a generic value array (Generic true).
