@@ -76,22 +76,22 @@ func TestCompareType(t *testing.T) {
 }
 
 func TestArithScalarValues(t *testing.T) {
-	got, err := Arith(nil, "+", value.Int(2), value.Int(3))
+	got, err := Arith(&EvalCtx{}, "+", value.Int(2), value.Int(3))
 	if err != nil || !got.Equal(value.Int(5)) {
 		t.Fatalf("2+3 = %v, %v", got, err)
 	}
-	got, _ = Arith(nil, "/", value.Int(7), value.Int(2))
+	got, _ = Arith(&EvalCtx{}, "/", value.Int(7), value.Int(2))
 	if !got.Equal(value.Int(3)) {
 		t.Fatalf("7/2 = %v (integer division)", got)
 	}
-	if _, err := Arith(nil, "/", value.Int(1), value.Int(0)); err == nil {
+	if _, err := Arith(&EvalCtx{}, "/", value.Int(1), value.Int(0)); err == nil {
 		t.Fatal("integer division by zero accepted")
 	}
-	got, _ = Arith(nil, "*", value.Double(2.5), value.Int(2))
+	got, _ = Arith(&EvalCtx{}, "*", value.Double(2.5), value.Int(2))
 	if !got.Equal(value.Double(5)) {
 		t.Fatalf("2.5*2 = %v", got)
 	}
-	got, _ = Arith(nil, "-", value.LabeledScalar(4, 1), value.Int(1))
+	got, _ = Arith(&EvalCtx{}, "-", value.LabeledScalar(4, 1), value.Int(1))
 	if !got.Equal(value.Double(3)) {
 		t.Fatalf("labeled-int = %v", got)
 	}
@@ -106,7 +106,7 @@ func TestArithVectorValues(t *testing.T) {
 		"/": vec(1.0/3.0, 0.5),
 	}
 	for op, want := range cases {
-		got, err := Arith(nil, op, a, b)
+		got, err := Arith(&EvalCtx{}, op, a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
@@ -114,7 +114,7 @@ func TestArithVectorValues(t *testing.T) {
 			t.Fatalf("%s = %v", op, got)
 		}
 	}
-	if _, err := Arith(nil, "+", vec(1), vec(1, 2)); err == nil {
+	if _, err := Arith(&EvalCtx{}, "+", vec(1), vec(1, 2)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -122,12 +122,12 @@ func TestArithVectorValues(t *testing.T) {
 func TestArithMatrixValues(t *testing.T) {
 	a := mat(t, [][]float64{{1, 2}, {3, 4}})
 	b := mat(t, [][]float64{{5, 6}, {7, 8}})
-	got, _ := Arith(nil, "*", a, b)
+	got, _ := Arith(&EvalCtx{}, "*", a, b)
 	// * is Hadamard, not matrix multiply (paper §3.2).
 	if !got.Equal(mat(t, [][]float64{{5, 12}, {21, 32}})) {
 		t.Fatalf("hadamard = %v", got)
 	}
-	got, _ = Arith(nil, "+", a, b)
+	got, _ = Arith(&EvalCtx{}, "+", a, b)
 	if !got.Equal(mat(t, [][]float64{{6, 8}, {10, 12}})) {
 		t.Fatalf("add = %v", got)
 	}
@@ -135,59 +135,59 @@ func TestArithMatrixValues(t *testing.T) {
 
 func TestArithBroadcast(t *testing.T) {
 	v := vec(2, 4)
-	got, _ := Arith(nil, "*", value.Int(3), v)
+	got, _ := Arith(&EvalCtx{}, "*", value.Int(3), v)
 	if !got.Equal(vec(6, 12)) {
 		t.Fatalf("3*v = %v", got)
 	}
-	got, _ = Arith(nil, "*", v, value.Int(3))
+	got, _ = Arith(&EvalCtx{}, "*", v, value.Int(3))
 	if !got.Equal(vec(6, 12)) {
 		t.Fatalf("v*3 = %v", got)
 	}
 	// Subtraction is not commutative: check both sides.
-	got, _ = Arith(nil, "-", value.Int(10), v)
+	got, _ = Arith(&EvalCtx{}, "-", value.Int(10), v)
 	if !got.Equal(vec(8, 6)) {
 		t.Fatalf("10-v = %v", got)
 	}
-	got, _ = Arith(nil, "-", v, value.Int(1))
+	got, _ = Arith(&EvalCtx{}, "-", v, value.Int(1))
 	if !got.Equal(vec(1, 3)) {
 		t.Fatalf("v-1 = %v", got)
 	}
-	got, _ = Arith(nil, "/", value.Double(8), v)
+	got, _ = Arith(&EvalCtx{}, "/", value.Double(8), v)
 	if !got.Equal(vec(4, 2)) {
 		t.Fatalf("8/v = %v", got)
 	}
-	got, _ = Arith(nil, "/", v, value.Double(2))
+	got, _ = Arith(&EvalCtx{}, "/", v, value.Double(2))
 	if !got.Equal(vec(1, 2)) {
 		t.Fatalf("v/2 = %v", got)
 	}
 	m := mat(t, [][]float64{{2, 4}})
-	got, _ = Arith(nil, "-", value.Double(5), m)
+	got, _ = Arith(&EvalCtx{}, "-", value.Double(5), m)
 	if !got.Equal(mat(t, [][]float64{{3, 1}})) {
 		t.Fatalf("5-m = %v", got)
 	}
-	got, _ = Arith(nil, "+", m, value.Double(1))
+	got, _ = Arith(&EvalCtx{}, "+", m, value.Double(1))
 	if !got.Equal(mat(t, [][]float64{{3, 5}})) {
 		t.Fatalf("m+1 = %v", got)
 	}
-	got, _ = Arith(nil, "/", m, value.Double(2))
+	got, _ = Arith(&EvalCtx{}, "/", m, value.Double(2))
 	if !got.Equal(mat(t, [][]float64{{1, 2}})) {
 		t.Fatalf("m/2 = %v", got)
 	}
-	got, _ = Arith(nil, "/", value.Double(8), m)
+	got, _ = Arith(&EvalCtx{}, "/", value.Double(8), m)
 	if !got.Equal(mat(t, [][]float64{{4, 2}})) {
 		t.Fatalf("8/m = %v", got)
 	}
-	got, _ = Arith(nil, "*", value.Double(2), m)
+	got, _ = Arith(&EvalCtx{}, "*", value.Double(2), m)
 	if !got.Equal(mat(t, [][]float64{{4, 8}})) {
 		t.Fatalf("2*m = %v", got)
 	}
 }
 
 func TestArithUndefinedPairs(t *testing.T) {
-	if _, err := Arith(nil, "+", vec(1), mat(t, [][]float64{{1}})); err == nil {
+	if _, err := Arith(&EvalCtx{}, "+", vec(1), mat(t, [][]float64{{1}})); err == nil {
 		t.Fatal("vector+matrix accepted")
 	}
-	if _, err := Arith(nil, "+", value.String_("x"), value.Int(1)); err == nil {
+	if _, err := Arith(&EvalCtx{}, "+", value.String_("x"), value.Int(1)); err == nil {
 		t.Fatal("string+int accepted")
 	}
 }
@@ -229,7 +229,7 @@ func TestCompareValues(t *testing.T) {
 func TestLinalgVectorReuse(t *testing.T) {
 	// Arith must not mutate its inputs.
 	v := linalg.VectorOf(1, 2)
-	_, err := Arith(nil, "+", value.Vector(v), value.Vector(linalg.VectorOf(10, 10)))
+	_, err := Arith(&EvalCtx{}, "+", value.Vector(v), value.Vector(linalg.VectorOf(10, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,19 +239,19 @@ func TestLinalgVectorReuse(t *testing.T) {
 }
 
 func TestArithUnknownOperator(t *testing.T) {
-	if _, err := Arith(nil, "%", value.Int(1), value.Int(2)); err == nil {
+	if _, err := Arith(&EvalCtx{}, "%", value.Int(1), value.Int(2)); err == nil {
 		t.Fatal("unknown scalar operator accepted")
 	}
-	if _, err := Arith(nil, "%", vec(1), vec(1)); err == nil {
+	if _, err := Arith(&EvalCtx{}, "%", vec(1), vec(1)); err == nil {
 		t.Fatal("unknown vector operator accepted")
 	}
-	if _, err := Arith(nil, "%", mat(t, [][]float64{{1}}), mat(t, [][]float64{{1}})); err == nil {
+	if _, err := Arith(&EvalCtx{}, "%", mat(t, [][]float64{{1}}), mat(t, [][]float64{{1}})); err == nil {
 		t.Fatal("unknown matrix operator accepted")
 	}
-	if _, err := Arith(nil, "%", value.Double(1), vec(1)); err == nil {
+	if _, err := Arith(&EvalCtx{}, "%", value.Double(1), vec(1)); err == nil {
 		t.Fatal("unknown broadcast operator accepted")
 	}
-	if _, err := Arith(nil, "%", value.Double(1), mat(t, [][]float64{{1}})); err == nil {
+	if _, err := Arith(&EvalCtx{}, "%", value.Double(1), mat(t, [][]float64{{1}})); err == nil {
 		t.Fatal("unknown matrix broadcast operator accepted")
 	}
 	if _, err := Compare("~", value.Int(1), value.Int(2)); err == nil {
@@ -263,7 +263,7 @@ func TestMatrixShapeMismatchAtRuntime(t *testing.T) {
 	a := mat(t, [][]float64{{1, 2}})
 	b := mat(t, [][]float64{{1}, {2}})
 	for _, op := range []string{"+", "-", "*", "/"} {
-		if _, err := Arith(nil, op, a, b); err == nil {
+		if _, err := Arith(&EvalCtx{}, op, a, b); err == nil {
 			t.Fatalf("matrix shape mismatch accepted for %s", op)
 		}
 	}

@@ -5,21 +5,11 @@ package builtins
 // concurrently against one process, the serving layer leases each query a
 // slice of the machine's cores, and that lease must reach the parallel
 // linalg kernels the builtins invoke. Expression evaluation itself stays
-// pure — the context is read-only configuration, not mutable state.
-//
-// A nil *EvalCtx is valid everywhere and means "no explicit budget": kernels
-// then fan out up to GOMAXPROCS ways.
+// pure — the context is read-only configuration, not mutable state. Every
+// caller passes one; the zero value means "no explicit budget".
 type EvalCtx struct {
 	// KernelWorkers is the goroutine budget for parallel kernels invoked
-	// while evaluating under this context. 0 means no explicit budget.
+	// while evaluating under this context. 0 means no explicit budget:
+	// linalg then fans out up to GOMAXPROCS ways.
 	KernelWorkers int
-}
-
-// Workers returns the kernel-worker budget, nil-safe (nil → 0, which
-// linalg.planWorkers resolves to GOMAXPROCS).
-func (ec *EvalCtx) Workers() int {
-	if ec == nil {
-		return 0
-	}
-	return ec.KernelWorkers
 }

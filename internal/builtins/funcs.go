@@ -117,7 +117,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			out, err := linalg.ParallelMulMat(l, r, ec.Workers())
+			out, err := linalg.ParallelMulMat(l, r, ec.KernelWorkers)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -136,7 +136,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			out, err := linalg.ParallelMulVec(m, v, ec.Workers())
+			out, err := linalg.ParallelMulVec(m, v, ec.KernelWorkers)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -155,7 +155,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			out, err := linalg.ParallelVecMul(m, v, ec.Workers())
+			out, err := linalg.ParallelVecMul(m, v, ec.KernelWorkers)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -206,7 +206,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			return value.Matrix(linalg.ParallelTranspose(m, ec.Workers())), nil
+			return value.Matrix(linalg.ParallelTranspose(m, ec.KernelWorkers)), nil
 		},
 	})
 	mustRegister(&Builtin{
@@ -447,7 +447,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			return value.Double(linalg.ParallelSum(m, ec.Workers())), nil
+			return value.Double(linalg.ParallelSum(m, ec.KernelWorkers)), nil
 		},
 	})
 	mustRegister(&Builtin{

@@ -15,7 +15,7 @@ func eval(t *testing.T, name string, args ...value.Value) value.Value {
 	if !ok {
 		t.Fatalf("builtin %q not registered", name)
 	}
-	v, err := b.Eval(nil, args)
+	v, err := b.Eval(&EvalCtx{}, args)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -28,7 +28,7 @@ func evalErr(t *testing.T, name string, args ...value.Value) error {
 	if !ok {
 		t.Fatalf("builtin %q not registered", name)
 	}
-	_, err := b.Eval(nil, args)
+	_, err := b.Eval(&EvalCtx{}, args)
 	if err == nil {
 		t.Fatalf("%s: expected error", name)
 	}

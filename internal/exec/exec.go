@@ -189,9 +189,6 @@ type Context struct {
 // context is immutable, so one value may be shared by every goroutine of the
 // query; callers capture it once per operator rather than per row.
 func (c *Context) EvalCtx() *plan.EvalCtx {
-	if c.KernelWorkers == 0 {
-		return nil
-	}
 	return &plan.EvalCtx{KernelWorkers: c.KernelWorkers}
 }
 
