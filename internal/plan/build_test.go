@@ -145,6 +145,26 @@ func TestBuildShapeMismatchCompileError(t *testing.T) {
 	}
 }
 
+// TestBadCallSameErrorEveryScope checks that one ill-typed call reports one
+// error wherever it is compiled: a plain item, and a grouped query's item,
+// HAVING and ORDER BY, where its arguments are group columns.
+func TestBadCallSameErrorEveryScope(t *testing.T) {
+	cat := testCatalog(t)
+	want := buildErr(t, cat, "SELECT inner_product(value, id) FROM x_vm").Error()
+	if !strings.HasPrefix(want, "plan: inner_product(VECTOR[], INTEGER): ") {
+		t.Fatalf("plain error %q does not name the argument types", want)
+	}
+	for _, src := range []string{
+		"SELECT inner_product(value, id) FROM x_vm GROUP BY value, id",
+		"SELECT id FROM x_vm GROUP BY value, id HAVING inner_product(value, id) > 0",
+		"SELECT id FROM x_vm GROUP BY value, id ORDER BY inner_product(value, id)",
+	} {
+		if got := buildErr(t, cat, src).Error(); got != want {
+			t.Errorf("%s:\n got %q\nwant %q", src, got, want)
+		}
+	}
+}
+
 func TestBuildVectorArithmetic(t *testing.T) {
 	cat := testCatalog(t)
 	n := buildQuery(t, cat, "SELECT x1.value - x2.value AS d FROM x_vm AS x1, x_vm AS x2")
