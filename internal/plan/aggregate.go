@@ -9,10 +9,8 @@ import (
 	"relalg/internal/types"
 )
 
-// aggEnv compiles expressions in the scope of a grouped query: subexpressions
-// matching a GROUP BY expression become references to the group columns,
-// aggregate calls become references to aggregate outputs, and any other
-// column reference is an error (it is neither grouped nor aggregated).
+// aggEnv is the grouping environment Builder.compile consults in a grouped
+// query: the GROUP BY expressions and the aggregate calls collected so far.
 type aggEnv struct {
 	b        *Builder
 	inScope  *scope
@@ -101,70 +99,7 @@ func (b *Builder) buildAggregate(sel *sqlparse.Select, input Node, inScope *scop
 
 // build compiles an expression in the grouped environment.
 func (env *aggEnv) build(e sqlparse.Expr) (Expr, error) {
-	if idx, ok := env.keyIndex[sqlparse.ExprString(e)]; ok {
-		return &Col{Idx: idx, Name: fmt.Sprintf("group%d", idx), T: env.keyTypes[idx]}, nil
-	}
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		if builtins.IsAggregate(x.Name) {
-			return env.buildAggCall(x)
-		}
-		// Ordinary function over grouped/aggregated operands.
-		fn, ok := builtins.Lookup(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("plan: unknown function %q", x.Name)
-		}
-		args := make([]Expr, len(x.Args))
-		argTypes := make([]types.T, len(x.Args))
-		for i, a := range x.Args {
-			arg, err := env.build(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = arg
-			argTypes[i] = arg.Type()
-		}
-		res, _, err := fn.Sig.Unify(argTypes)
-		if err != nil {
-			return nil, fmt.Errorf("plan: %s: %w", x.Name, err)
-		}
-		return &Call{Fn: fn, Args: args, T: res}, nil
-	case *sqlparse.BinaryExpr:
-		l, err := env.build(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := env.build(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return buildBinary(x.Op, l, r)
-	case *sqlparse.UnaryExpr:
-		inner, err := env.build(x.E)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "NOT" {
-			if inner.Type().Base != types.Bool {
-				return nil, fmt.Errorf("plan: NOT over %s", inner.Type())
-			}
-			return &Not{E: inner}, nil
-		}
-		t := inner.Type()
-		if !t.IsNumericScalar() && !t.IsLinAlg() {
-			return nil, fmt.Errorf("plan: cannot negate %s", t)
-		}
-		if t.Base == types.LabeledScalar {
-			t = types.TDouble
-		}
-		return &Neg{E: inner, T: t}, nil
-	case *sqlparse.ColRef:
-		return nil, fmt.Errorf("plan: column %q must appear in GROUP BY or inside an aggregate",
-			qualified(x.Table, x.Column))
-	default:
-		// Literals carry no column references; compile them directly.
-		return env.b.buildScalar(e, env.inScope)
-	}
+	return env.b.compile(e, env.inScope, env)
 }
 
 func (env *aggEnv) buildAggCall(x *sqlparse.FuncCall) (Expr, error) {

@@ -332,6 +332,29 @@ func itemName(item sqlparse.SelectItem, i int) string {
 
 // buildScalar compiles an expression with no aggregates allowed.
 func (b *Builder) buildScalar(e sqlparse.Expr, sc *scope) (Expr, error) {
+	return b.compile(e, sc, nil)
+}
+
+// compile is the one expression compiler. In a grouped query g is the
+// grouping environment (nil otherwise), which adds three leaf rules: a
+// subexpression matching a GROUP BY expression becomes its group column, an
+// aggregate call becomes its aggregate column, and any other column
+// reference is an error, being neither grouped nor aggregated.
+func (b *Builder) compile(e sqlparse.Expr, sc *scope, g *aggEnv) (Expr, error) {
+	if g != nil {
+		if idx, ok := g.keyIndex[sqlparse.ExprString(e)]; ok {
+			return &Col{Idx: idx, Name: fmt.Sprintf("group%d", idx), T: g.keyTypes[idx]}, nil
+		}
+		switch x := e.(type) {
+		case *sqlparse.FuncCall:
+			if builtins.IsAggregate(x.Name) {
+				return g.buildAggCall(x)
+			}
+		case *sqlparse.ColRef:
+			return nil, fmt.Errorf("plan: column %q must appear in GROUP BY or inside an aggregate",
+				qualified(x.Table, x.Column))
+		}
+	}
 	switch x := e.(type) {
 	case *sqlparse.ColRef:
 		idx, t, err := sc.resolve(x.Table, x.Column)
@@ -350,7 +373,7 @@ func (b *Builder) buildScalar(e sqlparse.Expr, sc *scope) (Expr, error) {
 	case *sqlparse.NullLit:
 		return &Const{V: value.Null(), T: types.TAny}, nil
 	case *sqlparse.UnaryExpr:
-		inner, err := b.buildScalar(x.E, sc)
+		inner, err := b.compile(x.E, sc, g)
 		if err != nil {
 			return nil, err
 		}
@@ -369,11 +392,11 @@ func (b *Builder) buildScalar(e sqlparse.Expr, sc *scope) (Expr, error) {
 		}
 		return &Neg{E: inner, T: t}, nil
 	case *sqlparse.BinaryExpr:
-		l, err := b.buildScalar(x.L, sc)
+		l, err := b.compile(x.L, sc, g)
 		if err != nil {
 			return nil, err
 		}
-		r, err := b.buildScalar(x.R, sc)
+		r, err := b.compile(x.R, sc, g)
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +421,7 @@ func (b *Builder) buildScalar(e sqlparse.Expr, sc *scope) (Expr, error) {
 		args := make([]Expr, len(x.Args))
 		argTypes := make([]types.T, len(x.Args))
 		for i, a := range x.Args {
-			arg, err := b.buildScalar(a, sc)
+			arg, err := b.compile(a, sc, g)
 			if err != nil {
 				return nil, err
 			}
