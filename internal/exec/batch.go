@@ -88,7 +88,7 @@ func newPrefetcher(lists ...[]plan.Expr) *prefetcher {
 			if e == nil {
 				continue
 			}
-			e.Walk(func(x plan.Expr) {
+			plan.Walk(e, func(x plan.Expr) {
 				if c, ok := x.(*plan.Col); ok {
 					seen[c.Idx] = true
 				}

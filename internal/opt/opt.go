@@ -93,95 +93,20 @@ func (o *Optimizer) Optimize(n plan.Node) (plan.Node, error) {
 
 // optimizeNode is the join-ordering pass; the rewrite pass (when enabled)
 // already ran over the whole tree, so internal recursion re-enters here.
+// Every node other than the three below keeps its expressions and has its
+// children planned.
 func (o *Optimizer) optimizeNode(n plan.Node) (plan.Node, error) {
 	switch x := n.(type) {
-	case *plan.Project:
-		if mj, ok := x.Input.(*plan.MultiJoin); ok {
-			node, rewritten, err := o.planMultiJoin(mj, x.Exprs)
+	case *plan.Project, *plan.Agg:
+		// A projection's expressions, or an aggregate's group keys and
+		// aggregate inputs, are the expressions consumed above the join.
+		if mj, ok := n.Children()[0].(*plan.MultiJoin); ok {
+			node, rewritten, err := o.planMultiJoin(mj, plan.NodeExprs(n))
 			if err != nil {
 				return nil, err
 			}
-			return &plan.Project{Input: node, Exprs: rewritten, Out: x.Out}, nil
+			return plan.Rebuild(n, []plan.Node{node}, rewritten)
 		}
-		in, err := o.optimizeNode(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Project{Input: in, Exprs: x.Exprs, Out: x.Out}, nil
-	case *plan.Agg:
-		if mj, ok := x.Input.(*plan.MultiJoin); ok {
-			// The aggregate's group keys and aggregate inputs are the
-			// expressions consumed above the join.
-			consumed := make([]plan.Expr, 0, len(x.GroupBy)+len(x.Aggs))
-			consumed = append(consumed, x.GroupBy...)
-			for _, a := range x.Aggs {
-				if a.Input != nil {
-					consumed = append(consumed, a.Input)
-				}
-			}
-			node, rewritten, err := o.planMultiJoin(mj, consumed)
-			if err != nil {
-				return nil, err
-			}
-			ng := &plan.Agg{Input: node, GroupBy: rewritten[:len(x.GroupBy)], Out: x.Out}
-			rest := rewritten[len(x.GroupBy):]
-			ri := 0
-			for _, a := range x.Aggs {
-				na := a
-				if a.Input != nil {
-					na.Input = rest[ri]
-					ri++
-				}
-				ng.Aggs = append(ng.Aggs, na)
-			}
-			return ng, nil
-		}
-		in, err := o.optimizeNode(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Agg{Input: in, GroupBy: x.GroupBy, Aggs: x.Aggs, Out: x.Out}, nil
-	case *plan.Filter:
-		in, err := o.optimizeNode(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Filter{Input: in, Pred: x.Pred}, nil
-	case *plan.Sort:
-		in, err := o.optimizeNode(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Sort{Input: in, Keys: x.Keys}, nil
-	case *plan.Limit:
-		in, err := o.optimizeNode(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Limit{Input: in, N: x.N}, nil
-	case *plan.Join:
-		// Already-built joins still recurse structurally: a MultiJoin nested
-		// under one (a re-planned region, a hand-assembled plan) must not
-		// reach the executor unplanned.
-		l, err := o.optimizeNode(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := o.optimizeNode(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Join{L: l, R: r, LKeys: x.LKeys, RKeys: x.RKeys, Residual: x.Residual, Out: x.Out}, nil
-	case *plan.Cross:
-		l, err := o.optimizeNode(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := o.optimizeNode(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Cross{L: l, R: r, Residual: x.Residual, Out: x.Out}, nil
 	case *plan.Bound:
 		// A Bound subtree was already executed; re-optimizing below it would
 		// desynchronize the node identity the executor's cache is keyed on.
@@ -197,9 +122,8 @@ func (o *Optimizer) optimizeNode(n plan.Node) (plan.Node, error) {
 			return nil, err
 		}
 		return &plan.Project{Input: node, Exprs: rewritten, Out: x.Out}, nil
-	default:
-		return n, nil
 	}
+	return plan.MapNode(n, o.optimizeNode, nil)
 }
 
 // colWidth is the costed byte width of a type.

@@ -48,117 +48,36 @@ func (s *RewriteStats) Total() int64 {
 		s.FilterPushdown.Load() + s.AggPushdown.Load() + s.CSE.Load()
 }
 
-// rewrite applies the algebraic rules bottom-up over the whole tree. It runs
-// once, before join ordering; the result still contains MultiJoin nodes.
+// rewrite applies the algebraic rules bottom-up over the whole tree: every
+// expression slot gets the expression identities, then a Project or a
+// Filter gets its node rules. It runs once, before join ordering; the result
+// still contains MultiJoin nodes.
 func (o *Optimizer) rewrite(n plan.Node) (plan.Node, error) {
+	if _, ok := n.(*plan.Bound); ok {
+		return n, nil // already executed: its expressions are spent
+	}
+	n, err := plan.MapNode(n, o.rewrite, o.rewriteExpr)
+	if err != nil {
+		return nil, err
+	}
 	switch x := n.(type) {
 	case *plan.Project:
-		in, err := o.rewrite(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		exprs, err := o.rewriteExprs(x.Exprs)
-		if err != nil {
-			return nil, err
-		}
-		node := &plan.Project{Input: in, Exprs: exprs, Out: x.Out}
-		if ag, ok := in.(*plan.Agg); ok {
-			node, err = o.pushAggThroughProject(node, ag)
-			if err != nil {
+		if ag, ok := x.Input.(*plan.Agg); ok {
+			if x, err = o.pushAggThroughProject(x, ag); err != nil {
 				return nil, err
 			}
 		}
 		// CSE would insert a projection between a Project and its MultiJoin
 		// input, hiding the join set from the eager-projection planner; that
 		// path gets full-expression dedup from the consumer table instead.
-		if _, isMJ := node.Input.(*plan.MultiJoin); !isMJ {
-			return o.cseProject(node), nil
+		if _, isMJ := x.Input.(*plan.MultiJoin); !isMJ {
+			return o.cseProject(x), nil
 		}
-		return node, nil
-	case *plan.Filter:
-		in, err := o.rewrite(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := o.rewriteExpr(x.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return o.pushFilterDown(in, pred)
-	case *plan.Agg:
-		in, err := o.rewrite(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		groupBy, err := o.rewriteExprs(x.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		ng := &plan.Agg{Input: in, GroupBy: groupBy, Out: x.Out}
-		for _, a := range x.Aggs {
-			na := a
-			if a.Input != nil {
-				na.Input, err = o.rewriteExpr(a.Input)
-				if err != nil {
-					return nil, err
-				}
-			}
-			ng.Aggs = append(ng.Aggs, na)
-		}
-		return ng, nil
-	case *plan.MultiJoin:
-		nm := &plan.MultiJoin{Out: x.Out}
-		for _, in := range x.Inputs {
-			rin, err := o.rewrite(in)
-			if err != nil {
-				return nil, err
-			}
-			nm.Inputs = append(nm.Inputs, rin)
-		}
-		var err error
-		nm.Conjuncts, err = o.rewriteExprs(x.Conjuncts)
-		if err != nil {
-			return nil, err
-		}
-		return nm, nil
-	case *plan.Join:
-		l, err := o.rewrite(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := o.rewrite(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Join{L: l, R: r, LKeys: x.LKeys, RKeys: x.RKeys, Residual: x.Residual, Out: x.Out}, nil
-	case *plan.Cross:
-		l, err := o.rewrite(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := o.rewrite(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Cross{L: l, R: r, Residual: x.Residual, Out: x.Out}, nil
-	case *plan.Sort:
-		in, err := o.rewrite(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Sort{Input: in, Keys: x.Keys}, nil
-	case *plan.Limit:
-		in, err := o.rewrite(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Limit{Input: in, N: x.N}, nil
-	case *plan.Bound:
-		// Already executed: its expressions are spent.
 		return x, nil
-	default:
-		return n, nil
+	case *plan.Filter:
+		return o.pushFilterDown(x.Input, x.Pred)
 	}
+	return n, nil
 }
 
 // pushFilterDown commutes a predicate below pass-through projections: when
@@ -230,24 +149,17 @@ func (o *Optimizer) pushAggThroughProject(p *plan.Project, ag *plan.Agg) (*plan.
 	for _, e := range p.Exprs {
 		var walk func(expr plan.Expr, parent *plan.Call)
 		walk = func(expr plan.Expr, parent *plan.Call) {
-			switch x := expr.(type) {
-			case *plan.Col:
+			if x, ok := expr.(*plan.Col); ok {
 				if parent != nil && len(parent.Args) == 1 && linearOverSum[parent.Fn.Name] {
 					record(x.Idx, parent)
 				} else {
 					record(x.Idx, nil)
 				}
-			case *plan.Call:
-				for _, a := range x.Args {
-					walk(a, x)
-				}
-			case *plan.Binary:
-				walk(x.L, nil)
-				walk(x.R, nil)
-			case *plan.Not:
-				walk(x.E, nil)
-			case *plan.Neg:
-				walk(x.E, nil)
+				return
+			}
+			call, _ := expr.(*plan.Call) // only a call is a consuming parent
+			for _, a := range plan.Args(expr) {
+				walk(a, call)
 			}
 		}
 		walk(e, nil)
@@ -294,7 +206,7 @@ func (o *Optimizer) cseProject(p *plan.Project) plan.Node {
 	counts := map[string]int{}
 	reps := map[string]plan.Expr{}
 	for _, e := range p.Exprs {
-		e.Walk(func(x plan.Expr) {
+		plan.Walk(e, func(x plan.Expr) {
 			if shareableExpr(x) {
 				key := x.String()
 				counts[key]++
@@ -389,7 +301,7 @@ func laType(t types.T) bool {
 func containsSubexpr(e plan.Expr, key string) bool {
 	found := false
 	first := true
-	e.Walk(func(x plan.Expr) {
+	plan.Walk(e, func(x plan.Expr) {
 		if first {
 			first = false // skip e itself
 			return
@@ -408,75 +320,21 @@ func substituteExpr(e plan.Expr, repl func(plan.Expr) plan.Expr) plan.Expr {
 	if r := repl(e); r != nil {
 		return r
 	}
-	switch x := e.(type) {
-	case *plan.Binary:
-		return &plan.Binary{Op: x.Op, Kind: x.Kind, L: substituteExpr(x.L, repl), R: substituteExpr(x.R, repl), T: x.T}
-	case *plan.Not:
-		return &plan.Not{E: substituteExpr(x.E, repl)}
-	case *plan.Neg:
-		return &plan.Neg{E: substituteExpr(x.E, repl), T: x.T}
-	case *plan.Call:
-		args := make([]plan.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = substituteExpr(a, repl)
-		}
-		return &plan.Call{Fn: x.Fn, Args: args, T: x.T}
-	default:
-		return e
-	}
+	out, _ := plan.MapArgs(e, func(a plan.Expr) (plan.Expr, error) { return substituteExpr(a, repl), nil })
+	return out
 }
 
-// rewriteExprs maps rewriteExpr over a list.
-func (o *Optimizer) rewriteExprs(es []plan.Expr) ([]plan.Expr, error) {
-	out := make([]plan.Expr, len(es))
-	for i, e := range es {
-		ne, err := o.rewriteExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ne
-	}
-	return out, nil
-}
-
-// rewriteExpr applies the expression-level identities bottom-up.
+// rewriteExpr applies the expression-level identities bottom-up: a call's
+// rules run after its arguments are rewritten.
 func (o *Optimizer) rewriteExpr(e plan.Expr) (plan.Expr, error) {
-	switch x := e.(type) {
-	case *plan.Binary:
-		l, err := o.rewriteExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := o.rewriteExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Binary{Op: x.Op, Kind: x.Kind, L: l, R: r, T: x.T}, nil
-	case *plan.Not:
-		inner, err := o.rewriteExpr(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Not{E: inner}, nil
-	case *plan.Neg:
-		inner, err := o.rewriteExpr(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Neg{E: inner, T: x.T}, nil
-	case *plan.Call:
-		args := make([]plan.Expr, len(x.Args))
-		for i, a := range x.Args {
-			na, err := o.rewriteExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = na
-		}
-		return o.applyCallRules(&plan.Call{Fn: x.Fn, Args: args, T: x.T}), nil
-	default:
-		return e, nil
+	e, err := plan.MapArgs(e, o.rewriteExpr)
+	if err != nil {
+		return nil, err
 	}
+	if c, ok := e.(*plan.Call); ok {
+		return o.applyCallRules(c), nil
+	}
+	return e, nil
 }
 
 // applyCallRules applies the LA identities rooted at one builtin call.

@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"relalg/internal/builtins"
 	"relalg/internal/types"
@@ -25,8 +26,6 @@ type EvalCtx = builtins.EvalCtx
 type Expr interface {
 	Type() types.T
 	String() string
-	// Walk visits this node and all children.
-	Walk(fn func(Expr))
 }
 
 // Col references a column of the input relation by position.
@@ -39,8 +38,7 @@ type Col struct {
 // Type implements Expr.
 func (c *Col) Type() types.T { return c.T }
 
-func (c *Col) String() string     { return fmt.Sprintf("#%d:%s", c.Idx, c.Name) }
-func (c *Col) Walk(fn func(Expr)) { fn(c) }
+func (c *Col) String() string { return fmt.Sprintf("#%d:%s", c.Idx, c.Name) }
 
 // Const is a literal value.
 type Const struct {
@@ -51,8 +49,7 @@ type Const struct {
 // Type implements Expr.
 func (c *Const) Type() types.T { return c.T }
 
-func (c *Const) String() string     { return c.V.String() }
-func (c *Const) Walk(fn func(Expr)) { fn(c) }
+func (c *Const) String() string { return c.V.String() }
 
 // BinKind classifies a Binary expression.
 type BinKind uint8
@@ -82,12 +79,6 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
 
-func (b *Binary) Walk(fn func(Expr)) {
-	fn(b)
-	b.L.Walk(fn)
-	b.R.Walk(fn)
-}
-
 // Not is logical negation.
 type Not struct {
 	E Expr
@@ -96,8 +87,7 @@ type Not struct {
 // Type implements Expr.
 func (n *Not) Type() types.T { return types.TBool }
 
-func (n *Not) String() string     { return "NOT " + n.E.String() }
-func (n *Not) Walk(fn func(Expr)) { fn(n); n.E.Walk(fn) }
+func (n *Not) String() string { return "NOT " + n.E.String() }
 
 // Neg is arithmetic negation of a scalar, vector, or matrix.
 type Neg struct {
@@ -108,8 +98,7 @@ type Neg struct {
 // Type implements Expr.
 func (n *Neg) Type() types.T { return n.T }
 
-func (n *Neg) String() string     { return "-" + n.E.String() }
-func (n *Neg) Walk(fn func(Expr)) { fn(n); n.E.Walk(fn) }
+func (n *Neg) String() string { return "-" + n.E.String() }
 
 // Call invokes a scalar built-in.
 type Call struct {
@@ -132,13 +121,6 @@ func (c *Call) String() string {
 	return s + ")"
 }
 
-func (c *Call) Walk(fn func(Expr)) {
-	fn(c)
-	for _, a := range c.Args {
-		a.Walk(fn)
-	}
-}
-
 // ScalarSubquery is an uncorrelated scalar subquery used as an expression.
 // The engine pre-executes the inner plan and substitutes its single value
 // (NULL for an empty result) before physical execution; EvalVec refuses one
@@ -151,13 +133,12 @@ type ScalarSubquery struct {
 // Type implements Expr.
 func (s *ScalarSubquery) Type() types.T { return s.T }
 
-func (s *ScalarSubquery) String() string     { return "(subquery)" }
-func (s *ScalarSubquery) Walk(fn func(Expr)) { fn(s) }
+func (s *ScalarSubquery) String() string { return "(subquery)" }
 
 // ColsUsed returns the sorted set of column indexes referenced by e.
 func ColsUsed(e Expr) []int {
 	seen := map[int]bool{}
-	e.Walk(func(x Expr) {
+	Walk(e, func(x Expr) {
 		if c, ok := x.(*Col); ok {
 			seen[c.Idx] = true
 		}
@@ -166,68 +147,24 @@ func ColsUsed(e Expr) []int {
 	for i := range seen {
 		out = append(out, i)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Remap returns a copy of e with every column index i replaced by mapping[i].
 // It is how the optimizer rebinds expressions after join reordering and
-// column pruning. A missing mapping or an unknown expression type indicates
-// a planner bug; it is reported as an error so the engine can surface it to
-// the query instead of crashing the process.
+// column pruning. A missing mapping indicates a planner bug; it is reported
+// as an error so the engine can surface it to the query instead of crashing
+// the process. A scalar subquery's inner plan references its own tables,
+// never the outer row, so it is left alone.
 func Remap(e Expr, mapping map[int]int) (Expr, error) {
-	switch x := e.(type) {
-	case *Col:
-		idx, ok := mapping[x.Idx]
-		if !ok {
-			return nil, fmt.Errorf("plan: Remap has no mapping for column %d (%s)", x.Idx, x.Name)
-		}
-		return &Col{Idx: idx, Name: x.Name, T: x.T}, nil
-	case *Const:
-		return x, nil
-	case *Binary:
-		l, err := Remap(x.L, mapping)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Remap(x.R, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: x.Op, Kind: x.Kind, L: l, R: r, T: x.T}, nil
-	case *Not:
-		inner, err := Remap(x.E, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Not{E: inner}, nil
-	case *Neg:
-		inner, err := Remap(x.E, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Neg{E: inner, T: x.T}, nil
-	case *Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			ra, err := Remap(a, mapping)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ra
-		}
-		return &Call{Fn: x.Fn, Args: args, T: x.T}, nil
-	case *ScalarSubquery:
-		// The inner plan references its own tables, never the outer row.
-		return x, nil
+	c, ok := e.(*Col)
+	if !ok {
+		return MapArgs(e, func(a Expr) (Expr, error) { return Remap(a, mapping) })
 	}
-	return nil, fmt.Errorf("plan: Remap of unknown expression %T", e)
+	idx, ok := mapping[c.Idx]
+	if !ok {
+		return nil, fmt.Errorf("plan: Remap has no mapping for column %d (%s)", c.Idx, c.Name)
+	}
+	return &Col{Idx: idx, Name: c.Name, T: c.T}, nil
 }
