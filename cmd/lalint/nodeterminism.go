@@ -3,6 +3,7 @@ package main
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // NodeterminismAnalyzer flags sources of run-to-run nondeterminism in the
@@ -207,8 +208,9 @@ func appendsToOuter(p *Pkg, rng *ast.RangeStmt) (string, bool) {
 	return name, found
 }
 
-// sortedAfter reports whether a sort call appears lexically after the range
-// statement inside the same function body.
+// sortedAfter reports whether a sort call (package sort, slices.Sort*, or a
+// local sort* helper) appears lexically after the range statement inside the
+// same function body.
 func sortedAfter(p *Pkg, body *ast.BlockStmt, rng *ast.RangeStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -221,8 +223,9 @@ func sortedAfter(p *Pkg, body *ast.BlockStmt, rng *ast.RangeStmt) bool {
 		}
 		switch fun := call.Fun.(type) {
 		case *ast.SelectorExpr:
-			if obj, ok := p.Info.Uses[fun.Sel]; ok && obj.Pkg() != nil && obj.Pkg().Path() == "sort" {
-				found = true
+			if obj, ok := p.Info.Uses[fun.Sel]; ok && obj.Pkg() != nil {
+				path := obj.Pkg().Path()
+				found = path == "sort" || path == "slices" && strings.HasPrefix(fun.Sel.Name, "Sort")
 			}
 		case *ast.Ident:
 			if len(fun.Name) >= 4 && (fun.Name[:4] == "sort" || fun.Name[:4] == "Sort") {

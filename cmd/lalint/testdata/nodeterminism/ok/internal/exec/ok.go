@@ -6,6 +6,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -42,5 +43,15 @@ func Collect(m map[string]int) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// CollectInts sorts with the slices package after the loop.
+func CollectInts(m map[int]bool) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
 	return out
 }

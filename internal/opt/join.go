@@ -3,6 +3,8 @@ package opt
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"relalg/internal/plan"
 	"relalg/internal/types"
@@ -104,7 +106,7 @@ func (o *Optimizer) planMultiJoin(mj *plan.MultiJoin, consumed []plan.Expr) (pla
 	for _, c := range mj.Conjuncts {
 		cols := plan.ColsUsed(c)
 		mask := st.maskOf(cols)
-		switch popcount(mask) {
+		switch bits.OnesCount(mask) {
 		case 0:
 			st.residuals = append(st.residuals, &conjunct{expr: c, rels: mask})
 		case 1:
@@ -294,7 +296,7 @@ func (st *joinState) rows(s uint) float64 {
 		}
 	}
 	for _, rc := range st.residuals {
-		if rc.rels != 0 && rc.rels&s == rc.rels && popcount(rc.rels) > 1 {
+		if rc.rels != 0 && rc.rels&s == rc.rels && bits.OnesCount(rc.rels) > 1 {
 			r /= 3
 		}
 	}
@@ -347,7 +349,7 @@ func (st *joinState) keepCols(s uint) []int {
 		}
 	}
 	for _, rc := range st.residuals {
-		if rc.rels&s == rc.rels && popcount(rc.rels) > 1 {
+		if rc.rels&s == rc.rels && bits.OnesCount(rc.rels) > 1 {
 			continue
 		}
 		for _, c := range plan.ColsUsed(rc.expr) {
@@ -370,7 +372,7 @@ func (st *joinState) keepCols(s uint) []int {
 	for c := range need {
 		out = append(out, c)
 	}
-	sortIntsAsc(out)
+	slices.Sort(out)
 	st.keepMemo[s] = out
 	return out
 }
@@ -404,7 +406,7 @@ func (st *joinState) enumerate(full uint) {
 	}
 	for size := 2; size <= st.nrel; size++ {
 		for s := uint(1); s <= full; s++ {
-			if popcount(s) != size {
+			if bits.OnesCount(s) != size {
 				continue
 			}
 			best := math.Inf(1)
@@ -476,7 +478,7 @@ func (st *joinState) greedy(full uint) {
 // from kept global column ids to output positions, and the mapping from
 // computed consumer ids to output positions.
 func (st *joinState) build(s uint) (plan.Node, map[int]int, map[int]int, error) {
-	if popcount(s) == 1 {
+	if bits.OnesCount(s) == 1 {
 		return st.buildLeaf(subsetBits(s)[0], s)
 	}
 	sp := st.split[s]
@@ -631,20 +633,4 @@ func (st *joinState) projectSubset(s uint, node plan.Node, comb map[int]int, chi
 		}
 	}
 	return &plan.Project{Input: node, Exprs: exprs, Out: out}, colmap, computed, nil
-}
-
-func popcount(s uint) int {
-	n := 0
-	for ; s != 0; s &= s - 1 {
-		n++
-	}
-	return n
-}
-
-func sortIntsAsc(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
