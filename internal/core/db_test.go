@@ -812,3 +812,52 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Fatal("EXPLAIN ANALYZE of DDL accepted")
 	}
 }
+
+// TestScalarSubqueryEveryPosition runs a scalar subquery in every slot a plan
+// node has for an expression, and checks each result against the same query
+// with the subquery's value written in as a literal. where names the plan
+// line the subquery must sit on, so each case pins its position.
+func TestScalarSubqueryEveryPosition(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE a (id INTEGER, g INTEGER, v DOUBLE)")
+	db.MustExec("CREATE TABLE b (id INTEGER, w DOUBLE)")
+	db.MustExec("CREATE TABLE k (n INTEGER)")
+	for i := 0; i < 12; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO a VALUES (%d, %d, %d.5)", i, i%5, i))
+		db.MustExec(fmt.Sprintf("INSERT INTO b VALUES (%d, %d)", i, 10-i))
+	}
+	db.MustExec("INSERT INTO k VALUES (1), (2)")
+	const sub = "(SELECT MAX(n) FROM k)"
+	for _, c := range []struct{ name, sql, where string }{
+		{"select item", "SELECT id, v * " + sub + " AS x FROM a ORDER BY id", "Project ["},
+		{"where", "SELECT id FROM a WHERE g = " + sub + " ORDER BY id", "Filter "},
+		{"hash-join residual", "SELECT a.id, b.id FROM a, b WHERE a.id = b.id AND a.v + b.w + a.id > 12 + " + sub + " ORDER BY a.id", "HashJoin "},
+		{"cross-join residual", "SELECT a.id, b.id FROM a, b WHERE a.v < b.w - " + sub + " ORDER BY a.id, b.id", "CrossJoin"},
+		{"group by key", "SELECT g / " + sub + " AS q, COUNT(*) AS c FROM a GROUP BY g / " + sub + " ORDER BY q", "group=[(#1:g / (subquery))]"},
+		{"aggregate input", "SELECT g, SUM(v * " + sub + ") AS s FROM a GROUP BY g ORDER BY g", "aggs=[sum((#2:v * (subquery)))]"},
+		{"having", "SELECT g, COUNT(*) AS c FROM a GROUP BY g HAVING COUNT(*) > " + sub + " ORDER BY g", "Filter "},
+		{"nested", "SELECT id FROM a WHERE v > (SELECT MIN(w) FROM b WHERE w > " + sub + ") ORDER BY id", "Filter "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			text, err := db.Explain(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			placed := false
+			for _, line := range strings.Split(text, "\n") {
+				placed = placed || strings.Contains(line, c.where) && strings.Contains(line, "(subquery)")
+			}
+			if !placed {
+				t.Fatalf("no %q line holds the subquery:\n%s", c.where, text)
+			}
+			got := mustQuery(t, db, c.sql)
+			want := mustQuery(t, db, strings.ReplaceAll(c.sql, sub, "2"))
+			if len(want.Rows) == 0 {
+				t.Fatal("the literal query returns no rows")
+			}
+			if g, w := value.EncodeRows(got.Rows), value.EncodeRows(want.Rows); string(g) != string(w) {
+				t.Fatalf("rows %v, want %v", got.Rows, want.Rows)
+			}
+		})
+	}
+}
