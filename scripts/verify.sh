@@ -6,8 +6,10 @@
 # the figure harness that drives them), a short fuzz of the three decoders
 # that read untrusted bytes (the row codec, the block frames of spill runs and
 # the storage journal, and the wire frame reader), of grouping against a
-# naive oracle, and of the expression evaluator (each lane evaluated alone
-# must match its lane of the whole window, bit for bit), the end-to-end
+# naive oracle, of the expression evaluator (each lane evaluated alone
+# must match its lane of the whole window, bit for bit), and of the SQL
+# parser and planner (any text that parses, builds and optimizes must not
+# panic, and its plan rebuilt node by node must explain the same), the end-to-end
 # server smoke, the SIGKILL restart-recovery smoke over a
 # persistent data directory, and the smoke test of the repository's benchmark
 # (benchmark/ is a module of its own, so "go test ./..." does not reach it).
@@ -61,7 +63,8 @@ if [[ $BUILD_OK == 1 ]]; then
     go test -run "^$" -fuzz "^FuzzBlockFrames$" -fuzztime 5s ./internal/blockio/ &&
     go test -run "^$" -fuzz "^FuzzReadFrame$" -fuzztime 5s ./internal/serve/ &&
     go test -run "^$" -fuzz "^FuzzGroupBy$" -fuzztime 5s ./internal/exec/ &&
-    go test -run "^$" -fuzz "^FuzzEvalVec$" -fuzztime 5s ./internal/plan/'
+    go test -run "^$" -fuzz "^FuzzEvalVec$" -fuzztime 5s ./internal/plan/ &&
+    go test -run "^$" -fuzz "^FuzzPlan$" -fuzztime 5s ./internal/plan/'
   gate "serve smoke" bash scripts/serve_smoke.sh
   gate "restart smoke" bash scripts/storage_smoke.sh
   gate "bench smoke" bash -c 'cd benchmark && go test -short ./...'
