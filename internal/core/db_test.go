@@ -861,3 +861,22 @@ func TestScalarSubqueryEveryPosition(t *testing.T) {
 		})
 	}
 }
+
+// TestSelectDistinctRejected: DISTINCT is not implemented, so it must be a
+// parse error naming GROUP BY rather than silently returning duplicates.
+func TestSelectDistinctRejected(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE t (g INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1), (1), (2)")
+	res, err := db.Query("SELECT DISTINCT g FROM t")
+	if err == nil {
+		t.Fatalf("SELECT DISTINCT accepted, returned %v", res.Rows)
+	}
+	if !strings.Contains(err.Error(), "GROUP BY") {
+		t.Fatalf("error %q does not name GROUP BY", err)
+	}
+	res = mustQuery(t, db, "SELECT g FROM t GROUP BY g ORDER BY g")
+	if len(res.Rows) != 2 || res.Rows[0][0].I != 1 || res.Rows[1][0].I != 2 {
+		t.Fatalf("GROUP BY rows %v", res.Rows)
+	}
+}

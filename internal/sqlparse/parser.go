@@ -394,7 +394,9 @@ func (p *parser) parseSelect() (*Select, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	p.acceptKeyword("DISTINCT") // tolerated and ignored: grouping queries cover the paper's needs
+	if p.peek().kind == tokKeyword && p.peek().text == "DISTINCT" {
+		return nil, p.errf("SELECT DISTINCT is not supported; use GROUP BY")
+	}
 	sel := &Select{Limit: -1}
 	for {
 		item, err := p.parseSelectItem()
