@@ -183,7 +183,7 @@ type partAgg struct {
 	scr     *spill.Scratch     // the owning task attempt's, for overflow runs
 	res     *spill.Reservation // nil without a memory budget
 	fuse    bool
-	args    [][]plan.Expr  // aggregate j's arguments: none for COUNT(*), a fused SUM's two, else its input
+	args    [][]plan.Expr  // aggregate j's arguments: none for COUNT(*), a fused SUM's (see fusedOf), else its input
 	argCols [][]*value.Col // the window's columns of args
 	arena   rowArena       // overflow rows of lanes that are not rows already
 	ke      keyEval
@@ -200,14 +200,15 @@ func newPartAgg(ctx *Context, a *plan.Agg, part int, scr *spill.Scratch) *partAg
 	if ctx.spillEnabled() {
 		pa.res = ctx.Spill.Governor().Reservation("hash aggregate")
 	}
-	// Every argument evaluates columnar; a fused SUM's are its call's two
-	// arguments, so the call itself never runs.
+	// Every argument evaluates columnar; a fused SUM's are fusedOf's, so the
+	// call itself never runs.
 	pa.reads = slices.Clip(a.GroupBy)
 	for j, c := range a.Aggs {
+		kind, args := fusedOf(c)
 		switch {
 		case c.Input == nil: // COUNT(*)
-		case pa.fuse && fusedOf(c) != fusedNone:
-			pa.args[j] = c.Input.(*plan.Call).Args
+		case pa.fuse && kind != fusedNone:
+			pa.args[j] = args
 		default:
 			pa.args[j] = []plan.Expr{c.Input}
 		}

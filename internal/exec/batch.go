@@ -670,7 +670,10 @@ func (b *aggBuilder) stepAgg(j int, sel, ids []int32) error {
 			err = a.sums.at(id).StepDouble(c.F[i])
 		case a.op != aggBoxed:
 			err = a.sums.at(id).Step(c.Value(int(i)))
-		case len(cols) == 2: // a fused SUM's two arguments
+		case a.fused == fusedGramSum: // X, the one argument of XᵀX
+			x := c.Value(int(i))
+			err = (*a.states.at(id)).(*fusedSumState).stepFused(x, x)
+		case a.fused != fusedNone: // the call's two arguments
 			err = (*a.states.at(id)).(*fusedSumState).stepFused(c.Value(int(i)), cols[1].Value(int(i)))
 		default:
 			err = (*a.states.at(id)).Step(c.Value(int(i)))

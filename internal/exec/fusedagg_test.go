@@ -24,26 +24,75 @@ func outerSumCall(t *testing.T) plan.AggCall {
 	return plan.AggCall{Spec: spec, Input: input, T: input.T}
 }
 
+func kindOf(a plan.AggCall) fusedKind {
+	k, _ := fusedOf(a)
+	return k
+}
+
 func TestFusedOfDetection(t *testing.T) {
 	call := outerSumCall(t)
-	if fusedOf(call) != fusedOuterSum {
+	if kindOf(call) != fusedOuterSum {
 		t.Fatal("SUM(outer_product) not detected")
 	}
 	// COUNT never fuses.
 	cnt, _ := builtins.LookupAgg("count")
-	if fusedOf(plan.AggCall{Spec: cnt, Input: call.Input}) != fusedNone {
+	if kindOf(plan.AggCall{Spec: cnt, Input: call.Input}) != fusedNone {
 		t.Fatal("COUNT misfused")
 	}
 	// SUM of a plain column never fuses.
 	sum, _ := builtins.LookupAgg("sum")
-	if fusedOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble)}) != fusedNone {
+	if kindOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble)}) != fusedNone {
 		t.Fatal("plain SUM misfused")
 	}
 	// SUM(matrix_multiply) fuses.
 	mm, _ := builtins.Lookup("matrix_multiply")
 	mcall := &plan.Call{Fn: mm, Args: []plan.Expr{col(0, types.TMatrix(types.UnknownDim, types.UnknownDim)), col(0, types.TMatrix(types.UnknownDim, types.UnknownDim))}}
-	if fusedOf(plan.AggCall{Spec: sum, Input: mcall}) != fusedMatMulSum {
+	if kindOf(plan.AggCall{Spec: sum, Input: mcall}) != fusedMatMulSum {
 		t.Fatal("SUM(matrix_multiply) not detected")
+	}
+	// SUM(trans_matrix(c)·c) is a Gram sum over c alone; anything else
+	// shaped like it stays a two-argument matrix_multiply sum.
+	mt := types.TMatrix(types.UnknownDim, types.UnknownDim)
+	tr, _ := builtins.Lookup("trans_matrix")
+	trans := func(e plan.Expr) plan.Expr { return &plan.Call{Fn: tr, Args: []plan.Expr{e}, T: mt} }
+	gram := func(a, b plan.Expr) plan.AggCall {
+		return plan.AggCall{Spec: sum, Input: &plan.Call{Fn: mm, Args: []plan.Expr{a, b}, T: mt}, T: mt}
+	}
+	g := gram(trans(col(2, mt)), col(2, mt))
+	if kind, args := fusedOf(g); kind != fusedGramSum || len(args) != 1 || args[0].(*plan.Col).Idx != 2 {
+		t.Fatalf("SUM(trans_matrix(c2)·c2): kind %d args %v", kind, args)
+	}
+	for name, c := range map[string]plan.AggCall{
+		"trans_matrix(c0)·c1":      gram(trans(col(0, mt)), col(1, mt)),
+		"c·trans_matrix(c)":        gram(col(0, mt), trans(col(0, mt))),
+		"non-column argument":      gram(trans(&plan.Neg{E: col(0, mt), T: mt}), &plan.Neg{E: col(0, mt), T: mt}),
+		"constants printing alike": gram(trans(&plan.Const{V: value.Matrix(linalg.Identity(2)), T: mt}), &plan.Const{V: value.Matrix(linalg.Identity(2)), T: mt}),
+	} {
+		if kind, args := fusedOf(c); kind != fusedMatMulSum || len(args) != 2 {
+			t.Fatalf("%s: kind %d with %d args, want a two-argument matrix_multiply sum", name, kind, len(args))
+		}
+	}
+	// With fusion disabled the Gram sum is an ordinary SUM over the
+	// materialized product, and the call is its one argument.
+	if _, ok := newState(g, false).(*fusedSumState); ok {
+		t.Fatal("fusion disabled, yet the state is fused")
+	}
+	a := &plan.Agg{Aggs: []plan.AggCall{g}, Out: plan.Schema{{Name: "g", T: mt}}}
+	for _, disable := range []bool{false, true} {
+		ctx := testCtx(memSource{})
+		ctx.DisableAggFusion = disable
+		pa := newPartAgg(ctx, a, 0, nil)
+		want := []plan.Expr{g.Input}
+		if !disable {
+			want = g.Input.(*plan.Call).Args[1:]
+		}
+		if len(pa.args[0]) != 1 || pa.args[0][0] != want[0] {
+			t.Fatalf("DisableAggFusion=%v: arguments %v, want %v", disable, pa.args[0], want)
+		}
+		if got := newGroupTable(a, !disable).aggs[0].fused; (got == fusedGramSum) == disable {
+			t.Fatalf("DisableAggFusion=%v: table's fused kind %d", disable, got)
+		}
+		pa.release()
 	}
 }
 

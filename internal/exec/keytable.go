@@ -159,6 +159,7 @@ type aggCol struct {
 	sums   chunked[builtins.NumSum]
 	states chunked[builtins.AggState]
 	fresh  func() builtins.AggState // a new boxed state
+	fused  fusedKind                // the fused SUM the states are, if any
 }
 
 // newGroupTable makes a's table. A fused SUM is over matrices, so boxed.
@@ -174,6 +175,9 @@ func newGroupTable(a *plan.Agg, fuse bool) *groupTable {
 		case numeric && c.Spec.Name == "avg":
 			t.aggs[j].op = aggAvg
 		default:
+			if fuse {
+				t.aggs[j].fused, _ = fusedOf(c)
+			}
 			t.aggs[j].fresh = func() builtins.AggState { return newState(c, fuse) }
 		}
 	}
@@ -182,7 +186,7 @@ func newGroupTable(a *plan.Agg, fuse bool) *groupTable {
 
 func newState(c plan.AggCall, fuse bool) builtins.AggState {
 	if fuse {
-		if kind := fusedOf(c); kind != fusedNone {
+		if kind, _ := fusedOf(c); kind != fusedNone {
 			return &fusedSumState{kind: kind}
 		}
 	}

@@ -58,3 +58,28 @@ func BenchmarkOuterAccumulate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGramBlock times one 100×500 block of the matrix Gram sum
+// SUM(matrix_multiply(trans_matrix(X), X)) each way: the transposed copy
+// plus MulMatAddInto that the unfused product runs, and the upper-triangle
+// kernel the fused sum runs (its one MirrorUpper per group is not included).
+func BenchmarkGramBlock(b *testing.B) {
+	x := genMat(rand.New(rand.NewSource(1)), 100, 500)
+	for _, leg := range []struct {
+		name string
+		f    func(acc *Matrix) error
+	}{
+		{"transpose_mul", func(acc *Matrix) error { return x.Transpose().MulMatAddInto(acc, x) }},
+		{"gram_upper", x.GramAddUpperInto},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			acc := NewMatrix(x.Cols, x.Cols)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := leg.f(acc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -378,6 +378,56 @@ func TestPropTransMulAddIntoBitExact(t *testing.T) {
 	}
 }
 
+// TestGramUpperMatchesMulMatAddInto pins the upper-triangle Gram plus its
+// mirror to the zero-skipping product the matrix Gram sum used before it,
+// MulMatAddInto(Transpose(X), X), by Float64bits. It holds under two
+// preconditions, and the blocks here meet them: every entry of X is finite
+// (mulMatBlock skips 0·Inf, the triangle kernel would add its NaN), and the
+// accumulator holds no −0 (a skipped ±0 product would turn −0 into +0). With
+// finite X a skipped product is ±0, which leaves a never-−0 sum as it is.
+// Each case folds two blocks into one accumulator, the second after the first
+// has left its upper triangle behind; the rows cross mulPanelK and the widths
+// mulPanelCols.
+func TestGramUpperMatchesMulMatAddInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	// gen is a sparse finite block with an all-zero group of four rows,
+	// −0, denormals, and ±1e200 whose products overflow to ±Inf and
+	// cancel to NaN in the sum.
+	gen := func(rows, cols int) *Matrix {
+		x := genSparseMat(rng, rows, cols)
+		if rows >= 4 {
+			q := 4 * rng.Intn(rows/4)
+			clear(x.Data[q*cols : (q+4)*cols])
+		}
+		x.Data[rng.Intn(len(x.Data))] = math.Copysign(0, -1)
+		x.Data[rng.Intn(len(x.Data))] = 5e-324
+		x.Data[rng.Intn(len(x.Data))] = -2.5e-310
+		if rows >= 2 && cols >= 2 {
+			last := (rows - 1) * cols
+			x.Data[0], x.Data[1] = 1e200, 1e200
+			x.Data[last], x.Data[last+1] = -1e200, 1e200
+		}
+		return x
+	}
+	for _, rows := range []int{1, 3, 4, 127, 128, 129} {
+		for _, cols := range []int{1, 2, 511, 512, 513} {
+			want, got := NewMatrix(cols, cols), NewMatrix(cols, cols)
+			for _, x := range []*Matrix{gen(rows, cols), gen(3, cols)} {
+				if err := x.Transpose().MulMatAddInto(want, x); err != nil {
+					t.Fatal(err)
+				}
+				if err := x.GramAddUpperInto(got); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got.MirrorUpper()
+			if !bitsEqual(got, want) {
+				t.Fatalf("%d×%d blocks: the mirrored upper triangle differs from MulMatAddInto(Xᵀ, X)", rows, cols)
+			}
+		}
+	}
+}
+
 func TestTransMulAddIntoShapeErrors(t *testing.T) {
 	a, b := NewMatrix(4, 3), NewMatrix(4, 5)
 	if err := a.TransMulAddInto(NewMatrix(3, 5), NewMatrix(3, 5)); !errors.Is(err, ErrShape) {
