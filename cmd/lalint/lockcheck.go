@@ -2,193 +2,37 @@ package main
 
 import (
 	"go/ast"
-	"go/types"
 )
 
-// LockcheckAnalyzer flags lock-related hazards: sync primitives copied by
-// value, goroutine closures capturing loop variables, and goroutine closures
-// writing captured shared variables without a visible lock.
+// LockcheckAnalyzer flags goroutine closures writing captured shared
+// variables without a visible lock. Copied sync primitives are go vet's
+// copylocks check, and under go 1.22 each loop iteration has its own loop
+// variable, so capturing one is no hazard.
 var LockcheckAnalyzer = &Analyzer{
 	Name: "lockcheck",
-	Doc:  "flags copied sync primitives and goroutine closures over loop variables or unguarded shared state",
+	Doc:  "flags goroutine closures writing captured shared state without a lock",
 	Run:  runLockcheck,
 }
 
+// runLockcheck inspects every `go func(){...}()` statement for writes to
+// captured variables without a visible Lock in the surrounding statements.
 func runLockcheck(pass *Pass) {
-	p, r := pass.Pkg, pass.R
-	for _, f := range p.Files {
-		checkSyncCopies(p, r, f)
-		checkGoroutineCaptures(p, r, f)
-	}
-}
-
-// containsSync reports whether a value of type t embeds a sync primitive, so
-// copying it would copy a lock.
-func containsSync(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.(type) {
-	case *types.Named:
-		if obj := u.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+					checkGoLit(pass.Pkg, pass.R, lit)
+				}
+			}
 			return true
-		}
-		return containsSync(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsSync(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsSync(u.Elem(), seen)
+		})
 	}
-	return false
 }
 
-func typeCopiesLock(t types.Type) bool {
-	return containsSync(t, map[types.Type]bool{})
-}
-
-// checkSyncCopies flags by-value parameters, receivers, results, and range
-// variables whose type contains a sync primitive.
-func checkSyncCopies(p *Pkg, r *Reporter, f *ast.File) {
-	flagField := func(field *ast.Field, what string) {
-		tv, ok := p.Info.Types[field.Type]
-		if !ok {
-			return
-		}
-		if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-			return
-		}
-		if typeCopiesLock(tv.Type) {
-			r.Reportf(field.Pos(), "%s copies a lock: %s contains a sync primitive; use a pointer", what, types.TypeString(tv.Type, types.RelativeTo(p.Types)))
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
-			if x.Recv != nil {
-				for _, field := range x.Recv.List {
-					flagField(field, "receiver")
-				}
-			}
-			for _, field := range x.Type.Params.List {
-				flagField(field, "parameter")
-			}
-			if x.Type.Results != nil {
-				for _, field := range x.Type.Results.List {
-					flagField(field, "result")
-				}
-			}
-		case *ast.RangeStmt:
-			if x.Value == nil {
-				return true
-			}
-			if id, ok := x.Value.(*ast.Ident); ok {
-				if obj := p.Info.Defs[id]; obj != nil {
-					if _, isPtr := obj.Type().(*types.Pointer); !isPtr && typeCopiesLock(obj.Type()) {
-						r.Reportf(x.Pos(), "range copies a lock: element type %s contains a sync primitive; range over indexes or pointers", types.TypeString(obj.Type(), types.RelativeTo(p.Types)))
-					}
-				}
-			}
-		case *ast.UnaryExpr:
-			// `x := *p` style dereference copies are caught via assignments.
-		}
-		return true
-	})
-}
-
-// checkGoroutineCaptures inspects every `go func(){...}()` statement for
-// loop-variable capture and for writes to captured variables without a
-// visible Lock in the surrounding statements.
-func checkGoroutineCaptures(p *Pkg, r *Reporter, f *ast.File) {
-	// Collect the objects of loop variables active at each go statement.
-	type loopScope struct {
-		node ast.Node
-		vars map[types.Object]bool
-	}
-	var loops []loopScope
-
-	loopVars := func(n ast.Node) map[types.Object]bool {
-		vars := map[types.Object]bool{}
-		collect := func(e ast.Expr) {
-			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-				if obj := p.Info.Defs[id]; obj != nil {
-					vars[obj] = true
-				}
-			}
-		}
-		switch x := n.(type) {
-		case *ast.RangeStmt:
-			if x.Tok.String() == ":=" {
-				if x.Key != nil {
-					collect(x.Key)
-				}
-				if x.Value != nil {
-					collect(x.Value)
-				}
-			}
-		case *ast.ForStmt:
-			if init, ok := x.Init.(*ast.AssignStmt); ok && init.Tok.String() == ":=" {
-				for _, lhs := range init.Lhs {
-					collect(lhs)
-				}
-			}
-		}
-		return vars
-	}
-
-	inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-		switch n.(type) {
-		case *ast.RangeStmt, *ast.ForStmt:
-			loops = append(loops, loopScope{node: n, vars: loopVars(n)})
-		}
-		// Trim loops we have walked past (Inspect pops via nil, but the
-		// stack check keeps this robust inside one pass).
-		active := map[types.Object]bool{}
-		for _, l := range loops {
-			inStack := false
-			for _, s := range stack {
-				if s == l.node {
-					inStack = true
-					break
-				}
-			}
-			if inStack || l.node == n {
-				for v := range l.vars {
-					active[v] = true
-				}
-			}
-		}
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		lit, ok := g.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		checkGoLit(p, r, lit, active)
-		return true
-	})
-}
-
-func checkGoLit(p *Pkg, r *Reporter, lit *ast.FuncLit, activeLoopVars map[types.Object]bool) {
-	// Parameters of the literal shadow captures; anything defined inside the
-	// literal is local.
+// checkGoLit flags the literal's writes to variables declared outside it.
+func checkGoLit(p *Pkg, r *Reporter, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.Ident:
-			obj, ok := p.Info.Uses[x]
-			if !ok {
-				return true
-			}
-			if activeLoopVars[obj] {
-				r.Reportf(x.Pos(), "goroutine closure captures loop variable %q; pass it as an argument", x.Name)
-			}
-		case *ast.AssignStmt:
+		if x, ok := n.(*ast.AssignStmt); ok {
 			if x.Tok.String() == ":=" {
 				return true
 			}

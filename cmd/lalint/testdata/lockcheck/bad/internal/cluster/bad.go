@@ -4,18 +4,8 @@ package cluster
 
 import "sync"
 
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// ByValue copies the mutex embedded in its parameter.
-func ByValue(g guarded) int {
-	return g.n
-}
-
-// Launch captures the loop variable in a goroutine closure and writes a
-// captured shared variable without a lock.
+// Launch writes a captured shared variable in a goroutine closure without a
+// lock.
 func Launch(items []int) int {
 	var total int
 	var wg sync.WaitGroup
