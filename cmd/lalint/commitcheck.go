@@ -6,18 +6,18 @@ import (
 )
 
 // CommitcheckAnalyzer enforces the compute/commit split of the cluster's
-// task runner: a compute closure may run concurrently with a speculated
-// duplicate of itself and losing attempts are discarded, so any write it
-// makes to state outside its own body — a cluster.Stats counter or a captured
-// variable — is observable from attempts that were supposed to never have
-// happened. Computes read immutable snapshots and build private results; the
-// Install closure of the Commit they return (which runs exactly once)
-// installs them. It also flags CheckBudget reached from an Install closure:
-// the budget peek is admission control for work about to happen, which is
-// the compute's job; by commit time the rows already exist.
+// task runner: a compute closure runs once per attempt and failed attempts
+// are discarded, so a write it makes to a captured variable leaks a failed
+// attempt's work into its retry and into the install. Computes read
+// immutable snapshots and build private results; the Install closure of the
+// Commit they return (which runs exactly once) installs them. (Stats need no
+// check: only package cluster can write them.) It also flags CheckBudget
+// reached from an Install closure: the budget peek is admission control for
+// work about to happen, which is the compute's job; by commit time the rows
+// already exist.
 var CommitcheckAnalyzer = &Analyzer{
 	Name: "commitcheck",
-	Doc:  "flags Stats mutation and captured-state writes inside task computes, and CheckBudget inside Install closures",
+	Doc:  "flags captured-state writes inside task computes, and CheckBudget inside Install closures",
 	Run:  runCommitcheck,
 }
 
@@ -35,21 +35,13 @@ func runCommitcheck(pass *Pass) {
 				if call, ok := n.(*ast.CallExpr); ok {
 					if callee := calleeFunc(p, call); isClusterMethod(callee, "CheckBudget") {
 						r.Reportf(call.Pos(), "Install closure calls CheckBudget; budget admission belongs in compute, before the rows are produced")
-					} else if facts.Of(callee)&effChecksBudget != 0 {
+					} else if facts.ChecksBudget(callee) {
 						r.Reportf(call.Pos(), "Install closure reaches CheckBudget via %s; budget admission belongs in compute, before the rows are produced", callee.Name())
 					}
 				}
 				return true
 			}
 			switch x := n.(type) {
-			case *ast.CallExpr:
-				if isStatsMutation(p, x) {
-					r.Reportf(x.Pos(), "compute task mutates cluster stats; speculated attempts double-count — return the counts in its Commit")
-					return true
-				}
-				if callee := calleeFunc(p, x); facts.Of(callee)&effMutatesStats != 0 {
-					r.Reportf(x.Pos(), "compute task calls %s, which mutates cluster stats; speculated attempts double-count — return the counts in its Commit", callee.Name())
-				}
 			case *ast.AssignStmt:
 				if x.Tok == token.DEFINE {
 					break
@@ -81,5 +73,5 @@ func reportCapturedWrite(p *Pkg, r *Reporter, lit *ast.FuncLit, lhs ast.Expr) {
 	// Package-level and method-receiver state counts too; only truly local
 	// declarations (parameters included — they are inside the literal's span)
 	// are private to the attempt.
-	r.Reportf(lhs.Pos(), "compute task writes captured %q declared outside the task; speculated attempts race — build the result locally and install it in the Install closure", id.Name)
+	r.Reportf(lhs.Pos(), "compute task writes captured %q declared outside the task; a failed attempt's write leaks into its retry — build the result locally and install it in the Install closure", id.Name)
 }

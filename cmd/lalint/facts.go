@@ -5,38 +5,24 @@ import (
 	"go/types"
 )
 
-// effect is a bitset of the budget/accounting side effects a function has,
-// directly or through its (module-internal) callees.
-type effect uint8
-
-const (
-	// effChecksBudget: the function transitively calls Cluster.CheckBudget.
-	effChecksBudget effect = 1 << iota
-	// effMutatesStats: the function transitively mutates a cluster.Stats
-	// counter (Add/Store/... through a Stats-typed receiver chain).
-	effMutatesStats
-)
-
-// Facts is the program-wide effect table: for each function or method object
-// the loader has seen, the effects its body (including nested closures) can
-// reach. Analyzer passes use it to see through helper calls — a compute
-// closure that calls a helper in another package which mutates the stats is
-// as wrong as one that mutates them directly.
+// Facts is the program-wide effect table: the function and method objects
+// the loader has seen whose body (including nested closures) reaches
+// Cluster.CheckBudget, directly or through module-internal callees. Analyzer
+// passes use it to see through helper calls — an Install closure that calls
+// a helper in another package which peeks at the budget is as wrong as one
+// that peeks directly.
 type Facts struct {
-	effects map[types.Object]effect
+	checksBudget map[types.Object]bool
 }
 
 func newFacts() *Facts {
-	return &Facts{effects: map[types.Object]effect{}}
+	return &Facts{checksBudget: map[types.Object]bool{}}
 }
 
-// Of returns the recorded effects of a function object (zero for unknown
-// objects, e.g. stdlib functions, which never reach the cluster).
-func (f *Facts) Of(obj types.Object) effect {
-	if obj == nil {
-		return 0
-	}
-	return f.effects[obj]
+// ChecksBudget reports whether a function object reaches CheckBudget (false
+// for unknown objects, e.g. stdlib functions, which never reach the cluster).
+func (f *Facts) ChecksBudget(obj types.Object) bool {
+	return obj != nil && f.checksBudget[obj]
 }
 
 // ensureFacts folds every not-yet-processed package of the loader into the
@@ -51,7 +37,7 @@ func (prog *Program) ensureFacts() {
 	}
 }
 
-// addPackage computes effect facts for every top-level function and method of
+// addPackage computes the fact for every top-level function and method of
 // one package, iterating to a fixpoint so same-package helper chains resolve
 // regardless of declaration order.
 func (f *Facts) addPackage(p *Pkg) {
@@ -76,39 +62,25 @@ func (f *Facts) addPackage(p *Pkg) {
 	for changed := true; changed; {
 		changed = false
 		for _, fd := range fns {
-			eff := f.bodyEffect(p, fd.body)
-			if old := f.effects[fd.obj]; eff|old != old {
-				f.effects[fd.obj] = eff | old
+			if !f.checksBudget[fd.obj] && f.bodyChecksBudget(p, fd.body) {
+				f.checksBudget[fd.obj] = true
 				changed = true
 			}
 		}
 	}
 }
 
-// bodyEffect scans one function body — including any nested closures, which
-// is deliberately conservative: an effect reachable only from a closure the
-// function builds still counts as the function's effect.
-func (f *Facts) bodyEffect(p *Pkg, body *ast.BlockStmt) effect {
-	var eff effect
+// bodyChecksBudget scans one function body — including any nested closures,
+// which is deliberately conservative: a CheckBudget reachable only from a
+// closure the function builds still counts as the function's.
+func (f *Facts) bodyChecksBudget(p *Pkg, body *ast.BlockStmt) bool {
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			callee := calleeFunc(p, call)
+			found = callee != nil && (isClusterMethod(callee, "CheckBudget") || f.checksBudget[callee])
 		}
-		if isStatsMutation(p, call) {
-			eff |= effMutatesStats
-			return true
-		}
-		callee := calleeFunc(p, call)
-		if callee == nil {
-			return true
-		}
-		if isClusterMethod(callee, "CheckBudget") {
-			eff |= effChecksBudget
-		} else {
-			eff |= f.effects[callee]
-		}
-		return true
+		return !found
 	})
-	return eff
+	return found
 }

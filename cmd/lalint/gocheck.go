@@ -19,11 +19,11 @@ var GocheckAnalyzer = &Analyzer{
 
 // goAllowlist maps the confined package suffixes to the functions that are
 // allowed to spawn goroutines: the kernel worker pool, the cluster's task
-// runners/speculator, and the server's accept loop (one session goroutine
+// runner, and the server's accept loop (one session goroutine
 // per connection; everything a session runs goes through those runners).
 var goAllowlist = map[string][]string{
 	"internal/linalg":  {"parallelRanges"},
-	"internal/cluster": {"ParallelTasks", "speculateAttempt"},
+	"internal/cluster": {"ParallelTasks"},
 	"internal/serve":   {"Serve"},
 }
 

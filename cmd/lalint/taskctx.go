@@ -11,10 +11,10 @@ type taskRole int
 
 const (
 	// roleCompute: a TaskFn compute passed to ParallelTasks, RunTask or
-	// Exchange. It may run several times concurrently for the same
-	// partition, and losing attempts are thrown away — so it must not mutate
-	// shared state; its counts go in the Commit it returns, and everything
-	// it installs goes in that Commit's Install closure.
+	// Exchange. It runs once per attempt, and failed attempts are thrown
+	// away — so it must not mutate shared state; its counts go in the Commit
+	// it returns, and everything it installs goes in that Commit's Install
+	// closure.
 	roleCompute taskRole = iota
 	// roleCommit: the Install closure of the Commit a compute returns. Runs
 	// exactly once, for the single winning attempt — the only place task

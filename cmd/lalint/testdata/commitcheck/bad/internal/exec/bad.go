@@ -4,31 +4,8 @@ package exec
 
 import "relalg/internal/cluster"
 
-// statsInCompute bumps a shared counter from a compute; a speculated
-// duplicate attempt double-counts.
-func statsInCompute(c *cluster.Cluster, ns []int64) error {
-	return c.ParallelTasks("op", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
-		c.Stats().TuplesShuffled.Add(ns[part])
-		return cluster.Commit{}, nil
-	})
-}
-
-// bumpSpills is the helper helperInCompute reaches the stats through.
-func bumpSpills(c *cluster.Cluster) {
-	c.Stats().SpillEvents.Add(1)
-}
-
-// helperInCompute mutates stats through a same-package helper; the effect
-// facts must see through the call.
-func helperInCompute(c *cluster.Cluster) error {
-	return c.RunTask("op", cluster.TaskObserver{}, func(part, attempt int) (cluster.Commit, error) {
-		bumpSpills(c)
-		return cluster.Commit{}, nil
-	})
-}
-
 // capturedWrites installs results from the compute instead of the commit:
-// concurrent attempts for the same partition race on out and total.
+// a failed attempt's writes to out and total leak into its retry.
 func capturedWrites(c *cluster.Cluster, ns []int64) (int64, error) {
 	out := make([]int64, c.Partitions())
 	var total int64
@@ -44,7 +21,7 @@ func capturedWrites(c *cluster.Cluster, ns []int64) (int64, error) {
 }
 
 // mergeInMove merges into a captured map from an exchange compute: a retried
-// or speculated attempt merges twice.
+// attempt merges twice.
 func mergeInMove(c *cluster.Cluster, in []map[int]int64) (map[int]int64, error) {
 	merged := map[int]int64{}
 	err := c.Exchange("op", cluster.TaskObserver{}, func(dst, attempt int) (cluster.Commit, error) {

@@ -126,45 +126,6 @@ func namedFrom(t types.Type, pkgSuffix, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && pathHasSuffix(obj.Pkg().Path(), pkgSuffix)
 }
 
-// isClusterStatsType reports whether t is cluster.Stats or *cluster.Stats.
-func isClusterStatsType(t types.Type) bool {
-	return namedFrom(t, "internal/cluster", "Stats")
-}
-
-// isStatsMutation reports whether the call mutates a cluster.Stats counter: a
-// method named Add/Store/Swap/CompareAndSwap invoked through a receiver chain
-// that passes through an expression of type cluster.Stats (e.g.
-// c.stats.TuplesShuffled.Add(n) or ctx.Cluster.Stats().BytesShuffled.Add(n)).
-func isStatsMutation(p *Pkg, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Add", "Store", "Swap", "CompareAndSwap":
-	default:
-		return false
-	}
-	for e := ast.Unparen(sel.X); e != nil; {
-		if tv, ok := p.Info.Types[e]; ok && isClusterStatsType(tv.Type) {
-			return true
-		}
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			e = ast.Unparen(x.X)
-		case *ast.CallExpr:
-			e = ast.Unparen(x.Fun)
-		case *ast.IndexExpr:
-			e = ast.Unparen(x.X)
-		case *ast.StarExpr:
-			e = ast.Unparen(x.X)
-		default:
-			return false
-		}
-	}
-	return false
-}
-
 // typeContainsRow reports whether t is, or transitively contains, a
 // value.Row, value.Value, or value.Col — the types whose vector/matrix cells
 // (or, for the column, whole per-column arrays) alias their backing storage

@@ -14,12 +14,13 @@
 // ParallelTasks, one exchange destination, one RunTask), and with
 // Config.Faults enabled it runs under a bounded-retry loop with optional
 // speculation. A task's compute reads only its immutable input snapshot and
-// returns a Commit: what it produced and moved, and the closure installing
-// its result. The runner commits the winning attempt alone, charging the
-// counts exactly once, so a transiently-failed or speculatively-duplicated
-// attempt is discarded without trace and a fault-injected run converges to a
-// result bit-identical to the fault-free one. Permanent failures surface as
-// fault.TaskError naming operator, partition, and attempt.
+// returns a Commit: what it produced, moved and spilled, and the closure
+// installing its result. The runner commits the winning attempt alone,
+// charging the counts exactly once, so a transiently-failed attempt is
+// discarded without trace and a fault-injected run converges to a result,
+// and counters, identical to the fault-free one. Only package cluster writes
+// Stats. Permanent failures surface as fault.TaskError naming operator,
+// partition, and attempt.
 package cluster
 
 import (
@@ -99,71 +100,54 @@ func (c Config) KernelWorkers() int {
 	return w
 }
 
-// Stats aggregates movement and volume counters across a run. All fields are
-// updated atomically and safe to read concurrently.
+// Stats aggregates movement and volume counters across a run. Only package
+// cluster writes them, task work through the winning attempt's Commit;
+// Snapshot is safe to call concurrently.
 type Stats struct {
-	TuplesShuffled      atomic.Int64 // rows that crossed a partition boundary
-	BytesShuffled       atomic.Int64 // encoded bytes of those rows
-	TuplesProduced      atomic.Int64 // rows materialized by operators
-	ShuffleRounds       atomic.Int64 // exchange operations that completed
-	BroadcastRounds     atomic.Int64
-	SpillEvents         atomic.Int64 // spill runs written under memory pressure
-	BytesSpilled        atomic.Int64 // file bytes of those runs
-	SpillFiles          atomic.Int64 // scratch files those runs were written to
-	FaultsInjected      atomic.Int64 // faults the injector fired
-	TaskRetries         atomic.Int64 // partition-task re-executions after transient failure
-	SpeculativeLaunches atomic.Int64 // backup attempts launched against stragglers
-	Replans             atomic.Int64 // join regions re-optimized mid-query on cardinality divergence
+	mu sync.Mutex
+	s  StatsSnapshot
 }
 
-// Snapshot returns a plain-struct copy of the counters.
+// Snapshot returns a copy of the counters.
 func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		TuplesShuffled:      s.TuplesShuffled.Load(),
-		BytesShuffled:       s.BytesShuffled.Load(),
-		TuplesProduced:      s.TuplesProduced.Load(),
-		ShuffleRounds:       s.ShuffleRounds.Load(),
-		BroadcastRounds:     s.BroadcastRounds.Load(),
-		SpillEvents:         s.SpillEvents.Load(),
-		BytesSpilled:        s.BytesSpilled.Load(),
-		SpillFiles:          s.SpillFiles.Load(),
-		FaultsInjected:      s.FaultsInjected.Load(),
-		TaskRetries:         s.TaskRetries.Load(),
-		SpeculativeLaunches: s.SpeculativeLaunches.Load(),
-		Replans:             s.Replans.Load(),
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.s
 }
 
-// add adds a snapshot's counts into s.
+// add adds o's counts into s.
 func (s *Stats) add(o StatsSnapshot) {
-	s.TuplesShuffled.Add(o.TuplesShuffled)
-	s.BytesShuffled.Add(o.BytesShuffled)
-	s.TuplesProduced.Add(o.TuplesProduced)
-	s.ShuffleRounds.Add(o.ShuffleRounds)
-	s.BroadcastRounds.Add(o.BroadcastRounds)
-	s.SpillEvents.Add(o.SpillEvents)
-	s.BytesSpilled.Add(o.BytesSpilled)
-	s.SpillFiles.Add(o.SpillFiles)
-	s.FaultsInjected.Add(o.FaultsInjected)
-	s.TaskRetries.Add(o.TaskRetries)
-	s.SpeculativeLaunches.Add(o.SpeculativeLaunches)
-	s.Replans.Add(o.Replans)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := &s.s
+	t.TuplesShuffled += o.TuplesShuffled
+	t.BytesShuffled += o.BytesShuffled
+	t.TuplesProduced += o.TuplesProduced
+	t.ShuffleRounds += o.ShuffleRounds
+	t.BroadcastRounds += o.BroadcastRounds
+	t.SpillEvents += o.SpillEvents
+	t.BytesSpilled += o.BytesSpilled
+	t.SpillFiles += o.SpillFiles
+	t.FaultsInjected += o.FaultsInjected
+	t.TaskRetries += o.TaskRetries
+	t.SpeculativeLaunches += o.SpeculativeLaunches
+	t.Replans += o.Replans
 }
 
 // StatsSnapshot is a point-in-time copy of Stats.
 type StatsSnapshot struct {
-	TuplesShuffled      int64
-	BytesShuffled       int64
-	TuplesProduced      int64
-	ShuffleRounds       int64
+	TuplesShuffled      int64 // rows that crossed a partition boundary
+	BytesShuffled       int64 // encoded bytes of those rows
+	TuplesProduced      int64 // rows materialized by operators
+	ShuffleRounds       int64 // exchange operations that completed
 	BroadcastRounds     int64
-	SpillEvents         int64
-	BytesSpilled        int64
-	SpillFiles          int64
-	FaultsInjected      int64
-	TaskRetries         int64
-	SpeculativeLaunches int64
-	Replans             int64
+	SpillEvents         int64 // spill runs written under memory pressure
+	BytesSpilled        int64 // file bytes of those runs
+	SpillFiles          int64 // scratch files those runs were written to
+	FaultsInjected      int64 // faults the injector fired
+	TaskRetries         int64 // partition-task re-executions after transient failure
+	SpeculativeLaunches int64 // backup attempts launched against stragglers
+	Replans             int64 // join regions re-optimized mid-query on cardinality divergence
 }
 
 func (s StatsSnapshot) String() string {
@@ -212,6 +196,9 @@ func (c *Cluster) Partitions() int { return c.cfg.Partitions() }
 // Stats exposes the movement counters.
 func (c *Cluster) Stats() *Stats { return &c.stats }
 
+// CountReplan records one join region re-optimized mid-query.
+func (c *Cluster) CountReplan() { c.stats.add(StatsSnapshot{Replans: 1}) }
+
 // Statement returns a view of c for one statement. The view shares c's
 // configuration, topology and fault injector, and has its own Stats and its
 // own intermediate-tuple budget, so concurrent statements neither see nor
@@ -232,7 +219,7 @@ func (c *Cluster) End() {
 // fails once the configured budget is exhausted. Only commit calls it, for
 // the winning attempt: a charge is irrevocable.
 func (c *Cluster) chargeTuples(n int64) error {
-	c.stats.TuplesProduced.Add(n)
+	c.stats.add(StatsSnapshot{TuplesProduced: n})
 	used := c.used.Add(n)
 	if c.cfg.MaxIntermediateTuples > 0 && used > c.cfg.MaxIntermediateTuples {
 		return fmt.Errorf("%w: %d tuples exceeds budget %d", ErrResourceExhausted, used, c.cfg.MaxIntermediateTuples)
@@ -257,11 +244,7 @@ func (c *Cluster) CheckBudget(extra int64) error {
 // it into the spill manager's hooks so run writes fail transiently under
 // fault injection.
 func (c *Cluster) SpillWriteFault(label string, attempt int) error {
-	if err := c.injector.SpillWrite(label, attempt); err != nil {
-		c.stats.FaultsInjected.Add(1)
-		return err
-	}
-	return nil
+	return c.fired(c.injector.SpillWrite(label, attempt))
 }
 
 // StorageWriteFault is the torn-write injection point for the paged storage
@@ -270,9 +253,17 @@ func (c *Cluster) SpillWriteFault(label string, attempt int) error {
 func (c *Cluster) StorageWriteFault(seq int64, n int) (keep int, fail bool) {
 	keep, fail = c.injector.StorageWrite(seq, n)
 	if fail {
-		c.stats.FaultsInjected.Add(1)
+		c.stats.add(StatsSnapshot{FaultsInjected: 1})
 	}
 	return keep, fail
+}
+
+// fired counts err, an injection point's draw, when it fired.
+func (c *Cluster) fired(err error) error {
+	if err != nil {
+		c.stats.add(StatsSnapshot{FaultsInjected: 1})
+	}
+	return err
 }
 
 // TaskObserver receives retry-related events from the task runner. The zero
@@ -286,17 +277,19 @@ type TaskObserver struct {
 
 // Commit is what a task's compute returns: the intermediate tuples it
 // produced, the tuples and wire bytes that moved into it when it is an
-// exchange destination, and the closure that installs its result (nil when
-// there is nothing to install).
+// exchange destination, the runs, frame bytes and scratch files it spilled,
+// and the closure that installs its result (nil when there is nothing to
+// install).
 type Commit struct {
-	Produced, Shuffled, WireBytes int64
-	Install                       func() error
+	Produced, Shuffled, WireBytes     int64
+	SpillRuns, SpillBytes, SpillFiles int64
+	Install                           func() error
 }
 
 // TaskFn is one partition task's compute. It must treat its inputs as an
-// immutable snapshot and write no shared state: it may run more than once,
-// and two attempts may run concurrently under speculation. The runner commits
-// exactly one winning attempt's Commit.
+// immutable snapshot and write no shared state: it may run once per attempt,
+// and attempts of one task never overlap. The runner commits exactly one
+// winning attempt's Commit.
 type TaskFn func(part, attempt int) (Commit, error)
 
 // ParallelTasks runs one task per partition slot with bounded retry and,
@@ -330,7 +323,7 @@ func (c *Cluster) runTask(op string, part int, obs TaskObserver, fn TaskFn) erro
 	var lastErr error
 	for attempt := 0; attempt < max; attempt++ {
 		if attempt > 0 {
-			c.stats.TaskRetries.Add(1)
+			c.stats.add(StatsSnapshot{TaskRetries: 1})
 			if d := c.injector.Backoff(attempt); d > 0 {
 				if obs.RetryWait != nil {
 					obs.RetryWait(d)
@@ -338,7 +331,7 @@ func (c *Cluster) runTask(op string, part int, obs TaskObserver, fn TaskFn) erro
 				time.Sleep(d)
 			}
 		}
-		cm, err := c.executeAttempt(op, part, attempt, fn)
+		cm, last, err := c.executeAttempt(op, part, attempt, fn)
 		if err == nil {
 			if cerr := c.commit(op, cm); cerr != nil {
 				return c.taskErr(op, part, attempt, cerr)
@@ -349,21 +342,23 @@ func (c *Cluster) runTask(op string, part int, obs TaskObserver, fn TaskFn) erro
 			return c.taskErr(op, part, attempt, err)
 		}
 		lastErr = err
+		attempt = last
 	}
 	return &fault.TaskError{Op: op, Part: part, Attempt: max - 1, Err: lastErr}
 }
 
 // commit accounts for the winning attempt: it charges the tuples produced,
-// tagging a budget failure with op, adds the traffic that moved in, waits out
-// its modelled transfer once, and installs the result.
+// tagging a budget failure with op, adds the traffic that moved in and the
+// runs it spilled, waits out its modelled transfer once, and installs the
+// result.
 func (c *Cluster) commit(op string, cm Commit) error {
 	if cm.Produced > 0 {
 		if err := c.chargeTuples(cm.Produced); err != nil {
 			return fmt.Errorf("%s: %w", op, err)
 		}
 	}
-	c.stats.TuplesShuffled.Add(cm.Shuffled)
-	c.stats.BytesShuffled.Add(cm.WireBytes)
+	c.stats.add(StatsSnapshot{TuplesShuffled: cm.Shuffled, BytesShuffled: cm.WireBytes,
+		SpillEvents: cm.SpillRuns, BytesSpilled: cm.SpillBytes, SpillFiles: cm.SpillFiles})
 	c.networkWait(cm.WireBytes)
 	if cm.Install == nil {
 		return nil
@@ -381,80 +376,32 @@ func (c *Cluster) taskErr(op string, part, attempt int, err error) error {
 	return &fault.TaskError{Op: op, Part: part, Attempt: attempt, Err: err}
 }
 
-// executeAttempt runs one attempt of a task: crash draw, straggler delay
-// (optionally racing a speculative backup), then the compute itself.
-func (c *Cluster) executeAttempt(op string, part, attempt int, fn TaskFn) (Commit, error) {
-	if err := c.injector.Crash(op, part, attempt); err != nil {
-		c.stats.FaultsInjected.Add(1)
-		return Commit{}, err
+// executeAttempt runs one attempt of a task: crash draw, straggler delay,
+// then the compute. When a straggler may have a backup, the backup (the next
+// attempt id, with its own crash draw) runs first, with no delay, and commits
+// if it succeeds; only if it fails does the straggler serve its delay and
+// compute. Attempts of a task never overlap. It returns the highest attempt id
+// it used, and on failure the lower attempt's error.
+func (c *Cluster) executeAttempt(op string, part, attempt int, fn TaskFn) (Commit, int, error) {
+	if err := c.fired(c.injector.Crash(op, part, attempt)); err != nil {
+		return Commit{}, attempt, err
 	}
+	last := attempt
 	if delay := c.injector.Straggle(op, part, attempt); delay > 0 {
-		c.stats.FaultsInjected.Add(1)
+		c.stats.add(StatsSnapshot{FaultsInjected: 1})
 		if c.injector.Speculate() && attempt+1 < c.injector.Attempts() {
-			return c.speculateAttempt(op, part, attempt, delay, fn)
+			c.stats.add(StatsSnapshot{SpeculativeLaunches: 1})
+			last = attempt + 1
+			if c.fired(c.injector.Crash(op, part, last)) == nil {
+				if cm, err := fn(part, last); err == nil {
+					return cm, last, nil
+				}
+			}
 		}
 		time.Sleep(delay)
 	}
-	return fn(part, attempt)
-}
-
-// errSpeculationLost marks a straggler attempt cancelled because its backup
-// already won; it never escapes the speculation racer.
-var errSpeculationLost = errors.New("cluster: speculation lost")
-
-// speculateAttempt races a straggling attempt against a backup attempt with
-// the next attempt id. Both compute from the same immutable snapshot, so
-// either result is correct; the winner is chosen deterministically as the
-// successful attempt with the lowest id once both goroutines have finished
-// (the racer always joins both — a cancelled straggler wakes immediately).
-func (c *Cluster) speculateAttempt(op string, part, attempt int, delay time.Duration, fn TaskFn) (Commit, error) {
-	c.stats.SpeculativeLaunches.Add(1)
-	type attemptResult struct {
-		attempt int
-		commit  Commit
-		err     error
-	}
-	cancel := make(chan struct{})
-	results := make(chan attemptResult, 2)
-	// Straggler: serve the injected delay (interruptibly), then compute.
-	go func() {
-		select {
-		case <-time.After(delay):
-		case <-cancel:
-			results <- attemptResult{attempt: attempt, err: errSpeculationLost}
-			return
-		}
-		cm, err := fn(part, attempt)
-		results <- attemptResult{attempt, cm, err}
-	}()
-	// Backup: a fresh attempt with its own crash draw.
-	go func() {
-		if err := c.injector.Crash(op, part, attempt+1); err != nil {
-			c.stats.FaultsInjected.Add(1)
-			results <- attemptResult{attempt: attempt + 1, err: err}
-			return
-		}
-		cm, err := fn(part, attempt+1)
-		results <- attemptResult{attempt + 1, cm, err}
-	}()
-	first := <-results
-	if first.err == nil {
-		close(cancel)
-	}
-	second := <-results
-	lo, hi := first, second
-	if lo.attempt > hi.attempt {
-		lo, hi = hi, lo
-	}
-	if lo.err == nil {
-		return lo.commit, nil
-	}
-	if hi.err == nil {
-		return hi.commit, nil
-	}
-	// Both failed, so neither was cancelled (a straggler is cancelled only
-	// once the other attempt succeeded): report the lower attempt's failure.
-	return Commit{}, lo.err
+	cm, err := fn(part, attempt)
+	return cm, last, err
 }
 
 // ScatterRoundRobin distributes rows across partitions round-robin (how
@@ -497,9 +444,7 @@ func (c *Cluster) Shuffle(parts [][]value.Row, keyCols []int) ([][]value.Row, er
 // bytes that moved in. Exchange counts no rounds; its callers do.
 func (c *Cluster) Exchange(op string, obs TaskObserver, fn TaskFn) error {
 	return c.ParallelTasks(op, obs, func(dst, attempt int) (Commit, error) {
-		if err := c.injector.ShuffleCorrupt(op, dst, attempt); err != nil {
-			//lint:ignore commitcheck FaultsInjected counts per-attempt fault draws; a faulted attempt never commits, so the count must happen here
-			c.stats.FaultsInjected.Add(1)
+		if err := c.fired(c.injector.ShuffleCorrupt(op, dst, attempt)); err != nil {
 			return Commit{}, err
 		}
 		return fn(dst, attempt)
@@ -516,7 +461,7 @@ func (c *Cluster) Deliver(op string, obs TaskObserver, buckets [][][]value.Row) 
 	if err != nil {
 		return nil, err
 	}
-	c.stats.ShuffleRounds.Add(1)
+	c.stats.add(StatsSnapshot{ShuffleRounds: 1})
 	return out, nil
 }
 
@@ -551,7 +496,7 @@ func (c *Cluster) Broadcast(obs TaskObserver, parts [][]value.Row) ([][]value.Ro
 	if err != nil {
 		return nil, err
 	}
-	c.stats.BroadcastRounds.Add(1)
+	c.stats.add(StatsSnapshot{BroadcastRounds: 1})
 	return out, nil
 }
 
@@ -600,8 +545,7 @@ func (c *Cluster) receive(op string, obs TaskObserver, srcs int, chunk func(src,
 // bytes, waits out the modelled transfer, and returns the decoded copy.
 func (c *Cluster) SendValue(v value.Value) (value.Value, error) {
 	buf := value.AppendValue(nil, v)
-	c.stats.TuplesShuffled.Add(1)
-	c.stats.BytesShuffled.Add(int64(len(buf)))
+	c.stats.add(StatsSnapshot{TuplesShuffled: 1, BytesShuffled: int64(len(buf))})
 	c.networkWait(int64(len(buf)))
 	out, _, err := value.DecodeValue(buf)
 	return out, err

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -354,5 +355,76 @@ func TestCheckBudgetPeeksWithoutCharging(t *testing.T) {
 	}
 	if got := c.Stats().Snapshot().TuplesProduced; got != 100 {
 		t.Fatalf("TuplesProduced = %d, want 100 (peeks must not count)", got)
+	}
+}
+
+// TestSpeculationRunsAttemptsInSequence pins the speculation rule: a
+// straggler's backup runs first and commits if it succeeds; only a failed
+// backup lets the straggler serve its delay and compute; when both fail the
+// lower attempt's error is returned; and no attempt id runs twice.
+func TestSpeculationRunsAttemptsInSequence(t *testing.T) {
+	const delay = 5 * time.Millisecond
+	cfg := func(seed uint64, maxAttempts int) Config {
+		return Config{Nodes: 1, PartitionsPerNode: 1, Faults: fault.Config{Seed: seed, CrashProb: 0.5,
+			StragglerProb: 1, StragglerDelay: delay, Speculate: true, MaxAttempts: maxAttempts, RetryBackoff: -1}}
+	}
+	// seedWhere returns a seed whose crash draws for attempts 0 and 1 of
+	// task "op" are (crash0, crash1).
+	seedWhere := func(crash0, crash1 bool) uint64 {
+		for seed := uint64(1); ; seed++ {
+			in := fault.New(cfg(seed, 3).Faults)
+			if (in.Crash("op", 0, 0) != nil) == crash0 && (in.Crash("op", 0, 1) != nil) == crash1 {
+				return seed
+			}
+		}
+	}
+	// run runs task "op" once and returns the attempt that committed and
+	// how often each attempt id computed.
+	run := func(c *Cluster, fn TaskFn) (committed int, runs []int64, err error) {
+		committed = -1
+		counts := make([]atomic.Int64, 4)
+		err = c.RunTask("op", TaskObserver{}, func(part, attempt int) (Commit, error) {
+			counts[attempt].Add(1)
+			cm, err := fn(part, attempt)
+			cm.Install = func() error { committed = attempt; return nil }
+			return cm, err
+		})
+		for i := range counts {
+			runs = append(runs, counts[i].Load())
+		}
+		return committed, runs, err
+	}
+	ok := func(int, int) (Commit, error) { return Commit{}, nil }
+
+	committed, runs, err := run(New(cfg(seedWhere(false, false), 3)), ok)
+	if err != nil || committed != 1 || runs[0] != 0 || runs[1] != 1 {
+		t.Errorf("backup succeeds: committed %d, runs %v, err %v; want attempt 1, the straggler never computing", committed, runs, err)
+	}
+
+	start := time.Now()
+	committed, runs, err = run(New(cfg(seedWhere(false, true), 3)), ok)
+	if err != nil || committed != 0 || runs[0] != 1 || runs[1] != 0 {
+		t.Errorf("backup crashes: committed %d, runs %v, err %v; want attempt 0", committed, runs, err)
+	}
+	if d := time.Since(start); d < delay {
+		t.Errorf("backup crashes: the straggler committed after %v, before its delay %v", d, delay)
+	}
+
+	_, _, err = run(New(cfg(seedWhere(false, false), 3)), func(_, attempt int) (Commit, error) {
+		return Commit{}, fmt.Errorf("compute of attempt %d failed", attempt)
+	})
+	if err == nil || err.Error() != "compute of attempt 0 failed" {
+		t.Errorf("both fail: err %v, want the straggler's (attempt 0)", err)
+	}
+
+	// Every attempt but the last fails transiently and straggles, so
+	// attempts 0 and 1 are a failed speculation and 2 and 3 a successful one.
+	c := New(Config{Nodes: 1, PartitionsPerNode: 1, Faults: fault.Config{Seed: 1, SpillProb: 1,
+		StragglerProb: 1, StragglerDelay: time.Microsecond, Speculate: true, MaxAttempts: 4, RetryBackoff: -1}})
+	committed, runs, err = run(c, func(_, attempt int) (Commit, error) {
+		return Commit{}, c.SpillWriteFault("run", attempt)
+	})
+	if err != nil || committed != 3 || !reflect.DeepEqual(runs, []int64{1, 1, 0, 1}) {
+		t.Errorf("retry after a failed speculation: committed %d, runs %v, err %v; want attempt 3, each id at most once", committed, runs, err)
 	}
 }

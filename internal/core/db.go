@@ -665,15 +665,9 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 	// One spill manager (and so one temp directory and one memory budget)
 	// covers the whole query, subqueries included; its Close at return sweeps
 	// every run file the operators created.
-	stats := cl.Stats()
 	mgr := spill.NewManager(db.memBudget(rsrc), spill.Hooks{
-		RunSpilled: func(bytes int64) {
-			stats.SpillEvents.Add(1)
-			stats.BytesSpilled.Add(bytes)
-		},
-		FileCreated: func() { stats.SpillFiles.Add(1) },
-		TrackIO:     func() func() { return timings.Track("spill") },
-		WriteFault:  cl.SpillWriteFault,
+		TrackIO:    func() func() { return timings.Track("spill") },
+		WriteFault: cl.SpillWriteFault,
 	})
 	defer func() {
 		if cerr := mgr.Close(); cerr != nil && err == nil {
@@ -694,7 +688,6 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 			Factor:   db.cfg.ReplanFactor,
 			Estimate: opt.EstimateRows,
 			Replan:   replanner.Replan,
-			OnReplan: func() { stats.Replans.Add(1) },
 		}
 	}
 	resolved, err := db.resolveSubqueries(ctx, optimized)
@@ -709,7 +702,7 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 		Schema:  rel.Schema,
 		Rows:    rel.Rows(),
 		Timings: timings,
-		Stats:   stats.Snapshot(),
+		Stats:   cl.Stats().Snapshot(),
 	}, nil
 }
 

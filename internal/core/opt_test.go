@@ -225,7 +225,7 @@ func TestAdaptiveReplanFiresAndPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if static.Cluster().Stats().Replans.Load() != 0 {
+	if static.Cluster().Stats().Snapshot().Replans != 0 {
 		t.Fatal("ReplanFactor=0 must never re-plan")
 	}
 
@@ -237,7 +237,7 @@ func TestAdaptiveReplanFiresAndPreservesResults(t *testing.T) {
 	if got, want := resultText(gotRes), resultText(wantRes); got != want {
 		t.Fatalf("adaptive run changed the result:\nwant %s\ngot  %s", want, got)
 	}
-	replans := adaptive.Cluster().Stats().Replans.Load()
+	replans := adaptive.Cluster().Stats().Snapshot().Replans
 	if replans == 0 {
 		t.Fatal("seeded 1000x mis-estimate did not trigger a re-plan")
 	}
@@ -255,7 +255,7 @@ func TestAdaptiveAccurateEstimatesDoNotReplan(t *testing.T) {
 	if _, err := db.Query(adaptiveQuery); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.Cluster().Stats().Replans.Load(); n != 0 {
+	if n := db.Cluster().Stats().Snapshot().Replans; n != 0 {
 		t.Fatalf("accurate estimates re-planned %d regions", n)
 	}
 }
@@ -279,7 +279,7 @@ func TestAdaptiveRepeatedQueriesStayIdentical(t *testing.T) {
 			t.Fatalf("run %d diverged:\nwant %s\ngot  %s", i, first, got)
 		}
 	}
-	if n := db.Cluster().Stats().Replans.Load(); n < 3 {
+	if n := db.Cluster().Stats().Snapshot().Replans; n < 3 {
 		t.Fatalf("expected a re-plan per run, got %d", n)
 	}
 }

@@ -29,9 +29,6 @@ type Adaptive struct {
 	Estimate func(plan.Node) float64
 	// Replan re-orders a join region given observed leaf cardinalities.
 	Replan func(root plan.Node, observed func(plan.Node) (float64, bool)) (plan.Node, error)
-	// OnReplan, when non-nil, is called once per region actually re-planned
-	// (the Stats.Replans counter).
-	OnReplan func()
 }
 
 // enabled reports whether this configuration can trigger re-planning.
@@ -94,9 +91,7 @@ func adaptPlan(ctx *Context, n plan.Node) (plan.Node, error) {
 		return nil, fmt.Errorf("exec: adaptive replan: %w", err)
 	}
 	markReplannedHandled(ctx, replanned)
-	if a.OnReplan != nil {
-		a.OnReplan()
-	}
+	ctx.Cluster.CountReplan()
 	return replanned, nil
 }
 

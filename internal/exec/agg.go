@@ -225,8 +225,8 @@ func (pa *partAgg) release() {
 }
 
 // seal finishes the top-level builder and seals every fused state while the
-// states still belong to this attempt alone: the finalize tasks may read one
-// state from two attempts at once.
+// states still belong to this attempt alone: after the install, each attempt
+// of a finalize task only reads them.
 func (pa *partAgg) seal(b *aggBuilder) (*groupTable, error) {
 	if err := b.finish(); err != nil {
 		return nil, err

@@ -296,16 +296,11 @@ func runSort(ctx *Context, s *plan.Sort) (*Relation, error) {
 	defer ctx.Timings.Track("sort")()
 	// The sort is one task. Each attempt gathers its own copy of the input:
 	// the in-memory path sorts that copy in place, the external path reads it
-	// without reordering and writes fresh runs into the attempt's scratch,
-	// which it closes on return.
+	// without reordering and writes fresh runs into the attempt's scratch.
 	var sorted []value.Row
-	err = ctx.Cluster.RunTask("sort", taskObs(ctx), func(_, attempt int) (_ cluster.Commit, err error) {
+	err = ctx.Cluster.RunTask("sort", taskObs(ctx), func(_, attempt int) (cm cluster.Commit, err error) {
 		scr := ctx.Spill.Scratch(attempt)
-		defer func() {
-			if cerr := scr.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
+		defer endScratch(scr, &cm, &err)
 		rows := in.Rows()
 		if ctx.spillEnabled() {
 			rows, err = externalSort(ctx, s.Keys, rows, scr)

@@ -223,7 +223,7 @@ func (s *fusedSumState) flush() {
 
 // seal brings acc up to date with every row absorbed so far: it flushes the
 // panel and completes the lower triangle. Sealing a sealed state writes
-// nothing, which is what lets concurrent task attempts call Final on states
+// nothing, which is what lets every finalize attempt call Final on states
 // partAgg.aggregate already sealed.
 func (s *fusedSumState) seal() {
 	s.flush()

@@ -212,7 +212,7 @@ func graceSalt(depth int) uint64 {
 // still producing, not after it has materialized everything (the mechanism
 // behind the paper's "Fail" entries). The count is the attempt's
 // Commit.Produced: the task runner charges it once, for the winning attempt,
-// so an attempt that is retried or loses a speculation race charges nothing.
+// so a failed attempt charges nothing.
 type charger struct {
 	ctx        *Context
 	op         string

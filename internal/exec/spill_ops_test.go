@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"relalg/internal/builtins"
@@ -16,22 +15,20 @@ import (
 )
 
 // spillCtx is testCtx plus a memory governor small enough that the operators
-// under test actually go out-of-core. The returned counters observe spill
-// activity; callers must Close the manager (and may then assert the temp dir
-// is gone).
-func spillCtx(t *testing.T, tables memSource, budget int64) (*Context, *spill.Manager, *atomic.Int64) {
+// under test actually go out-of-core. The returned func reads the runs the
+// committed attempts spilled; callers must Close the manager (and may then
+// assert the temp dir is gone).
+func spillCtx(t *testing.T, tables memSource, budget int64) (*Context, *spill.Manager, func() int64) {
 	t.Helper()
-	var spilled atomic.Int64
-	mgr := spill.NewManager(budget, spill.Hooks{
-		RunSpilled: func(bytes int64) { spilled.Add(1) },
-	})
+	mgr := spill.NewManager(budget, spill.Hooks{})
 	t.Cleanup(func() {
 		if err := mgr.Close(); err != nil {
 			t.Errorf("spill manager close: %v", err)
 		}
 	})
 	cl := cluster.New(cluster.Config{Nodes: 2, PartitionsPerNode: 2, SerializeShuffles: true})
-	return &Context{Cluster: cl, Tables: tables, Timings: NewTimings(), Spill: mgr}, mgr, &spilled
+	ctx := &Context{Cluster: cl, Tables: tables, Timings: NewTimings(), Spill: mgr}
+	return ctx, mgr, func() int64 { return ctx.Cluster.Stats().Snapshot().SpillEvents }
 }
 
 // wideTable builds n rows of (id, grp, payload-string): the payload makes each
@@ -111,7 +108,7 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 	if !sameRows(got, want) {
 		t.Fatal("external sort output differs from in-memory sort")
 	}
-	if spilled.Load() == 0 {
+	if spilled() == 0 {
 		t.Fatal("no runs spilled at an 8KB budget")
 	}
 	if mgr.LiveScratches() != 0 {
@@ -137,7 +134,7 @@ func TestExternalSortDescAndTies(t *testing.T) {
 	if !sameRows(got, want) {
 		t.Fatal("descending external sort differs from in-memory")
 	}
-	if spilled.Load() == 0 {
+	if spilled() == 0 {
 		t.Fatal("no runs spilled")
 	}
 }
@@ -168,7 +165,7 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 	if !sameRows(sortCanonical(got1), want) {
 		t.Fatal("grace join result differs from in-memory join")
 	}
-	if spilled.Load() == 0 {
+	if spilled() == 0 {
 		t.Fatal("no spills at an 8KB budget")
 	}
 	if mgr.LiveScratches() != 0 {
@@ -183,7 +180,7 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 		ctx, _, spilled := spillCtx(t, tables, 8<<10)
 		ctx.Cluster = cluster.New(cluster.Config{Nodes: 1, PartitionsPerNode: 1, SerializeShuffles: true})
 		rows := mustRows(t, ctx, join(wideScan("l", n), wideScan("r", n/4)))
-		if spilled.Load() == 0 {
+		if spilled() == 0 {
 			t.Fatal("no spills on one partition at an 8KB budget")
 		}
 		return rows
@@ -236,7 +233,7 @@ func TestSpillAggMatchesInMemory(t *testing.T) {
 	if !sameRows(got, want) {
 		t.Fatal("spilling aggregation differs from in-memory aggregation")
 	}
-	if spilled.Load() == 0 {
+	if spilled() == 0 {
 		t.Fatal("no spills at an 8KB budget")
 	}
 	if mgr.LiveScratches() != 0 {
@@ -295,7 +292,7 @@ func TestFaultedSpillLeavesNoFiles(t *testing.T) {
 			if !sameRows(got, want) {
 				t.Fatal("faulted spilling run differs from the in-memory run")
 			}
-			if cl.Stats().FaultsInjected.Load() == 0 {
+			if cl.Stats().Snapshot().FaultsInjected == 0 {
 				t.Fatal("no spill write faults fired")
 			}
 			if live := mgr.LiveScratches(); live != 0 {
@@ -322,7 +319,7 @@ func TestLimitTruncatesPerPartition(t *testing.T) {
 	ctx := testCtx(tables)
 	const n = 10000
 	tables["t"] = wideTable(ctx, n)
-	before := ctx.Cluster.Stats().TuplesProduced.Load()
+	before := ctx.Cluster.Stats().Snapshot().TuplesProduced
 	rel, err := Run(ctx, &plan.Limit{Input: wideScan("t", n), N: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +327,7 @@ func TestLimitTruncatesPerPartition(t *testing.T) {
 	if got := rel.NumRows(); got != 3 {
 		t.Fatalf("limit rows = %d, want 3", got)
 	}
-	charged := ctx.Cluster.Stats().TuplesProduced.Load() - before
+	charged := ctx.Cluster.Stats().Snapshot().TuplesProduced - before
 	// Scan charges n; the limit itself must charge only the emitted rows, not
 	// the n gathered ones. Allow the per-partition pre-gather bound P*N.
 	maxLimitCharge := int64(ctx.Cluster.Partitions()) * 3

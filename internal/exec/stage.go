@@ -153,7 +153,7 @@ func (st *stage) relation(ctx *Context, x plan.Node) (*Relation, []*groupTable, 
 // every 4 096 during compute. keys and single are the source's placement,
 // which filters keep and a projection loses its hash keys from. An exchange
 // the placement does not settle gets every partition's buckets. Each attempt
-// spills into its own scratch, which it closes on return.
+// spills into its own scratch (see endScratch).
 func (st *stage) run(ctx *Context, op string, charges bool, keys []string, single bool,
 	feed func(ps *partStage, part int) error) (*Relation, []*groupTable, error) {
 	st.settle(keys)
@@ -162,13 +162,9 @@ func (st *stage) run(ctx *Context, op string, charges bool, keys []string, singl
 	if st.ex != nil {
 		st.ex.buckets = make([][][]value.Row, len(out))
 	}
-	err := ctx.Cluster.ParallelTasks(op, taskObs(ctx), func(part, attempt int) (_ cluster.Commit, err error) {
+	err := ctx.Cluster.ParallelTasks(op, taskObs(ctx), func(part, attempt int) (cm cluster.Commit, err error) {
 		scr := ctx.Spill.Scratch(attempt)
-		defer func() {
-			if cerr := scr.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
+		defer endScratch(scr, &cm, &err)
 		ps := newPartStage(ctx, st, part, scr)
 		if charges {
 			ps.charge = newCharger(ctx, op)
@@ -206,6 +202,19 @@ func (st *stage) run(ctx *Context, op string, charges bool, keys []string, singl
 		rel.HashKeys = nil
 	}
 	return rel, locals, nil
+}
+
+// endScratch ends a task attempt's spill scratch, deferred with the
+// compute's results: a successful attempt's Commit gets the runs, bytes and
+// file it spilled, so only the winning attempt's are counted; then the
+// scratch is closed.
+func endScratch(scr *spill.Scratch, cm *cluster.Commit, err *error) {
+	if *err == nil {
+		cm.SpillRuns, cm.SpillBytes, cm.SpillFiles = scr.Spilled()
+	}
+	if cerr := scr.Close(); cerr != nil && *err == nil {
+		*cm, *err = cluster.Commit{}, cerr
+	}
 }
 
 // errStopScan ends a partition's source early once its LIMIT cut is full.

@@ -65,7 +65,7 @@ type Config struct {
 	// run's label and the owning task's attempt.
 	SpillProb float64
 	// StragglerProb marks a task attempt as a straggler: it is delayed by
-	// StragglerDelay, and (with Speculate) a backup attempt races it.
+	// StragglerDelay, and (with Speculate) a backup attempt runs first.
 	StragglerProb float64
 	// TornWriteProb injects a torn storage write: a physical write to the
 	// paged storage engine (a data page or a journal frame) is truncated to
@@ -85,10 +85,11 @@ type Config struct {
 	StorageFailAfter int64
 	// StragglerDelay is the injected slowdown; 0 means a small default.
 	StragglerDelay time.Duration
-	// Speculate re-launches straggler attempts speculatively: the original
-	// and the backup race, the first finisher wins, and ties break toward
-	// the lower attempt id. Results are unaffected either way because both
-	// attempts compute from the same immutable snapshot.
+	// Speculate backs up straggler attempts: the backup (the next attempt
+	// id) runs first, without delay, and commits if it succeeds; only if it
+	// fails does the straggler serve its delay and compute. Attempts never
+	// overlap, so nothing depends on timing, and results are unaffected
+	// because both attempts compute from the same immutable snapshot.
 	Speculate bool
 }
 

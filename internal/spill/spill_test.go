@@ -204,23 +204,19 @@ func TestManagerLazyDir(t *testing.T) {
 }
 
 func TestHooksAccounting(t *testing.T) {
-	var events, bytes int64
 	var ioCalls int
 	m := NewManager(1<<20, Hooks{
-		RunSpilled: func(b int64) { events++; bytes += b },
-		TrackIO:    func() func() { ioCalls++; return func() {} },
+		TrackIO: func() func() { ioCalls++; return func() {} },
 	})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}()
-	run := writeRun(t, scratch(t, m), testRows(50))
-	if events != 1 {
-		t.Fatalf("RunSpilled calls = %d", events)
-	}
-	if bytes != run.Bytes || bytes <= 0 {
-		t.Fatalf("bytes = %d, run.Bytes = %d", bytes, run.Bytes)
+	s := scratch(t, m)
+	run := writeRun(t, s, testRows(50))
+	if runs, bytes, files := s.Spilled(); runs != 1 || files != 1 || bytes != run.Bytes || bytes <= 0 {
+		t.Fatalf("Spilled() = %d runs, %d bytes, %d files; run.Bytes = %d", runs, bytes, files, run.Bytes)
 	}
 	readAll(t, run)
 	if ioCalls == 0 {
@@ -255,10 +251,9 @@ func scratchFiles(t *testing.T, m *Manager) []os.DirEntry {
 }
 
 // TestOneFilePerScratch: every run of one scratch shares its one file, which
-// FileCreated reports once, and Close removes it.
+// Spilled counts once, and Close removes it.
 func TestOneFilePerScratch(t *testing.T) {
-	created := 0
-	m := NewManager(1<<20, Hooks{FileCreated: func() { created++ }})
+	m := NewManager(1<<20, Hooks{})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
@@ -269,8 +264,11 @@ func TestOneFilePerScratch(t *testing.T) {
 	for i := range runs {
 		runs[i] = writeRun(t, s, testRows(i+1))
 	}
-	if n := len(scratchFiles(t, m)); n != 1 || m.LiveScratches() != 1 || created != 1 {
-		t.Fatalf("16 runs left %d files (%d live scratches, %d reported), want 1", n, m.LiveScratches(), created)
+	if n := len(scratchFiles(t, m)); n != 1 || m.LiveScratches() != 1 {
+		t.Fatalf("16 runs left %d files (%d live scratches), want 1", n, m.LiveScratches())
+	}
+	if runs, _, files := s.Spilled(); runs != 16 || files != 1 {
+		t.Fatalf("Spilled() = %d runs, %d files; want 16, 1", runs, files)
 	}
 	for i, run := range runs {
 		if got := readAll(t, run); !rowsEqual(got, testRows(i+1)) {
@@ -288,8 +286,7 @@ func TestOneFilePerScratch(t *testing.T) {
 // TestEmptyRunsCreateNoFile: a scratch whose runs are all empty never touches
 // the disk, yet each run still counts as spilled.
 func TestEmptyRunsCreateNoFile(t *testing.T) {
-	var events int
-	m := NewManager(1<<20, Hooks{RunSpilled: func(int64) { events++ }})
+	m := NewManager(1<<20, Hooks{})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
@@ -304,8 +301,8 @@ func TestEmptyRunsCreateNoFile(t *testing.T) {
 	if m.Dir() != "" || m.LiveScratches() != 0 {
 		t.Fatalf("empty runs created dir %q, %d live scratches", m.Dir(), m.LiveScratches())
 	}
-	if events != 3 {
-		t.Fatalf("RunSpilled calls = %d, want 3", events)
+	if runs, bytes, files := s.Spilled(); runs != 3 || bytes != 0 || files != 0 {
+		t.Fatalf("Spilled() = %d runs, %d bytes, %d files; want 3, 0, 0", runs, bytes, files)
 	}
 }
 
