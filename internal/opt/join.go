@@ -115,8 +115,8 @@ func (o *Optimizer) planMultiJoin(mj *plan.MultiJoin, consumed []plan.Expr) (pla
 			if err != nil {
 				return nil, nil, err
 			}
+			st.rowsAfter[rel] = math.Max(1, st.rowsAfter[rel]*filterSelectivity(st.inputs[rel], local, st.rowsAfter[rel]))
 			st.inputs[rel] = &plan.Filter{Input: st.inputs[rel], Pred: local}
-			st.rowsAfter[rel] = math.Max(1, st.rowsAfter[rel]*st.pushdownSelectivity(rel, c))
 		default:
 			if e := st.asEdge(c, mask); e != nil {
 				st.edges = append(st.edges, e)
@@ -224,28 +224,6 @@ func (st *joinState) globalToLocal(rel int) map[int]int {
 		}
 	}
 	return m
-}
-
-// pushdownSelectivity estimates the fraction of rows surviving a
-// single-relation conjunct.
-func (st *joinState) pushdownSelectivity(rel int, c plan.Expr) float64 {
-	if be, ok := c.(*plan.Binary); ok && be.Kind == plan.BinCompare && be.Op == "=" {
-		var colSide plan.Expr
-		if _, isConst := be.R.(*plan.Const); isConst {
-			colSide = be.L
-		} else if _, isConst := be.L.(*plan.Const); isConst {
-			colSide = be.R
-		}
-		if col, ok := colSide.(*plan.Col); ok {
-			// A remap failure here is only an estimation miss; fall back to
-			// the default selectivity rather than failing the plan.
-			if local, err := plan.Remap(col, st.globalToLocal(rel)); err == nil {
-				d := distinctOf(st.inputs[rel], local, st.rowsAfter[rel])
-				return 1 / d
-			}
-		}
-	}
-	return 1.0 / 3
 }
 
 // asEdge decomposes an equality conjunct into a hash-joinable edge when each
