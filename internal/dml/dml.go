@@ -192,7 +192,7 @@ func (s *Session) runPrint(src string) error {
 
 // assign compiles the expression to SQL and materializes it under name.
 func (s *Session) assign(name string, e expr) error {
-	c := &compiler{session: s, aliases: map[string]string{}}
+	c := &compiler{session: s}
 	sqlExpr, k, err := c.compile(e)
 	if err != nil {
 		return err

@@ -237,7 +237,6 @@ func (p *dmlParser) parsePrimary() (expr, error) {
 type compiler struct {
 	session *Session
 	from    []string
-	aliases map[string]string // already-assigned alias per mention index is not reused; this maps alias name for nothing; kept for clarity
 	n       int
 }
 

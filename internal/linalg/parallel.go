@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file holds the parallel entry points for the heavy kernels. They all
 // share the policy in pool.go: workers <= 0 means GOMAXPROCS, small inputs
@@ -151,33 +148,6 @@ func ParallelSum(m *Matrix, workers int) float64 {
 		}
 		return partial
 	}, func(a, b float64) float64 { return a + b })
-}
-
-// ParallelMin returns the minimum entry (+Inf for the empty matrix),
-// reducing fixed-size chunks in parallel. Min is order-insensitive, so the
-// result matches the serial kernel exactly.
-func ParallelMin(m *Matrix, workers int) float64 {
-	return chunkedReduce(m.Data, workers, math.Inf(1), func(partial float64, chunk []float64) float64 {
-		for _, x := range chunk {
-			if x < partial {
-				partial = x
-			}
-		}
-		return partial
-	}, math.Min)
-}
-
-// ParallelMax returns the maximum entry (-Inf for the empty matrix),
-// reducing fixed-size chunks in parallel.
-func ParallelMax(m *Matrix, workers int) float64 {
-	return chunkedReduce(m.Data, workers, math.Inf(-1), func(partial float64, chunk []float64) float64 {
-		for _, x := range chunk {
-			if x > partial {
-				partial = x
-			}
-		}
-		return partial
-	}, math.Max)
 }
 
 // chunkedReduce reduces data to a scalar: the slice is cut into fixed

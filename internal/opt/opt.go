@@ -35,10 +35,11 @@ type Options struct {
 	// Rewrites enables the algebraic rewrite pass that runs before join
 	// ordering: matrix-chain reordering, outer-product recognition,
 	// double-transpose elimination, filter pushdown through projections,
-	// aggregate pushdown through linear LA functions, common-subexpression
-	// elimination, and explicit fused-aggregation marking. Disabling it
-	// (ablation; the benchmark's baseline leg) leaves expressions exactly as
-	// the builder produced them.
+	// aggregate pushdown through linear LA functions, and
+	// common-subexpression elimination. (Aggregate fusion is not a rewrite:
+	// the executor's fusedOf alone decides it.) Disabling it (ablation; the
+	// benchmark's baseline leg) leaves expressions exactly as the builder
+	// produced them.
 	Rewrites bool
 	// Stats, when non-nil, counts the rewrite rules that fire; the benchmark
 	// harness uses it to hard-fail sweeps where no rewrite applied.
