@@ -88,8 +88,8 @@ func (pass *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Program owns the cross-package state of one lint invocation: the typed
 // loader and the effect facts (which functions transitively peek at the tuple
-// budget or mutate cluster stats) accumulated over every package
-// the loader has type-checked, in dependency order. See facts.go.
+// budget) accumulated over every package the loader has type-checked, in
+// dependency order. See facts.go.
 type Program struct {
 	loader *Loader
 	facts  *Facts
@@ -104,16 +104,31 @@ func NewProgram(l *Loader) *Program {
 // Analyze runs the enabled analyzers (nil = all) over one loaded package and
 // returns the sorted findings. Cross-package facts are brought up to date
 // first, so a checker sees the effects of every dependency the loader pulled
-// in while type-checking p.
+// in while type-checking p. A suppression that covered no finding is itself
+// a finding, once every analyzer it names has run.
 func (prog *Program) Analyze(p *Pkg, enabled map[string]bool) []Diagnostic {
 	prog.ensureFacts()
 	r := NewReporter(p)
+	ran := func(name string) bool { return enabled == nil || enabled[name] }
 	for _, a := range Analyzers {
-		if enabled != nil && !enabled[a.Name] {
+		if !ran(a.Name) {
 			continue
 		}
 		r.analyzer = a.Name
 		a.Run(&Pass{Pkg: p, Prog: prog, R: r})
+	}
+	for _, ig := range r.directives {
+		if ig.used || (ig.all && enabled != nil) {
+			continue
+		}
+		stale := true
+		for name := range ig.analyzers {
+			stale = stale && ran(name)
+		}
+		if stale {
+			r.diags = append(r.diags, Diagnostic{Pos: ig.pos, Analyzer: "lalint",
+				Message: "lint:ignore directive suppresses no finding; remove it"})
+		}
 	}
 	sort.Slice(r.diags, func(i, j int) bool {
 		a, b := r.diags[i], r.diags[j]
@@ -135,7 +150,8 @@ func (prog *Program) Analyze(p *Pkg, enabled map[string]bool) []Diagnostic {
 type ignoreDirective struct {
 	analyzers map[string]bool // nil with all=true means every analyzer
 	all       bool
-	reason    string
+	pos       token.Position
+	used      bool // it suppressed a finding
 }
 
 func (ig *ignoreDirective) matches(analyzer string) bool {
@@ -147,10 +163,11 @@ func (ig *ignoreDirective) matches(analyzer string) bool {
 // directive applies to findings on its own line and on the line below it
 // (so it works both trailing a statement and on the line above one).
 type Reporter struct {
-	pkg      *Pkg
-	analyzer string
-	diags    []Diagnostic
-	ignores  map[string]map[int][]*ignoreDirective // file -> line -> directives
+	pkg        *Pkg
+	analyzer   string
+	diags      []Diagnostic
+	ignores    map[string]map[int][]*ignoreDirective // file -> line -> directives
+	directives []*ignoreDirective
 }
 
 // NewReporter scans the package's comments for suppression directives.
@@ -174,7 +191,8 @@ func NewReporter(p *Pkg) *Reporter {
 					})
 					continue
 				}
-				ig := &ignoreDirective{reason: strings.Join(fields[1:], " ")}
+				ig := &ignoreDirective{pos: pos}
+				r.directives = append(r.directives, ig)
 				if fields[0] == "all" {
 					ig.all = true
 				} else {
@@ -203,6 +221,7 @@ func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 	position := r.pkg.Fset.Position(pos)
 	for _, ig := range r.ignores[position.Filename][position.Line] {
 		if ig.matches(r.analyzer) {
+			ig.used = true
 			return
 		}
 	}

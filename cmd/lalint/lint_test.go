@@ -80,22 +80,27 @@ func TestGolden(t *testing.T) {
 			if len(diags) == 0 {
 				t.Fatalf("bad fixture %s produced no %s findings", c.bad, c.analyzer)
 			}
-			got := render(diags)
-			goldenPath := filepath.Join("testdata", c.analyzer, "golden.txt")
-			if *update {
-				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(goldenPath)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("findings differ from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
-			}
+			checkGolden(t, filepath.Join("testdata", c.analyzer, "golden.txt"), render(diags))
 		})
+	}
+}
+
+// checkGolden compares rendered findings with a golden file, or rewrites it
+// under -update.
+func checkGolden(t *testing.T, goldenPath, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("findings differ from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
 	}
 }
 
@@ -206,5 +211,16 @@ func TestMalformedDirective(t *testing.T) {
 	}
 	if diags[0].Analyzer != "lalint" && diags[1].Analyzer != "lalint" {
 		t.Errorf("no lalint malformed-directive finding in:\n%s", render(diags))
+	}
+}
+
+// TestStaleDirective checks that a lint:ignore which suppressed nothing is a
+// finding, and that a used one is not; a run without the analyzer the
+// directive names cannot tell, so it stays quiet.
+func TestStaleDirective(t *testing.T) {
+	p, prog := loadFixture(t, "stale/pkg")
+	checkGolden(t, filepath.Join("testdata", "stale", "golden.txt"), render(prog.Analyze(p, nil)))
+	if diags := prog.Analyze(p, map[string]bool{"gocheck": true}); len(diags) != 0 {
+		t.Errorf("a run without errcheck reported:\n%s", render(diags))
 	}
 }

@@ -17,7 +17,9 @@
 //
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
-// The reason is mandatory; a bare directive is itself a finding.
+// The reason is mandatory; a bare directive is itself a finding, and so is
+// one that suppresses nothing (reported only when every analyzer it names
+// ran).
 package main
 
 import (
