@@ -38,8 +38,8 @@ type Config struct {
 	// unfused per-row evaluation (2017-SimSQL behaviour); see exec.Context.
 	DisableAggFusion bool
 	// DataDir, when non-empty, opens persistent paged storage at that
-	// directory: tables live in compressed columnar page files behind a
-	// buffer pool and survive restarts bit-identically. Empty (the default)
+	// directory: tables live in checksummed page files behind a buffer
+	// pool and survive restarts bit-identically. Empty (the default)
 	// keeps all tables in memory. Persistent databases should be opened with
 	// OpenData (Open panics on storage errors) and released with Close.
 	DataDir string

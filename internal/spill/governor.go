@@ -97,9 +97,6 @@ type Reservation struct {
 // Op returns the operator label the reservation was created with.
 func (r *Reservation) Op() string { return r.op }
 
-// Held returns the bytes currently held by this reservation.
-func (r *Reservation) Held() int64 { return r.held }
-
 // Grow requests n more bytes. It returns true when the bytes were granted —
 // either within the budget, or forced because the reservation is still under
 // its progress floor (an operator must be able to hold at least one block of

@@ -27,6 +27,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,9 +52,10 @@ const (
 	tableMagic    = "LATBL001"
 
 	// FormatVersion is the on-disk format version shared by the manifest,
-	// journal, and table files. Opening a directory written by a different
-	// version fails fast with a clear error.
-	FormatVersion = 1
+	// journal, table files and page headers. Opening a directory written by
+	// a different version, such as a version 1 directory of compressed-float
+	// pages, fails fast with a clear error.
+	FormatVersion = 2
 
 	// DefaultPageBytes is the slot size when Options.PageBytes is zero.
 	DefaultPageBytes = 64 << 10
@@ -61,6 +63,9 @@ const (
 	DefaultPoolBytes = 64 << 20
 	// minPageBytes keeps the header/payload split sane.
 	minPageBytes = 256
+	// maxParts bounds a table's partition count, in CreateTable and in
+	// journal replay, before anything is sized from it.
+	maxParts = 1 << 16
 
 	maxJournalPayload = 64 << 20
 )
@@ -310,6 +315,10 @@ func (s *Store) openJournal() error {
 func (s *Store) applyRecord(rec jrec, byID map[uint64]*Table) error {
 	switch rec.Op {
 	case "create":
+		if rec.Parts < 1 || rec.Parts > maxParts || rec.ID < s.nextID {
+			return fmt.Errorf("storage: journal creates table %q with id %d (next %d) and %d partitions (want 1..%d)",
+				rec.Name, rec.ID, s.nextID, rec.Parts, maxParts)
+		}
 		if _, ok := s.tables[rec.Name]; ok {
 			return fmt.Errorf("storage: journal creates table %q twice", rec.Name)
 		}
@@ -331,6 +340,9 @@ func (s *Store) applyRecord(rec jrec, byID map[uint64]*Table) error {
 			return fmt.Errorf("storage: journal commit record for unknown table id %d", rec.ID)
 		}
 		for _, p := range rec.Pages {
+			if int64(p.Part) >= int64(t.parts) || p.Bytes < pageHeaderLen || p.Slots != s.slotsFor(int(p.Bytes)) {
+				return fmt.Errorf("storage: table %q: journal commits a bad page %+v", t.name, p)
+			}
 			t.pages = append(t.pages, pageInfo(p))
 			t.rows += int64(p.Rows)
 			if end := p.Slot + p.Slots; end > t.nextSlot {
@@ -418,6 +430,9 @@ func (s *Store) slotOffset(slot uint32) int64 {
 	return blockio.HeaderLen + int64(slot)*int64(s.pageBytes)
 }
 
+// slotsFor is how many slots a page image of n bytes occupies.
+func (s *Store) slotsFor(n int) uint32 { return uint32((n + s.pageBytes - 1) / s.pageBytes) }
+
 // pagePayloadCap is the payload size at which an open page seals.
 func (s *Store) pagePayloadCap() int { return s.pageBytes - pageHeaderLen }
 
@@ -504,8 +519,8 @@ func (s *Store) appendRecord(rec jrec) error {
 // CreateTable creates a new empty table with the given partition count and
 // opaque metadata blob (the catalog's serialized schema).
 func (s *Store) CreateTable(name string, parts int, meta []byte) (*Table, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("storage: table %q: partition count %d", name, parts)
+	if parts < 1 || parts > maxParts {
+		return nil, fmt.Errorf("storage: table %q: partition count %d (want 1..%d)", name, parts, maxParts)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -653,7 +668,8 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// openPage accumulates one partition's encoded rows until the page seals.
+// openPage accumulates one partition's value-codec rows, behind a row count
+// written when the page seals, so buf becomes value.EncodeRows of the rows.
 type openPage struct {
 	buf   []byte
 	nrows uint32
@@ -729,7 +745,10 @@ func (t *Table) Append(part int, rows []value.Row) error {
 	}
 	op := &t.open[part]
 	for _, r := range rows {
-		op.buf = appendStoredRow(op.buf, r)
+		if op.nrows == 0 {
+			op.buf = append(op.buf[:0], 0, 0, 0, 0) // the row count, set at seal
+		}
+		op.buf = value.AppendRow(op.buf, r)
 		op.nrows++
 		if len(op.buf) >= t.st.pagePayloadCap() {
 			if err := t.sealLocked(part); err != nil {
@@ -748,9 +767,10 @@ func (t *Table) sealLocked(part int) error {
 	if op.nrows == 0 {
 		return nil
 	}
-	data, slots := encodePage(t.st.pageBytes, uint32(part), op.nrows, op.buf)
-	pi := pageInfo{Slot: t.nextSlot, Slots: slots, Part: uint32(part), Rows: op.nrows, Bytes: uint32(len(data))}
-	t.nextSlot += slots
+	binary.LittleEndian.PutUint32(op.buf, op.nrows)
+	data := encodePage(uint32(part), op.nrows, op.buf)
+	pi := pageInfo{Slot: t.nextSlot, Slots: t.st.slotsFor(len(data)), Part: uint32(part), Rows: op.nrows, Bytes: uint32(len(data))}
+	t.nextSlot += pi.Slots
 	if err := t.st.pool.install(t, pi, data); err != nil {
 		return err
 	}
@@ -835,12 +855,8 @@ func (t *Table) ScanPart(part int, fn func(rows []value.Row) error) error {
 	}
 	for _, pi := range pages {
 		var rows []value.Row
-		err := t.st.pool.withPage(t, pi, func(image []byte) error {
-			payload, err := decodePage(image, pi)
-			if err != nil {
-				return err
-			}
-			rows, err = decodeStoredRows(payload, int(pi.Rows))
+		err := t.st.pool.withPage(t, pi, func(image []byte) (err error) {
+			rows, err = decodePage(image, pi)
 			return err
 		})
 		if err == nil {

@@ -3,11 +3,14 @@
 # project-specific lalint analysis suite, the test suite, the race detector
 # over the concurrent packages (the simulated cluster, the executor, the
 # columnar value layer it gathers into, the BLAS-like kernels, the server, and
-# the figure harness that drives them), a short fuzz of the three decoders
-# that read untrusted bytes (the row codec, the block frames of spill runs and
-# the storage journal, and the wire frame reader), of grouping against a
-# naive oracle, of the expression evaluator (each lane evaluated alone
-# must match its lane of the whole window, bit for bit), and of the SQL
+# the figure harness that drives them), a short fuzz of the decoders that
+# read untrusted bytes (the row codec, the block frames of spill runs and
+# the storage journal, the storage page decoder, journal replay, and the
+# wire frame reader; journal replay opens a directory per input, a few ms
+# each, so its minimizer is capped at 100 runs or it would eat the 5 s), of
+# grouping against a naive oracle, of the expression evaluator (each lane
+# evaluated alone must match its lane of the whole window, bit for bit), and
+# of the SQL
 # parser and planner (any text that parses, builds and optimizes must not
 # panic, and its plan rebuilt node by node must explain the same), the end-to-end
 # server smoke, the SIGKILL restart-recovery smoke over a
@@ -61,6 +64,8 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "storage race" go test -race -count=1 ./internal/storage/ ./internal/blockio/
   gate "fuzz smoke" bash -c 'go test -run "^$" -fuzz "^FuzzDecodeRows$" -fuzztime 5s ./internal/value/ &&
     go test -run "^$" -fuzz "^FuzzBlockFrames$" -fuzztime 5s ./internal/blockio/ &&
+    go test -run "^$" -fuzz "^FuzzDecodePage$" -fuzztime 5s ./internal/storage/ &&
+    go test -run "^$" -fuzz "^FuzzReplayJournal$" -fuzztime 5s -fuzzminimizetime 100x ./internal/storage/ &&
     go test -run "^$" -fuzz "^FuzzReadFrame$" -fuzztime 5s ./internal/serve/ &&
     go test -run "^$" -fuzz "^FuzzGroupBy$" -fuzztime 5s ./internal/exec/ &&
     go test -run "^$" -fuzz "^FuzzEvalVec$" -fuzztime 5s ./internal/plan/ &&
