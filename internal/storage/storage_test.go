@@ -257,6 +257,42 @@ func TestOpenFailFast(t *testing.T) {
 	})
 }
 
+// TestFullPagesTakeOneSlot: rows smaller than a page fill pages of exactly one
+// slot each. A page seals before the row that would take it past its slot, not
+// after, so no full page overshoots into a second slot.
+func TestFullPagesTakeOneSlot(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{PageBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	tb, err := s.CreateTable("t", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := bigRows(7, 300, 12) // ~110 bytes a row, ~9 rows a page
+	if err := tb.Append(0, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(t, tb); !bytes.Equal(got, value.EncodeRows(rows)) {
+		t.Fatal("rows changed across the page boundaries")
+	}
+	if len(tb.pages) < 10 {
+		t.Fatalf("%d pages, want the rows spread over at least 10", len(tb.pages))
+	}
+	for _, pi := range tb.pages {
+		if pi.Slots != 1 {
+			t.Fatalf("page %+v takes %d slots, want 1", pi, pi.Slots)
+		}
+	}
+	if tb.nextSlot != uint32(len(tb.pages)) {
+		t.Fatalf("%d pages take %d slots", len(tb.pages), tb.nextSlot)
+	}
+}
+
 func TestOversizedRowSpansSlots(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageBytes: 512})

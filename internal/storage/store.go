@@ -730,7 +730,9 @@ func (t *Table) SetMeta(meta []byte) error {
 }
 
 // Append encodes rows into partition part's open page, sealing pages as
-// they fill. Appended rows are invisible to scans until Commit.
+// they fill. A page seals before the row that would take it past its slot,
+// so a full page takes one slot; only a row larger than a slot, alone on
+// its page, spans several. Appended rows are invisible to scans until Commit.
 func (t *Table) Append(part int, rows []value.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -744,13 +746,23 @@ func (t *Table) Append(part int, rows []value.Row) error {
 		return fmt.Errorf("storage: table %q: partition %d of %d", t.name, part, t.parts)
 	}
 	op := &t.open[part]
+	limit := t.st.pagePayloadCap()
 	for _, r := range rows {
 		if op.nrows == 0 {
 			op.buf = append(op.buf[:0], 0, 0, 0, 0) // the row count, set at seal
 		}
+		at := len(op.buf)
 		op.buf = value.AppendRow(op.buf, r)
+		if len(op.buf) > limit && op.nrows > 0 {
+			// The row overflows a page that holds others: it opens the next.
+			op.buf = op.buf[:at]
+			if err := t.sealLocked(part); err != nil {
+				return err
+			}
+			op.buf = value.AppendRow(append(op.buf[:0], 0, 0, 0, 0), r)
+		}
 		op.nrows++
-		if len(op.buf) >= t.st.pagePayloadCap() {
+		if len(op.buf) >= limit {
 			if err := t.sealLocked(part); err != nil {
 				return err
 			}
