@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
-# verify.sh is the repo's full verification gate: build, vet, the
-# project-specific lalint analysis suite, the test suite, the race detector
-# over the concurrent packages (the simulated cluster, the executor, the
-# columnar value layer it gathers into, the BLAS-like kernels, the server, and
-# the figure harness that drives them), a short fuzz of the decoders that
-# read untrusted bytes (the row codec, the block frames of spill runs and
-# the storage journal, the storage page decoder, journal replay, and the
-# wire frame reader; journal replay opens a directory per input, a few ms
-# each, so its minimizer is capped at 100 runs or it would eat the 5 s), of
-# grouping against a naive oracle, of the expression evaluator (each lane
-# evaluated alone must match its lane of the whole window, bit for bit), and
-# of the SQL
-# parser and planner (any text that parses, builds and optimizes must not
-# panic, and its plan rebuilt node by node must explain the same), the end-to-end
-# server smoke, the SIGKILL restart-recovery smoke over a
-# persistent data directory, and the smoke test of the repository's benchmark
-# (benchmark/ is a module of its own, so "go test ./..." does not reach it).
+# verify.sh is the repo's full verification gate: build, a gofmt check of
+# every Go file (benchmark/ included), vet, the project-specific lalint
+# analysis suite, the test suite, the race detector over the concurrent
+# packages (the simulated cluster, the executor, the columnar value layer it
+# gathers into, the BLAS-like kernels, the server, and the figure harness that
+# drives them), a short fuzz of the decoders that read untrusted bytes (the
+# row codec, the block frames of spill runs and the storage journal, the
+# storage page decoder, journal replay, and the wire frame reader; journal
+# replay opens a directory per input, a few ms each, so its minimizer is
+# capped at 100 runs or it would eat the 5 s), of grouping against a naive
+# oracle, of the expression evaluator (each lane evaluated alone must match
+# its lane of the whole window, bit for bit), and of the SQL parser and
+# planner (any text that parses, builds and optimizes must not panic, and its
+# plan rebuilt node by node must explain the same), the end-to-end server
+# smoke, the SIGKILL restart-recovery smoke over a persistent data directory,
+# and the smoke test of the repository's benchmark (benchmark/ is a module of
+# its own, so "go test ./..." does not reach it).
 #
 # Every gate runs even if an earlier one fails (except that a failed build
 # skips the gates that cannot run without a building tree); the run ends with
@@ -55,6 +55,9 @@ skip() {
 
 gate "go build" go build ./...
 [[ ${GATE_RESULTS[-1]} == pass ]] || BUILD_OK=0
+
+# gofmt -l prints each file whose formatting differs; any output fails.
+gate "gofmt" bash -c 'out=$(gofmt -l .) && [[ -z $out ]] || { echo "$out"; false; }'
 
 if [[ $BUILD_OK == 1 ]]; then
   gate "go vet" go vet ./...
