@@ -212,6 +212,70 @@ func (v *Vector) Dot(w *Vector) (float64, error) {
 	return s, nil
 }
 
+// DotLanes sets out[i] = a[i].Dot(b[i]) for each lane i named by sel (every
+// lane of a when sel is nil). It takes four lanes at a time, each with its own
+// accumulator adding its products in ascending index order as Dot does, so
+// every out[i] has Dot's bits: the interleave only hides the latency of each
+// lane's chain of adds. A group of four whose lengths differ, and the last
+// lanes, go through Dot. It returns the first lane's length mismatch.
+func DotLanes(out []float64, a, b []*Vector, sel []int32) error {
+	n := len(a)
+	if sel != nil {
+		n = len(sel)
+	}
+	lane := func(k int) int {
+		if sel == nil {
+			return k
+		}
+		return int(sel[k])
+	}
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		i0, i1, i2, i3 := lane(k), lane(k+1), lane(k+2), lane(k+3)
+		a0, a1, a2, a3 := a[i0].Data, a[i1].Data, a[i2].Data, a[i3].Data
+		b0, b1, b2, b3 := b[i0].Data, b[i1].Data, b[i2].Data, b[i3].Data
+		m := len(a0)
+		if len(a1) != m || len(a2) != m || len(a3) != m || len(b0) != m || len(b1) != m || len(b2) != m || len(b3) != m {
+			for _, i := range [4]int{i0, i1, i2, i3} {
+				d, err := a[i].Dot(b[i])
+				if err != nil {
+					return err
+				}
+				out[i] = d
+			}
+			continue
+		}
+		out[i0], out[i1], out[i2], out[i3] = dot4(a0, a1, a2, a3, b0, b1, b2, b3)
+	}
+	for ; k < n; k++ {
+		i := lane(k)
+		d, err := a[i].Dot(b[i])
+		if err != nil {
+			return err
+		}
+		out[i] = d
+	}
+	return nil
+}
+
+// dot4 is four inner products of vectors of one length, interleaved. Its own
+// function keeps the loop's operands in registers. A NaN times a NaN keeps
+// the payload of the multiply's register operand; written b·a, each product
+// compiles with a's entry in the register, as Dot's x·w does, so NaN payloads
+// match Dot's too (TestDotLanesMatchesDot checks it).
+func dot4(a0, a1, a2, a3, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	m := len(a0)
+	a1, a2, a3 = a1[:m], a2[:m], a3[:m]
+	b0, b1, b2, b3 = b0[:m], b1[:m], b2[:m], b3[:m]
+	for j := 0; j < m; j++ {
+		s0 += b0[j] * a0[j]
+		s1 += b1[j] * a1[j]
+		s2 += b2[j] * a2[j]
+		s3 += b3[j] * a3[j]
+	}
+	return s0, s1, s2, s3
+}
+
 // Outer returns the outer product v wᵀ as a Len(v)×Len(w) matrix.
 func (v *Vector) Outer(w *Vector) *Matrix {
 	m := NewMatrix(v.Len(), w.Len())

@@ -3,6 +3,7 @@ package linalg
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -116,6 +117,85 @@ func TestDotAndNorm(t *testing.T) {
 	}
 	if n := VectorOf(3, 4).Norm2(); n != 5 {
 		t.Fatalf("Norm2 = %g, want 5", n)
+	}
+}
+
+// TestDotLanesMatchesDot pins each lane of DotLanes to Dot by its bits, over
+// entries whose sums depend on their order (magnitudes from denormal to 1e200,
+// ±Inf, −0, NaNs with payloads), lane counts on and off a multiple of four,
+// nil and sparse selections, and lanes of mixed lengths. Unselected lanes are
+// left alone, and a length mismatch inside a group of four is Dot's error.
+func TestDotLanesMatchesDot(t *testing.T) {
+	special := []float64{
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64, 1e200, -1e200,
+	}
+	r := rand.New(rand.NewSource(1))
+	entry := func() float64 {
+		if r.Intn(8) == 0 {
+			return special[r.Intn(len(special))]
+		}
+		return (r.Float64() - 0.5) * []float64{1, 1e-3, 1e8}[r.Intn(3)]
+	}
+	vec := func(n int) *Vector {
+		v := NewVector(n)
+		for j := range v.Data {
+			v.Data[j] = entry()
+		}
+		return v
+	}
+	const unset = -12345.5
+	for _, length := range []int{0, 1, 3, 4, 5, 100, 101, -1} { // -1: mixed lengths
+		for _, lanes := range []int{1, 3, 4, 5, 8, 9, 13} {
+			a, b := make([]*Vector, lanes), make([]*Vector, lanes)
+			for i := range a {
+				n := length
+				if n < 0 {
+					n = []int{3, 4, 5, 100}[r.Intn(4)]
+				}
+				a[i], b[i] = vec(n), vec(n)
+			}
+			var sparse []int32
+			for i := 0; i < lanes; i++ {
+				if i%3 != 1 {
+					sparse = append(sparse, int32(i))
+				}
+			}
+			for _, sel := range [][]int32{nil, sparse, {}} {
+				out := make([]float64, lanes)
+				for i := range out {
+					out[i] = unset
+				}
+				if err := DotLanes(out, a, b, sel); err != nil {
+					t.Fatalf("length %d, %d lanes: %v", length, lanes, err)
+				}
+				picked := make([]bool, lanes)
+				for i := range picked {
+					picked[i] = sel == nil
+				}
+				for _, i := range sel {
+					picked[i] = true
+				}
+				for i, got := range out {
+					want := unset
+					if picked[i] {
+						want, _ = a[i].Dot(b[i])
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("length %d, %d lanes, sel %v: lane %d = %v (%016x), want %v (%016x)",
+							length, lanes, sel, i, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+	a := []*Vector{vec(4), vec(4), vec(4), vec(4), vec(4)}
+	b := []*Vector{vec(4), vec(4), vec(3), vec(5), vec(4)}
+	_, want := a[2].Dot(b[2])
+	err := DotLanes(make([]float64, 5), a, b, nil)
+	if err == nil || err.Error() != want.Error() || !errors.Is(err, ErrShape) {
+		t.Fatalf("mismatch in a group of four: %v, want %v", err, want)
 	}
 }
 
