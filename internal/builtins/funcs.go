@@ -24,11 +24,16 @@ import (
 	"relalg/internal/value"
 )
 
-// Builtin is one scalar (non-aggregate) built-in function.
+// Builtin is one scalar (non-aggregate) built-in function. Eval defines it
+// one lane at a time. EvalCol, when set, is its column form over a window of n
+// lanes whose argument columns are all typed: it returns a column whose lanes
+// named by sel (all n when sel is nil) hold what Eval returns for them, or nil
+// when it does not take the columns' kinds, leaving the window to Eval.
 type Builtin struct {
-	Name string
-	Sig  types.Signature
-	Eval func(ec *EvalCtx, args []value.Value) (value.Value, error)
+	Name    string
+	Sig     types.Signature
+	Eval    func(ec *EvalCtx, args []value.Value) (value.Value, error)
+	EvalCol func(ec *EvalCtx, args []*value.Col, n int, sel []int32) (*value.Col, error)
 }
 
 // registry maps lower-case names to builtins.
@@ -179,6 +184,16 @@ func init() {
 				return value.Null(), err
 			}
 			return value.Double(d), nil
+		},
+		EvalCol: func(ec *EvalCtx, args []*value.Col, n int, sel []int32) (*value.Col, error) {
+			if args[0].Kind != value.KindVector || args[1].Kind != value.KindVector {
+				return nil, nil
+			}
+			out := &value.Col{Kind: value.KindDouble, F: make([]float64, n)}
+			if err := linalg.DotLanes(out.F, args[0].Vec, args[1].Vec, sel); err != nil {
+				return nil, err
+			}
+			return out, nil
 		},
 	})
 	mustRegister(&Builtin{

@@ -12,7 +12,9 @@ import (
 
 // fuzzCells are the values a FuzzEvalVec window draws from: NaNs of both
 // signs with payloads, ±Inf, −0, NULL, and every scalar kind beside them, so
-// a column is typed or generic depending on its neighbours.
+// a column is typed or generic depending on its neighbours. Its vectors have
+// two, three and five entries, so a window's inner_product lanes may share a
+// length or not.
 var fuzzCells = []value.Value{
 	value.Null(),
 	value.Double(math.Float64frombits(0x7ff8000000000001)),
@@ -35,6 +37,9 @@ var fuzzCells = []value.Value{
 	value.LabeledScalar(2.5, 3),
 	value.Vector(linalg.VectorOf(1, math.Float64frombits(0xfff8000000000003))),
 	value.Vector(linalg.VectorOf(math.Inf(1), -2)),
+	value.Vector(linalg.VectorOf(0.5, math.Copysign(0, -1), 3)),
+	value.Vector(linalg.VectorOf(2, math.SmallestNonzeroFloat64, -1e200, 1e-3, math.Copysign(0, -1))),
+	value.Vector(linalg.VectorOf(-1, 1e100, 0.25, 1e8, 3)),
 }
 
 // fuzzCols is the width of a FuzzEvalVec window.
@@ -105,6 +110,10 @@ func FuzzEvalVec(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 0, 1, 10, 2, 3, 2, 2, 0, 0, 0, 0, 1}) // mixed kinds and a NULL
 	f.Add([]byte{7, 9, 19, 20, 0, 19, 1, 2, 8, 1, 0, 0, 0, 1, 0, 1, 2})
 	f.Add([]byte{0, 4, 4, 0, 0, 1, 1, 5, 5, 0, 0, 0, 0, 0, 0, 0})
+	// inner_product over typed VECTOR columns: four lanes of five entries,
+	// then a lane of two; then the same lengths mixed within the four.
+	f.Add([]byte{4, 22, 23, 0, 23, 22, 0, 22, 22, 0, 23, 23, 0, 19, 20, 0, 8, 4, 0, 0, 0, 1})
+	f.Add([]byte{4, 22, 23, 0, 19, 20, 0, 21, 21, 0, 20, 19, 0, 23, 22, 0, 8, 4, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
 		rows := make(rowsSource, 1+b.next()%8)

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"relalg/internal/builtins"
 	"relalg/internal/value"
@@ -21,12 +22,14 @@ type BatchSource interface {
 // is nil), returning a column with those lanes set; unselected lanes are
 // unspecified. It is the engine's only expression evaluator. Typed fast paths
 // cover column refs, constants, arithmetic, comparison, and logic over
-// homogeneous columns; generic columns (mixed kinds or NULLs) and calls go
-// lane by lane through the scalar builtins (Arith, Compare, Builtin.Eval),
-// which define each lane's semantics. The typed loops compute exactly what
-// those builtins compute (Arith's float leg runs VecArithFloat itself), so a
-// lane's value never depends on its neighbours. The returned column is read-only and may alias src's storage
-// (a bare column reference is passed through without copying).
+// homogeneous columns, and a call whose builtin has a column form (EvalCol)
+// over typed argument columns; generic columns (mixed kinds or NULLs) and
+// other calls go lane by lane through the scalar builtins (Arith, Compare,
+// Builtin.Eval), which define each lane's semantics. The typed loops compute
+// exactly what those builtins compute (Arith's float leg runs VecArithFloat
+// itself), so a lane's value never depends on its neighbours. The returned
+// column is read-only and may alias src's storage (a bare column reference
+// is passed through without copying).
 func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, error) {
 	n := src.BatchLen()
 	switch x := e.(type) {
@@ -72,6 +75,12 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 				return nil, err
 			}
 			args[i] = c
+		}
+		if x.Fn.EvalCol != nil && !slices.ContainsFunc(args, func(c *value.Col) bool { return c.Generic }) {
+			out, err := x.Fn.EvalCol(ec, args, n, sel)
+			if out != nil || err != nil {
+				return out, err
+			}
 		}
 		out := &value.Col{Generic: true, Any: make([]value.Value, n)}
 		scratch := make([]value.Value, len(args))
