@@ -338,6 +338,81 @@ func (s *extremeState) Final() (value.Value, error) {
 	return s.best, nil
 }
 
+// NumExtreme is MIN's or MAX's running state over INTEGER and DOUBLE inputs:
+// the best value and its kind, KindNull until the first non-null input. It
+// holds no pointers, so the executor keeps one per group in a flat array and
+// steps it without boxing a lane, as it does NumSum. It steps as
+// extremeState's scalar branch does: both sides compare as doubles, and a
+// value replaces the best only when strictly less (MIN) or greater (MAX), so a
+// tie (−0 and +0, 2⁵³ and 2⁵³+1) or a NaN keeps the first value seen, with its
+// kind.
+type NumExtreme struct {
+	Max  bool       // MAX, else MIN
+	kind value.Kind // KindNull until the first non-null input
+	best uint64     // the int64 while kind is KindInt, the float64's bits once KindDouble
+}
+
+// Step adds one input; NULL is skipped.
+func (s *NumExtreme) Step(v value.Value) error {
+	switch v.Kind {
+	case value.KindNull:
+	case value.KindInt:
+		s.StepInt(v.I)
+	case value.KindDouble:
+		s.StepDouble(v.D)
+	default:
+		return fmt.Errorf("builtins: numeric MIN/MAX over %s", v.Kind)
+	}
+	return nil
+}
+
+// StepDouble is Step(value.Double(x)) without boxing x.
+func (s *NumExtreme) StepDouble(x float64) {
+	if s.kind == value.KindNull || s.beats(x) {
+		s.kind, s.best = value.KindDouble, math.Float64bits(x)
+	}
+}
+
+// StepInt is Step(value.Int(x)) without boxing x.
+func (s *NumExtreme) StepInt(x int64) {
+	if s.kind == value.KindNull || s.beats(float64(x)) {
+		s.kind, s.best = value.KindInt, uint64(x)
+	}
+}
+
+// beats reports whether x is strictly better than the best, as doubles.
+func (s *NumExtreme) beats(x float64) bool {
+	best := math.Float64frombits(s.best)
+	if s.kind == value.KindInt {
+		best = float64(int64(s.best))
+	}
+	if s.Max {
+		return x > best
+	}
+	return x < best
+}
+
+// Merge folds o into s as extremeState.Merge does: o's best is stepped in.
+func (s *NumExtreme) Merge(o *NumExtreme) {
+	switch o.kind {
+	case value.KindInt:
+		s.StepInt(int64(o.best))
+	case value.KindDouble:
+		s.StepDouble(math.Float64frombits(o.best))
+	}
+}
+
+// Final is MIN's or MAX's result: NULL over no rows.
+func (s *NumExtreme) Final() value.Value {
+	switch s.kind {
+	case value.KindInt:
+		return value.Int(int64(s.best))
+	case value.KindDouble:
+		return value.Double(math.Float64frombits(s.best))
+	}
+	return value.Null()
+}
+
 // --- VECTORIZE ----------------------------------------------------------
 
 // vectorizeState aggregates LABELED_SCALAR values into a vector, placing

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"relalg/internal/builtins"
@@ -15,17 +14,19 @@ import (
 )
 
 // FuzzGroupBy is a differential test of grouping. The fuzz bytes decode into
-// (key, value) rows: the key is an INTEGER, DOUBLE or STRING column whose lanes
-// include NULL (and NaN, ±Inf, −0 and +0, or 2⁵³ and 2⁵³+1), the value a DOUBLE
-// that is a small integer, NaN, ±Inf or NULL, so no sum depends on its
-// summation order. Grouped COUNT(*), COUNT, SUM, AVG, MIN and MAX run on a 2×2
-// cluster at windows of 1, 3 and 1024 rows, which must agree byte for byte,
-// and match a naive oracle: groups formed in input order by key equality,
-// each stepping its rows in order. A NaN key is its own group. Results
-// compare NaN equal to NaN. MIN and MAX keep the first value seen on ties and
-// on NaN, so a NaN hides the values a partition sees after it: over a group
-// holding NaN, they may be NaN or any of the group's values, depending on
-// where its rows land and the order the partitions merge in.
+// (key, DOUBLE, INTEGER) rows: the key is an INTEGER, DOUBLE or STRING column
+// whose lanes include NULL (and NaN, ±Inf, −0 and +0, or 2⁵³ and 2⁵³+1), the
+// DOUBLE a small integer, −0, NaN, ±Inf or NULL, so no sum depends on its
+// summation order, and the INTEGER a small integer, 2⁵³, 2⁵³+1 or NULL.
+// Grouped COUNT(*), COUNT, SUM, AVG, MIN and MAX of the DOUBLE and MIN and MAX
+// of the INTEGER run on a 2×2 cluster at windows of 1, 3 and 1024 rows, which
+// must agree byte for byte, and match a naive oracle bit for bit: groups
+// formed by key equality, each partition stepping its rows in order through
+// the aggregates' boxed states (AggSpec.New), and the partitions' states of a
+// group merging in partition order, as the executor's do. A NaN key is its own
+// group. MIN and MAX keep the first value seen on ties (−0 and +0, 2⁵³ and
+// 2⁵³+1) and on NaN, with its kind, so where the rows land decides which
+// value of the group they return: the oracle places rows as the cluster does.
 func FuzzGroupBy(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
 	f.Add([]byte{1, 0, 0, 8, 1, 16, 2, 24, 3, 3, 4, 11, 5, 19, 6, 27, 7, 4, 8})
@@ -39,11 +40,12 @@ func FuzzGroupBy(f *testing.F) {
 		var first []byte
 		for _, w := range []int{1, 3, 1024} {
 			SetWindow(t, w)
-			got := runGroupBy(t, kt, rows)
+			ctx, q := groupByQuery(t, kt, rows)
+			got := mustRows(t, ctx, q)
 			enc := value.EncodeRows(got)
 			if first == nil {
 				first = enc
-				if err := matchOracle(got, groupByOracle(t, rows)); err != nil {
+				if err := matchOracle(got, groupByOracle(t, rows, ctx.Cluster.Partitions())); err != nil {
 					t.Fatalf("%s key, %d rows: %v", kt, len(rows), err)
 				}
 			} else if !bytes.Equal(enc, first) {
@@ -54,7 +56,7 @@ func FuzzGroupBy(f *testing.F) {
 }
 
 // groupByRows decodes b: the first byte picks the key type, and each later
-// pair of bytes is one row's key and value.
+// pair of bytes is one row's key and values.
 func groupByRows(b []byte) (types.T, []value.Row) {
 	kt := []types.T{types.TInt, types.TDouble, types.TString}[int(b[0])%3]
 	var rows []value.Row
@@ -83,52 +85,70 @@ func groupByRows(b []byte) (types.T, []value.Row) {
 		case 2:
 			val = value.Double(math.Inf(-1))
 		case 3:
+		case 4:
+			val = value.Double(math.Copysign(0, -1))
 		default:
 			val = value.Double(float64(int(v>>3)%7 - 3))
 		}
-		rows = append(rows, value.Row{key, val})
+		ival := value.Null()
+		switch x := (v>>3 ^ k>>3) % 8; {
+		case x == 0:
+		case x <= 2:
+			ival = value.Int(1<<53 + int64(x-1)) // equal as doubles
+		default:
+			ival = value.Int(int64(x) - 5)
+		}
+		rows = append(rows, value.Row{key, val, ival})
 	}
 	return kt, rows
 }
 
-var groupByAggs = []string{"count", "count", "sum", "avg", "min", "max"} // the first is COUNT(*)
+// groupByAggs are the aggregates FuzzGroupBy runs, each over column col of
+// the rows: COUNT(*) (col 0, unread), then the DOUBLE's, then the INTEGER's.
+var groupByAggs = []struct {
+	name string
+	col  int
+}{{"count", 0}, {"count", 1}, {"sum", 1}, {"avg", 1}, {"min", 1}, {"max", 1}, {"min", 2}, {"max", 2}}
 
-// runGroupBy groups rows, placed round-robin on a 2×2 cluster, by the key.
-func runGroupBy(t *testing.T, kt types.T, rows []value.Row) []value.Row {
+// groupByQuery groups rows, placed round-robin on a 2×2 cluster, by the key.
+func groupByQuery(t *testing.T, kt types.T, rows []value.Row) (*Context, *plan.Agg) {
 	tables := memSource{}
 	ctx := testCtx(tables)
 	tables["t"] = ctx.Cluster.ScatterRoundRobin(rows)
-	s := scanNode("t", int64(len(rows)), catalog.Column{Name: "k", Type: kt}, catalog.Column{Name: "v", Type: types.TDouble})
+	colTypes := []types.T{kt, types.TDouble, types.TInt}
+	s := scanNode("t", int64(len(rows)), catalog.Column{Name: "k", Type: kt},
+		catalog.Column{Name: "v", Type: types.TDouble}, catalog.Column{Name: "i", Type: types.TInt})
 	q := &plan.Agg{Input: s, GroupBy: []plan.Expr{col(0, kt)}, Out: plan.Schema{{Name: "k", T: kt}}}
-	for j, name := range groupByAggs {
-		c := plan.AggCall{Spec: mustLookupAgg(t, name), T: types.TDouble}
+	for j, a := range groupByAggs {
+		c := plan.AggCall{Spec: mustLookupAgg(t, a.name), T: colTypes[a.col]}
 		if j > 0 {
-			c.Input = col(1, types.TDouble)
+			c.Input = col(a.col, colTypes[a.col])
 		}
-		if name == "count" {
+		switch a.name {
+		case "count":
 			c.T = types.TInt
+		case "avg":
+			c.T = types.TDouble
 		}
 		q.Aggs = append(q.Aggs, c)
 		q.Out = append(q.Out, plan.Field{Name: fmt.Sprintf("a%d", j), T: c.T})
 	}
-	return mustRows(t, ctx, q)
+	return ctx, q
 }
 
-// oracleGroup is one group of the oracle: its key, its states stepped in
-// input order, and its values, which its MIN and MAX may be when it holds a
-// NaN.
+// oracleGroup is one group of the oracle: its key and its states, stepped in
+// input order within each partition.
 type oracleGroup struct {
 	key    value.Value
-	states []builtins.AggState
-	nan    bool
-	vals   []float64
+	states [][]builtins.AggState // [partition][aggregate]
 	used   bool
 }
 
-// groupByOracle groups rows in input order by key equality.
-func groupByOracle(t *testing.T, rows []value.Row) []*oracleGroup {
+// groupByOracle groups rows by key equality; row i lies on partition i%parts,
+// as ScatterRoundRobin places it.
+func groupByOracle(t *testing.T, rows []value.Row, parts int) []*oracleGroup {
 	var groups []*oracleGroup
-	for _, r := range rows {
+	for i, r := range rows {
 		var g *oracleGroup
 		for _, c := range groups {
 			if value.KeyEqual(value.Row{c.key}, r, []int{0}, []int{0}) {
@@ -137,14 +157,17 @@ func groupByOracle(t *testing.T, rows []value.Row) []*oracleGroup {
 			}
 		}
 		if g == nil {
-			g = &oracleGroup{key: r[0]}
-			for _, name := range groupByAggs {
-				g.states = append(g.states, mustLookupAgg(t, name).New())
-			}
+			g = &oracleGroup{key: r[0], states: make([][]builtins.AggState, parts)}
 			groups = append(groups, g)
 		}
-		for j, st := range g.states {
-			arg := r[1]
+		p := i % parts
+		if g.states[p] == nil {
+			for _, a := range groupByAggs {
+				g.states[p] = append(g.states[p], mustLookupAgg(t, a.name).New())
+			}
+		}
+		for j, st := range g.states[p] {
+			arg := r[groupByAggs[j].col]
 			if j == 0 {
 				arg = value.Int(1)
 			}
@@ -152,16 +175,12 @@ func groupByOracle(t *testing.T, rows []value.Row) []*oracleGroup {
 				t.Fatal(err)
 			}
 		}
-		if v := r[1]; !v.IsNull() {
-			g.nan = g.nan || math.IsNaN(v.D)
-			g.vals = append(g.vals, v.D)
-		}
 	}
 	return groups
 }
 
 // matchOracle pairs each result row with an unused oracle group of an equal
-// key and equal aggregates.
+// key and the same aggregates.
 func matchOracle(got []value.Row, groups []*oracleGroup) error {
 	if len(got) != len(groups) {
 		return fmt.Errorf("%d groups, oracle %d", len(got), len(groups))
@@ -190,31 +209,38 @@ func sameKeyOrNaN(a, b value.Value) bool {
 	return value.KeyEqual(value.Row{a}, value.Row{b}, []int{0}, []int{0})
 }
 
-// matches reports whether aggs are the group's aggregates.
+// matches reports whether aggs are, bit for bit, the group's aggregates: its
+// partitions' states merged in partition order.
 func (g *oracleGroup) matches(aggs []value.Value) bool {
-	for j, st := range g.states {
-		want, err := st.Final()
-		if err != nil {
-			return false
-		}
-		got := aggs[j]
-		name := groupByAggs[j]
-		if g.nan && (name == "min" || name == "max") {
-			if got.Kind != value.KindDouble || !math.IsNaN(got.D) && !slices.Contains(g.vals, got.D) {
-				return false
-			}
+	var merged []builtins.AggState
+	for _, states := range g.states {
+		if states == nil {
 			continue
 		}
-		if !sameOrBothNaN(got, want) {
+		if merged == nil {
+			merged = states
+			continue
+		}
+		for j, st := range states {
+			if err := merged[j].Merge(st); err != nil {
+				return false
+			}
+		}
+	}
+	for j, st := range merged {
+		want, err := st.Final()
+		if err != nil || !sameScalar(aggs[j], want) {
 			return false
 		}
 	}
 	return true
 }
 
-func sameOrBothNaN(a, b value.Value) bool {
-	if a.Kind == value.KindDouble && b.Kind == value.KindDouble && math.IsNaN(a.D) && math.IsNaN(b.D) {
-		return true
+// sameScalar reports whether a and b are the same scalar: the same kind and the
+// same integer or the same float64 bits.
+func sameScalar(a, b value.Value) bool {
+	if a.Kind == value.KindDouble && b.Kind == value.KindDouble {
+		return math.Float64bits(a.D) == math.Float64bits(b.D)
 	}
 	return a.Equal(b)
 }

@@ -6,6 +6,7 @@ import (
 
 	"relalg/internal/builtins"
 	"relalg/internal/plan"
+	"relalg/internal/types"
 	"relalg/internal/value"
 )
 
@@ -144,22 +145,26 @@ type groupTable struct {
 type aggOp uint8
 
 const (
-	aggBoxed aggOp = iota // one builtins.AggState per group
-	aggCount              // COUNT: an int64 per group
-	aggSum                // SUM over numbers: a builtins.NumSum per group
-	aggAvg                // AVG over numbers: a builtins.NumSum per group
+	aggBoxed   aggOp = iota // one builtins.AggState per group
+	aggCount                // COUNT: an int64 per group
+	aggSum                  // SUM over numbers: a builtins.NumSum per group
+	aggAvg                  // AVG over numbers: a builtins.NumSum per group
+	aggExtreme              // MIN or MAX over INTEGER or DOUBLE: a builtins.NumExtreme per group
 )
 
-// aggCol is one aggregate's states. COUNT, and SUM and AVG over numbers, are
-// pointer-free arrays stepped without boxing a lane; every other aggregate (LA
-// states, the fused states, MIN and MAX) is one AggState per group.
+// aggCol is one aggregate's states. COUNT, SUM and AVG over numbers, and MIN
+// and MAX over INTEGER or DOUBLE, are pointer-free arrays stepped without
+// boxing a lane; every other aggregate (LA states, the fused states, MIN and
+// MAX over other types) is one AggState per group.
 type aggCol struct {
-	op     aggOp
-	counts chunked[int64]
-	sums   chunked[builtins.NumSum]
-	states chunked[builtins.AggState]
-	fresh  func() builtins.AggState // a new boxed state
-	fused  fusedKind                // the fused SUM the states are, if any
+	op       aggOp
+	counts   chunked[int64]
+	sums     chunked[builtins.NumSum]
+	extremes chunked[builtins.NumExtreme]
+	max      bool // aggExtreme: MAX, else MIN
+	states   chunked[builtins.AggState]
+	fresh    func() builtins.AggState // a new boxed state
+	fused    fusedKind                // the fused SUM the states are, if any
 }
 
 // newGroupTable makes a's table. A fused SUM is over matrices, so boxed.
@@ -167,6 +172,7 @@ func newGroupTable(a *plan.Agg, fuse bool) *groupTable {
 	t := &groupTable{keys: newKeyTable(len(a.GroupBy)), aggs: make([]aggCol, len(a.Aggs))}
 	for j, c := range a.Aggs {
 		numeric := c.Input != nil && c.Input.Type().IsNumericScalar()
+		intOrDouble := numeric && c.Input.Type().Base != types.LabeledScalar
 		switch {
 		case c.Spec.Name == "count":
 			t.aggs[j].op = aggCount
@@ -174,6 +180,9 @@ func newGroupTable(a *plan.Agg, fuse bool) *groupTable {
 			t.aggs[j].op = aggSum
 		case numeric && c.Spec.Name == "avg":
 			t.aggs[j].op = aggAvg
+		case intOrDouble && (c.Spec.Name == "min" || c.Spec.Name == "max"):
+			t.aggs[j].op = aggExtreme
+			t.aggs[j].max = c.Spec.Name == "max"
 		default:
 			if fuse {
 				t.aggs[j].fused, _ = fusedOf(c)
@@ -205,6 +214,8 @@ func (t *groupTable) addStates() {
 			a.counts.push(0)
 		case aggSum, aggAvg:
 			a.sums.push(builtins.NumSum{})
+		case aggExtreme:
+			a.extremes.push(builtins.NumExtreme{Max: a.max})
 		default:
 			a.states.push(a.fresh())
 		}
@@ -221,6 +232,8 @@ func (t *groupTable) merge(id int32, o *groupTable, oid int32) error {
 			*a.counts.at(id) += *b.counts.at(oid)
 		case aggSum, aggAvg:
 			err = a.sums.at(id).Merge(b.sums.at(oid))
+		case aggExtreme:
+			a.extremes.at(id).Merge(b.extremes.at(oid))
 		default:
 			err = (*a.states.at(id)).Merge(*b.states.at(oid))
 		}
@@ -248,6 +261,8 @@ func (t *groupTable) appendRow(row value.Row, id int32) (value.Row, error) {
 			v, err = a.sums.at(id).Sum()
 		case aggAvg:
 			v, err = a.sums.at(id).Avg()
+		case aggExtreme:
+			v = a.extremes.at(id).Final()
 		default:
 			v, err = (*a.states.at(id)).Final()
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"relalg/internal/builtins"
@@ -71,6 +72,109 @@ func TestGroupTableAllocs(t *testing.T) {
 	t.Logf("%.0f bytes per run at %d groups, %.0f at %d: %.0f bytes per extra group", few, n, many, 3*n, perGroup)
 	if perGroup > 398 {
 		t.Fatalf("the group table allocates %.0f bytes per group, want <= 398", perGroup)
+	}
+}
+
+// TestNumExtremeStates: grouped MIN and MAX over INTEGER or DOUBLE keep
+// pointer-free NumExtreme states. At windows of 1, 3 and 1024 lanes, a column
+// with NULL lanes (generic) and the same values without them (typed) give
+// the boxed state's result over the sequence bit for bit: ties (−0 and +0,
+// 2⁵³ and 2⁵³+1) and NaN keep the first value seen, with its kind. Merging the
+// states of a split sequence matches merging the boxed states, and, over a
+// sequence without NaN, stepping it whole.
+func TestNumExtremeStates(t *testing.T) {
+	big := int64(1) << 53
+	nan := math.Float64frombits(0x7ff8000000000001)
+	negZero := math.Copysign(0, -1)
+	doubles := func(xs ...float64) []value.Value {
+		var out []value.Value
+		for _, x := range xs {
+			out = append(out, value.Double(x))
+		}
+		return out
+	}
+	ints := func(xs ...int64) []value.Value {
+		var out []value.Value
+		for _, x := range xs {
+			out = append(out, value.Int(x))
+		}
+		return out
+	}
+	hasNaN := func(vals []value.Value) bool {
+		return slices.ContainsFunc(vals, func(v value.Value) bool { return v.Kind == value.KindDouble && math.IsNaN(v.D) })
+	}
+	for _, tc := range []struct {
+		t    types.T
+		vals []value.Value
+	}{
+		{types.TDouble, doubles(3, 0, negZero, 5, nan, negZero, 1)},                     // MIN is +0, MAX 5
+		{types.TDouble, doubles(-1, negZero, 0, math.Inf(-1), nan, -5, 0)},              // MAX is −0, MIN −Inf
+		{types.TDouble, doubles(nan, 1, math.Inf(1), -1, float64(big), float64(big)+2)}, // NaN first
+		{types.TDouble, doubles(float64(big), 2, float64(big)+2, -1, 0, math.Inf(1))},   // no NaN
+		{types.TInt, ints(big+1, 5, -big-1, big, -big, -7)},                             // MAX is 2⁵³+1, MIN −2⁵³−1
+	} {
+		for _, name := range []string{"min", "max"} {
+			spec := mustLookupAgg(t, name)
+			seq := spec.New()
+			for _, v := range tc.vals {
+				if err := seq.Step(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, _ := seq.Final()
+			for _, w := range []int{1, 3, 1024} {
+				SetWindow(t, w)
+				for _, nulls := range []bool{false, true} {
+					var rows []value.Row
+					for _, v := range tc.vals {
+						if nulls {
+							rows = append(rows, value.Row{value.Int(0), value.Null()})
+						}
+						rows = append(rows, value.Row{value.Int(0), v})
+					}
+					tables := memSource{}
+					ctx := testCtx(tables)
+					parts := make([][]value.Row, ctx.Cluster.Partitions())
+					parts[0] = rows // one partition steps the whole sequence
+					tables["t"] = parts
+					s := scanNode("t", int64(len(rows)), catalog.Column{Name: "g", Type: types.TInt}, catalog.Column{Name: "v", Type: tc.t})
+					q := &plan.Agg{Input: s, GroupBy: []plan.Expr{col(0, types.TInt)},
+						Aggs: []plan.AggCall{{Spec: spec, Input: col(1, tc.t), T: tc.t}},
+						Out:  plan.Schema{{Name: "g", T: types.TInt}, {Name: "m", T: tc.t}}}
+					if op := newGroupTable(q, true).aggs[0].op; op != aggExtreme {
+						t.Fatalf("%s over %s keeps op %d states", name, tc.t, op)
+					}
+					got := mustRows(t, ctx, q)
+					if len(got) != 1 || !sameScalar(got[0][1], want) {
+						t.Fatalf("%s over %s, window %d, NULL lanes %v: %v, want %v", name, tc.t, w, nulls, got, want)
+					}
+				}
+			}
+			for k := 0; k <= len(tc.vals); k++ {
+				a, b := builtins.NumExtreme{Max: name == "max"}, builtins.NumExtreme{Max: name == "max"}
+				boxedA, boxedB := spec.New(), spec.New()
+				for i, v := range tc.vals {
+					st, boxed := &a, boxedA
+					if i >= k {
+						st, boxed = &b, boxedB
+					}
+					if err := st.Step(v); err != nil {
+						t.Fatal(err)
+					}
+					if err := boxed.Step(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				a.Merge(&b)
+				if err := boxedA.Merge(boxedB); err != nil {
+					t.Fatal(err)
+				}
+				merged, _ := boxedA.Final()
+				if got := a.Final(); !sameScalar(got, merged) || !hasNaN(tc.vals) && !sameScalar(got, want) {
+					t.Fatalf("%s over %s split at %d: merged %v, boxed merge %v, sequence %v", name, tc.t, k, got, merged, want)
+				}
+			}
+		}
 	}
 }
 
