@@ -252,7 +252,7 @@ func (pa *partAgg) aggregateRun(run *spill.Run, depth int, t *groupTable) error 
 	b := pa.builder(depth, t)
 	// The run's rows are the stage's output, so they go through a bare stage
 	// into the deeper builder.
-	ps := &partStage{stage: &stage{limit: -1}, ec: pa.ec, pre: newPrefetcher(pa.reads), sink: b}
+	ps := &partStage{stage: &stage{limit: -1}, ec: pa.ec, win: rowWindow{reads: readSet(pa.reads)}, sink: b}
 	if err := forRunWindows(run, ps.rows); err != nil {
 		return err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // This file holds the windowed operators beneath the stage (stage.go): the
-// row and pair windows it reads, hash-join build/probe (including the grace
-// spill legs), and partition-local aggregation process windows of rows as
+// one window over rows or pairs it reads, hash-join build/probe (including the
+// grace spill legs), and partition-local aggregation process windows of rows as
 // per-column arrays with selection vectors instead of dispatching the
 // expression tree per row.
 // Rows are visited in input order whatever the window size, so output rows
@@ -29,59 +29,25 @@ const batchWindow = 1024
 // boundaries inside small inputs.
 var window = batchWindow
 
-// batchView adapts a window rows[lo:hi] to plan.BatchSource, gathering each
-// column on first use and caching it for the rest of the window.
-type batchView struct {
-	rows   []value.Row
-	lo, hi int
-	cols   []value.Col
-	have   []bool
+// rowWindow is the one plan.BatchSource over rows: a table's or relation's
+// rows[lo:hi], or a window of join pairs, left[lo:hi] beside right[lo:hi],
+// whose left row's columns come before the right row's. Opening it gathers
+// the consumer's read set in one value.GatherMulti pass over each side's
+// rows; a column outside the read set is gathered alone on first use.
+type rowWindow struct {
+	reads       []int       // the read set: ascending distinct column indexes
+	left, right []value.Row // right is nil for a window of rows
+	lo, hi      int
+	split       int // the width of a left row
+	cols        []value.Col
+	have        []bool
+	idxs        []int // GatherMulti's arguments
+	dst         []*value.Col
 }
 
-// reset points the view at rows[lo:hi] with the given column count.
-func (v *batchView) reset(rows []value.Row, lo, hi, width int) {
-	v.rows, v.lo, v.hi = rows, lo, hi
-	if cap(v.cols) < width {
-		v.cols = make([]value.Col, width)
-		v.have = make([]bool, width)
-	}
-	v.cols = v.cols[:width]
-	v.have = v.have[:width]
-	for i := range v.have {
-		v.have[i] = false
-	}
-}
-
-// BatchLen implements plan.BatchSource.
-func (v *batchView) BatchLen() int { return v.hi - v.lo }
-
-// BatchCol implements plan.BatchSource.
-func (v *batchView) BatchCol(idx int) (*value.Col, error) {
-	if idx < 0 || idx >= len(v.cols) {
-		return nil, fmt.Errorf("exec: column index %d out of range for row of %d", idx, len(v.cols))
-	}
-	if !v.have[idx] {
-		v.cols[idx].Gather(v.rows, v.lo, v.hi, idx)
-		v.have[idx] = true
-	}
-	return &v.cols[idx], nil
-}
-
-// own returns the window's row i itself: a row window's rows outlive it.
-func (v *batchView) own(i int, _ *rowArena) value.Row { return v.rows[v.lo+i] }
-
-// prefetcher gathers the column set an operator's expressions reference in a
-// single pass per window (value.GatherMulti) instead of one lazy pass per
-// column. The index set is computed once per operator.
-type prefetcher struct {
-	idxs []int
-	live []int
-	cols []*value.Col
-}
-
-// newPrefetcher collects the distinct column indexes referenced by the given
-// expression lists, ascending.
-func newPrefetcher(lists ...[]plan.Expr) *prefetcher {
+// readSet returns the ascending distinct column indexes the expression lists
+// reference.
+func readSet(lists ...[]plan.Expr) []int {
 	seen := map[int]bool{}
 	for _, list := range lists {
 		for _, e := range list {
@@ -95,42 +61,78 @@ func newPrefetcher(lists ...[]plan.Expr) *prefetcher {
 			})
 		}
 	}
-	p := &prefetcher{}
+	reads := make([]int, 0, len(seen))
 	for i := range seen {
-		p.idxs = append(p.idxs, i)
+		reads = append(reads, i)
 	}
-	sort.Ints(p.idxs)
-	p.live = make([]int, 0, len(p.idxs))
-	p.cols = make([]*value.Col, 0, len(p.idxs))
-	return p
+	sort.Ints(reads)
+	return reads
 }
 
-// gather single-pass gathers the prefetch set into view's column cache;
-// already-gathered or out-of-range indexes are skipped.
-func (p *prefetcher) gather(v *batchView) {
-	p.live, p.cols = p.live[:0], p.cols[:0]
-	for _, idx := range p.idxs {
-		if idx >= 0 && idx < len(v.cols) && !v.have[idx] {
-			p.live = append(p.live, idx)
-			p.cols = append(p.cols, &v.cols[idx])
+// open points the window at the non-empty left[lo:hi], paired lane by lane
+// with right[lo:hi] unless right is nil, and gathers the read set.
+func (w *rowWindow) open(left, right []value.Row, lo, hi int) {
+	w.left, w.right, w.lo, w.hi = left, right, lo, hi
+	w.split = len(left[lo])
+	width := w.split
+	if right != nil {
+		width += len(right[lo])
+	}
+	w.cols = slices.Grow(w.cols[:0], width)[:width]
+	w.have = slices.Grow(w.have[:0], width)[:width]
+	clear(w.have)
+	w.gather(w.reads)
+}
+
+// gather gathers the columns of idxs that the window does not have yet, in
+// one pass over each side's rows.
+func (w *rowWindow) gather(idxs []int) {
+	w.gatherSide(w.left, 0, w.split, idxs)
+	if w.right != nil {
+		w.gatherSide(w.right, w.split, len(w.cols), idxs)
+	}
+}
+
+// gatherSide gathers the columns of idxs in [from, to) from side, whose
+// column j is the window's column from+j.
+func (w *rowWindow) gatherSide(side []value.Row, from, to int, idxs []int) {
+	w.idxs, w.dst = w.idxs[:0], w.dst[:0]
+	for _, idx := range idxs {
+		if idx >= from && idx < to && !w.have[idx] {
+			w.idxs = append(w.idxs, idx-from)
+			w.dst = append(w.dst, &w.cols[idx])
+			w.have[idx] = true
 		}
 	}
-	if len(p.live) == 0 {
-		return
-	}
-	value.GatherMulti(v.rows, v.lo, v.hi, p.live, p.cols)
-	for _, idx := range p.live {
-		v.have[idx] = true
+	if len(w.idxs) > 0 {
+		value.GatherMulti(side, w.lo, w.hi, w.idxs, w.dst)
 	}
 }
 
-// viewWidth is the column count of a window (rows of one relation all share
-// a width).
-func viewWidth(rows []value.Row) int {
-	if len(rows) == 0 {
-		return 0
+// BatchLen implements plan.BatchSource.
+func (w *rowWindow) BatchLen() int { return w.hi - w.lo }
+
+// BatchCol implements plan.BatchSource.
+func (w *rowWindow) BatchCol(idx int) (*value.Col, error) {
+	if idx < 0 || idx >= len(w.cols) {
+		return nil, fmt.Errorf("exec: batch column %d out of range (width %d)", idx, len(w.cols))
 	}
-	return len(rows[0])
+	if !w.have[idx] {
+		one := [1]int{idx}
+		w.gather(one[:])
+	}
+	return &w.cols[idx], nil
+}
+
+// own returns lane i as a row: a row window's row itself, which outlives the
+// window, or a pair concatenated into a row from the arena.
+func (w *rowWindow) own(i int, a *rowArena) value.Row {
+	l := w.left[w.lo+i]
+	if w.right == nil {
+		return l
+	}
+	r := append(a.alloc(len(w.cols))[:0], l...)
+	return append(r, w.right[w.lo+i]...)
 }
 
 // filterSel compacts the live lanes where pred evaluated to BOOLEAN true
@@ -283,6 +285,26 @@ type joinTable struct {
 	idx, start []int32 // rows[idx[start[id]:start[id+1]]] are key id's rows
 }
 
+// keyWindows evaluates keys, whose columns are reads, over rows a window at a
+// time and hands fn each window's first row and its keys. An error from fn
+// ends the loop.
+func (pj *partJoin) keyWindows(rows []value.Row, keys []plan.Expr, reads []int, fn func(lo int, ke *keyEval) error) error {
+	var (
+		w  = rowWindow{reads: reads}
+		ke keyEval
+	)
+	for lo := 0; lo < len(rows); lo += window {
+		w.open(rows, nil, lo, min(lo+window, len(rows)))
+		if err := ke.eval(pj.ec, keys, &w, nil); err != nil {
+			return err
+		}
+		if err := fn(lo, &ke); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // buildTable builds the hash table over rows: key evaluation and hashing are
 // columnar, rows are inserted in input order. With a reservation, a denied
 // growth aborts the build and returns ok=false; with force set the bytes are
@@ -291,33 +313,31 @@ type joinTable struct {
 func (pj *partJoin) buildTable(rows []value.Row, res *spill.Reservation, force bool) (*joinTable, bool, error) {
 	t := &joinTable{keys: newKeyTable(len(pj.buildKeys))}
 	ids := make([]int32, len(rows))
-	var (
-		view batchView
-		ke   keyEval
-	)
-	width := viewWidth(rows)
-	for lo := 0; lo < len(rows); lo += window {
-		hi := min(lo+window, len(rows))
-		view.reset(rows, lo, hi, width)
-		if err := ke.eval(pj.ec, pj.buildKeys, &view, nil); err != nil {
-			return nil, false, err
-		}
-		for i := 0; i < hi-lo; i++ {
+	denied := false
+	err := pj.keyWindows(rows, pj.buildKeys, pj.buildReads, func(lo int, ke *keyEval) error {
+		for i, h := range ke.hashes {
 			if res != nil {
 				fp := rowFootprint(rows[lo+i]) + ke.keyFootprintAt(i)
 				if force {
 					res.Force(fp)
 				} else if !res.Grow(fp) {
-					return nil, false, nil
+					denied = true
+					return errStopScan
 				}
 			}
-			h := ke.hashes[i]
 			id := t.keys.find(h, ke.cols, i)
 			if id < 0 {
 				id = t.keys.insert(h, ke.cols, i)
 			}
 			ids[lo+i] = id
 		}
+		return nil
+	})
+	if denied {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	t.rows = rows
 	t.idx, t.start = bucketSort(len(ids), int(t.keys.n), func(r int) int32 { return ids[r] })
@@ -329,19 +349,9 @@ func (pj *partJoin) buildTable(rows []value.Row, res *spill.Reservation, force b
 // materializing probe-side tuples, and the id's rows go to the stage as
 // pairs, in build order.
 func (pj *partJoin) probe(t *joinTable, probeRows []value.Row) error {
-	var (
-		view batchView
-		ke   keyEval
-	)
-	width := viewWidth(probeRows)
-	for lo := 0; lo < len(probeRows); lo += window {
-		hi := min(lo+window, len(probeRows))
-		view.reset(probeRows, lo, hi, width)
-		if err := ke.eval(pj.ec, pj.probeKeys, &view, nil); err != nil {
-			return err
-		}
-		for i := 0; i < hi-lo; i++ {
-			id := t.keys.find(ke.hashes[i], ke.cols, i)
+	return pj.keyWindows(probeRows, pj.probeKeys, pj.probeReads, func(lo int, ke *keyEval) error {
+		for i, h := range ke.hashes {
+			id := t.keys.find(h, ke.cols, i)
 			if id < 0 {
 				continue
 			}
@@ -356,59 +366,8 @@ func (pj *partJoin) probe(t *joinTable, probeRows []value.Row) error {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// pairSource is a plan.BatchSource over a window of joined pairs: column
-// idx < split gathers from the left-side rows, the rest from the right side,
-// so the vectorized residual and projection never pay for materializing
-// concatenated rows; a pair becomes one row only in own.
-type pairSource struct {
-	left, right []value.Row // the buffered pairs
-	split, w    int
-	cols        []value.Col
-	have        []bool
-}
-
-// open readies the buffered pairs as one window.
-func (ps *pairSource) open() {
-	ps.split = len(ps.left[0])
-	ps.w = ps.split + len(ps.right[0])
-	if cap(ps.cols) < ps.w {
-		ps.cols = make([]value.Col, ps.w)
-		ps.have = make([]bool, ps.w)
-	}
-	ps.cols = ps.cols[:ps.w]
-	ps.have = ps.have[:ps.w]
-	for i := range ps.have {
-		ps.have[i] = false
-	}
-}
-
-func (ps *pairSource) BatchLen() int { return len(ps.left) }
-
-func (ps *pairSource) BatchCol(idx int) (*value.Col, error) {
-	if idx < 0 || idx >= ps.w {
-		return nil, fmt.Errorf("exec: batch column %d out of range (width %d)", idx, ps.w)
-	}
-	c := &ps.cols[idx]
-	if !ps.have[idx] {
-		if idx < ps.split {
-			c.Gather(ps.left, 0, len(ps.left), idx)
-		} else {
-			c.Gather(ps.right, 0, len(ps.right), idx-ps.split)
-		}
-		ps.have[idx] = true
-	}
-	return c, nil
-}
-
-// own concatenates pair i into a row from the arena.
-func (ps *pairSource) own(i int, a *rowArena) value.Row {
-	nr := a.alloc(ps.w)[:0]
-	nr = append(nr, ps.left[i]...)
-	return append(nr, ps.right[i]...)
+		return nil
+	})
 }
 
 // colsView is a plan.BatchSource over columns already evaluated for one
@@ -445,11 +404,11 @@ func (v *colsView) own(i int, a *rowArena) value.Row {
 func (pj *partJoin) grace(buildRows, probeRows []value.Row, res *spill.Reservation, depth int) error {
 	f := pj.graceFanout(buildRows)
 	salt := graceSalt(depth)
-	buildRuns, err := pj.spillSide("join-build", pj.buildKeys, buildRows, f, salt)
+	buildRuns, err := pj.spillSide("join-build", pj.buildKeys, pj.buildReads, buildRows, f, salt)
 	if err != nil {
 		return err
 	}
-	probeRuns, err := pj.spillSide("join-probe", pj.probeKeys, probeRows, f, salt)
+	probeRuns, err := pj.spillSide("join-probe", pj.probeKeys, pj.probeReads, probeRows, f, salt)
 	if err != nil {
 		return err
 	}
@@ -516,31 +475,21 @@ func forRunWindows(run *spill.Run, fn func(rows []value.Row) error) error {
 
 // spillSide hash-scatters one side's rows into f runs by
 // mix64(keyHash^salt) % f, preserving input order within each run.
-func (pj *partJoin) spillSide(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
+func (pj *partJoin) spillSide(label string, keys []plan.Expr, reads []int, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
 	writers := make([]*spill.Writer, f)
 	for i := range writers {
 		writers[i] = pj.scr.Writer(fmt.Sprintf("%s-p%d-%d", label, pj.part, i))
 	}
-	var (
-		view batchView
-		ke   keyEval
-	)
-	width := viewWidth(rows)
-	for lo := 0; lo < len(rows); lo += window {
-		hi := lo + window
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		view.reset(rows, lo, hi, width)
-		if err := ke.eval(pj.ec, keys, &view, nil); err != nil {
-			return nil, err
-		}
-		for i := 0; i < hi-lo; i++ {
-			idx := int(mix64(ke.hashes[i]^salt) % uint64(f))
-			if err := writers[idx].Append(rows[lo+i]); err != nil {
-				return nil, err
+	err := pj.keyWindows(rows, keys, reads, func(lo int, ke *keyEval) error {
+		for i, h := range ke.hashes {
+			if err := writers[mix64(h^salt)%uint64(f)].Append(rows[lo+i]); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return finishAll(writers)
 }

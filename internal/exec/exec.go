@@ -3,10 +3,10 @@
 // SimSQL the paper built on. A stage is one Project?(Filter*(X)) chain run per
 // partition over X's windows into a partitioned relation or straight into the
 // local aggregate above it (stage.go). Joins and aggregations shuffle through
-// the cluster — paying
-// serialization and network accounting — and aggregation is two-phase:
-// partition-local pre-aggregation, a shuffle of partial states, then a
-// merge, which is what makes SUM over vectors and matrix blocks scale.
+// the cluster — paying serialization and network accounting — and
+// aggregation is two-phase: partition-local pre-aggregation, a shuffle of
+// partial states, then a merge, which is what makes SUM over vectors and
+// matrix blocks scale.
 package exec
 
 import (

@@ -121,9 +121,9 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 	// Unfused reference: the materialized outer products, evaluated over one
 	// window.
 	ref := call.Spec.New()
-	var view batchView
-	view.reset(rows, 0, len(rows), 1)
-	products, err := plan.EvalVec(&plan.EvalCtx{}, call.Input, &view, nil)
+	var w rowWindow
+	w.open(rows, nil, 0, len(rows))
+	products, err := plan.EvalVec(&plan.EvalCtx{}, call.Input, &w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,7 @@ func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []*groupTable, e
 		return nil, nil, err
 	}
 	st.filters = append(slices.Clip(j.Residual), st.filters...)
+	lreads, rreads := readSet(j.LKeys), readSet(j.RKeys)
 	return st.run(ctx, "hash join", true, keyStrings(j.LKeys), false, func(ps *partStage, part int) error {
 		// Build on the smaller side of this partition.
 		lrows, rrows := lparts[part], rparts[part]
@@ -63,19 +64,23 @@ func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []*groupTable, e
 
 		buildRows, probeRows := lrows, rrows
 		buildKeys, probeKeys := j.LKeys, j.RKeys
+		buildReads, probeReads := lreads, rreads
 		if !buildLeft {
 			buildRows, probeRows = rrows, lrows
 			buildKeys, probeKeys = j.RKeys, j.LKeys
+			buildReads, probeReads = rreads, lreads
 		}
 		pj := &partJoin{
-			ctx:       ctx,
-			ec:        ps.ec,
-			buildKeys: buildKeys,
-			probeKeys: probeKeys,
-			buildLeft: buildLeft,
-			part:      part,
-			scr:       ps.scr,
-			st:        ps,
+			ctx:        ctx,
+			ec:         ps.ec,
+			buildKeys:  buildKeys,
+			probeKeys:  probeKeys,
+			buildReads: buildReads,
+			probeReads: probeReads,
+			buildLeft:  buildLeft,
+			part:       part,
+			scr:        ps.scr,
+			st:         ps,
 		}
 		return pj.run(buildRows, probeRows)
 	})
@@ -132,14 +137,14 @@ func singlePart(ctx *Context, n plan.Node) bool {
 // (grace hash join) when the memory governor denies the build table its
 // working set.
 type partJoin struct {
-	ctx       *Context
-	ec        *plan.EvalCtx
-	buildKeys []plan.Expr
-	probeKeys []plan.Expr
-	buildLeft bool
-	part      int
-	scr       *spill.Scratch // the owning task attempt's, for grace runs
-	st        *partStage     // where matched pairs go
+	ctx                    *Context
+	ec                     *plan.EvalCtx
+	buildKeys, probeKeys   []plan.Expr
+	buildReads, probeReads []int // the columns of buildKeys and probeKeys
+	buildLeft              bool
+	part                   int
+	scr                    *spill.Scratch // the owning task attempt's, for grace runs
+	st                     *partStage     // where matched pairs go
 }
 
 // maxGraceDepth bounds the recursive re-partitioning of a grace join; at the

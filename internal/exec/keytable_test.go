@@ -206,9 +206,9 @@ func TestKeyTableCornerCases(t *testing.T) {
 		idx := make([]int, len(vals))
 		for j := range vals {
 			cols[j] = &value.Col{}
-			cols[j].Gather([]value.Row{row}, 0, 1, j)
 			idx[j] = j
 		}
+		value.GatherMulti([]value.Row{row}, 0, 1, idx, cols)
 		return cols, value.HashRowKey(row, idx)
 	}
 	for _, c := range cases {

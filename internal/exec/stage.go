@@ -235,10 +235,9 @@ type partStage struct {
 	*stage
 	ec     *plan.EvalCtx
 	scr    *spill.Scratch
-	charge *charger // nil when the stage makes no new tuples
-	pre    *prefetcher
-	view   batchView  // the current row window
-	pairs  pairSource // buffered join pairs
+	charge *charger    // nil when the stage makes no new tuples
+	win    rowWindow   // the current window of rows or pairs
+	pl, pr []value.Row // buffered join pairs: left rows, right rows
 	sbuf   []int32
 	proj   colsView // the current window's projected columns
 	arena  rowArena
@@ -276,7 +275,7 @@ func newPartStage(ctx *Context, st *stage, part int, scr *spill.Scratch) *partSt
 			reads = st.ex.keys
 		}
 	}
-	ps.pre = newPrefetcher(st.filters, reads)
+	ps.win.reads = readSet(st.filters, reads)
 	return ps
 }
 
@@ -327,12 +326,10 @@ func (ps *partStage) rows(rows []value.Row) error {
 	if len(ps.filters) == 0 && ps.intoRows() {
 		ps.out = slices.Grow(ps.out, most)
 	}
-	width := viewWidth(rows)
 	for lo := 0; lo < len(rows); lo += window {
 		hi := min(lo+window, len(rows))
-		ps.view.reset(rows, lo, hi, width)
-		ps.pre.gather(&ps.view)
-		if err := ps.push(&ps.view, hi-lo); err != nil {
+		ps.win.open(rows, nil, lo, hi)
+		if err := ps.push(&ps.win, hi-lo); err != nil {
 			return err
 		}
 	}
@@ -342,9 +339,9 @@ func (ps *partStage) rows(rows []value.Row) error {
 // pair buffers one joined pair and pushes the buffer once it is a full
 // window.
 func (ps *partStage) pair(l, r value.Row) error {
-	ps.pairs.left = append(ps.pairs.left, l)
-	ps.pairs.right = append(ps.pairs.right, r)
-	if len(ps.pairs.left) < window {
+	ps.pl = append(ps.pl, l)
+	ps.pr = append(ps.pr, r)
+	if len(ps.pl) < window {
 		return nil
 	}
 	return ps.flushPairs()
@@ -352,13 +349,13 @@ func (ps *partStage) pair(l, r value.Row) error {
 
 // flushPairs pushes the buffered pairs and empties the buffer.
 func (ps *partStage) flushPairs() error {
-	n := len(ps.pairs.left)
+	n := len(ps.pl)
 	if n == 0 {
 		return nil
 	}
-	ps.pairs.open()
-	err := ps.push(&ps.pairs, n)
-	ps.pairs.left, ps.pairs.right = ps.pairs.left[:0], ps.pairs.right[:0]
+	ps.win.open(ps.pl, ps.pr, 0, n)
+	err := ps.push(&ps.win, n)
+	ps.pl, ps.pr = ps.pl[:0], ps.pr[:0]
 	return err
 }
 

@@ -367,7 +367,7 @@ func TestShortPartitionArenaFitsItsRows(t *testing.T) {
 	ctx := testCtx(memSource{})
 	slotBytes := uint64(unsafe.Sizeof(value.Value{}))
 	// Everything else the operator allocates for 20 rows (the output slice,
-	// two gathered columns, selection and prefetch state) fits in 4 KiB.
+	// two gathered columns, the selection and the read set) fits in 4 KiB.
 	limit := 2*40*slotBytes + 4<<10
 	// TotalAlloc counts every goroutine's allocations, so take the least of
 	// a few attempts: a stray allocation elsewhere only ever adds.

@@ -19,7 +19,7 @@ func (s rowsSource) BatchCol(idx int) (*value.Col, error) {
 		return nil, fmt.Errorf("column %d out of range", idx)
 	}
 	c := &value.Col{}
-	c.Gather(s, 0, len(s), idx)
+	value.GatherMulti(s, 0, len(s), []int{idx}, []*value.Col{c})
 	return c, nil
 }
 

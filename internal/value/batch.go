@@ -20,8 +20,9 @@ import (
 // false; Kind names the storage) or a generic value array (Generic true).
 // The typed arrays alias the vectors/matrices of the rows they were gathered
 // from — like Row.Clone, a gathered column shares cell backing storage, so a
-// column that crosses a partition or goroutine boundary must go through
-// DeepClone or the row codec just as rows must.
+// column that crosses a partition or goroutine boundary must have its lanes
+// deep-copied (Value.DeepClone) or go through the row codec, just as rows
+// must.
 type Col struct {
 	Kind    Kind
 	Generic bool
@@ -73,52 +74,9 @@ func (c *Col) Reset() {
 	c.Any = c.Any[:0]
 }
 
-// Gather fills the column from rows[lo:hi] at column index idx. It starts
-// optimistically typed from the first value's kind and degrades to generic
-// storage when a lane disagrees (including NULLs).
-func (c *Col) Gather(rows []Row, lo, hi, idx int) {
-	c.Reset()
-	if hi <= lo {
-		return
-	}
-	kind := rows[lo][idx].Kind
-	if kind == KindNull {
-		c.gatherGeneric(rows, lo, hi, idx)
-		return
-	}
-	c.Kind = kind
-	c.reserve(kind, hi-lo)
-	for i := lo; i < hi; i++ {
-		v := rows[i][idx]
-		if v.Kind != kind {
-			c.gatherGeneric(rows, lo, hi, idx)
-			return
-		}
-		switch kind {
-		case KindBool:
-			c.B = append(c.B, v.B)
-		case KindInt:
-			c.I = append(c.I, v.I)
-		case KindDouble:
-			c.F = append(c.F, v.D)
-		case KindLabeledScalar:
-			c.F = append(c.F, v.D)
-			c.Label = append(c.Label, v.Label)
-		case KindString:
-			c.S = append(c.S, v.S)
-		case KindVector:
-			c.Vec = append(c.Vec, v.Vec)
-			c.Label = append(c.Label, v.Label)
-		case KindMatrix:
-			c.Mat = append(c.Mat, v.Mat)
-		}
-	}
-}
-
 // appendValue appends v as the next lane, starting optimistically typed from
 // the first value's kind and degrading to generic storage on a mismatch or
-// NULL, exactly as Gather does. The column must be Reset before the first
-// append.
+// NULL. The column must be Reset before the first append.
 func (c *Col) appendValue(v Value) {
 	if c.Generic {
 		c.Any = append(c.Any, v)
@@ -158,10 +116,9 @@ func (c *Col) appendValue(v Value) {
 }
 
 // GatherMulti fills cols[j] from column idxs[j] of rows[lo:hi] in a single
-// pass over the rows. It is lane-for-lane equivalent to calling Gather once
-// per column, but each row's backing array is visited once, so the scattered
-// loads of neighbouring columns hit adjacent cache lines instead of re-walking
-// the row set per column.
+// pass over the rows, visiting each row's backing array once. It is the only
+// code that turns rows into columns. A column is typed as its first lane and
+// degrades to generic storage when a lane's kind differs or a lane is NULL.
 func GatherMulti(rows []Row, lo, hi int, idxs []int, cols []*Col) {
 	for j, c := range cols {
 		c.Reset()
@@ -176,15 +133,19 @@ func GatherMulti(rows []Row, lo, hi int, idxs []int, cols []*Col) {
 		for j, idx := range idxs {
 			c := cols[j]
 			v := &r[idx]
-			// Inline the numeric hot paths; everything else (first lane,
-			// kind change, non-numeric kinds) takes the general append.
+			// Inline the hot kinds; everything else (first lane, kind
+			// change, the other kinds) takes the general append.
 			if !c.Generic && v.Kind == c.Kind {
-				if v.Kind == KindDouble {
+				switch v.Kind {
+				case KindDouble:
 					c.F = append(c.F, v.D)
 					continue
-				}
-				if v.Kind == KindInt {
+				case KindInt:
 					c.I = append(c.I, v.I)
+					continue
+				case KindVector:
+					c.Vec = append(c.Vec, v.Vec)
+					c.Label = append(c.Label, v.Label)
 					continue
 				}
 			}
@@ -193,9 +154,9 @@ func GatherMulti(rows []Row, lo, hi int, idxs []int, cols []*Col) {
 	}
 }
 
-// AppendLane appends lane i of src as the column's next lane. Like Gather, the
-// column stays typed while every lane shares one non-NULL kind and degrades to
-// generic storage when one does not.
+// AppendLane appends lane i of src as the column's next lane. As in
+// GatherMulti, the column stays typed while every lane shares one non-NULL
+// kind and degrades to generic storage when one does not.
 func (c *Col) AppendLane(src *Col, i int) {
 	if !src.Generic && !c.Generic && src.Kind == c.Kind {
 		switch c.Kind {
@@ -220,15 +181,6 @@ func (c *Col) Grow(n int) {
 		return
 	}
 	c.reserve(c.Kind, n)
-}
-
-func (c *Col) gatherGeneric(rows []Row, lo, hi, idx int) {
-	c.Reset()
-	c.Generic = true
-	c.reserve(KindNull, hi-lo)
-	for i := lo; i < hi; i++ {
-		c.Any = append(c.Any, rows[i][idx])
-	}
 }
 
 // Fill makes the column n lanes of the constant v.

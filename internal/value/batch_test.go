@@ -16,13 +16,20 @@ func batchTestRows() []Row {
 	}
 }
 
-// gatherCols gathers every column of rows.
+// gatherCols gathers every column of rows in one GatherMulti call.
 func gatherCols(rows []Row) []Col {
 	cols := make([]Col, len(rows[0]))
+	idxs, dst := make([]int, len(cols)), make([]*Col, len(cols))
 	for j := range cols {
-		cols[j].Gather(rows, 0, len(rows), j)
+		idxs[j], dst[j] = j, &cols[j]
 	}
+	GatherMulti(rows, 0, len(rows), idxs, dst)
 	return cols
+}
+
+// gatherCol gathers column idx of rows[lo:hi] alone into c.
+func gatherCol(c *Col, rows []Row, lo, hi, idx int) {
+	GatherMulti(rows, lo, hi, []int{idx}, []*Col{c})
 }
 
 func TestColGatherValueRoundTrip(t *testing.T) {
@@ -46,7 +53,7 @@ func TestColGatherValueRoundTrip(t *testing.T) {
 func TestColGatherDegradesOnMixedKinds(t *testing.T) {
 	rows := []Row{{Int(1)}, {Double(2)}, {Null()}}
 	var c Col
-	c.Gather(rows, 0, len(rows), 0)
+	gatherCol(&c, rows, 0, len(rows), 0)
 	if !c.Generic {
 		t.Fatal("mixed-kind column must be generic")
 	}
@@ -56,7 +63,7 @@ func TestColGatherDegradesOnMixedKinds(t *testing.T) {
 		}
 	}
 	// Leading NULL also degrades.
-	c.Gather([]Row{{Null()}, {Int(1)}}, 0, 2, 0)
+	gatherCol(&c, []Row{{Null()}, {Int(1)}}, 0, 2, 0)
 	if !c.Generic {
 		t.Fatal("null-leading column must be generic")
 	}
@@ -76,7 +83,7 @@ func TestColHashesMatchValueHash(t *testing.T) {
 	}
 	for ci, rows := range cols {
 		var c Col
-		c.Gather(rows, 0, len(rows), 0)
+		gatherCol(&c, rows, 0, len(rows), 0)
 		dst := make([]uint64, len(rows))
 		c.HashesInto(dst, nil)
 		for i := range rows {
@@ -162,7 +169,14 @@ func TestColSpecialize(t *testing.T) {
 	}
 }
 
-func TestGatherMultiMatchesGather(t *testing.T) {
+// TestGatherMultiMatchesRows pins GatherMulti to the rows it gathers from:
+// over every window of each case, in an all-columns call and in a one-index
+// call per column, each lane holds its row cell's bytes under EncodeRows, and
+// a column is generic exactly when some lane is NULL or differs in kind from
+// the first lane, typed as the first lane otherwise.
+func TestGatherMultiMatchesRows(t *testing.T) {
+	vec := Value{Kind: KindVector, Vec: &linalg.Vector{Data: []float64{1, math.NaN(), -0.0}}, Label: 7}
+	mat := Value{Kind: KindMatrix, Mat: &linalg.Matrix{Rows: 1, Cols: 2, Data: []float64{3, 4}}}
 	cases := [][]Row{
 		batchTestRows(),
 		{ // degrading columns: kind change mid-window, leading NULL
@@ -173,36 +187,49 @@ func TestGatherMultiMatchesGather(t *testing.T) {
 		{ // single row
 			{Bool(false), Int(42), Double(-0.0)},
 		},
+		{ // vectors and matrices, and a vector column with a NULL lane
+			{vec, mat, vec},
+			{vec, mat, Null()},
+		},
+	}
+	check := func(ci, lo, hi, j int, c *Col, rows []Row) {
+		t.Helper()
+		if c.Len() != hi-lo {
+			t.Fatalf("case %d col %d [%d:%d]: %d lanes", ci, j, lo, hi, c.Len())
+		}
+		first := rows[lo][j].Kind
+		generic := false
+		for i := lo; i < hi; i++ {
+			generic = generic || rows[i][j].Kind != first || rows[i][j].Kind == KindNull
+		}
+		if c.Generic != generic || (!generic && c.Kind != first) {
+			t.Fatalf("case %d col %d [%d:%d]: generic %v kind %v, want generic %v kind %v",
+				ci, j, lo, hi, c.Generic, c.Kind, generic, first)
+		}
+		for i := 0; i < hi-lo; i++ {
+			got, want := EncodeRows([]Row{{c.Value(i)}}), EncodeRows([]Row{{rows[lo+i][j]}})
+			if string(got) != string(want) {
+				t.Fatalf("case %d col %d [%d:%d] lane %d: %v want %v", ci, j, lo, hi, i, c.Value(i), rows[lo+i][j])
+			}
+		}
 	}
 	for ci, rows := range cases {
 		width := len(rows[0])
 		idxs := make([]int, width)
-		for j := range idxs {
-			idxs[j] = j
-		}
 		multi := make([]*Col, width)
-		for j := range multi {
-			multi[j] = new(Col)
+		for j := range idxs {
+			idxs[j], multi[j] = j, new(Col)
 		}
-		// Windows exercise lo/hi offsets, not just full-range gathers.
+		var one Col
+		// Windows exercise lo/hi offsets, not just full-range gathers, and
+		// the columns are reused from window to window.
 		for lo := 0; lo < len(rows); lo++ {
 			for hi := lo + 1; hi <= len(rows); hi++ {
 				GatherMulti(rows, lo, hi, idxs, multi)
 				for j := 0; j < width; j++ {
-					var single Col
-					single.Gather(rows, lo, hi, j)
-					if multi[j].Generic != single.Generic {
-						t.Fatalf("case %d col %d [%d:%d]: generic %v want %v",
-							ci, j, lo, hi, multi[j].Generic, single.Generic)
-					}
-					for i := 0; i < hi-lo; i++ {
-						gb := EncodeRows([]Row{{multi[j].Value(i)}})
-						wb := EncodeRows([]Row{{single.Value(i)}})
-						if string(gb) != string(wb) {
-							t.Fatalf("case %d col %d [%d:%d] lane %d: %v want %v",
-								ci, j, lo, hi, i, multi[j].Value(i), single.Value(i))
-						}
-					}
+					check(ci, lo, hi, j, multi[j], rows)
+					gatherCol(&one, rows, lo, hi, j)
+					check(ci, lo, hi, j, &one, rows)
 				}
 			}
 		}
