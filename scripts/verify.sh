@@ -9,13 +9,16 @@
 # storage page decoder, journal replay, and the wire frame reader; journal
 # replay opens a directory per input, a few ms each, so its minimizer is
 # capped at 100 runs or it would eat the 5 s), of grouping against a naive
-# oracle, of the expression evaluator (each lane evaluated alone must match
-# its lane of the whole window, bit for bit), and of the SQL parser and
-# planner (any text that parses, builds and optimizes must not panic, and its
-# plan rebuilt node by node must explain the same), the end-to-end server
-# smoke, the SIGKILL restart-recovery smoke over a persistent data directory,
-# and the smoke test of the repository's benchmark (benchmark/ is a module of
-# its own, so "go test ./..." does not reach it).
+# oracle (its minimizer capped likewise: at the default 60 s, minimizing one
+# new input can hold the exec count still for the rest of the run;
+# scripts/fuzz_long.sh is the long run), of the expression evaluator (each
+# lane evaluated alone must match its lane of the whole window, bit for
+# bit), and of the SQL parser and planner (any text that parses, builds and
+# optimizes must not panic, and its plan rebuilt node by node must explain
+# the same), the end-to-end server smoke, the SIGKILL restart-recovery smoke
+# over a persistent data directory, and the smoke test of the repository's
+# benchmark (benchmark/ is a module of its own, so "go test ./..." does not
+# reach it).
 #
 # Every gate runs even if an earlier one fails (except that a failed build
 # skips the gates that cannot run without a building tree); the run ends with
@@ -70,7 +73,7 @@ if [[ $BUILD_OK == 1 ]]; then
     go test -run "^$" -fuzz "^FuzzDecodePage$" -fuzztime 5s ./internal/storage/ &&
     go test -run "^$" -fuzz "^FuzzReplayJournal$" -fuzztime 5s -fuzzminimizetime 100x ./internal/storage/ &&
     go test -run "^$" -fuzz "^FuzzReadFrame$" -fuzztime 5s ./internal/serve/ &&
-    go test -run "^$" -fuzz "^FuzzGroupBy$" -fuzztime 5s ./internal/exec/ &&
+    go test -run "^$" -fuzz "^FuzzGroupBy$" -fuzztime 5s -fuzzminimizetime 100x ./internal/exec/ &&
     go test -run "^$" -fuzz "^FuzzEvalVec$" -fuzztime 5s ./internal/plan/ &&
     go test -run "^$" -fuzz "^FuzzPlan$" -fuzztime 5s ./internal/plan/'
   gate "serve smoke" bash scripts/serve_smoke.sh
