@@ -17,10 +17,10 @@ import (
 func TestOptimizerResultEquivalence(t *testing.T) {
 	configs := map[string]opt.Options{
 		"full":     opt.DefaultOptions(),
-		"blind":    {SizeAwareCosting: false, EagerProjection: true, DefaultDim: 100, MaxDPRelations: 10},
-		"no-eager": {SizeAwareCosting: true, EagerProjection: false, DefaultDim: 100, MaxDPRelations: 10},
-		"neither":  {SizeAwareCosting: false, EagerProjection: false, DefaultDim: 100, MaxDPRelations: 10},
-		"greedy":   {SizeAwareCosting: true, EagerProjection: true, DefaultDim: 100, MaxDPRelations: 1},
+		"blind":    {SizeAwareCosting: false, EagerProjection: true, MaxDPRelations: 10},
+		"no-eager": {SizeAwareCosting: true, EagerProjection: false, MaxDPRelations: 10},
+		"neither":  {SizeAwareCosting: false, EagerProjection: false, MaxDPRelations: 10},
+		"greedy":   {SizeAwareCosting: true, EagerProjection: true, MaxDPRelations: 1},
 	}
 
 	queries := []string{

@@ -88,7 +88,7 @@ func TestRandomQueriesAgreeAcrossEngines(t *testing.T) {
 		loadRandomTables(t, db, dataSeed)
 		return db
 	}
-	naive := opt.Options{SizeAwareCosting: false, EagerProjection: false, DefaultDim: 100, MaxDPRelations: 1}
+	naive := opt.Options{SizeAwareCosting: false, EagerProjection: false, MaxDPRelations: 1}
 	engines := map[string]*Database{
 		"single":  mk(1, 1, opt.DefaultOptions()),
 		"multi":   mk(3, 2, opt.DefaultOptions()),

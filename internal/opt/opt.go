@@ -16,6 +16,10 @@ import (
 	"relalg/internal/types"
 )
 
+// defaultDim is the assumed size of an unknown VECTOR[]/MATRIX[][] dimension
+// in the cost model.
+const defaultDim = 100
+
 // Options control the optimizer; the zero value is NOT useful — use
 // DefaultOptions.
 type Options struct {
@@ -26,9 +30,6 @@ type Options struct {
 	// EagerProjection allows projection expressions to be computed as soon
 	// as a join subtree covers their inputs (ablation A2).
 	EagerProjection bool
-	// DefaultDim is the assumed size of an unknown VECTOR[]/MATRIX[][]
-	// dimension in the cost model.
-	DefaultDim int
 	// MaxDPRelations bounds exhaustive DP enumeration; larger join sets
 	// fall back to a greedy pairing.
 	MaxDPRelations int
@@ -51,7 +52,6 @@ func DefaultOptions() Options {
 	return Options{
 		SizeAwareCosting: true,
 		EagerProjection:  true,
-		DefaultDim:       100,
 		MaxDPRelations:   10,
 		Rewrites:         true,
 	}
@@ -65,9 +65,6 @@ type Optimizer struct {
 
 // New returns an optimizer with the given options.
 func New(opts Options) *Optimizer {
-	if opts.DefaultDim <= 0 {
-		opts.DefaultDim = 100
-	}
 	if opts.MaxDPRelations <= 0 {
 		opts.MaxDPRelations = 10
 	}
@@ -132,7 +129,7 @@ func (o *Optimizer) colWidth(t types.T) float64 {
 	if !o.opts.SizeAwareCosting {
 		return 16
 	}
-	return t.SizeBytes(o.opts.DefaultDim)
+	return t.SizeBytes(defaultDim)
 }
 
 // EstimateRows gives a rough cardinality for any plan node; exact for stored

@@ -369,7 +369,7 @@ func (o *Optimizer) applyCallRules(c *plan.Call) plan.Expr {
 // reorderChain re-parenthesizes a chain of matrix multiplications by the
 // classic matrix-chain DP over the dimension metadata: flatten the nested
 // calls, minimize Σ r·k·c over split points, rebuild. Unknown dimensions
-// cost DefaultDim. Returns false when the chain is shorter than three terms
+// cost defaultDim. Returns false when the chain is shorter than three terms
 // or already optimally associated.
 func (o *Optimizer) reorderChain(c *plan.Call) (plan.Expr, bool) {
 	terms := flattenChain(c)
@@ -422,7 +422,7 @@ func (o *Optimizer) dimSize(d types.Dim) float64 {
 	if d.Known {
 		return float64(d.N)
 	}
-	return float64(o.opts.DefaultDim)
+	return defaultDim
 }
 
 // flattenChain collects the in-order terms of a matrix_multiply chain.

@@ -124,7 +124,7 @@ func runScript(t *testing.T, addr string, stmts []string) []byte {
 // KiB lease per slot, small enough that the 97-group aggregation spills) and
 // the default kernel budget.
 func serveTestConfig() Config {
-	return Config{MaxConcurrent: 3, MemoryPoolBytes: 12 << 10, PlanCacheSize: 64}
+	return Config{MaxConcurrent: 3, MemoryPoolBytes: 12 << 10}
 }
 
 const numSessions = 8

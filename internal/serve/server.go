@@ -15,6 +15,9 @@ import (
 // they dialed.
 const Banner = "relalg-serve 1"
 
+// planCacheSize is the maximum number of cached plans.
+const planCacheSize = 128
+
 // Config are the server's resource-arbitration knobs. The zero value gets
 // sensible defaults from the database it serves.
 type Config struct {
@@ -28,13 +31,6 @@ type Config struct {
 	// for every statement — the pre-server behaviour, unbounded across
 	// queries; negative means no budget anywhere (never spill).
 	MemoryPoolBytes int64
-	// KernelWorkers is the total kernel-goroutine budget arbitrated across
-	// concurrent statements: each admitted statement is granted
-	// max(1, KernelWorkers/active). 0 inherits the database's
-	// cluster.Config.KernelWorkers().
-	KernelWorkers int
-	// PlanCacheSize is the maximum number of cached plans. Default 128.
-	PlanCacheSize int
 }
 
 // Server executes statements from many TCP sessions against one shared
@@ -42,6 +38,10 @@ type Config struct {
 type Server struct {
 	db  *core.Database
 	cfg Config
+	// workers is the total kernel-goroutine budget arbitrated across
+	// concurrent statements, the database's cluster.Config.KernelWorkers():
+	// each admitted statement is granted max(1, workers/active).
+	workers int
 
 	adm   *admission
 	cache *planCache
@@ -59,17 +59,12 @@ func New(db *core.Database, cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
 	}
-	if cfg.KernelWorkers <= 0 {
-		cfg.KernelWorkers = db.Cluster().Config().KernelWorkers()
-	}
-	if cfg.PlanCacheSize <= 0 {
-		cfg.PlanCacheSize = 128
-	}
 	return &Server{
 		db:       db,
 		cfg:      cfg,
+		workers:  db.Cluster().Config().KernelWorkers(),
 		adm:      newAdmission(cfg.MaxConcurrent),
-		cache:    newPlanCache(cfg.PlanCacheSize),
+		cache:    newPlanCache(planCacheSize),
 		sessions: map[*session]struct{}{},
 	}
 }
@@ -163,7 +158,7 @@ func (s *Server) lease(active int) core.Resources {
 	case s.cfg.MemoryPoolBytes < 0:
 		r.MemoryBudgetBytes = -1 // explicitly unlimited
 	}
-	if w := s.cfg.KernelWorkers / active; w > 1 {
+	if w := s.workers / active; w > 1 {
 		r.KernelWorkers = w
 	} else {
 		r.KernelWorkers = 1
@@ -189,5 +184,5 @@ func (s *Server) Stats() StatsSnapshot {
 // String implements fmt.Stringer for error contexts.
 func (s *Server) String() string {
 	return fmt.Sprintf("serve.Server(max=%d pool=%d workers=%d)",
-		s.cfg.MaxConcurrent, s.cfg.MemoryPoolBytes, s.cfg.KernelWorkers)
+		s.cfg.MaxConcurrent, s.cfg.MemoryPoolBytes, s.workers)
 }
