@@ -294,8 +294,8 @@ func runDistanceCell(cfg Config, pl platform, d int) Cell {
 // output, while everything that feeds the computation (data, seeds, tick
 // accounting) stays deterministic.
 func timeCell(scale float64, fn func() error) Cell {
-	runtime.GC()        // isolate cells from each other's garbage
-	start := time.Now() //lint:ignore nodeterminism the wall-clock reading is the measured benchmark output, not simulation state
+	runtime.GC() // isolate cells from each other's garbage
+	start := time.Now()
 	err := fn()
 	elapsed := time.Since(start).Seconds() * scale
 	return cellFrom(elapsed, scale, err)

@@ -99,7 +99,7 @@ func NewTimings() *Timings { return &Timings{m: map[string]time.Duration{}} }
 // breakdown), never simulation state, so determinism of results is
 // unaffected.
 func (t *Timings) Track(label string) func() {
-	start := time.Now() //lint:ignore nodeterminism wall-clock here is the measured output (operator timings), not simulation state
+	start := time.Now()
 	return func() { t.Add(label, time.Since(start)) }
 }
 
