@@ -12,14 +12,8 @@
 //
 // Findings print as "file:line: [analyzer] message" (or a JSON array under
 // -json) and make the exit status non-zero: 1 for findings, 2 for load or
-// usage errors. Suppress an individual finding with a comment on, or directly
-// above, the offending line:
-//
-//	//lint:ignore <analyzer>[,<analyzer>] <reason>
-//
-// The reason is mandatory; a bare directive is itself a finding, and so is
-// one that suppresses nothing (reported only when every analyzer it names
-// ran).
+// usage errors. There is no suppression comment: a finding is fixed, or the
+// analyzer is changed.
 package main
 
 import (

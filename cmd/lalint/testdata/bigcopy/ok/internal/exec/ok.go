@@ -1,6 +1,6 @@
 // Package exec is a lalint golden-file fixture: the same hot-path loops as
-// the bad package, fixed with pointers/indexes or suppressed with a
-// reasoned //lint:ignore directive. It must produce zero findings.
+// the bad package, fixed with pointers and indexes. It must produce zero
+// findings.
 package exec
 
 type block struct {
@@ -16,18 +16,7 @@ func Sum(b *block) float64 {
 	return t
 }
 
-// SumByValue documents why this particular copy is sanctioned.
-//
-//lint:ignore bigcopy fixture: called once per query, not per row
-func SumByValue(b block) float64 {
-	var t float64
-	for _, c := range b.cells {
-		t += c
-	}
-	return t
-}
-
-// Total ranges over indexes (the clean fix, no directive needed).
+// Total ranges over indexes (the clean fix).
 func Total(blocks []block) float64 {
 	var t float64
 	for i := range blocks {

@@ -1,6 +1,6 @@
 // Package pkg is a lalint golden-file fixture: the same calls as the bad
-// package, with errors handled, explicitly discarded, or suppressed with a
-// reasoned //lint:ignore directive. It must produce zero findings.
+// package, with errors handled or explicitly discarded. It must produce zero
+// findings.
 package pkg
 
 import "os"
@@ -13,7 +13,5 @@ func Drop(path string) error {
 	}
 	// An explicit discard is allowed: the _ makes the decision visible.
 	defer func() { _ = f.Close() }()
-	//lint:ignore errcheck fixture: removal failure of a temp file is not actionable
-	os.Remove(path)
-	return nil
+	return os.Remove(path)
 }

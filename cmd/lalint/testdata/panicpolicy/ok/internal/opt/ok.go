@@ -1,6 +1,6 @@
-// Package opt is a lalint golden-file fixture: the same panic as the bad
-// package, suppressed with a reasoned //lint:ignore directive, plus the
-// error-returning fix. It must produce zero findings.
+// Package opt is a lalint golden-file fixture: the error-returning fix of
+// the bad package's panic, and a Must* helper whose contract is to panic. It
+// must produce zero findings.
 package opt
 
 import "errors"
@@ -13,10 +13,10 @@ func Reorder(n int) (int, error) {
 	return n, nil
 }
 
-// ReorderUnchecked documents why this particular panic is sanctioned.
-func ReorderUnchecked(n int) int {
+// MustReorder panics where Reorder returns an error; the Must prefix opts
+// the caller in.
+func MustReorder(n int) int {
 	if n < 0 {
-		//lint:ignore panicpolicy fixture: unreachable by construction, validated by the parser
 		panic("opt: negative relation count")
 	}
 	return n
