@@ -4,16 +4,19 @@ import (
 	"go/ast"
 )
 
-// GocheckAnalyzer confines raw goroutine creation in the kernel and cluster
-// layers to the sanctioned pool/runner entry points. Everything else must go
-// through those runners, because they are what carries the engine's
-// guarantees: worker counts bounded by the configured parallelism, panics
-// recovered into errors, retry/speculation bookkeeping, and deterministic
-// result delivery. A stray `go` statement bypasses all four — it is unbounded,
-// uncounted, and invisible to the fault injector.
+// GocheckAnalyzer confines raw goroutine creation in the kernel, cluster and
+// server layers to the sanctioned entry points. Everything else must go
+// through them, because they are what carries the engine's guarantees:
+// goroutine counts bounded by the configured parallelism (one per kernel chunk
+// or partition; the server's one per connection), every goroutine joined (the
+// kernel pool and the task runner wait for theirs before returning, and
+// Shutdown waits for the sessions), and bounded retry, speculation and fault
+// injection for cluster tasks. A stray `go` statement bypasses them: it is
+// unbounded, unjoined, and invisible to the fault injector. No runner recovers
+// panics; a panic in any goroutine ends the process.
 var GocheckAnalyzer = &Analyzer{
 	Name: "gocheck",
-	Doc:  "flags go statements in internal/linalg and internal/cluster outside the sanctioned pool/runner entry points",
+	Doc:  "flags go statements in internal/linalg, internal/cluster and internal/serve outside the sanctioned entry points",
 	Run:  runGocheck,
 }
 
@@ -52,7 +55,7 @@ func runGocheck(pass *Pass) {
 					return true
 				}
 			}
-			r.Reportf(g.Pos(), "raw go statement outside the sanctioned runner entry points; route the work through the pool/runner so it is bounded, recovered, and fault-injectable")
+			r.Reportf(g.Pos(), "raw go statement outside the sanctioned runner entry points; route the work through the pool/runner so it is bounded and joined (and, in the cluster, fault-injectable)")
 			return true
 		})
 	}
