@@ -44,6 +44,15 @@ type Loader struct {
 	loading  map[string]bool
 }
 
+// stdFset and stdImporter are shared by every Loader in the process, so the
+// standard library is type-checked from source once, not once per loader
+// (the tests build a loader per case). The importer is not safe for
+// concurrent use; loaders never load concurrently.
+var (
+	stdFset     = token.NewFileSet()
+	stdImporter = importer.ForCompiler(stdFset, "source", nil)
+)
+
 // NewLoader builds a loader rooted at the directory containing go.mod.
 func NewLoader(root string) (*Loader, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -61,13 +70,12 @@ func NewLoader(root string) (*Loader, error) {
 	if mod == "" {
 		return nil, fmt.Errorf("lalint: no module line in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
 	return &Loader{
 		ModulePath: mod,
 		Root:       root,
-		Fset:       fset,
+		Fset:       stdFset,
 		Sizes:      types.SizesFor("gc", "amd64"),
-		fallback:   importer.ForCompiler(fset, "source", nil),
+		fallback:   stdImporter,
 		pkgs:       map[string]*Pkg{},
 		loading:    map[string]bool{},
 	}, nil
