@@ -288,8 +288,10 @@ type Commit struct {
 
 // TaskFn is one partition task's compute. It must treat its inputs as an
 // immutable snapshot and write no shared state: it may run once per attempt,
-// and attempts of one task never overlap. The runner commits exactly one
-// winning attempt's Commit.
+// and attempts of one task never overlap. A fault drawn after it returns
+// discards its Commit, so the Commit must hold nothing to release: the
+// compute closes its scratch and returns its reservations first. The runner
+// commits exactly one winning attempt's Commit.
 type TaskFn func(part, attempt int) (Commit, error)
 
 // ParallelTasks runs one task per partition slot with bounded retry and,
@@ -376,32 +378,41 @@ func (c *Cluster) taskErr(op string, part, attempt int, err error) error {
 	return &fault.TaskError{Op: op, Part: part, Attempt: attempt, Err: err}
 }
 
-// executeAttempt runs one attempt of a task: crash draw, straggler delay,
-// then the compute. When a straggler may have a backup, the backup (the next
-// attempt id, with its own crash draw) runs first, with no delay, and commits
-// if it succeeds; only if it fails does the straggler serve its delay and
-// compute. Attempts of a task never overlap. It returns the highest attempt id
-// it used, and on failure the lower attempt's error.
+// executeAttempt runs one attempt of a task: straggler delay, the compute,
+// then the crash draw. When a straggler may have a backup, the backup (the
+// next attempt id) computes and draws its own crash first, with no delay, and
+// commits if it succeeds; only if it fails does the straggler serve its delay,
+// compute and draw. Attempts of a task never overlap. It returns the highest
+// attempt id it used, and on failure the lower attempt's error.
 func (c *Cluster) executeAttempt(op string, part, attempt int, fn TaskFn) (Commit, int, error) {
-	if err := c.fired(c.injector.Crash(op, part, attempt)); err != nil {
-		return Commit{}, attempt, err
-	}
 	last := attempt
 	if delay := c.injector.Straggle(op, part, attempt); delay > 0 {
 		c.stats.add(StatsSnapshot{FaultsInjected: 1})
 		if c.injector.Speculate() && attempt+1 < c.injector.Attempts() {
 			c.stats.add(StatsSnapshot{SpeculativeLaunches: 1})
 			last = attempt + 1
-			if c.fired(c.injector.Crash(op, part, last)) == nil {
-				if cm, err := fn(part, last); err == nil {
-					return cm, last, nil
-				}
+			if cm, err := c.drawAfter(c.injector.Crash, op, part, last, fn); err == nil {
+				return cm, last, nil
 			}
 		}
 		time.Sleep(delay)
 	}
-	cm, err := fn(part, attempt)
+	cm, err := c.drawAfter(c.injector.Crash, op, part, attempt, fn)
 	return cm, last, err
+}
+
+// drawAfter runs one attempt's compute, then draws its fault: a task that
+// dies after doing its work loses that work, so a fired draw discards the
+// completed Commit and the retry computes again.
+func (c *Cluster) drawAfter(draw func(op string, part, attempt int) error, op string, part, attempt int, fn TaskFn) (Commit, error) {
+	cm, err := fn(part, attempt)
+	if err == nil {
+		err = c.fired(draw(op, part, attempt))
+	}
+	if err != nil {
+		return Commit{}, err
+	}
+	return cm, nil
 }
 
 // ScatterRoundRobin distributes rows across partitions round-robin (how
@@ -439,15 +450,13 @@ func (c *Cluster) Shuffle(parts [][]value.Row, keyCols []int) ([][]value.Row, er
 }
 
 // Exchange is ParallelTasks with one task per destination partition, under
-// Deliver, Broadcast and the aggregate's state move: each attempt draws the
-// shuffle fault before running fn, whose Commit carries the tuples and wire
-// bytes that moved in. Exchange counts no rounds; its callers do.
+// Deliver, Broadcast and the aggregate's state move: fn's Commit carries the
+// tuples and wire bytes that moved in, and each attempt draws the shuffle
+// fault after fn completes, discarding that Commit when it fires. Exchange
+// counts no rounds; its callers do.
 func (c *Cluster) Exchange(op string, obs TaskObserver, fn TaskFn) error {
 	return c.ParallelTasks(op, obs, func(dst, attempt int) (Commit, error) {
-		if err := c.fired(c.injector.ShuffleCorrupt(op, dst, attempt)); err != nil {
-			return Commit{}, err
-		}
-		return fn(dst, attempt)
+		return c.drawAfter(c.injector.ShuffleCorrupt, op, dst, attempt, fn)
 	})
 }
 

@@ -7,12 +7,12 @@
 // (injection site, partition, attempt) so every run at a given seed injects
 // exactly the same faults.
 //
-// Determinism contract (the lalint nondeterminism policy applies to this
-// package): no wall-clock reads, no global math/rand — every decision is a
-// pure function of (Config.Seed, site, partition, attempt), plus a per-label
-// monotone counter for spill sites that is itself deterministic because each
-// retry of a partition task replays the same label sequence at the next
-// attempt number.
+// Determinism contract (pinned by TestDrawsAreDeterministicPerSeed): no
+// wall-clock reads, no global math/rand — every decision is a pure function
+// of (Config.Seed, site, partition, attempt), plus a per-label monotone
+// counter for spill sites that is itself deterministic because each retry of
+// a partition task replays the same label sequence at the next attempt
+// number.
 //
 // Transient-fault guarantee: a transient fault never fires on a task's final
 // allowed attempt (attempt >= Attempts()-1 draws are suppressed), so under
@@ -53,13 +53,16 @@ type Config struct {
 	// RetryBackoff is the base deterministic wait before a retry; it doubles
 	// per attempt. 0 means a small default; negative disables waiting.
 	RetryBackoff time.Duration
-	// CrashProb injects a transient partition-task crash at task start.
+	// CrashProb injects a transient partition-task crash after the attempt's
+	// compute completes: the task dies having done its work, and the runner
+	// discards that work and re-runs the compute.
 	CrashProb float64
 	// PermanentProb injects a permanent crash: drawn per (site, partition)
 	// without the attempt, so retries cannot clear it.
 	PermanentProb float64
-	// ShuffleProb injects a transient ser-de error while an exchange
-	// destination is decoding its incoming rows.
+	// ShuffleProb injects a transient ser-de error into an exchange
+	// destination's attempt, drawn after it has received its incoming rows;
+	// the runner discards what it received and re-runs the move.
 	ShuffleProb float64
 	// SpillProb injects a transient spill-run write failure, keyed by the
 	// run's label and the owning task's attempt.
@@ -214,8 +217,9 @@ func (in *Injector) transientOK(attempt int) bool {
 	return attempt < in.cfg.Attempts()-1
 }
 
-// Crash decides whether task (op, part) crashes at the start of attempt. The
-// permanent draw is keyed without the attempt so it fires on every retry.
+// Crash decides whether task (op, part) crashes at the end of attempt, after
+// its compute. The permanent draw is keyed without the attempt so it fires on
+// every retry.
 func (in *Injector) Crash(op string, part, attempt int) error {
 	if in == nil {
 		return nil
@@ -233,7 +237,7 @@ func (in *Injector) Crash(op string, part, attempt int) error {
 }
 
 // ShuffleCorrupt decides whether exchange op's destination dst observes a
-// transient ser-de failure while decoding attempt's incoming rows.
+// transient ser-de failure in attempt's incoming rows, once they are received.
 func (in *Injector) ShuffleCorrupt(op string, dst, attempt int) error {
 	if in == nil || in.cfg.ShuffleProb <= 0 || !in.transientOK(attempt) {
 		return nil
