@@ -16,7 +16,6 @@ import (
 // Pkg is one parsed and type-checked package of the module.
 type Pkg struct {
 	Path  string // import path, e.g. relalg/internal/exec
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -31,13 +30,6 @@ type Loader struct {
 	Root       string
 	Fset       *token.FileSet
 	Sizes      types.Sizes
-
-	// Order lists every package this loader has type-checked, in completion
-	// order. Because the type-checker pulls in a package's imports before the
-	// package itself finishes, Order is a dependency order: a package's
-	// module-internal dependencies always precede it. The cross-package fact
-	// computation (facts.go) folds packages in exactly this order.
-	Order []*Pkg
 
 	fallback types.Importer
 	pkgs     map[string]*Pkg
@@ -145,20 +137,16 @@ func (l *Loader) LoadDirAs(dir, path string) (*Pkg, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	cfg := types.Config{Importer: l, Sizes: l.Sizes}
 	tpkg, err := cfg.Check(path, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lalint: type-checking %s: %w", path, err)
 	}
-	p := &Pkg{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
-	l.Order = append(l.Order, p)
-	return p, nil
+	return &Pkg{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // Expand resolves command-line patterns ("./...", "./internal/...",
