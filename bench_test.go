@@ -18,13 +18,11 @@ import (
 	"testing"
 
 	"relalg/internal/bench"
-	"relalg/internal/catalog"
 	"relalg/internal/cluster"
 	"relalg/internal/core"
 	"relalg/internal/opt"
 	"relalg/internal/plan"
 	"relalg/internal/sqlparse"
-	"relalg/internal/types"
 	"relalg/internal/value"
 	"relalg/internal/workload"
 )
@@ -137,34 +135,13 @@ func BenchmarkFig4Breakdown(b *testing.B) {
 	}
 }
 
-// paper41Catalog is the §4.1 schema at full paper statistics (metadata only;
-// nothing is executed, so the sizes are free).
-func paper41Catalog(b *testing.B) *catalog.Catalog {
-	b.Helper()
-	cat := catalog.New()
-	add := func(name string, rows int64, cols ...catalog.Column) {
-		if err := cat.CreateTable(catalog.NewTableMeta(name, catalog.Schema{Cols: cols}, rows)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	add("r", 100,
-		catalog.Column{Name: "r_rid", Type: types.TInt},
-		catalog.Column{Name: "r_matrix", Type: types.TMatrix(types.KnownDim(10), types.KnownDim(100000))})
-	add("s", 100,
-		catalog.Column{Name: "s_sid", Type: types.TInt},
-		catalog.Column{Name: "s_matrix", Type: types.TMatrix(types.KnownDim(100000), types.KnownDim(100))})
-	add("t", 1000,
-		catalog.Column{Name: "t_rid", Type: types.TInt},
-		catalog.Column{Name: "t_sid", Type: types.TInt})
-	cat.SetDistinct("t", "t_rid", 100)
-	cat.SetDistinct("t", "t_sid", 100)
-	return cat
-}
-
 // BenchmarkFig5PlanChoice measures full plan/optimize latency for the §4.1
 // query and asserts the winning plan shape each iteration.
 func BenchmarkFig5PlanChoice(b *testing.B) {
-	cat := paper41Catalog(b)
+	cat, err := bench.PaperSchemaCatalog()
+	if err != nil {
+		b.Fatal(err)
+	}
 	stmt, err := sqlparse.Parse(bench.PaperOptimizerQuery)
 	if err != nil {
 		b.Fatal(err)

@@ -11,12 +11,12 @@ import (
 	"relalg/internal/types"
 )
 
-// paperSchemaCatalog builds the exact §4.1 schema and statistics:
+// PaperSchemaCatalog builds the exact §4.1 schema and statistics:
 //
 //	R (r_rid INTEGER, r_matrix MATRIX[10][100000])   100 rows
 //	S (s_sid INTEGER, s_matrix MATRIX[100000][100])  100 rows
 //	T (t_rid INTEGER, t_sid INTEGER)                 1000 rows
-func paperSchemaCatalog() (*catalog.Catalog, error) {
+func PaperSchemaCatalog() (*catalog.Catalog, error) {
 	cat := catalog.New()
 	add := func(name string, rows int64, cols ...catalog.Column) error {
 		return cat.CreateTable(catalog.NewTableMeta(name, catalog.Schema{Cols: cols}, rows))
@@ -52,7 +52,7 @@ WHERE r_rid = t_rid AND s_sid = t_sid`
 // full linear-algebra-aware optimizer, with size-aware costing disabled
 // (ablation A1), and with eager projection disabled (ablation A2).
 func OptimizerDemo() (string, error) {
-	cat, err := paperSchemaCatalog()
+	cat, err := PaperSchemaCatalog()
 	if err != nil {
 		return "", err
 	}
