@@ -59,18 +59,6 @@ func AppendHeader(dst []byte, h Header) ([]byte, error) {
 	return dst, nil
 }
 
-// WriteHeader writes the encoded header to w.
-func WriteHeader(w io.Writer, h Header) error {
-	buf, err := AppendHeader(nil, h)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("blockio: write header: %w", err)
-	}
-	return nil
-}
-
 // ReadHeader reads a file header and verifies its magic and version,
 // returning the header (for Extra). A short read or mismatch is a hard
 // error naming what was expected — the fail-fast contract for opening a

@@ -8,12 +8,16 @@ import (
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	h := Header{Magic: "LATESTFM", Version: 3, Extra: 4096}
-	if err := WriteHeader(&buf, h); err != nil {
+	prefix := []byte("prefix")
+	buf, err := AppendHeader(prefix, h)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadHeader(bytes.NewReader(buf.Bytes()), "LATESTFM", 3)
+	if !bytes.Equal(buf[:len(prefix)], prefix) || len(buf) != len(prefix)+HeaderLen {
+		t.Fatalf("AppendHeader wrote %d bytes after the prefix, want %d", len(buf)-len(prefix), HeaderLen)
+	}
+	got, err := ReadHeader(bytes.NewReader(buf[len(prefix):]), "LATESTFM", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,20 +27,20 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestHeaderMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHeader(&buf, Header{Magic: "LATESTFM", Version: 3}); err != nil {
+	buf, err := AppendHeader(nil, Header{Magic: "LATESTFM", Version: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadHeader(bytes.NewReader(buf.Bytes()), "OTHERFMT", 3); err == nil {
+	if _, err := ReadHeader(bytes.NewReader(buf), "OTHERFMT", 3); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
-	if _, err := ReadHeader(bytes.NewReader(buf.Bytes()), "LATESTFM", 4); err == nil {
+	if _, err := ReadHeader(bytes.NewReader(buf), "LATESTFM", 4); err == nil {
 		t.Fatal("wrong version accepted")
 	}
-	if _, err := ReadHeader(bytes.NewReader(buf.Bytes()[:5]), "LATESTFM", 3); err == nil {
+	if _, err := ReadHeader(bytes.NewReader(buf[:5]), "LATESTFM", 3); err == nil {
 		t.Fatal("short header accepted")
 	}
-	if err := WriteHeader(&buf, Header{Magic: "short"}); err == nil {
+	if _, err := AppendHeader(nil, Header{Magic: "short"}); err == nil {
 		t.Fatal("short magic accepted")
 	}
 }

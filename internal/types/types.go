@@ -154,34 +154,6 @@ func (t T) SizeBytes(defaultDim int) float64 {
 // ErrTypeMismatch is wrapped by every type error raised during unification.
 var ErrTypeMismatch = errors.New("types: mismatch")
 
-// AssignableTo reports whether a value of type t can be stored in a column
-// declared as decl. INTEGER promotes to DOUBLE; LABELED_SCALAR decays to
-// DOUBLE; a known dimension satisfies an unknown declared dimension but not a
-// different known one.
-func (t T) AssignableTo(decl T) bool {
-	if decl.Base == Any {
-		return true
-	}
-	switch decl.Base {
-	case Double:
-		return t.Base == Double || t.Base == Int || t.Base == LabeledScalar
-	case Int:
-		return t.Base == Int
-	case Vector, Matrix:
-		if t.Base != decl.Base {
-			return false
-		}
-		for i := 0; i < 2; i++ {
-			if decl.Dims[i].Known && t.Dims[i].Known && decl.Dims[i].N != t.Dims[i].N {
-				return false
-			}
-		}
-		return true
-	default:
-		return t.Base == decl.Base
-	}
-}
-
 // Promote computes the result type of mixing two numeric scalar types.
 func Promote(a, b T) (T, error) {
 	if !a.IsNumericScalar() || !b.IsNumericScalar() {

@@ -54,34 +54,6 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
-func TestAssignableTo(t *testing.T) {
-	cases := []struct {
-		val, decl T
-		want      bool
-	}{
-		{TInt, TDouble, true},
-		{TLabeledScalar, TDouble, true},
-		{TDouble, TInt, false},
-		{TInt, TInt, true},
-		{TString, TString, true},
-		{TString, TDouble, false},
-		{TVector(KnownDim(10)), TVector(KnownDim(10)), true},
-		{TVector(KnownDim(10)), TVector(UnknownDim), true},
-		{TVector(UnknownDim), TVector(KnownDim(10)), true}, // checked at run time
-		{TVector(KnownDim(10)), TVector(KnownDim(9)), false},
-		{TMatrix(KnownDim(2), KnownDim(3)), TMatrix(KnownDim(2), UnknownDim), true},
-		{TMatrix(KnownDim(2), KnownDim(3)), TMatrix(KnownDim(3), KnownDim(3)), false},
-		{TVector(KnownDim(3)), TMatrix(KnownDim(3), KnownDim(1)), false},
-		{TInt, TAny, true},
-		{TMatrix(UnknownDim, UnknownDim), TAny, true},
-	}
-	for _, c := range cases {
-		if got := c.val.AssignableTo(c.decl); got != c.want {
-			t.Errorf("%s assignable to %s = %v, want %v", c.val, c.decl, got, c.want)
-		}
-	}
-}
-
 func TestPromote(t *testing.T) {
 	ii, err := Promote(TInt, TInt)
 	if err != nil || ii != TInt {
