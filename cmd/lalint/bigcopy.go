@@ -25,8 +25,7 @@ var bigcopyScope = []string{
 	"internal/builtins",
 }
 
-func runBigcopy(pass *Pass) {
-	p, r := pass.Pkg, pass.R
+func runBigcopy(p *Pkg, r *Reporter) {
 	if !pathHasSuffix(p.Path, bigcopyScope...) {
 		return
 	}

@@ -20,8 +20,7 @@ var ErrcheckAnalyzer = &Analyzer{
 	Run:  runErrcheck,
 }
 
-func runErrcheck(pass *Pass) {
-	p, r := pass.Pkg, pass.R
+func runErrcheck(p *Pkg, r *Reporter) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var call *ast.CallExpr

@@ -30,8 +30,7 @@ var goAllowlist = map[string][]string{
 	"internal/serve":   {"Serve"},
 }
 
-func runGocheck(pass *Pass) {
-	p, r := pass.Pkg, pass.R
+func runGocheck(p *Pkg, r *Reporter) {
 	var allowed []string
 	found := false
 	for suffix, fns := range goAllowlist {

@@ -26,8 +26,7 @@ var panicAllowedPkgs = []string{
 	"internal/linalg",
 }
 
-func runPanicpolicy(pass *Pass) {
-	p, r := pass.Pkg, pass.R
+func runPanicpolicy(p *Pkg, r *Reporter) {
 	if !pathContainsInternal(p.Path) || pathHasSuffix(p.Path, panicAllowedPkgs...) {
 		return
 	}
