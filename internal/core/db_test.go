@@ -465,6 +465,49 @@ func TestTupleBudgetFailure(t *testing.T) {
 	}
 }
 
+// TestTupleBudgetBoundary pins the tuple budget's edge on one partition,
+// where charges happen in a fixed order: a statement whose operators
+// materialize exactly the budget succeeds, and each failing budget below
+// returns the same error and counters every run. The compute's peek and the
+// commit's charge each count a task's tuples once, so a check that counts
+// them twice (say, a peek in an Install, after the charge) or one that lets
+// a runaway operator finish before failing moves these numbers.
+func TestTupleBudgetBoundary(t *testing.T) {
+	run := func(budget int64, sql string) (cluster.StatsSnapshot, error) {
+		cfg := DefaultConfig()
+		cfg.Cluster.Nodes, cfg.Cluster.PartitionsPerNode = 1, 1
+		cfg.Cluster.MaxIntermediateTuples = budget
+		db := Open(cfg)
+		loadSpillTables(t, db)
+		_, err := db.Query(sql)
+		return db.Cluster().Stats().Snapshot(), err
+	}
+	const cross = "SELECT l.id, r.id FROM l, r WHERE l.id <> r.id"
+	for _, tc := range []struct {
+		budget   int64
+		sql      string
+		err      string
+		produced int64
+	}{
+		{1230, spillQuery, "", 1230},
+		{1229, spillQuery, "sort: cluster: intermediate tuple budget exhausted: 1230 tuples exceeds budget 1229", 1230},
+		{1199, spillQuery, "hash join: cluster: intermediate tuple budget exhausted: 1200 tuples exceeds budget 1199", 1200},
+		{1000, cross, "cross join: cluster: intermediate tuple budget exhausted: 5985 tuples exceeds budget 1000", 900},
+	} {
+		s, err := run(tc.budget, tc.sql)
+		got := ""
+		if err != nil {
+			got = err.Error()
+			if !errors.Is(err, cluster.ErrResourceExhausted) {
+				t.Errorf("budget %d: error %v, want ErrResourceExhausted", tc.budget, err)
+			}
+		}
+		if got != tc.err || s.TuplesProduced != tc.produced {
+			t.Errorf("budget %d: error %q, %d tuples produced; want %q, %d", tc.budget, got, s.TuplesProduced, tc.err, tc.produced)
+		}
+	}
+}
+
 func TestRunScript(t *testing.T) {
 	db := testDB(t)
 	results, err := db.RunScript(`
