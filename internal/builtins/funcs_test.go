@@ -1,6 +1,8 @@
 package builtins
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -283,5 +285,46 @@ func TestSignaturesAttached(t *testing.T) {
 		if len(b.Sig.Params) == 0 && !strings.HasPrefix(n, "rand") {
 			t.Errorf("builtin %q has empty signature", n)
 		}
+	}
+}
+
+// TestSumMatrixChunkAssociation pins sum_matrix's association: the entries
+// are summed left to right within fixed 32 Ki-entry chunks, and the chunk
+// partials are added in ascending order. The matrix spans three chunk
+// boundaries, and the test checks that plain left-to-right summation gives
+// other bits on the same data, so a switch to it cannot pass.
+func TestSumMatrixChunkAssociation(t *testing.T) {
+	const chunk = 1 << 15
+	rng := rand.New(rand.NewSource(1))
+	m := linalg.NewMatrix(100, 1000)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+	}
+	if len(m.Data) <= 3*chunk {
+		t.Fatalf("%d entries span fewer than 3 chunk boundaries", len(m.Data))
+	}
+	var want float64
+	for lo := 0; lo < len(m.Data); lo += chunk {
+		var partial float64
+		for _, x := range m.Data[lo:min(lo+chunk, len(m.Data))] {
+			partial += x
+		}
+		if lo == 0 {
+			want = partial
+		} else {
+			want += partial
+		}
+	}
+	var flat float64
+	for _, x := range m.Data {
+		flat += x
+	}
+	if math.Float64bits(flat) == math.Float64bits(want) {
+		t.Fatalf("left-to-right and chunked sums agree (%v): the data cannot tell them apart", want)
+	}
+	got := eval(t, "sum_matrix", value.Matrix(m)).D
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("sum_matrix = %v (%#x), want the chunked sum %v (%#x); left to right is %v",
+			got, math.Float64bits(got), want, math.Float64bits(want), flat)
 	}
 }
