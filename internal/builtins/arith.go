@@ -74,14 +74,14 @@ func CompareType(op string, l, r types.T) (types.T, error) {
 
 // Arith evaluates l op r over runtime values, dispatching on the operand
 // kinds exactly as ArithType does on their types.
-func Arith(ec *EvalCtx, op string, l, r value.Value) (value.Value, error) {
+func Arith(op string, l, r value.Value) (value.Value, error) {
 	switch {
 	case l.IsNumeric() && r.IsNumeric():
 		return arithScalar(op, l, r)
 	case l.Kind == value.KindVector && r.Kind == value.KindVector:
 		return arithVecVec(op, l.Vec, r.Vec)
 	case l.Kind == value.KindMatrix && r.Kind == value.KindMatrix:
-		return arithMatMat(ec, op, l.Mat, r.Mat)
+		return arithMatMat(op, l.Mat, r.Mat)
 	case l.IsNumeric() && r.Kind == value.KindVector:
 		s, _ := l.AsDouble()
 		return arithScalarVec(op, s, r.Vec, true)
@@ -149,20 +149,20 @@ func arithVecVec(op string, l, r *linalg.Vector) (value.Value, error) {
 	return value.Vector(out), nil
 }
 
-func arithMatMat(ec *EvalCtx, op string, l, r *linalg.Matrix) (value.Value, error) {
+func arithMatMat(op string, l, r *linalg.Matrix) (value.Value, error) {
 	var (
 		out *linalg.Matrix
 		err error
 	)
 	switch op {
 	case "+":
-		out, err = linalg.ParallelAdd(l, r, ec.KernelWorkers)
+		out, err = l.Add(r)
 	case "-":
-		out, err = linalg.ParallelSub(l, r, ec.KernelWorkers)
+		out, err = l.Sub(r)
 	case "*":
-		out, err = linalg.ParallelHadamard(l, r, ec.KernelWorkers)
+		out, err = l.Hadamard(r)
 	case "/":
-		out, err = linalg.ParallelDiv(l, r, ec.KernelWorkers)
+		out, err = l.Div(r)
 	default:
 		return value.Null(), fmt.Errorf("builtins: unknown arithmetic operator %q", op)
 	}

@@ -32,8 +32,8 @@ import (
 type Builtin struct {
 	Name    string
 	Sig     types.Signature
-	Eval    func(ec *EvalCtx, args []value.Value) (value.Value, error)
-	EvalCol func(ec *EvalCtx, args []*value.Col, n int, sel []int32) (*value.Col, error)
+	Eval    func(args []value.Value) (value.Value, error)
+	EvalCol func(args []*value.Col, n int, sel []int32) (*value.Col, error)
 }
 
 // registry maps lower-case names to builtins.
@@ -113,7 +113,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "matrix_multiply",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b"), matT("b", "c")}, Result: matT("a", "c")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			l, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -122,7 +122,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			out, err := linalg.ParallelMulMat(l, r, ec.KernelWorkers)
+			out, err := l.MulMat(r)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -132,7 +132,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "matrix_vector_multiply",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b"), vecT("b")}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -141,7 +141,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			out, err := linalg.ParallelMulVec(m, v, ec.KernelWorkers)
+			out, err := m.MulVec(v)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -151,7 +151,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "vector_matrix_multiply",
 		Sig:  types.Signature{Params: []types.T{vecT("a"), matT("a", "b")}, Result: vecT("b")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -160,7 +160,7 @@ func init() {
 			if err != nil {
 				return value.Null(), err
 			}
-			out, err := linalg.ParallelVecMul(m, v, ec.KernelWorkers)
+			out, err := m.VecMul(v)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -170,7 +170,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "inner_product",
 		Sig:  types.Signature{Params: []types.T{vecT("a"), vecT("a")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			a, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -185,7 +185,7 @@ func init() {
 			}
 			return value.Double(d), nil
 		},
-		EvalCol: func(ec *EvalCtx, args []*value.Col, n int, sel []int32) (*value.Col, error) {
+		EvalCol: func(args []*value.Col, n int, sel []int32) (*value.Col, error) {
 			if args[0].Kind != value.KindVector || args[1].Kind != value.KindVector {
 				return nil, nil
 			}
@@ -199,7 +199,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "outer_product",
 		Sig:  types.Signature{Params: []types.T{vecT("a"), vecT("b")}, Result: matT("a", "b")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			a, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -216,18 +216,18 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "trans_matrix",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: matT("b", "a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
 			}
-			return value.Matrix(linalg.ParallelTranspose(m, ec.KernelWorkers)), nil
+			return value.Matrix(m.Transpose()), nil
 		},
 	})
 	mustRegister(&Builtin{
 		Name: "matrix_inverse",
 		Sig:  types.Signature{Params: []types.T{matT("a", "a")}, Result: matT("a", "a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -242,7 +242,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "diag",
 		Sig:  types.Signature{Params: []types.T{matT("a", "a")}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -257,7 +257,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "diag_matrix",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: matT("a", "a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -268,7 +268,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "row_matrix",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TMatrix(types.KnownDim(1), types.VarDim("a"))},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -279,7 +279,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "col_matrix",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TMatrix(types.VarDim("a"), types.KnownDim(1))},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -292,7 +292,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "label_scalar",
 		Sig:  types.Signature{Params: []types.T{types.TDouble, types.TInt}, Result: types.TLabeledScalar},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			d, err := argDouble(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -307,7 +307,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "label_vector",
 		Sig:  types.Signature{Params: []types.T{vecT("a"), types.TInt}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -322,7 +322,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "get_scalar",
 		Sig:  types.Signature{Params: []types.T{vecT("a"), types.TInt}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -340,7 +340,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "get_entry",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b"), types.TInt, types.TInt}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -362,7 +362,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "get_row",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b"), types.TInt}, Result: vecT("b")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -380,7 +380,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "get_col",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b"), types.TInt}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -398,7 +398,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "get_label",
 		Sig:  types.Signature{Params: []types.T{types.TAny}, Result: types.TInt},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			switch args[0].Kind {
 			case value.KindLabeledScalar, value.KindVector:
 				return value.Int(args[0].Label), nil
@@ -411,7 +411,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "vector_size",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TInt},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -422,7 +422,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "matrix_rows",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: types.TInt},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -433,7 +433,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "matrix_cols",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: types.TInt},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -446,7 +446,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "sum_vector",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -457,18 +457,18 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "sum_matrix",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
 			}
-			return value.Double(linalg.ParallelSum(m, ec.KernelWorkers)), nil
+			return value.Double(m.Sum()), nil
 		},
 	})
 	mustRegister(&Builtin{
 		Name: "min_vector",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -479,7 +479,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "max_vector",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -490,7 +490,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "arg_min",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TInt},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -501,7 +501,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "arg_max",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TInt},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -512,7 +512,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "trace",
 		Sig:  types.Signature{Params: []types.T{matT("a", "a")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -527,7 +527,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "norm2",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			v, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -538,7 +538,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "frobenius_norm",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -549,7 +549,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "row_mins",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -560,7 +560,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "row_maxs",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -571,7 +571,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "row_sums",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -582,7 +582,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "col_sums",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: vecT("b")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			m, err := argMat(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -593,7 +593,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "min_pairwise",
 		Sig:  types.Signature{Params: []types.T{vecT("a"), vecT("a")}, Result: vecT("a")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			a, err := argVec(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -614,7 +614,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "identity_matrix",
 		Sig:  types.Signature{Params: []types.T{types.TInt}, Result: matT("", "")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			n, err := argInt(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -628,7 +628,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "zeros_vector",
 		Sig:  types.Signature{Params: []types.T{types.TInt}, Result: vecT("")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			n, err := argInt(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -642,7 +642,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "zeros_matrix",
 		Sig:  types.Signature{Params: []types.T{types.TInt, types.TInt}, Result: matT("", "")},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			r, err := argInt(args, 0)
 			if err != nil {
 				return value.Null(), err
@@ -663,7 +663,7 @@ func init() {
 		mustRegister(&Builtin{
 			Name: name,
 			Sig:  types.Signature{Params: []types.T{types.TDouble}, Result: types.TDouble},
-			Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+			Eval: func(args []value.Value) (value.Value, error) {
 				d, err := argDouble(args, 0)
 				if err != nil {
 					return value.Null(), err
@@ -679,7 +679,7 @@ func init() {
 	mustRegister(&Builtin{
 		Name: "pow",
 		Sig:  types.Signature{Params: []types.T{types.TDouble, types.TDouble}, Result: types.TDouble},
-		Eval: func(ec *EvalCtx, args []value.Value) (value.Value, error) {
+		Eval: func(args []value.Value) (value.Value, error) {
 			a, err := argDouble(args, 0)
 			if err != nil {
 				return value.Null(), err

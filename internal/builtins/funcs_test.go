@@ -17,7 +17,7 @@ func eval(t *testing.T, name string, args ...value.Value) value.Value {
 	if !ok {
 		t.Fatalf("builtin %q not registered", name)
 	}
-	v, err := b.Eval(&EvalCtx{}, args)
+	v, err := b.Eval(args)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -30,7 +30,7 @@ func evalErr(t *testing.T, name string, args ...value.Value) error {
 	if !ok {
 		t.Fatalf("builtin %q not registered", name)
 	}
-	_, err := b.Eval(&EvalCtx{}, args)
+	_, err := b.Eval(args)
 	if err == nil {
 		t.Fatalf("%s: expected error", name)
 	}

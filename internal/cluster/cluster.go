@@ -26,7 +26,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,19 +84,6 @@ func (c Config) Partitions() int {
 		return 1
 	}
 	return p
-}
-
-// KernelWorkers returns the per-kernel goroutine budget that composes with
-// partition parallelism: ParallelTasks runs one goroutine per partition slot,
-// so a linear-algebra kernel invoked inside an operator may only fan out
-// GOMAXPROCS/Partitions ways before the machine is oversubscribed. Always at
-// least 1 (the kernel itself still runs).
-func (c Config) KernelWorkers() int {
-	w := runtime.GOMAXPROCS(0) / c.Partitions()
-	if w < 1 {
-		return 1
-	}
-	return w
 }
 
 // Stats aggregates movement and volume counters across a run. Only package

@@ -213,17 +213,15 @@ func (db *Database) Query(sql string) (*Result, error) {
 	return res, nil
 }
 
-// Resources is a per-query resource lease. The serving layer arbitrates the
-// machine across concurrent queries and hands each one a lease; the zero
-// value inherits the database configuration (the single-caller behaviour).
+// Resources is a per-query resource lease. The serving layer hands each
+// statement a share of the memory budget; the zero value inherits the
+// database configuration (the single-caller behaviour). A query's parallelism
+// is the cluster's partition slots, so the lease has no CPU share.
 type Resources struct {
 	// MemoryBudgetBytes caps the query's in-memory working set before
 	// operators spill. 0 inherits cluster.Config.MemoryBudgetBytes; a
 	// negative value means explicitly unlimited (never spill).
 	MemoryBudgetBytes int64
-	// KernelWorkers is the query's goroutine budget for parallel linalg
-	// kernels. 0 inherits cluster.Config.KernelWorkers().
-	KernelWorkers int
 }
 
 // memBudget resolves the lease's spill budget against the config.
@@ -236,14 +234,6 @@ func (db *Database) memBudget(r Resources) int64 {
 	default:
 		return r.MemoryBudgetBytes
 	}
-}
-
-// kernelWorkers resolves the lease's kernel budget against the config.
-func (db *Database) kernelWorkers(r Resources) int {
-	if r.KernelWorkers > 0 {
-		return r.KernelWorkers
-	}
-	return db.cfg.Cluster.KernelWorkers()
 }
 
 // RunParsed executes one already-parsed statement under a resource lease.
@@ -262,7 +252,7 @@ func (db *Database) runStmt(stmt sqlparse.Statement, rsrc Resources) (*Result, e
 	case *sqlparse.CreateView:
 		return nil, db.createView(x)
 	case *sqlparse.Insert:
-		return nil, db.insert(x, rsrc)
+		return nil, db.insert(x)
 	case *sqlparse.DropTable:
 		return nil, db.drop(x)
 	case *sqlparse.Select:
@@ -376,13 +366,12 @@ func (db *Database) createView(cv *sqlparse.CreateView) error {
 	return db.cat.CreateView(&catalog.ViewMeta{Name: cv.Name, Cols: cv.Cols, Query: cv.Query})
 }
 
-func (db *Database) insert(ins *sqlparse.Insert, rsrc Resources) error {
+func (db *Database) insert(ins *sqlparse.Insert) error {
 	meta, ok := db.cat.Table(ins.Table)
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", ins.Table)
 	}
 	b := plan.NewBuilder(db.cat)
-	ec := &plan.EvalCtx{KernelWorkers: db.kernelWorkers(rsrc)}
 	rows := make([]value.Row, 0, len(ins.Rows))
 	for _, exprRow := range ins.Rows {
 		if len(exprRow) != meta.Schema.Arity() {
@@ -394,7 +383,7 @@ func (db *Database) insert(ins *sqlparse.Insert, rsrc Resources) error {
 			if err != nil {
 				return err
 			}
-			v, err := plan.EvalRow(ec, compiled, nil)
+			v, err := plan.EvalRow(compiled, nil)
 			if err != nil {
 				return err
 			}
@@ -680,7 +669,6 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 		Timings:          timings,
 		Spill:            mgr,
 		DisableAggFusion: db.cfg.DisableAggFusion,
-		KernelWorkers:    db.kernelWorkers(rsrc),
 	}
 	if db.cfg.ReplanFactor > 1 {
 		replanner := opt.New(db.cfg.Optimizer)

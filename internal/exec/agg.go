@@ -177,7 +177,6 @@ const aggSpillFanout = 16
 // level (aggBuilder) shares: the reservation and the per-window scratch.
 type partAgg struct {
 	ctx     *Context
-	ec      *plan.EvalCtx
 	a       *plan.Agg
 	part    int
 	scr     *spill.Scratch     // the owning task attempt's, for overflow runs
@@ -195,7 +194,7 @@ type partAgg struct {
 // newPartAgg sets up one partition attempt's aggregation, taking its "hash
 // aggregate" reservation under a memory budget; release returns it.
 func newPartAgg(ctx *Context, a *plan.Agg, part int, scr *spill.Scratch) *partAgg {
-	pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, scr: scr, fuse: !ctx.DisableAggFusion,
+	pa := &partAgg{ctx: ctx, a: a, part: part, scr: scr, fuse: !ctx.DisableAggFusion,
 		args: make([][]plan.Expr, len(a.Aggs)), argCols: make([][]*value.Col, len(a.Aggs))}
 	if ctx.spillEnabled() {
 		pa.res = ctx.Spill.Governor().Reservation("hash aggregate")
@@ -252,7 +251,7 @@ func (pa *partAgg) aggregateRun(run *spill.Run, depth int, t *groupTable) error 
 	b := pa.builder(depth, t)
 	// The run's rows are the stage's output, so they go through a bare stage
 	// into the deeper builder.
-	ps := &partStage{stage: &stage{limit: -1}, ec: pa.ec, win: rowWindow{reads: readSet(pa.reads)}, sink: b}
+	ps := &partStage{stage: &stage{limit: -1}, win: rowWindow{reads: readSet(pa.reads)}, sink: b}
 	if err := forRunWindows(run, ps.rows); err != nil {
 		return err
 	}

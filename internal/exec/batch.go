@@ -209,7 +209,7 @@ type keyEval struct {
 
 // eval computes the key columns and combined hashes for the lanes of src named
 // by sel (every lane when sel is nil).
-func (k *keyEval) eval(ec *plan.EvalCtx, keys []plan.Expr, src plan.BatchSource, sel []int32) error {
+func (k *keyEval) eval(keys []plan.Expr, src plan.BatchSource, sel []int32) error {
 	n := src.BatchLen()
 	if cap(k.cols) < len(keys) {
 		k.cols = make([]*value.Col, len(keys))
@@ -222,7 +222,7 @@ func (k *keyEval) eval(ec *plan.EvalCtx, keys []plan.Expr, src plan.BatchSource,
 	k.hashes = k.hashes[:n]
 	k.scratch = k.scratch[:n]
 	for i, e := range keys {
-		c, err := plan.EvalVec(ec, e, src, sel)
+		c, err := plan.EvalVec(e, src, sel)
 		if err != nil {
 			return err
 		}
@@ -295,7 +295,7 @@ func (pj *partJoin) keyWindows(rows []value.Row, keys []plan.Expr, reads []int, 
 	)
 	for lo := 0; lo < len(rows); lo += window {
 		w.open(rows, nil, lo, min(lo+window, len(rows)))
-		if err := ke.eval(pj.ec, keys, &w, nil); err != nil {
+		if err := ke.eval(keys, &w, nil); err != nil {
 			return err
 		}
 		if err := fn(lo, &ke); err != nil {
@@ -533,12 +533,12 @@ func (pa *partAgg) builder(depth int, t *groupTable) *aggBuilder {
 // row (src.own) only for an overflow run.
 func (b *aggBuilder) add(src lanes, n int, sel []int32) error {
 	pa := b.pa
-	if err := pa.ke.eval(pa.ec, pa.a.GroupBy, src, sel); err != nil {
+	if err := pa.ke.eval(pa.a.GroupBy, src, sel); err != nil {
 		return err
 	}
 	for j, args := range pa.args {
 		for k, e := range args {
-			c, err := plan.EvalVec(pa.ec, e, src, sel)
+			c, err := plan.EvalVec(e, src, sel)
 			if err != nil {
 				return err
 			}

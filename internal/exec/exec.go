@@ -167,11 +167,6 @@ type Context struct {
 	// behaviour); when enabled, the hash join, hash aggregation, and sort go
 	// out-of-core under pressure instead of growing without bound.
 	Spill *spill.Manager
-	// KernelWorkers is this query's goroutine budget for parallel linalg
-	// kernels. 0 means GOMAXPROCS; the serving layer sets an explicit lease
-	// so concurrent queries share the machine instead of each assuming
-	// exclusive use.
-	KernelWorkers int
 	// Adaptive, when non-nil with Factor > 1, enables mid-query
 	// re-optimization of join regions whose observed input cardinalities
 	// diverge from their estimates; see Adaptive.
@@ -183,13 +178,6 @@ type Context struct {
 	// re-plans each region at most once.
 	bound           map[plan.Node]*Relation
 	adaptiveHandled map[plan.Node]bool
-}
-
-// EvalCtx returns the expression-evaluation context for this query. The
-// context is immutable, so one value may be shared by every goroutine of the
-// query; callers capture it once per operator rather than per row.
-func (c *Context) EvalCtx() *plan.EvalCtx {
-	return &plan.EvalCtx{KernelWorkers: c.KernelWorkers}
 }
 
 // spillEnabled reports whether a memory budget governs this query.

@@ -123,7 +123,7 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 	ref := call.Spec.New()
 	var w rowWindow
 	w.open(rows, nil, 0, len(rows))
-	products, err := plan.EvalVec(&plan.EvalCtx{}, call.Input, &w, nil)
+	products, err := plan.EvalVec(call.Input, &w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

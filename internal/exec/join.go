@@ -72,7 +72,6 @@ func runJoin(ctx *Context, j *plan.Join, st *stage) (*Relation, []*groupTable, e
 		}
 		pj := &partJoin{
 			ctx:        ctx,
-			ec:         ps.ec,
 			buildKeys:  buildKeys,
 			probeKeys:  probeKeys,
 			buildReads: buildReads,
@@ -138,7 +137,6 @@ func singlePart(ctx *Context, n plan.Node) bool {
 // working set.
 type partJoin struct {
 	ctx                    *Context
-	ec                     *plan.EvalCtx
 	buildKeys, probeKeys   []plan.Expr
 	buildReads, probeReads []int // the columns of buildKeys and probeKeys
 	buildLeft              bool

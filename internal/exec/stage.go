@@ -233,7 +233,6 @@ type lanes interface {
 // whole partition, so rows come out in input order whatever the window sizes.
 type partStage struct {
 	*stage
-	ec     *plan.EvalCtx
 	scr    *spill.Scratch
 	charge *charger    // nil when the stage makes no new tuples
 	win    rowWindow   // the current window of rows or pairs
@@ -257,7 +256,7 @@ type partExchange struct {
 // newPartStage sets up one partition attempt that spills into scr. With an
 // aggregate sink it takes the aggregate's reservation; release returns it.
 func newPartStage(ctx *Context, st *stage, part int, scr *spill.Scratch) *partStage {
-	ps := &partStage{stage: st, ec: ctx.EvalCtx(), scr: scr}
+	ps := &partStage{stage: st, scr: scr}
 	reads := st.exprs
 	if st.exprs != nil {
 		ps.proj.cols = make([]*value.Col, len(st.exprs))
@@ -366,7 +365,7 @@ func (ps *partStage) flushPairs() error {
 func (ps *partStage) push(src lanes, n int) error {
 	var sel []int32 // nil = every lane live
 	for _, f := range ps.filters {
-		c, err := plan.EvalVec(ps.ec, f, src, sel)
+		c, err := plan.EvalVec(f, src, sel)
 		if err != nil {
 			return err
 		}
@@ -392,7 +391,7 @@ func (ps *partStage) push(src lanes, n int) error {
 		return err
 	}
 	for j, e := range ps.exprs {
-		c, err := plan.EvalVec(ps.ec, e, src, sel)
+		c, err := plan.EvalVec(e, src, sel)
 		if err != nil {
 			return err
 		}
@@ -409,7 +408,7 @@ func (ps *partStage) push(src lanes, n int) error {
 	case ps.px != nil:
 		// The exchange keys evaluate over the stage's output, so a failing
 		// key fails the stage before anything moves.
-		if err := ps.px.ke.eval(ps.ec, ps.ex.keys, out, sel); err != nil {
+		if err := ps.px.ke.eval(ps.ex.keys, out, sel); err != nil {
 			return err
 		}
 	}

@@ -717,13 +717,23 @@ func axpyRow(m *Matrix, dst, src int, f float64) {
 	}
 }
 
-// Sum returns the sum of all entries.
+// reduceChunk fixes Sum's association: entries are added left to right
+// within reduceChunk-entry chunks, and the chunk partials in ascending order.
+const reduceChunk = 1 << 15
+
+// Sum returns the sum of all entries, associated as reduceChunk says. Up to
+// one chunk that is plain left-to-right summation; beyond it the result can
+// differ from left to right by ordinary rounding.
 func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += x
+	var total float64
+	for lo := 0; lo < len(m.Data); lo += reduceChunk {
+		var partial float64
+		for _, x := range m.Data[lo:min(lo+reduceChunk, len(m.Data))] {
+			partial += x
+		}
+		total += partial
 	}
-	return s
+	return total
 }
 
 // Min returns the minimum entry; +Inf for the empty matrix.

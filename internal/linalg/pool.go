@@ -5,28 +5,16 @@ import (
 	"sync"
 )
 
-// parallelMinWork is the number of scalar operations (multiply-adds for
-// products, element visits for maps and reductions) below which every kernel
+// parallelMinWork is the number of multiply-adds below which ParallelMulMat
 // runs serially: goroutine fan-out costs on the order of microseconds, which
-// only amortizes once a kernel has at least ~10^5 operations to split. This
-// single threshold replaces the per-kernel ad-hoc cutoffs.
+// only amortizes once a kernel has at least ~10^5 operations to split.
 const parallelMinWork = 1 << 18
-
-// reduceChunk is the fixed partial-sum granularity for parallel reductions.
-// Partials are always formed per chunk and combined in ascending chunk
-// order, so a reduction returns the identical float64 for every worker
-// count (including 1) — worker count is a performance knob, never a source
-// of numeric nondeterminism.
-const reduceChunk = 1 << 15
 
 // planWorkers resolves a requested worker count: workers <= 0 means
 // GOMAXPROCS, the count is clamped to GOMAXPROCS (a CPU-bound kernel never
 // gains from more goroutines than schedulable threads — it only pays
 // scheduling and cache-handoff overhead) and to the number of splittable
-// units, and kernels under the serial threshold get 1. The engine passes each
-// query's budget (exec.Context.KernelWorkers) so that per-tuple kernel
-// parallelism composes with partition parallelism instead of oversubscribing
-// the machine.
+// units, and kernels under the serial threshold get 1.
 func planWorkers(workers, units, work int) int {
 	if mp := runtime.GOMAXPROCS(0); workers <= 0 || workers > mp {
 		workers = mp

@@ -341,7 +341,7 @@ func TestBuildNoFrom(t *testing.T) {
 	if _, ok := p.Input.(*OneRow); !ok {
 		t.Fatalf("input %T", p.Input)
 	}
-	v, err := EvalRow(&EvalCtx{}, p.Exprs[0], nil)
+	v, err := EvalRow(p.Exprs[0], nil)
 	if err != nil || !v.Equal(value.Int(3)) {
 		t.Fatalf("eval %v %v", v, err)
 	}

@@ -13,16 +13,10 @@ import (
 	"relalg/internal/value"
 )
 
-// EvalCtx is the per-query evaluation context threaded into every EvalVec.
-// It aliases builtins.EvalCtx so the executor can hand one object to both
-// expression evaluation and direct builtin calls.
-type EvalCtx = builtins.EvalCtx
-
 // Expr is a type-checked expression over the columns of its input relation,
-// evaluated a window at a time by EvalVec. Expressions are pure and the
-// context is read-only, so the optimizer may move, duplicate, and
-// pre-evaluate them freely, and one plan may be evaluated by many queries
-// concurrently.
+// evaluated a window at a time by EvalVec. Expressions are pure, so the
+// optimizer may move, duplicate, and pre-evaluate them freely, and one plan
+// may be evaluated by many queries concurrently.
 type Expr interface {
 	Type() types.T
 	String() string

@@ -29,11 +29,11 @@ type evalCase struct {
 // is typed and the vectorized loops run; and as lane 0 of a generic window,
 // whose lane 1 is all NULL, so every column is generic and the lane goes
 // through the scalar builtins.
-func windows(ec *EvalCtx, e Expr, row value.Row) map[string]func() (value.Value, error) {
+func windows(e Expr, row value.Row) map[string]func() (value.Value, error) {
 	nulls := make(value.Row, len(row))
 	lane0 := func(src rowsSource) func() (value.Value, error) {
 		return func() (value.Value, error) {
-			c, err := EvalVec(ec, e, src, nil)
+			c, err := EvalVec(e, src, nil)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -41,7 +41,7 @@ func windows(ec *EvalCtx, e Expr, row value.Row) map[string]func() (value.Value,
 		}
 	}
 	return map[string]func() (value.Value, error){
-		"row":     func() (value.Value, error) { return EvalRow(ec, e, row) },
+		"row":     func() (value.Value, error) { return EvalRow(e, row) },
 		"typed":   lane0(rowsSource{row, row}),
 		"generic": lane0(rowsSource{row, nulls}),
 	}
@@ -51,7 +51,7 @@ func windows(ec *EvalCtx, e Expr, row value.Row) map[string]func() (value.Value,
 func checkEval(t *testing.T, cases []evalCase) {
 	t.Helper()
 	for _, c := range cases {
-		for name, eval := range windows(&EvalCtx{}, c.e, c.row) {
+		for name, eval := range windows(c.e, c.row) {
 			got, err := eval()
 			if err != nil {
 				t.Errorf("%s over %v (%s window): %v", c.e, c.row, name, err)
@@ -65,7 +65,7 @@ func checkEval(t *testing.T, cases []evalCase) {
 // checkEvalErr checks that e fails over row in all three windows.
 func checkEvalErr(t *testing.T, e Expr, row value.Row) {
 	t.Helper()
-	for name, eval := range windows(&EvalCtx{}, e, row) {
+	for name, eval := range windows(e, row) {
 		if v, err := eval(); err == nil {
 			t.Errorf("%s over %v (%s window) = %v, want an error", e, row, name, v)
 		}

@@ -124,13 +124,12 @@ func FuzzEvalVec(f *testing.F) {
 			}
 		}
 		e := b.expr(4)
-		ec := &EvalCtx{KernelWorkers: 1}
-		whole, err := EvalVec(ec, e, rows, nil)
+		whole, err := EvalVec(e, rows, nil)
 		if err != nil {
 			return
 		}
 		for i, row := range rows {
-			one, err := EvalVec(ec, e, rowsSource{row}, nil)
+			one, err := EvalVec(e, rowsSource{row}, nil)
 			if err != nil {
 				t.Fatalf("%s: lane %d %v fails alone (%v) but not in its window %v", e, i, row, err, rows)
 			}

@@ -30,7 +30,7 @@ type BatchSource interface {
 // itself), so a lane's value never depends on its neighbours. The returned
 // column is read-only and may alias src's storage (a bare column reference
 // is passed through without copying).
-func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, error) {
+func EvalVec(e Expr, src BatchSource, sel []int32) (*value.Col, error) {
 	n := src.BatchLen()
 	switch x := e.(type) {
 	case *Col:
@@ -43,17 +43,17 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 		out.Fill(x.V, n)
 		return out, nil
 	case *Binary:
-		lc, err := EvalVec(ec, x.L, src, sel)
+		lc, err := EvalVec(x.L, src, sel)
 		if err != nil {
 			return nil, err
 		}
-		rc, err := EvalVec(ec, x.R, src, sel)
+		rc, err := EvalVec(x.R, src, sel)
 		if err != nil {
 			return nil, err
 		}
-		return evalVecBinary(ec, x, lc, rc, n, sel)
+		return evalVecBinary(x, lc, rc, n, sel)
 	case *Not:
-		inner, err := EvalVec(ec, x.E, src, sel)
+		inner, err := EvalVec(x.E, src, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 		builtins.VecNot(out.B, b, sel)
 		return out, nil
 	case *Neg:
-		inner, err := EvalVec(ec, x.E, src, sel)
+		inner, err := EvalVec(x.E, src, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -70,14 +70,14 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 	case *Call:
 		args := make([]*value.Col, len(x.Args))
 		for i, a := range x.Args {
-			c, err := EvalVec(ec, a, src, sel)
+			c, err := EvalVec(a, src, sel)
 			if err != nil {
 				return nil, err
 			}
 			args[i] = c
 		}
 		if x.Fn.EvalCol != nil && !slices.ContainsFunc(args, func(c *value.Col) bool { return c.Generic }) {
-			out, err := x.Fn.EvalCol(ec, args, n, sel)
+			out, err := x.Fn.EvalCol(args, n, sel)
 			if out != nil || err != nil {
 				return out, err
 			}
@@ -93,7 +93,7 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 				}
 				scratch[j] = v
 			}
-			v, err := x.Fn.Eval(ec, scratch)
+			v, err := x.Fn.Eval(scratch)
 			if err != nil {
 				return err
 			}
@@ -112,8 +112,8 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 }
 
 // EvalRow evaluates e over one row: EvalVec over a window of that row alone.
-func EvalRow(ec *EvalCtx, e Expr, row value.Row) (value.Value, error) {
-	c, err := EvalVec(ec, e, rowLane(row), nil)
+func EvalRow(e Expr, row value.Row) (value.Value, error) {
+	c, err := EvalVec(e, rowLane(row), nil)
 	if err != nil {
 		return value.Null(), err
 	}
@@ -151,7 +151,7 @@ func forLanes(n int, sel []int32, f func(i int) error) error {
 	return nil
 }
 
-func evalVecBinary(ec *EvalCtx, b *Binary, lc, rc *value.Col, n int, sel []int32) (*value.Col, error) {
+func evalVecBinary(b *Binary, lc, rc *value.Col, n int, sel []int32) (*value.Col, error) {
 	switch b.Kind {
 	case BinArith:
 		if lc.Kind == value.KindInt && rc.Kind == value.KindInt && !lc.Generic && !rc.Generic {
@@ -177,7 +177,7 @@ func evalVecBinary(ec *EvalCtx, b *Binary, lc, rc *value.Col, n int, sel []int32
 				out.Any[i] = value.Null()
 				return nil
 			}
-			v, err := builtins.Arith(ec, b.Op, l, r)
+			v, err := builtins.Arith(b.Op, l, r)
 			if err != nil {
 				return err
 			}

@@ -77,7 +77,7 @@ func TestArithBitsIndependentOfWindow(t *testing.T) {
 					if k == 1 {
 						sel = []int32{0}
 					}
-					c, err := EvalVec(nil, e, rowsSource{lane, {nb, value.Double(3)}}, sel)
+					c, err := EvalVec(e, rowsSource{lane, {nb, value.Double(3)}}, sel)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"relalg/internal/catalog"
+	"relalg/internal/core"
 	"relalg/internal/plan"
 	"relalg/internal/types"
 )
@@ -120,6 +121,34 @@ func TestAdmissionCountsAndBounds(t *testing.T) {
 	a.release()
 	if a.active.Load() != 0 {
 		t.Fatalf("active %d after all releases", a.active.Load())
+	}
+}
+
+// TestLeaseIsFixedMemoryShare: a statement's lease is a fixed share of the
+// memory pool, the same however many other statements are admitted. A
+// positive pool gives pool/MaxConcurrent (at least 1 byte), a negative pool
+// no budget (-1), and a zero pool the database's own budget (the zero lease).
+func TestLeaseIsFixedMemoryShare(t *testing.T) {
+	db := core.Open(core.DefaultConfig())
+	for _, c := range []struct {
+		name string
+		pool int64
+		want int64
+	}{
+		{"pool share", 12 << 10, 4 << 10},
+		{"share at least 1", 2, 1},
+		{"unlimited", -1, -1},
+		{"inherit", 0, 0},
+	} {
+		srv := New(db, Config{MaxConcurrent: 3, MemoryPoolBytes: c.pool})
+		for admitted := 0; admitted <= 3; admitted++ {
+			if got := srv.lease(); got != (core.Resources{MemoryBudgetBytes: c.want}) {
+				t.Fatalf("%s with %d admitted: lease %+v, want MemoryBudgetBytes %d", c.name, admitted, got, c.want)
+			}
+			if admitted < 3 {
+				srv.adm.acquire()
+			}
+		}
 	}
 }
 

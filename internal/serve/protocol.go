@@ -1,10 +1,10 @@
 // Package serve is the engine's concurrent front door: a long-lived TCP
 // server that executes SQL statements from many sessions against one shared
 // core.Database. It makes the scarce resources global — an admission
-// controller bounds in-flight statements, the spill memory budget becomes a
-// server-wide pool leased to queries, and the kernel-worker budget is
-// arbitrated across whatever is currently running — and it caches optimized
-// plans keyed on normalized SQL, invalidated by the catalog's DDL version.
+// controller bounds in-flight statements, and the spill memory budget becomes
+// a server-wide pool leased to queries in fixed shares — and it caches
+// optimized plans keyed on normalized SQL, invalidated by the catalog's DDL
+// version.
 //
 // The wire protocol is deliberately tiny: length-prefixed binary frames, one
 // statement per request, a fixed frame vocabulary for the response. Row

@@ -121,8 +121,7 @@ func runScript(t *testing.T, addr string, stmts []string) []byte {
 }
 
 // serveTestConfig: 3 execution slots arbitrating a 12 KiB memory pool (a 4
-// KiB lease per slot, small enough that the 97-group aggregation spills) and
-// the default kernel budget.
+// KiB lease per slot, small enough that the 97-group aggregation spills).
 func serveTestConfig() Config {
 	return Config{MaxConcurrent: 3, MemoryPoolBytes: 12 << 10}
 }

@@ -36,13 +36,8 @@ type Config struct {
 // Server executes statements from many TCP sessions against one shared
 // database.
 type Server struct {
-	db  *core.Database
-	cfg Config
-	// workers is the total kernel-goroutine budget arbitrated across
-	// concurrent statements, the database's cluster.Config.KernelWorkers():
-	// each admitted statement is granted max(1, workers/active).
-	workers int
-
+	db    *core.Database
+	cfg   Config
 	adm   *admission
 	cache *planCache
 	stats serverStats
@@ -62,7 +57,6 @@ func New(db *core.Database, cfg Config) *Server {
 	return &Server{
 		db:       db,
 		cfg:      cfg,
-		workers:  db.Cluster().Config().KernelWorkers(),
 		adm:      newAdmission(cfg.MaxConcurrent),
 		cache:    newPlanCache(planCacheSize),
 		sessions: map[*session]struct{}{},
@@ -143,9 +137,9 @@ func (s *Server) removeSession(sess *session) {
 	s.wg.Done()
 }
 
-// lease computes the resource lease for a statement admitted as one of
-// `active` concurrently-executing statements.
-func (s *Server) lease(active int) core.Resources {
+// lease computes an admitted statement's resource lease: a fixed share of
+// the memory pool, the same whatever else is executing.
+func (s *Server) lease() core.Resources {
 	var r core.Resources
 	switch {
 	case s.cfg.MemoryPoolBytes > 0:
@@ -157,11 +151,6 @@ func (s *Server) lease(active int) core.Resources {
 		r.MemoryBudgetBytes = share
 	case s.cfg.MemoryPoolBytes < 0:
 		r.MemoryBudgetBytes = -1 // explicitly unlimited
-	}
-	if w := s.workers / active; w > 1 {
-		r.KernelWorkers = w
-	} else {
-		r.KernelWorkers = 1
 	}
 	return r
 }
@@ -183,6 +172,5 @@ func (s *Server) Stats() StatsSnapshot {
 
 // String implements fmt.Stringer for error contexts.
 func (s *Server) String() string {
-	return fmt.Sprintf("serve.Server(max=%d pool=%d workers=%d)",
-		s.cfg.MaxConcurrent, s.cfg.MemoryPoolBytes, s.workers)
+	return fmt.Sprintf("serve.Server(max=%d pool=%d)", s.cfg.MaxConcurrent, s.cfg.MemoryPoolBytes)
 }

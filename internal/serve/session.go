@@ -113,9 +113,9 @@ func (s *session) execute(sql string) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	active := s.srv.adm.acquire()
+	s.srv.adm.acquire()
 	defer s.srv.adm.release()
-	rsrc := s.srv.lease(active)
+	rsrc := s.srv.lease()
 	sel, isSelect := stmt.(*sqlparse.Select)
 	if !isSelect {
 		return s.srv.db.RunParsed(stmt, rsrc)
