@@ -14,18 +14,20 @@ var update = flag.Bool("update", false, "rewrite the golden files from current a
 // goldenCases maps each analyzer to its fixture packages. The directory
 // layout places every fixture at an import path ending in a suffix the
 // analyzer is scoped to (e.g. .../bad/internal/exec), so the packages are
-// linted exactly like the real module packages. Cases marked exclusive
-// additionally assert that the deliberately broken fixture is flagged by the
-// intended checker and by nothing else.
+// linted exactly like the real module packages. The findings of an
+// analyzer's bad fixtures go to its golden file in the listed order. Cases
+// marked exclusive additionally assert that the deliberately broken fixtures
+// are flagged by the intended checker and by nothing else.
 var goldenCases = []struct {
 	analyzer  string
-	bad, ok   string // directories relative to testdata/
+	bad       []string // directories relative to testdata/
+	ok        string
 	exclusive bool
 }{
-	{"errcheck", "errcheck/bad/pkg", "errcheck/ok/pkg", false},
-	{"panicpolicy", "panicpolicy/bad/internal/opt", "panicpolicy/ok/internal/opt", false},
-	{"bigcopy", "bigcopy/bad/internal/exec", "bigcopy/ok/internal/exec", false},
-	{"gocheck", "gocheck/bad/internal/linalg", "gocheck/ok/internal/linalg", true},
+	{"errcheck", []string{"errcheck/bad/pkg"}, "errcheck/ok/pkg", false},
+	{"panicpolicy", []string{"panicpolicy/bad/internal/opt"}, "panicpolicy/ok/internal/opt", false},
+	{"bigcopy", []string{"bigcopy/bad/internal/exec"}, "bigcopy/ok/internal/exec", false},
+	{"gocheck", []string{"gocheck/bad/internal/linalg", "gocheck/bad/internal/exec"}, "gocheck/ok/internal/linalg", true},
 }
 
 // loadFixture type-checks one testdata package at its natural import path.
@@ -62,17 +64,19 @@ func render(diags []Diagnostic) string {
 func TestGolden(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.analyzer, func(t *testing.T) {
-			all := Analyze(loadFixture(t, c.bad), nil)
 			var diags []Diagnostic
-			for _, d := range all {
-				if d.Analyzer == c.analyzer {
-					diags = append(diags, d)
-				} else if c.exclusive {
-					t.Errorf("bad fixture %s flagged by %s, want only %s: %s", c.bad, d.Analyzer, c.analyzer, d)
+			for _, bad := range c.bad {
+				n := len(diags)
+				for _, d := range Analyze(loadFixture(t, bad), nil) {
+					if d.Analyzer == c.analyzer {
+						diags = append(diags, d)
+					} else if c.exclusive {
+						t.Errorf("bad fixture %s flagged by %s, want only %s: %s", bad, d.Analyzer, c.analyzer, d)
+					}
 				}
-			}
-			if len(diags) == 0 {
-				t.Fatalf("bad fixture %s produced no %s findings", c.bad, c.analyzer)
+				if len(diags) == n {
+					t.Fatalf("bad fixture %s produced no %s findings", bad, c.analyzer)
+				}
 			}
 			checkGolden(t, filepath.Join("testdata", c.analyzer, "golden.txt"), render(diags))
 		})
