@@ -230,18 +230,10 @@ func (m *Matrix) ScaleRSub(s float64) *Matrix {
 // Transpose returns mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
-	m.transposeRowsInto(out, 0, m.Rows)
-	return out
-}
-
-// transposeRowsInto writes the transpose of rows [r0, r1) of m into the
-// corresponding columns of out (which must be m.Cols × m.Rows). Row ranges
-// map to disjoint output columns, so disjoint ranges can run concurrently.
-func (m *Matrix) transposeRowsInto(out *Matrix, r0, r1 int) {
 	// Blocked transpose for cache friendliness on large matrices.
 	const bs = 64
-	for i0 := r0; i0 < r1; i0 += bs {
-		imax := min(i0+bs, r1)
+	for i0 := 0; i0 < m.Rows; i0 += bs {
+		imax := min(i0+bs, m.Rows)
 		for j0 := 0; j0 < m.Cols; j0 += bs {
 			jmax := min(j0+bs, m.Cols)
 			for i := i0; i < imax; i++ {
@@ -251,6 +243,7 @@ func (m *Matrix) transposeRowsInto(out *Matrix, r0, r1 int) {
 			}
 		}
 	}
+	return out
 }
 
 // MulMat returns the matrix product m · n.

@@ -2,18 +2,13 @@ package linalg
 
 import "fmt"
 
-// ParallelMulMat is the one kernel with a worker count. The engine does not
-// call it: each kernel runs on its partition task's goroutine, and the
-// cluster's partition slots are the parallelism. It stays for the
-// benchmark's matmul scaling probe, under the policy in pool.go: workers <= 0
-// means GOMAXPROCS, small inputs run serially, and splitting output rows
-// never reorders a per-element accumulation, so the result is bit-for-bit
-// independent of the worker count.
-
 // ParallelMulMat computes m · n splitting the rows of m across workers
 // goroutines. Each worker runs the tiled kernel over its own block of output
 // rows, so the result is identical to the serial product for every worker
-// count.
+// count; workers <= 0 means GOMAXPROCS, and small products run serially (see
+// pool.go). The engine does not call it: each kernel runs on its partition
+// task's goroutine, and the cluster's partition slots are the parallelism. It
+// stays for the benchmark's matmul scaling probe.
 func ParallelMulMat(m, n *Matrix, workers int) (*Matrix, error) {
 	if m.Cols != n.Rows {
 		return nil, fmt.Errorf("%w: matrix_multiply %dx%d by %dx%d", ErrShape, m.Rows, m.Cols, n.Rows, n.Cols)
