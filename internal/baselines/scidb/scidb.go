@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"relalg/internal/baselines"
 	"relalg/internal/cluster"
 	"relalg/internal/linalg"
 	"relalg/internal/value"
@@ -75,7 +76,7 @@ func (e *Engine) Gram(data [][]float64) (*linalg.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return reduceMatrices(e.cl, partials)
+	return baselines.ReduceMatrices(e.cl, partials, "scidb")
 }
 
 // Regression solves the normal equations via two chunked gemms.
@@ -117,17 +118,13 @@ func (e *Engine) Regression(data [][]float64, y []float64) (*linalg.Vector, erro
 	if err != nil {
 		return nil, err
 	}
-	G, err := reduceMatrices(e.cl, gparts)
+	G, err := baselines.ReduceMatrices(e.cl, gparts, "scidb")
 	if err != nil {
 		return nil, err
 	}
-	v := linalg.NewVector(d)
-	for _, pv := range vparts {
-		if pv != nil {
-			if err := v.AddInPlace(pv); err != nil {
-				return nil, err
-			}
-		}
+	v, err := baselines.SumVectors(vparts, d)
+	if err != nil {
+		return nil, err
 	}
 	inv, err := G.Inverse()
 	if err != nil {
@@ -177,13 +174,9 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 		return 0, 0, err
 	}
 	cs := e.ChunkSize
-	type best struct {
-		idx int
-		val float64
-	}
-	bests := make([]best, e.cl.Partitions())
+	bests := make([]baselines.Best, e.cl.Partitions())
 	err = e.cl.ParallelTasks("scidb distance", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
-		b := best{idx: -1, val: math.Inf(-1)}
+		b := baselines.NoBest()
 		for _, r := range parts[p] {
 			xc := r[1].Mat
 			rowBase := int(r[0].I) * cs
@@ -210,8 +203,8 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 				}
 			}
 			for i, v := range mins {
-				if v > b.val {
-					b = best{idx: rowBase + i, val: v}
+				if v > b.Val {
+					b = baselines.Best{Idx: rowBase + i, Val: v}
 				}
 			}
 		}
@@ -223,50 +216,5 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 	if err != nil {
 		return 0, 0, err
 	}
-	out := best{idx: -1, val: math.Inf(-1)}
-	for _, b := range bests {
-		if b.idx >= 0 && b.val > out.val {
-			out = b
-		}
-	}
-	if out.idx < 0 {
-		return 0, 0, fmt.Errorf("scidb: no result")
-	}
-	return out.idx, out.val, nil
-}
-
-// reduceMatrices merges per-partition partials, charging remote partials as
-// serialized network traffic.
-func reduceMatrices(cl *cluster.Cluster, partials []*linalg.Matrix) (*linalg.Matrix, error) {
-	var acc *linalg.Matrix
-	for p, m := range partials {
-		if m == nil {
-			continue
-		}
-		if p != 0 {
-			v, err := cl.SendValue(value.Matrix(m))
-			if err != nil {
-				return nil, err
-			}
-			m = v.Mat
-		}
-		if acc == nil {
-			acc = m.Clone()
-			continue
-		}
-		if err := acc.AddInPlace(m); err != nil {
-			return nil, err
-		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("scidb: nothing to reduce")
-	}
-	return acc, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return baselines.ArgMax(bests, "scidb")
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"relalg/internal/baselines"
 	"relalg/internal/cluster"
 	"relalg/internal/linalg"
 	"relalg/internal/value"
@@ -238,13 +239,9 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 
 	// Step 3: materialize the n×n product block-row by block-row, then the
 	// row-min/arg-max pass of the paper's Scala code.
-	type best struct {
-		idx int
-		val float64
-	}
-	bests := make([]best, e.cl.Partitions())
+	bests := make([]baselines.Best, e.cl.Partitions())
 	err = e.cl.ParallelTasks("spark distance", cluster.TaskObserver{}, func(p, _ int) (cluster.Commit, error) {
-		b := best{idx: -1, val: math.Inf(-1)}
+		b := baselines.NoBest()
 		for _, r := range xm[p] {
 			rowBase := int(r[0].I) * bs
 			h := r[1].Mat.Rows
@@ -270,8 +267,8 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 						minD = v
 					}
 				}
-				if minD > b.val {
-					b = best{idx: rowBase + i, val: minD}
+				if minD > b.Val {
+					b = baselines.Best{Idx: rowBase + i, Val: minD}
 				}
 			}
 		}
@@ -283,21 +280,5 @@ func (e *Engine) Distance(data [][]float64, metric *linalg.Matrix) (int, float64
 	if err != nil {
 		return 0, 0, err
 	}
-	out := best{idx: -1, val: math.Inf(-1)}
-	for _, bb := range bests {
-		if bb.idx >= 0 && bb.val > out.val {
-			out = bb
-		}
-	}
-	if out.idx < 0 {
-		return 0, 0, fmt.Errorf("sparkml: no result")
-	}
-	return out.idx, out.val, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return baselines.ArgMax(bests, "sparkml")
 }

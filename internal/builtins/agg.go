@@ -28,6 +28,11 @@ type AggSpec struct {
 	New func() AggState
 }
 
+// The aggregates the planner and executor treat specially, matched by these
+// pointers, never by name: COUNT(*), SUM's fused forms, and the per-group
+// arrays of COUNT, SUM, AVG, MIN and MAX over numbers.
+var Sum, Count, Avg, Min, Max *AggSpec
+
 var aggRegistry = map[string]*AggSpec{}
 
 // LookupAgg finds an aggregate by (lower-case) name.
@@ -42,22 +47,14 @@ func IsAggregate(name string) bool {
 	return ok
 }
 
-// registerAgg records a, reporting a duplicate name as an error so callers
-// that extend the registry at runtime can handle the collision.
-func registerAgg(a *AggSpec) error {
+// mustRegisterAgg records a and returns it. The aggregate table is fixed at
+// compile time, so a duplicate name is a programming error.
+func mustRegisterAgg(a *AggSpec) *AggSpec {
 	if _, dup := aggRegistry[a.Name]; dup {
-		return fmt.Errorf("builtins: duplicate aggregate %s", a.Name)
+		panic(fmt.Errorf("builtins: duplicate aggregate %s", a.Name))
 	}
 	aggRegistry[a.Name] = a
-	return nil
-}
-
-// mustRegisterAgg is the init-time wrapper: the package's own aggregate table
-// is fixed at compile time, so a duplicate there is a programming error.
-func mustRegisterAgg(a *AggSpec) {
-	if err := registerAgg(a); err != nil {
-		panic(err)
-	}
+	return a
 }
 
 // --- SUM --------------------------------------------------------------
@@ -547,7 +544,7 @@ func (s *matrixizeState) Final() (value.Value, error) {
 }
 
 func init() {
-	mustRegisterAgg(&AggSpec{
+	Sum = mustRegisterAgg(&AggSpec{
 		Name: "sum",
 		ResultType: func(in types.T) (types.T, error) {
 			switch {
@@ -562,12 +559,12 @@ func init() {
 		},
 		New: func() AggState { return &sumState{} },
 	})
-	mustRegisterAgg(&AggSpec{
+	Count = mustRegisterAgg(&AggSpec{
 		Name:       "count",
 		ResultType: func(types.T) (types.T, error) { return types.TInt, nil },
 		New:        func() AggState { return &countState{} },
 	})
-	mustRegisterAgg(&AggSpec{
+	Avg = mustRegisterAgg(&AggSpec{
 		Name: "avg",
 		ResultType: func(in types.T) (types.T, error) {
 			switch {
@@ -593,12 +590,12 @@ func init() {
 		}
 		return types.T{}, fmt.Errorf("%w: MIN/MAX over %s", types.ErrTypeMismatch, in)
 	}
-	mustRegisterAgg(&AggSpec{
+	Min = mustRegisterAgg(&AggSpec{
 		Name:       "min",
 		ResultType: minMaxType,
 		New:        func() AggState { return &extremeState{want: -1} },
 	})
-	mustRegisterAgg(&AggSpec{
+	Max = mustRegisterAgg(&AggSpec{
 		Name:       "max",
 		ResultType: minMaxType,
 		New:        func() AggState { return &extremeState{want: 1} },

@@ -29,12 +29,25 @@ import (
 // lanes whose argument columns are all typed: it returns a column whose lanes
 // named by sel (all n when sel is nil) hold what Eval returns for them, or nil
 // when it does not take the columns' kinds, leaving the window to Eval.
+// LinearOverSum marks a linear map f of its one argument, so that
+// f(SUM(X)) = SUM(f(X)) and the optimizer may move f inside the SUM.
 type Builtin struct {
-	Name    string
-	Sig     types.Signature
-	Eval    func(args []value.Value) (value.Value, error)
-	EvalCol func(args []*value.Col, n int, sel []int32) (*value.Col, error)
+	Name          string
+	Sig           types.Signature
+	Eval          func(args []value.Value) (value.Value, error)
+	EvalCol       func(args []*value.Col, n int, sel []int32) (*value.Col, error)
+	LinearOverSum bool
 }
+
+// The builtins the planner, optimizer and executor treat specially. They
+// match a call by these pointers, never by name.
+var (
+	MatrixMultiply *Builtin // SUM over it is fused; chains of it are reordered
+	OuterProduct   *Builtin // SUM over it is fused
+	TransMatrix    *Builtin // t(t(X)) collapses; Xᵀ·X under SUM is a Gram sum
+	ColMatrix      *Builtin // col_matrix(x)·row_matrix(y) is outer_product(x, y)
+	RowMatrix      *Builtin
+)
 
 // registry maps lower-case names to builtins.
 var registry = map[string]*Builtin{}
@@ -56,22 +69,14 @@ func Names() []string {
 	return out
 }
 
-// register records b, reporting a duplicate name as an error so callers that
-// extend the registry at runtime can handle the collision.
-func register(b *Builtin) error {
+// mustRegister records b and returns it. The function table is fixed at
+// compile time, so a duplicate name is a programming error.
+func mustRegister(b *Builtin) *Builtin {
 	if _, dup := registry[b.Name]; dup {
-		return fmt.Errorf("builtins: duplicate registration of %s", b.Name)
+		panic(fmt.Errorf("builtins: duplicate registration of %s", b.Name))
 	}
 	registry[b.Name] = b
-	return nil
-}
-
-// mustRegister is the init-time wrapper: the package's own function table is
-// fixed at compile time, so a duplicate there is a programming error.
-func mustRegister(b *Builtin) {
-	if err := register(b); err != nil {
-		panic(err)
-	}
+	return b
 }
 
 // Shorthand constructors for signature templates.
@@ -110,7 +115,7 @@ func argInt(args []value.Value, i int) (int64, error) {
 
 func init() {
 	// --- Matrix/vector products -------------------------------------------
-	mustRegister(&Builtin{
+	MatrixMultiply = mustRegister(&Builtin{
 		Name: "matrix_multiply",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b"), matT("b", "c")}, Result: matT("a", "c")},
 		Eval: func(args []value.Value) (value.Value, error) {
@@ -196,7 +201,7 @@ func init() {
 			return out, nil
 		},
 	})
-	mustRegister(&Builtin{
+	OuterProduct = mustRegister(&Builtin{
 		Name: "outer_product",
 		Sig:  types.Signature{Params: []types.T{vecT("a"), vecT("b")}, Result: matT("a", "b")},
 		Eval: func(args []value.Value) (value.Value, error) {
@@ -213,7 +218,7 @@ func init() {
 	})
 
 	// --- Structural transforms --------------------------------------------
-	mustRegister(&Builtin{
+	TransMatrix = mustRegister(&Builtin{
 		Name: "trans_matrix",
 		Sig:  types.Signature{Params: []types.T{matT("a", "b")}, Result: matT("b", "a")},
 		Eval: func(args []value.Value) (value.Value, error) {
@@ -253,6 +258,7 @@ func init() {
 			}
 			return value.Vector(d), nil
 		},
+		LinearOverSum: true,
 	})
 	mustRegister(&Builtin{
 		Name: "diag_matrix",
@@ -265,7 +271,7 @@ func init() {
 			return value.Matrix(linalg.DiagMatrix(v)), nil
 		},
 	})
-	mustRegister(&Builtin{
+	RowMatrix = mustRegister(&Builtin{
 		Name: "row_matrix",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TMatrix(types.KnownDim(1), types.VarDim("a"))},
 		Eval: func(args []value.Value) (value.Value, error) {
@@ -276,7 +282,7 @@ func init() {
 			return value.Matrix(v.AsRowMatrix()), nil
 		},
 	})
-	mustRegister(&Builtin{
+	ColMatrix = mustRegister(&Builtin{
 		Name: "col_matrix",
 		Sig:  types.Signature{Params: []types.T{vecT("a")}, Result: types.TMatrix(types.VarDim("a"), types.KnownDim(1))},
 		Eval: func(args []value.Value) (value.Value, error) {
@@ -453,6 +459,7 @@ func init() {
 			}
 			return value.Double(v.Sum()), nil
 		},
+		LinearOverSum: true,
 	})
 	mustRegister(&Builtin{
 		Name: "sum_matrix",
@@ -464,6 +471,7 @@ func init() {
 			}
 			return value.Double(m.Sum()), nil
 		},
+		LinearOverSum: true,
 	})
 	mustRegister(&Builtin{
 		Name: "min_vector",
@@ -523,6 +531,7 @@ func init() {
 			}
 			return value.Double(tr), nil
 		},
+		LinearOverSum: true,
 	})
 	mustRegister(&Builtin{
 		Name: "norm2",

@@ -6,18 +6,24 @@ import (
 )
 
 func TestRegisterDuplicateIsError(t *testing.T) {
-	// Colliding with an existing name must not clobber the registry.
+	// Colliding with an existing name panics and must not clobber the
+	// registry.
+	panics := func(register func()) (failed bool) {
+		defer func() { failed = recover() != nil }()
+		register()
+		return false
+	}
 	before, _ := Lookup("matrix_multiply")
-	if err := register(&Builtin{Name: "matrix_multiply"}); err == nil {
-		t.Fatal("register accepted a duplicate scalar builtin")
+	if !panics(func() { mustRegister(&Builtin{Name: "matrix_multiply"}) }) {
+		t.Fatal("mustRegister accepted a duplicate scalar builtin")
 	}
 	if after, _ := Lookup("matrix_multiply"); after != before {
 		t.Fatal("failed duplicate registration replaced the original builtin")
 	}
 
 	beforeAgg, _ := LookupAgg("sum")
-	if err := registerAgg(&AggSpec{Name: "sum"}); err == nil {
-		t.Fatal("registerAgg accepted a duplicate aggregate")
+	if !panics(func() { mustRegisterAgg(&AggSpec{Name: "sum"}) }) {
+		t.Fatal("mustRegisterAgg accepted a duplicate aggregate")
 	}
 	if afterAgg, _ := LookupAgg("sum"); afterAgg != beforeAgg {
 		t.Fatal("failed duplicate registration replaced the original aggregate")

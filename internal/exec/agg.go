@@ -3,6 +3,7 @@ package exec
 import (
 	"slices"
 
+	"relalg/internal/builtins"
 	"relalg/internal/cluster"
 	"relalg/internal/plan"
 	"relalg/internal/spill"
@@ -65,7 +66,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 		// (SQL: SELECT SUM(x) FROM empty returns a single NULL row), on
 		// partition 0.
 		if part == 0 && len(a.GroupBy) == 0 && !slices.ContainsFunc(locals, func(t *groupTable) bool { return t.len() > 0 }) {
-			empty := newGroupTable(a, !ctx.DisableAggFusion)
+			empty := newGroupTable(a, nil)
 			empty.addStates()
 			row, err := empty.appendRow(nil, 0)
 			if err != nil {
@@ -179,12 +180,12 @@ type partAgg struct {
 	ctx     *Context
 	a       *plan.Agg
 	part    int
-	scr     *spill.Scratch     // the owning task attempt's, for overflow runs
-	res     *spill.Reservation // nil without a memory budget
-	fuse    bool
-	args    [][]plan.Expr  // aggregate j's arguments: none for COUNT(*), a fused SUM's (see fusedOf), else its input
-	argCols [][]*value.Col // the window's columns of args
-	arena   rowArena       // overflow rows of lanes that are not rows already
+	scr     *spill.Scratch       // the owning task attempt's, for overflow runs
+	res     *spill.Reservation   // nil without a memory budget
+	fused   []builtins.FusedKind // aggregate j's fused SUM: FusedNone when it is none, or fusion is off
+	args    [][]plan.Expr        // aggregate j's arguments: none for COUNT(*), a fused SUM's (see plan.AggCall.Fused), else its input
+	argCols [][]*value.Col       // the window's columns of args
+	arena   rowArena             // overflow rows of lanes that are not rows already
 	ke      keyEval
 	all     []int32     // the dense selection of a window
 	ids     []int32     // a window's group ids, by lane
@@ -194,20 +195,20 @@ type partAgg struct {
 // newPartAgg sets up one partition attempt's aggregation, taking its "hash
 // aggregate" reservation under a memory budget; release returns it.
 func newPartAgg(ctx *Context, a *plan.Agg, part int, scr *spill.Scratch) *partAgg {
-	pa := &partAgg{ctx: ctx, a: a, part: part, scr: scr, fuse: !ctx.DisableAggFusion,
+	pa := &partAgg{ctx: ctx, a: a, part: part, scr: scr, fused: make([]builtins.FusedKind, len(a.Aggs)),
 		args: make([][]plan.Expr, len(a.Aggs)), argCols: make([][]*value.Col, len(a.Aggs))}
 	if ctx.spillEnabled() {
 		pa.res = ctx.Spill.Governor().Reservation("hash aggregate")
 	}
-	// Every argument evaluates columnar; a fused SUM's are fusedOf's, so the
+	// Every argument evaluates columnar; a fused SUM's are the call's, so the
 	// call itself never runs.
 	pa.reads = slices.Clip(a.GroupBy)
 	for j, c := range a.Aggs {
-		kind, args := fusedOf(c)
+		kind, args := c.Fused()
 		switch {
 		case c.Input == nil: // COUNT(*)
-		case pa.fuse && kind != fusedNone:
-			pa.args[j] = args
+		case !ctx.DisableAggFusion && kind != builtins.FusedNone:
+			pa.fused[j], pa.args[j] = kind, args
 		default:
 			pa.args[j] = []plan.Expr{c.Input}
 		}
@@ -234,8 +235,8 @@ func (pa *partAgg) seal(b *aggBuilder) (*groupTable, error) {
 	for _, a := range t.aggs {
 		for _, chunk := range a.states {
 			for _, st := range chunk {
-				if fs, ok := st.(*fusedSumState); ok {
-					fs.seal()
+				if fs, ok := st.(*builtins.FusedSumState); ok {
+					fs.Seal()
 				}
 			}
 		}

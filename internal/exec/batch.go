@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"relalg/internal/builtins"
 	"relalg/internal/plan"
 	"relalg/internal/spill"
 	"relalg/internal/value"
@@ -627,11 +628,11 @@ func (b *aggBuilder) stepAgg(j int, sel, ids []int32) error {
 			err = a.extremes.at(id).Step(c.Value(int(i)))
 		case a.op != aggBoxed:
 			err = a.sums.at(id).Step(c.Value(int(i)))
-		case a.fused == fusedGramSum: // X, the one argument of XᵀX
+		case a.fused == builtins.FusedGramSum: // X, the one argument of XᵀX
 			x := c.Value(int(i))
-			err = (*a.states.at(id)).(*fusedSumState).stepFused(x, x)
-		case a.fused != fusedNone: // the call's two arguments
-			err = (*a.states.at(id)).(*fusedSumState).stepFused(c.Value(int(i)), cols[1].Value(int(i)))
+			err = (*a.states.at(id)).(*builtins.FusedSumState).StepFused(x, x)
+		case a.fused != builtins.FusedNone: // the call's two arguments
+			err = (*a.states.at(id)).(*builtins.FusedSumState).StepFused(c.Value(int(i)), cols[1].Value(int(i)))
 		default:
 			err = (*a.states.at(id)).Step(c.Value(int(i)))
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 
 	"relalg/internal/builtins"
@@ -24,30 +25,57 @@ func outerSumCall(t *testing.T) plan.AggCall {
 	return plan.AggCall{Spec: spec, Input: input, T: input.T}
 }
 
-func kindOf(a plan.AggCall) fusedKind {
-	k, _ := fusedOf(a)
+// newState is the state a group table makes for c, with aggregate fusion on
+// or off.
+func newState(c plan.AggCall, fuse bool) builtins.AggState {
+	kind := builtins.FusedNone
+	if fuse {
+		kind, _ = c.Fused()
+	}
+	return newGroupTable(&plan.Agg{Aggs: []plan.AggCall{c}}, []builtins.FusedKind{kind}).aggs[0].fresh()
+}
+
+// fusedFields is the bookkeeping a fused state keeps unexported: whether its
+// accumulator and panels exist, the rows buffered, and its triangle flags.
+type fusedFields struct {
+	acc, pa, pb bool
+	n           int
+	sym, stale  bool
+}
+
+// fields reads st's fusedFields.
+func fields(st *builtins.FusedSumState) fusedFields {
+	v := reflect.ValueOf(st).Elem()
+	return fusedFields{
+		acc: !v.FieldByName("acc").IsNil(), pa: !v.FieldByName("pa").IsNil(), pb: !v.FieldByName("pb").IsNil(),
+		n: int(v.FieldByName("n").Int()), sym: v.FieldByName("sym").Bool(), stale: v.FieldByName("stale").Bool(),
+	}
+}
+
+func kindOf(a plan.AggCall) builtins.FusedKind {
+	k, _ := a.Fused()
 	return k
 }
 
 func TestFusedOfDetection(t *testing.T) {
 	call := outerSumCall(t)
-	if kindOf(call) != fusedOuterSum {
+	if kindOf(call) != builtins.FusedOuterSum {
 		t.Fatal("SUM(outer_product) not detected")
 	}
 	// COUNT never fuses.
 	cnt, _ := builtins.LookupAgg("count")
-	if kindOf(plan.AggCall{Spec: cnt, Input: call.Input}) != fusedNone {
+	if kindOf(plan.AggCall{Spec: cnt, Input: call.Input}) != builtins.FusedNone {
 		t.Fatal("COUNT misfused")
 	}
 	// SUM of a plain column never fuses.
 	sum, _ := builtins.LookupAgg("sum")
-	if kindOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble)}) != fusedNone {
+	if kindOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble)}) != builtins.FusedNone {
 		t.Fatal("plain SUM misfused")
 	}
 	// SUM(matrix_multiply) fuses.
 	mm, _ := builtins.Lookup("matrix_multiply")
 	mcall := &plan.Call{Fn: mm, Args: []plan.Expr{col(0, types.TMatrix(types.UnknownDim, types.UnknownDim)), col(0, types.TMatrix(types.UnknownDim, types.UnknownDim))}}
-	if kindOf(plan.AggCall{Spec: sum, Input: mcall}) != fusedMatMulSum {
+	if kindOf(plan.AggCall{Spec: sum, Input: mcall}) != builtins.FusedMatMulSum {
 		t.Fatal("SUM(matrix_multiply) not detected")
 	}
 	// SUM(trans_matrix(c)·c) is a Gram sum over c alone; anything else
@@ -59,7 +87,7 @@ func TestFusedOfDetection(t *testing.T) {
 		return plan.AggCall{Spec: sum, Input: &plan.Call{Fn: mm, Args: []plan.Expr{a, b}, T: mt}, T: mt}
 	}
 	g := gram(trans(col(2, mt)), col(2, mt))
-	if kind, args := fusedOf(g); kind != fusedGramSum || len(args) != 1 || args[0].(*plan.Col).Idx != 2 {
+	if kind, args := g.Fused(); kind != builtins.FusedGramSum || len(args) != 1 || args[0].(*plan.Col).Idx != 2 {
 		t.Fatalf("SUM(trans_matrix(c2)·c2): kind %d args %v", kind, args)
 	}
 	for name, c := range map[string]plan.AggCall{
@@ -68,13 +96,13 @@ func TestFusedOfDetection(t *testing.T) {
 		"non-column argument":      gram(trans(&plan.Neg{E: col(0, mt), T: mt}), &plan.Neg{E: col(0, mt), T: mt}),
 		"constants printing alike": gram(trans(&plan.Const{V: value.Matrix(linalg.Identity(2)), T: mt}), &plan.Const{V: value.Matrix(linalg.Identity(2)), T: mt}),
 	} {
-		if kind, args := fusedOf(c); kind != fusedMatMulSum || len(args) != 2 {
+		if kind, args := c.Fused(); kind != builtins.FusedMatMulSum || len(args) != 2 {
 			t.Fatalf("%s: kind %d with %d args, want a two-argument matrix_multiply sum", name, kind, len(args))
 		}
 	}
 	// With fusion disabled the Gram sum is an ordinary SUM over the
 	// materialized product, and the call is its one argument.
-	if _, ok := newState(g, false).(*fusedSumState); ok {
+	if _, ok := newState(g, false).(*builtins.FusedSumState); ok {
 		t.Fatal("fusion disabled, yet the state is fused")
 	}
 	a := &plan.Agg{Aggs: []plan.AggCall{g}, Out: plan.Schema{{Name: "g", T: mt}}}
@@ -89,7 +117,7 @@ func TestFusedOfDetection(t *testing.T) {
 		if len(pa.args[0]) != 1 || pa.args[0][0] != want[0] {
 			t.Fatalf("DisableAggFusion=%v: arguments %v, want %v", disable, pa.args[0], want)
 		}
-		if got := newGroupTable(a, !disable).aggs[0].fused; (got == fusedGramSum) == disable {
+		if got := newGroupTable(a, pa.fused).aggs[0].fused; (got == builtins.FusedGramSum) == disable {
 			t.Fatalf("DisableAggFusion=%v: table's fused kind %d", disable, got)
 		}
 		pa.release()
@@ -105,12 +133,12 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 	}
 	// Fused path.
 	st := newState(call, true)
-	fused, ok := st.(*fusedSumState)
+	fused, ok := st.(*builtins.FusedSumState)
 	if !ok {
 		t.Fatalf("state is %T, want fused", st)
 	}
 	for _, r := range rows {
-		if err := fused.stepFused(r[0], r[0]); err != nil {
+		if err := fused.StepFused(r[0], r[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,12 +182,12 @@ func TestFusedSumEmptyIsNull(t *testing.T) {
 
 func TestFusedSumMerge(t *testing.T) {
 	call := outerSumCall(t)
-	a := newState(call, true).(*fusedSumState)
-	b := newState(call, true).(*fusedSumState)
+	a := newState(call, true).(*builtins.FusedSumState)
+	b := newState(call, true).(*builtins.FusedSumState)
 	x := value.Vector(linalg.VectorOf(1, 0))
-	_ = a.stepFused(x, x)
+	_ = a.StepFused(x, x)
 	y := value.Vector(linalg.VectorOf(0, 2))
-	_ = b.stepFused(y, y)
+	_ = b.StepFused(y, y)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +201,7 @@ func TestFusedSumMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Merging into an empty state adopts the other side.
-	c := newState(call, true).(*fusedSumState)
+	c := newState(call, true).(*builtins.FusedSumState)
 	if err := c.Merge(a); err != nil {
 		t.Fatal(err)
 	}
@@ -181,19 +209,23 @@ func TestFusedSumMerge(t *testing.T) {
 	if !got2.Mat.Equal(want) {
 		t.Fatalf("adopted = %v", got2.Mat)
 	}
+	// Merging with a foreign state type errors.
+	if err := c.Merge(builtins.Sum.New()); err == nil {
+		t.Fatal("merge with plain sum state accepted")
+	}
 }
 
 func TestFusedSumNullInputsSkipped(t *testing.T) {
 	call := outerSumCall(t)
-	st := newState(call, true).(*fusedSumState)
-	if err := st.stepFused(value.Null(), value.Null()); err != nil {
+	st := newState(call, true).(*builtins.FusedSumState)
+	if err := st.StepFused(value.Null(), value.Null()); err != nil {
 		t.Fatal(err)
 	}
 	ones := value.Vector(linalg.VectorOf(1, 1))
-	if err := st.stepFused(ones, value.Null()); err != nil {
+	if err := st.StepFused(ones, value.Null()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.stepFused(ones, ones); err != nil {
+	if err := st.StepFused(ones, ones); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := st.Final()
@@ -205,10 +237,10 @@ func TestFusedSumNullInputsSkipped(t *testing.T) {
 
 func TestFusedSumShapeError(t *testing.T) {
 	call := outerSumCall(t)
-	st := newState(call, true).(*fusedSumState)
+	st := newState(call, true).(*builtins.FusedSumState)
 	two, three := value.Vector(linalg.VectorOf(1, 2)), value.Vector(linalg.VectorOf(1, 2, 3))
-	_ = st.stepFused(two, two)
-	if err := st.stepFused(three, three); err == nil {
+	_ = st.StepFused(two, two)
+	if err := st.StepFused(three, three); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }
@@ -251,44 +283,6 @@ func TestProjectionFusionMatchesUnfused(t *testing.T) {
 	}
 }
 
-func TestFusedSumStepUnfusedPath(t *testing.T) {
-	// The generic Step path (fed pre-computed matrices) must agree with
-	// stepFused; the distributed merge path can deliver values this way.
-	call := outerSumCall(t)
-	st := newState(call, true).(*fusedSumState)
-	if err := st.Step(value.Null()); err != nil {
-		t.Fatal(err)
-	}
-	m1, _ := linalg.MatrixFromRows([][]float64{{1, 0}, {0, 1}})
-	m2, _ := linalg.MatrixFromRows([][]float64{{0, 2}, {3, 0}})
-	if err := st.Step(value.Matrix(m1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Step(value.Matrix(m2)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := st.Final()
-	want, _ := linalg.MatrixFromRows([][]float64{{1, 2}, {3, 1}})
-	if !got.Mat.Equal(want) {
-		t.Fatalf("step path sum = %v", got.Mat)
-	}
-	if err := st.Step(value.Int(1)); err == nil {
-		t.Fatal("non-matrix Step accepted")
-	}
-	// Step must not mutate its first input (it clones).
-	fresh := newState(call, true).(*fusedSumState)
-	_ = fresh.Step(value.Matrix(m1))
-	_ = fresh.Step(value.Matrix(m2))
-	if m1.At(0, 1) != 0 {
-		t.Fatal("Step aliased its first input")
-	}
-	// Merging with a foreign state type errors.
-	sum, _ := builtins.LookupAgg("sum")
-	if err := fresh.Merge(sum.New()); err == nil {
-		t.Fatal("merge with plain sum state accepted")
-	}
-}
-
 func TestFusedMatMulSum(t *testing.T) {
 	spec, _ := builtins.LookupAgg("sum")
 	mm, _ := builtins.Lookup("matrix_multiply")
@@ -298,13 +292,13 @@ func TestFusedMatMulSum(t *testing.T) {
 		Input: &plan.Call{Fn: mm, Args: []plan.Expr{col(0, mt), col(1, mt)}, T: mt},
 		T:     mt,
 	}
-	st := newState(call, true).(*fusedSumState)
+	st := newState(call, true).(*builtins.FusedSumState)
 	id := linalg.Identity(2)
 	two := id.Scale(2)
-	if err := st.stepFused(value.Matrix(id), value.Matrix(two)); err != nil {
+	if err := st.StepFused(value.Matrix(id), value.Matrix(two)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.stepFused(value.Matrix(two), value.Matrix(two)); err != nil {
+	if err := st.StepFused(value.Matrix(two), value.Matrix(two)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := st.Final()
@@ -312,7 +306,7 @@ func TestFusedMatMulSum(t *testing.T) {
 		t.Fatalf("fused matmul sum = %v", got.Mat)
 	}
 	// Kind errors.
-	if err := st.stepFused(value.Int(1), value.Matrix(id)); err == nil {
+	if err := st.StepFused(value.Int(1), value.Matrix(id)); err == nil {
 		t.Fatal("non-matrix operand accepted")
 	}
 }

@@ -118,7 +118,7 @@ func sameBits(a, b *linalg.Matrix) error {
 
 // aggregateOne runs one partition's local aggregation and returns the single
 // group's fused state.
-func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*fusedSumState, error) {
+func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*builtins.FusedSumState, error) {
 	t.Helper()
 	ps := newPartStage(testCtx(memSource{}), &stage{limit: -1, agg: a}, 0, nil)
 	defer ps.release()
@@ -132,7 +132,7 @@ func aggregateOne(t *testing.T, a *plan.Agg, rows []value.Row) (*fusedSumState, 
 	if groups.len() != 1 {
 		t.Fatalf("%d groups, want 1", groups.len())
 	}
-	return (*groups.aggs[0].states.at(0)).(*fusedSumState), nil
+	return (*groups.aggs[0].states.at(0)).(*builtins.FusedSumState), nil
 }
 
 func matOf(t *testing.T, st builtins.AggState) *linalg.Matrix {
@@ -167,11 +167,11 @@ func TestPanelledOuterSumEqualsRank1Sequence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						if st.n != 0 || st.stale {
-							t.Fatalf("%s: aggregate returned an unsealed state (n=%d stale=%v)", name, st.n, st.stale)
+						if fields(st).n != 0 || fields(st).stale {
+							t.Fatalf("%s: aggregate returned an unsealed state (n=%d stale=%v)", name, fields(st).n, fields(st).stale)
 						}
-						if n > 2*k && !special && mode != "mixed" && (st.pa == nil || (mode == "same") != (st.pb == nil)) {
-							t.Fatalf("%s: panels pa=%v pb=%v", name, st.pa != nil, st.pb != nil)
+						if n > 2*k && !special && mode != "mixed" && (!fields(st).pa || (mode == "same") != (!fields(st).pb)) {
+							t.Fatalf("%s: panels pa=%v pb=%v", name, fields(st).pa, fields(st).pb)
 						}
 						if err := sameBits(matOf(t, st), want); err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -193,7 +193,7 @@ func TestPanelledOuterSumSmallGroupsAllocateNoPanel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.pa != nil || st.pb != nil {
+	if fields(st).pa || fields(st).pb {
 		t.Fatal("a group of OuterPanelRows rows allocated a panel")
 	}
 }
@@ -217,9 +217,9 @@ func TestPanelledOuterSumShapeErrorAtItsRow(t *testing.T) {
 	}
 	// Stepping directly: every other row is accepted, the bad one is refused
 	// at its position, and the rows buffered before it are not lost.
-	st := newState(outerSumAgg(0, 0).Aggs[0], true).(*fusedSumState)
+	st := newState(outerSumAgg(0, 0).Aggs[0], true).(*builtins.FusedSumState)
 	for i, row := range rows {
-		if err := st.stepFused(row[0], row[0]); (err != nil) != (i == badAt) {
+		if err := st.StepFused(row[0], row[0]); (err != nil) != (i == badAt) {
 			t.Fatalf("row %d: %v", i, err)
 		}
 	}
@@ -241,20 +241,20 @@ func TestPanelledOuterSumMergeOfHalfFilledStates(t *testing.T) {
 		left := append(panelRows(r, k+k/2, d, mode, true), panelRows(r, k/3, d, mode, false)...)
 		right := append(panelRows(r, 2*k+k/3, d, mode, true), panelRows(r, k/2, d, mode, false)...)
 		agg := outerSumAgg(0, bi)
-		a := newState(agg.Aggs[0], true).(*fusedSumState)
-		b := newState(agg.Aggs[0], true).(*fusedSumState)
+		a := newState(agg.Aggs[0], true).(*builtins.FusedSumState)
+		b := newState(agg.Aggs[0], true).(*builtins.FusedSumState)
 		for _, row := range left {
-			if err := a.stepFused(row[0], row[bi]); err != nil {
+			if err := a.StepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, row := range right {
-			if err := b.stepFused(row[0], row[bi]); err != nil {
+			if err := b.StepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if a.n == 0 || b.n == 0 {
-			t.Fatalf("%s: panels are not half filled (%d, %d rows buffered)", mode, a.n, b.n)
+		if fields(a).n == 0 || fields(b).n == 0 {
+			t.Fatalf("%s: panels are not half filled (%d, %d rows buffered)", mode, fields(a).n, fields(b).n)
 		}
 		if err := a.Merge(b); err != nil {
 			t.Fatal(err)
@@ -266,18 +266,10 @@ func TestPanelledOuterSumMergeOfHalfFilledStates(t *testing.T) {
 		if err := sameBits(matOf(t, a), want); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		// A summand arriving through Step lands on a current accumulator too.
-		extra := linalg.NewMatrix(d, d)
-		extra.Set(d-1, 0, 3)
-		if err := a.Step(value.Matrix(extra)); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.AddInPlace(extra); err != nil {
-			t.Fatal(err)
-		}
+		// Rows stepped after the merge land on a current accumulator.
 		more := panelRows(r, 2*k, d, mode, false)
 		for _, row := range more {
-			if err := a.stepFused(row[0], row[bi]); err != nil {
+			if err := a.StepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -285,7 +277,7 @@ func TestPanelledOuterSumMergeOfHalfFilledStates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := sameBits(matOf(t, a), want); err != nil {
-			t.Fatalf("%s after Step: %v", mode, err)
+			t.Fatalf("%s after more rows: %v", mode, err)
 		}
 	}
 }
@@ -312,25 +304,25 @@ func TestPanelledOuterSumStepAllocatesNothing(t *testing.T) {
 			bi = 0
 		}
 		rows := panelRows(rand.New(rand.NewSource(4)), k+1, d, mode, false)
-		st := newState(outerSumAgg(0, bi).Aggs[0], true).(*fusedSumState)
+		st := newState(outerSumAgg(0, bi).Aggs[0], true).(*builtins.FusedSumState)
 		for _, row := range rows {
-			if err := st.stepFused(row[0], row[bi]); err != nil {
+			if err := st.StepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st.pa == nil {
+		if !fields(st).pa {
 			t.Fatal("no panel after OuterPanelRows+1 rows")
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(3*k, func() {
 			row := rows[i%len(rows)]
-			if err := st.stepFused(row[0], row[bi]); err != nil {
+			if err := st.StepFused(row[0], row[bi]); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
 		if allocs != 0 {
-			t.Fatalf("%s: %v allocations per stepFused with the panel in place", mode, allocs)
+			t.Fatalf("%s: %v allocations per StepFused with the panel in place", mode, allocs)
 		}
 	}
 }

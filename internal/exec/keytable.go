@@ -164,42 +164,35 @@ type aggCol struct {
 	max      bool // aggExtreme: MAX, else MIN
 	states   chunked[builtins.AggState]
 	fresh    func() builtins.AggState // a new boxed state
-	fused    fusedKind                // the fused SUM the states are, if any
+	fused    builtins.FusedKind       // the fused SUM the states are, if any
 }
 
-// newGroupTable makes a's table. A fused SUM is over matrices, so boxed.
-func newGroupTable(a *plan.Agg, fuse bool) *groupTable {
+// newGroupTable makes a's table, whose aggregate j is the fused SUM fused[j]
+// (partAgg.fused; nil fuses none). A fused SUM is over matrices, so boxed.
+func newGroupTable(a *plan.Agg, fused []builtins.FusedKind) *groupTable {
 	t := &groupTable{keys: newKeyTable(len(a.GroupBy)), aggs: make([]aggCol, len(a.Aggs))}
 	for j, c := range a.Aggs {
 		numeric := c.Input != nil && c.Input.Type().IsNumericScalar()
 		intOrDouble := numeric && c.Input.Type().Base != types.LabeledScalar
 		switch {
-		case c.Spec.Name == "count":
+		case c.Spec == builtins.Count:
 			t.aggs[j].op = aggCount
-		case numeric && c.Spec.Name == "sum":
+		case numeric && c.Spec == builtins.Sum:
 			t.aggs[j].op = aggSum
-		case numeric && c.Spec.Name == "avg":
+		case numeric && c.Spec == builtins.Avg:
 			t.aggs[j].op = aggAvg
-		case intOrDouble && (c.Spec.Name == "min" || c.Spec.Name == "max"):
+		case intOrDouble && (c.Spec == builtins.Min || c.Spec == builtins.Max):
 			t.aggs[j].op = aggExtreme
-			t.aggs[j].max = c.Spec.Name == "max"
+			t.aggs[j].max = c.Spec == builtins.Max
+		case fused != nil && fused[j] != builtins.FusedNone:
+			kind := fused[j]
+			t.aggs[j].fused = kind
+			t.aggs[j].fresh = func() builtins.AggState { return builtins.NewFusedSum(kind) }
 		default:
-			if fuse {
-				t.aggs[j].fused, _ = fusedOf(c)
-			}
-			t.aggs[j].fresh = func() builtins.AggState { return newState(c, fuse) }
+			t.aggs[j].fresh = c.Spec.New
 		}
 	}
 	return t
-}
-
-func newState(c plan.AggCall, fuse bool) builtins.AggState {
-	if fuse {
-		if kind, _ := fusedOf(c); kind != fusedNone {
-			return &fusedSumState{kind: kind}
-		}
-	}
-	return c.Spec.New()
 }
 
 func (t *groupTable) len() int32 { return t.keys.n }

@@ -141,7 +141,7 @@ func TestNumExtremeStates(t *testing.T) {
 					q := &plan.Agg{Input: s, GroupBy: []plan.Expr{col(0, types.TInt)},
 						Aggs: []plan.AggCall{{Spec: spec, Input: col(1, tc.t), T: tc.t}},
 						Out:  plan.Schema{{Name: "g", T: types.TInt}, {Name: "m", T: tc.t}}}
-					if op := newGroupTable(q, true).aggs[0].op; op != aggExtreme {
+					if op := newGroupTable(q, nil).aggs[0].op; op != aggExtreme {
 						t.Fatalf("%s over %s keeps op %d states", name, tc.t, op)
 					}
 					got := mustRows(t, ctx, q)

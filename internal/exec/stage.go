@@ -264,7 +264,7 @@ func newPartStage(ctx *Context, st *stage, part int, scr *spill.Scratch) *partSt
 	switch {
 	case st.agg != nil:
 		ps.pa = newPartAgg(ctx, st.agg, part, scr)
-		ps.sink = ps.pa.builder(0, newGroupTable(st.agg, ps.pa.fuse))
+		ps.sink = ps.pa.builder(0, newGroupTable(st.agg, ps.pa.fused))
 		if st.exprs == nil {
 			reads = ps.pa.reads
 		}

@@ -38,7 +38,7 @@ type Options struct {
 	// double-transpose elimination, filter pushdown through projections,
 	// aggregate pushdown through linear LA functions, and
 	// common-subexpression elimination. (Aggregate fusion is not a rewrite:
-	// the executor's fusedOf alone decides it.) Disabling it (ablation; the
+	// plan.AggCall.Fused alone decides it.) Disabling it (ablation; the
 	// benchmark's baseline leg) leaves expressions exactly as the builder
 	// produced them.
 	Rewrites bool

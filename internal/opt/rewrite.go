@@ -112,17 +112,9 @@ func (o *Optimizer) pushFilterDown(in plan.Node, pred plan.Expr) (plan.Node, err
 	return &plan.Project{Input: inner, Exprs: pj.Exprs, Out: pj.Out}, nil
 }
 
-// linearOverSum lists the builtins f with f(SUM(X)) = SUM(f(X)): linear maps
-// of their single vector/matrix argument.
-var linearOverSum = map[string]bool{
-	"trace":      true,
-	"sum_vector": true,
-	"sum_matrix": true,
-	"diag":       true,
-}
-
 // pushAggThroughProject rewrites f(SUM(X)) above an aggregation into
-// SUM(f(X)) inside it when f is linear: the aggregation then shuffles and
+// SUM(f(X)) inside it when f is linear (builtins.Builtin.LinearOverSum): the
+// aggregation then shuffles and
 // accumulates f's (much smaller) output — a scalar per group instead of a
 // matrix — which is the dominant cost of a distributed SUM. Applies when the
 // aggregate output column is consumed exactly once, directly as f's sole
@@ -150,7 +142,7 @@ func (o *Optimizer) pushAggThroughProject(p *plan.Project, ag *plan.Agg) (*plan.
 		var walk func(expr plan.Expr, parent *plan.Call)
 		walk = func(expr plan.Expr, parent *plan.Call) {
 			if x, ok := expr.(*plan.Col); ok {
-				if parent != nil && len(parent.Args) == 1 && linearOverSum[parent.Fn.Name] {
+				if parent != nil && len(parent.Args) == 1 && parent.Fn.LinearOverSum {
 					record(x.Idx, parent)
 				} else {
 					record(x.Idx, nil)
@@ -172,7 +164,7 @@ func (o *Optimizer) pushAggThroughProject(p *plan.Project, ag *plan.Agg) (*plan.
 	changed := false
 	for i, u := range uses {
 		a := ag.Aggs[i]
-		if u.refs != 1 || u.call == nil || a.Spec == nil || a.Spec.Name != "sum" || a.Input == nil {
+		if u.refs != 1 || u.call == nil || a.Spec != builtins.Sum || a.Input == nil {
 			continue
 		}
 		inner := &plan.Call{Fn: u.call.Fn, Args: []plan.Expr{a.Input}, T: u.call.T}
@@ -339,23 +331,21 @@ func (o *Optimizer) rewriteExpr(e plan.Expr) (plan.Expr, error) {
 
 // applyCallRules applies the LA identities rooted at one builtin call.
 func (o *Optimizer) applyCallRules(c *plan.Call) plan.Expr {
-	switch c.Fn.Name {
-	case "trans_matrix":
+	switch c.Fn {
+	case builtins.TransMatrix:
 		// t(t(X)) = X, exactly: transposition only permutes entries.
-		if inner, ok := c.Args[0].(*plan.Call); ok && inner.Fn.Name == "trans_matrix" {
+		if inner, ok := c.Args[0].(*plan.Call); ok && inner.Fn == builtins.TransMatrix {
 			o.stats.DoubleTranspose.Add(1)
 			return inner.Args[0]
 		}
-	case "matrix_multiply":
+	case builtins.MatrixMultiply:
 		// col_matrix(x) · row_matrix(y) is the outer product x yᵀ; each
 		// output entry is the single product x_i·y_j either way, so the
 		// rewrite is bit-identical and skips materializing the operands.
-		if a, ok := c.Args[0].(*plan.Call); ok && a.Fn.Name == "col_matrix" {
-			if b, ok := c.Args[1].(*plan.Call); ok && b.Fn.Name == "row_matrix" {
-				if op, found := builtins.Lookup("outer_product"); found {
-					o.stats.OuterProduct.Add(1)
-					return &plan.Call{Fn: op, Args: []plan.Expr{a.Args[0], b.Args[0]}, T: c.T}
-				}
+		if a, ok := c.Args[0].(*plan.Call); ok && a.Fn == builtins.ColMatrix {
+			if b, ok := c.Args[1].(*plan.Call); ok && b.Fn == builtins.RowMatrix {
+				o.stats.OuterProduct.Add(1)
+				return &plan.Call{Fn: builtins.OuterProduct, Args: []plan.Expr{a.Args[0], b.Args[0]}, T: c.T}
 			}
 		}
 		if ne, changed := o.reorderChain(c); changed {
@@ -427,7 +417,7 @@ func (o *Optimizer) dimSize(d types.Dim) float64 {
 
 // flattenChain collects the in-order terms of a matrix_multiply chain.
 func flattenChain(e plan.Expr) []plan.Expr {
-	if c, ok := e.(*plan.Call); ok && c.Fn.Name == "matrix_multiply" {
+	if c, ok := e.(*plan.Call); ok && c.Fn == builtins.MatrixMultiply {
 		if c.Args[0].Type().Base == types.Matrix && c.Args[1].Type().Base == types.Matrix {
 			return append(flattenChain(c.Args[0]), flattenChain(c.Args[1])...)
 		}

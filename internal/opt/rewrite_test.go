@@ -211,7 +211,7 @@ func TestRewriteCSE(t *testing.T) {
 
 // TestRewriteFuseMarking pins what the optimizer contributes to fused
 // accumulation: a SUM over col_matrix·row_matrix reaches the Agg as
-// SUM(outer_product(x, y)), the shape the executor fuses (exec.fusedOf).
+// SUM(outer_product(x, y)), the shape the executor fuses (plan.AggCall.Fused).
 func TestRewriteFuseMarking(t *testing.T) {
 	cat := laCatalog(t)
 	opts, st := statsOptions()

@@ -115,7 +115,7 @@ func (env *aggEnv) buildAggCall(x *sqlparse.FuncCall) (Expr, error) {
 	)
 	switch {
 	case x.Star:
-		if x.Name != "count" {
+		if spec != builtins.Count {
 			return nil, fmt.Errorf("plan: %s(*) is only valid for COUNT", strings.ToUpper(x.Name))
 		}
 	case len(x.Args) != 1:

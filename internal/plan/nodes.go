@@ -133,6 +133,39 @@ type AggCall struct {
 	T     types.T
 }
 
+// Fused reports the fused SUM that a is, if any, and the arguments it
+// evaluates per row. A SUM over a two-argument outer_product or
+// matrix_multiply call accumulates into one buffer instead of materializing a
+// result object per row, and evaluates the call's two arguments; the Gram sum
+// of one bound column c, matrix_multiply(trans_matrix(c), c), evaluates only
+// c, so the transpose never runs. The output matrix's size makes fusion win
+// whenever the pattern applies, so this structural test is the whole
+// decision. The optimizer's outer-product recognition feeds it:
+// SUM(col_matrix(x)·row_matrix(y)) reaches here as SUM(outer_product(x, y)).
+func (a AggCall) Fused() (builtins.FusedKind, []Expr) {
+	if a.Spec != builtins.Sum || a.Input == nil {
+		return builtins.FusedNone, nil
+	}
+	call, ok := a.Input.(*Call)
+	if !ok || len(call.Args) != 2 {
+		return builtins.FusedNone, nil
+	}
+	switch call.Fn {
+	case builtins.OuterProduct:
+		return builtins.FusedOuterSum, call.Args
+	case builtins.MatrixMultiply:
+		if t, ok := call.Args[0].(*Call); ok && t.Fn == builtins.TransMatrix && len(t.Args) == 1 {
+			c0, ok0 := t.Args[0].(*Col)
+			c1, ok1 := call.Args[1].(*Col)
+			if ok0 && ok1 && c0.Idx == c1.Idx {
+				return builtins.FusedGramSum, call.Args[1:]
+			}
+		}
+		return builtins.FusedMatMulSum, call.Args
+	}
+	return builtins.FusedNone, nil
+}
+
 // Agg groups by the GroupBy expressions and computes the aggregate calls.
 // Its output schema is the group expressions followed by the aggregates.
 type Agg struct {

@@ -313,10 +313,13 @@ func evalVecNeg(inner *value.Col, n int, sel []int32) (*value.Col, error) {
 			out.Any[i] = value.Int(-v.I)
 		case value.KindDouble, value.KindLabeledScalar:
 			out.Any[i] = value.Double(-v.D)
-		case value.KindVector:
-			out.Any[i] = value.Vector(v.Vec.Scale(-1))
-		case value.KindMatrix:
-			out.Any[i] = value.Matrix(v.Mat.Scale(-1))
+		case value.KindVector, value.KindMatrix:
+			// Entry-wise x * -1, which is Arith's scalar broadcast.
+			neg, err := builtins.Arith("*", v, value.Double(-1))
+			if err != nil {
+				return err
+			}
+			out.Any[i] = neg
 		default:
 			return fmt.Errorf("plan: cannot negate %s", v.Kind)
 		}

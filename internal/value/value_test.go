@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 
 	"relalg/internal/linalg"
@@ -185,6 +186,42 @@ func TestHashConsistency(t *testing.T) {
 	v2 := Vector(linalg.VectorOf(1, 2, 3))
 	if v1.Hash() != v2.Hash() {
 		t.Fatal("equal vectors must hash alike")
+	}
+}
+
+// TestHashRowKeyPinned pins the key-tuple hash to literal values, so that a
+// change to a per-kind hash or to the fold fails in this package. Every
+// placement and exchange computes this hash, so such a change moves rows
+// while each consumer still agrees with the others. INTEGER hashes as the
+// DOUBLE it rounds to (2⁵³+1 as 2⁵³), −0 as +0, and NULL as 0.
+func TestHashRowKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		key  Row
+		want uint64
+	}{
+		{Row{Int(0)}, 0xcbd538c6a355aaa0},
+		{Row{Int(42)}, 0x13a5dbc7cad96a07},
+		{Row{Int(-7)}, 0x28fb7cb884197044},
+		{Row{Int(1<<53 + 1)}, 0x04daa0c7dcfcd24b},
+		{Row{Double(1.5)}, 0x032ce0c8d122855f},
+		{Row{Double(0)}, 0xcbd538c6a355aaa0},
+		{Row{Double(math.Copysign(0, -1))}, 0xcbd538c6a355aaa0},
+		{Row{Double(math.NaN())}, 0x5584fd5fcaf80dbc},
+		{Row{String_("")}, 0x0000000000000000},
+		{Row{String_("relalg")}, 0xa376592db1a6188d},
+		{Row{Bool(true)}, 0x9b00d55b09f37f33},
+		{Row{Bool(false)}, 0xd857611bcf00f0c6},
+		{Row{Null()}, 0xcbd538c6a355aaa0},
+		{Row{Vector(linalg.VectorOf(1, -2.5, 0))}, 0xe9e9729f9ba1a0db},
+		{Row{Int(3), String_("g"), Null()}, 0x794cec8b98062d5d},
+	} {
+		cols := make([]int, len(c.key))
+		for i := range cols {
+			cols[i] = i
+		}
+		if got := HashRowKey(c.key, cols); got != c.want {
+			t.Errorf("HashRowKey(%v) = %#016x, want %#016x", c.key, got, c.want)
+		}
 	}
 }
 

@@ -2,7 +2,8 @@
 # verify.sh is the repo's full verification gate: build, a gofmt check of
 # every Go file (benchmark/ included), vet, the project-specific lalint
 # analysis suite, the test suite, the race detector over the concurrent
-# packages (the simulated cluster, the executor, the columnar value layer it
+# packages (the simulated cluster, the executor, the builtins whose fused SUM
+# states it merges across partition tasks, the columnar value layer it
 # gathers into, the BLAS-like kernels, the server, and the figure harness that
 # drives them), a short fuzz of the decoders that read untrusted bytes (the
 # row codec, the block frames of spill runs and the storage journal, the
@@ -66,7 +67,7 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "go vet" go vet ./...
   gate "lalint" go run ./cmd/lalint ./...
   gate "go test" go test -short ./...
-  gate "go test -race" go test -race ./internal/cluster/ ./internal/baselines/... ./internal/exec/ ./internal/value/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/
+  gate "go test -race" go test -race ./internal/cluster/ ./internal/baselines/... ./internal/exec/ ./internal/builtins/ ./internal/value/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/
   gate "storage race" go test -race -count=1 ./internal/storage/ ./internal/blockio/
   gate "fuzz smoke" bash -c 'go test -run "^$" -fuzz "^FuzzDecodeRows$" -fuzztime 5s ./internal/value/ &&
     go test -run "^$" -fuzz "^FuzzBlockFrames$" -fuzztime 5s ./internal/blockio/ &&
