@@ -2,8 +2,8 @@
 //
 //	lasql script.sql            run a script file
 //	echo "SELECT 1+2" | lasql   run statements from stdin
-//	lasql -i                    interactive prompt (one statement per line,
-//	                            terminated by ';')
+//	lasql -i                    interactive prompt (lines run once they hold
+//	                            a ';' outside strings and comments)
 //	lasql -serve :4321          long-lived server: concurrent sessions over a
 //	                            length-prefixed TCP protocol
 //	lasql -client :4321         run a script (or -i prompt) against a server
@@ -25,6 +25,7 @@ import (
 	"relalg/internal/core"
 	"relalg/internal/csvio"
 	"relalg/internal/serve"
+	"relalg/internal/sqlparse"
 )
 
 // assignFlags collects repeatable table=path flags.
@@ -39,7 +40,10 @@ func (a *assignFlags) Set(s string) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main returning its exit code, so deferred closes run before exit.
+func run() int {
 	interactive := flag.Bool("i", false, "interactive mode")
 	nodes := flag.Int("nodes", 10, "simulated cluster nodes")
 	perNode := flag.Int("partitions", 2, "partitions per node")
@@ -55,13 +59,31 @@ func main() {
 	flag.Var(&loads, "load", "load CSV (with header) into a table after -init, before the script: table=path (repeatable)")
 	flag.Var(&dumps, "dump", "dump a table to CSV after the script: table=path (repeatable)")
 	flag.Parse()
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
+		return 1
+	}
+
+	in := io.Reader(os.Stdin)
+	if flag.NArg() > 0 && *serveAddr == "" {
+		f, err := os.Open(flag.Arg(0))
+		if err != nil {
+			return fail(err)
+		}
+		defer func() { _ = f.Close() }()
+		in = f
+	}
 
 	if *clientAddr != "" {
 		if *serveAddr != "" || *initScript != "" || len(loads) > 0 || len(dumps) > 0 {
-			fmt.Fprintln(os.Stderr, "lasql: -client cannot be combined with -serve/-init/-load/-dump (those run in the server process)")
-			os.Exit(1)
+			return fail(fmt.Errorf("-client cannot be combined with -serve/-init/-load/-dump (those run in the server process)"))
 		}
-		os.Exit(runClient(*clientAddr, *interactive))
+		c, err := serve.Dial(*clientAddr)
+		if err != nil {
+			return fail(err)
+		}
+		defer func() { _ = c.Close() }()
+		return session(in, os.Stdout, os.Stderr, *interactive, clientRunner(c))
 	}
 
 	cfg := core.DefaultConfig()
@@ -74,98 +96,77 @@ func main() {
 	if err != nil {
 		// Fail fast with the storage layer's diagnosis: unwritable directory,
 		// foreign lock, or format/page-size mismatch.
-		fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer func() { _ = db.Close() }()
 
-	doLoads := func() {
-		for _, spec := range loads {
-			table, path, _ := strings.Cut(spec, "=")
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-				os.Exit(1)
-			}
-			n, err := csvio.Load(db, table, f, true)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lasql: loading %s: %v\n", spec, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "loaded %d rows into %s\n", n, table)
-		}
-	}
-	doDumps := func() {
-		for _, spec := range dumps {
-			table, path, _ := strings.Cut(spec, "=")
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-				os.Exit(1)
-			}
-			err = csvio.DumpTable(db, table, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lasql: dumping %s: %v\n", spec, err)
-				os.Exit(1)
-			}
-		}
-	}
 	if *initScript != "" {
 		src, err := os.ReadFile(*initScript)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if _, err := db.RunScript(string(src)); err != nil {
-			fmt.Fprintf(os.Stderr, "lasql: init: %v\n", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("init: %w", err))
 		}
 	}
-	doLoads()
+	if err := loadCSV(db, loads); err != nil {
+		return fail(err)
+	}
 
+	code := 0
 	if *serveAddr != "" {
 		if err := runServer(db, *serveAddr, *maxConc, *memPool); err != nil {
-			fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		doDumps()
-		return
-	}
-
-	if *interactive {
-		ok := repl(db)
-		doDumps()
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-
-	var src []byte
-	if flag.NArg() > 0 {
-		src, err = os.ReadFile(flag.Arg(0))
 	} else {
-		src, err = io.ReadAll(os.Stdin)
+		code = session(in, os.Stdout, os.Stderr, *interactive, localRunner(db))
+		if code != 0 && !*interactive {
+			return code // a failed script dumps nothing
+		}
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-		os.Exit(1)
+	if err := dumpCSV(db, dumps); err != nil {
+		return fail(err)
 	}
-	results, err := db.RunScript(string(src))
-	for _, res := range results {
-		printResult(res)
+	return code
+}
+
+// loadCSV loads each table=path CSV file (with header) into its table.
+func loadCSV(db *core.Database, specs []string) error {
+	for _, spec := range specs {
+		table, path, _ := strings.Cut(spec, "=")
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		n, err := csvio.Load(db, table, f, true)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("loading %s: %w", spec, err)
+		}
+		fmt.Fprintf(os.Stderr, "loaded %d rows into %s\n", n, table)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-		os.Exit(1)
+	return nil
+}
+
+// dumpCSV writes each table=path table to its CSV file.
+func dumpCSV(db *core.Database, specs []string) error {
+	for _, spec := range specs {
+		table, path, _ := strings.Cut(spec, "=")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		err = csvio.DumpTable(db, table, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("dumping %s: %w", spec, err)
+		}
 	}
-	doDumps()
+	return nil
 }
 
 // runServer serves db on addr until SIGINT/SIGTERM, then shuts down
@@ -201,178 +202,119 @@ func runServer(db *core.Database, addr string, maxConc int, memPool int64) error
 	return nil
 }
 
-// runClient sends a script (file argument, stdin, or interactive prompt) to
-// a running server, printing each reply. Returns the process exit code:
-// nonzero when any statement fails.
-func runClient(addr string, interactive bool) int {
-	c, err := serve.Dial(addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-		return 1
-	}
-	defer func() { _ = c.Close() }()
+// runner runs one statement and returns its reply: db.RunParsed in-process,
+// Client.Do with -client.
+type runner func(p sqlparse.Piece) (*serve.Reply, error)
 
-	doStmt := func(stmt string) bool {
-		reply, err := c.Do(stmt)
+// localRunner runs statements in-process and renders each result as the
+// server would.
+func localRunner(db *core.Database) runner {
+	return func(p sqlparse.Piece) (*serve.Reply, error) {
+		if p.Stmt == nil {
+			return nil, fmt.Errorf("%s needs -client", p.Text)
+		}
+		res, err := db.RunParsed(p.Stmt, core.Resources{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lasql: transport: %v\n", err)
-			return false
+			return nil, err
 		}
-		if reply.ErrMsg != "" {
-			fmt.Fprintf(os.Stderr, "error: %s\n", reply.ErrMsg)
-			return false
+		if res == nil {
+			return &serve.Reply{Done: "ok"}, nil
 		}
-		printReply(reply)
-		return true
+		schema := make([]string, len(res.Schema))
+		for i, f := range res.Schema {
+			schema[i] = f.Name + "\t" + f.T.String()
+		}
+		return &serve.Reply{Schema: schema, Rows: res.Rows, Stats: res.Stats.String(),
+			Done: fmt.Sprintf("%d rows", len(res.Rows))}, nil
 	}
+}
 
-	if interactive {
-		sc := bufio.NewScanner(os.Stdin)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		var buf strings.Builder
-		code := 0
-		fmt.Print("lasql> ")
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.TrimSpace(line) == `\stats` {
-				if !doStmt(`\stats`) {
-					code = 1
-				}
-				fmt.Print("lasql> ")
-				continue
-			}
-			buf.WriteString(line)
-			buf.WriteByte('\n')
-			if !strings.Contains(line, ";") {
-				fmt.Print("   ..> ")
-				continue
-			}
-			for _, stmt := range splitStatements(buf.String()) {
-				if !doStmt(stmt) {
-					code = 1
-				}
-			}
-			buf.Reset()
-			fmt.Print("lasql> ")
+// clientRunner sends each statement's text to a server.
+func clientRunner(c *serve.Client) runner {
+	return func(p sqlparse.Piece) (*serve.Reply, error) {
+		reply, err := c.Do(p.Text)
+		if err != nil {
+			return nil, fmt.Errorf("transport: %w", err)
 		}
-		if err := sc.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "lasql: reading input: %v\n", err)
-			return 1
+		return reply, reply.Err()
+	}
+}
+
+// session runs the statements read from in with run, printing each reply to
+// out and each error to errOut, and returns the exit code: 1 if anything
+// failed. A script is parsed whole before anything runs and stops at its
+// first failing statement. With interactive, a prompt collects lines until
+// they hold a ';' token, runs them as one script, and goes on after errors;
+// a `\stats` line asks the server for its counters.
+func session(in io.Reader, out, errOut io.Writer, interactive bool, run runner) int {
+	code := 0
+	exec := func(pieces []sqlparse.Piece, err error) {
+		for i := 0; err == nil && i < len(pieces); i++ {
+			var reply *serve.Reply
+			if reply, err = run(pieces[i]); err == nil {
+				printReply(out, reply)
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(errOut, "error: %v\n", err)
+			code = 1
+		}
+	}
+	if !interactive {
+		if src, err := io.ReadAll(in); err != nil {
+			exec(nil, err)
+		} else {
+			exec(sqlparse.Split(string(src)))
 		}
 		return code
 	}
-
-	var src []byte
-	if flag.NArg() > 0 {
-		src, err = os.ReadFile(flag.Arg(0))
-	} else {
-		src, err = io.ReadAll(os.Stdin)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lasql: %v\n", err)
-		return 1
-	}
-	for _, stmt := range splitStatements(string(src)) {
-		if !doStmt(stmt) {
-			return 1
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var buf strings.Builder
+	prompt := "lasql> "
+	for fmt.Fprint(out, prompt); sc.Scan(); fmt.Fprint(out, prompt) {
+		line := sc.Text()
+		if strings.TrimSpace(line) == `\stats` {
+			exec([]sqlparse.Piece{{Text: `\stats`}}, nil)
+			continue
 		}
+		buf.WriteString(line)
+		buf.WriteByte('\n')
+		if done, err := sqlparse.Terminated(buf.String()); err == nil && !done {
+			prompt = "   ..> "
+			continue
+		}
+		exec(sqlparse.Split(buf.String()))
+		buf.Reset()
+		prompt = "lasql> "
 	}
-	return 0
+	exec(nil, sc.Err())
+	return code
 }
 
-// splitStatements splits a script on semicolons outside single-quoted
-// strings. The server parses each statement; the client only needs the
-// boundaries.
-func splitStatements(src string) []string {
-	var out []string
-	start, inStr := 0, false
-	for i := 0; i < len(src); i++ {
-		switch {
-		case src[i] == '\'':
-			inStr = !inStr
-		case src[i] == ';' && !inStr:
-			if s := strings.TrimSpace(src[start:i]); s != "" {
-				out = append(out, s)
-			}
-			start = i + 1
-		}
-	}
-	if s := strings.TrimSpace(src[start:]); s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-// printReply renders a server reply in the same shape as printResult.
-func printReply(r *serve.Reply) {
+// printReply prints a result set as a tab-separated table closed by its
+// "(N rows; stats)" line, a statement without one as its done text ("ok"),
+// and a stats reply as its counters.
+func printReply(w io.Writer, r *serve.Reply) {
 	if r.Stats != "" && len(r.Schema) == 0 {
-		fmt.Println(r.Stats)
+		fmt.Fprintln(w, r.Stats)
 		return
 	}
 	if len(r.Schema) == 0 {
-		fmt.Printf("%s\n\n", r.Done)
+		fmt.Fprintf(w, "%s\n\n", r.Done)
 		return
 	}
 	names := make([]string, len(r.Schema))
 	for i, line := range r.Schema {
 		names[i], _, _ = strings.Cut(line, "\t")
 	}
-	fmt.Println(strings.Join(names, "\t"))
+	fmt.Fprintln(w, strings.Join(names, "\t"))
 	for _, row := range r.Rows {
 		parts := make([]string, len(row))
 		for i, v := range row {
 			parts[i] = v.String()
 		}
-		fmt.Println(strings.Join(parts, "\t"))
+		fmt.Fprintln(w, strings.Join(parts, "\t"))
 	}
-	fmt.Printf("(%s; %s)\n\n", r.Done, strings.ReplaceAll(r.Stats, "\n", " "))
-}
-
-// repl runs the in-process interactive prompt. It returns false when the
-// input stream failed (a read error, as opposed to a clean EOF) so main can
-// exit nonzero instead of silently stopping.
-func repl(db *core.Database) bool {
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	fmt.Print("lasql> ")
-	for sc.Scan() {
-		line := sc.Text()
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if !strings.Contains(line, ";") {
-			fmt.Print("   ..> ")
-			continue
-		}
-		results, err := db.RunScript(buf.String())
-		buf.Reset()
-		for _, res := range results {
-			printResult(res)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		}
-		fmt.Print("lasql> ")
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "lasql: reading input: %v\n", err)
-		return false
-	}
-	return true
-}
-
-func printResult(res *core.Result) {
-	names := make([]string, len(res.Schema))
-	for i, f := range res.Schema {
-		names[i] = f.Name
-	}
-	fmt.Println(strings.Join(names, "\t"))
-	for _, row := range res.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = v.String()
-		}
-		fmt.Println(strings.Join(parts, "\t"))
-	}
-	fmt.Printf("(%d rows; %s)\n\n", len(res.Rows), res.Stats)
+	fmt.Fprintf(w, "(%s; %s)\n\n", r.Done, strings.ReplaceAll(r.Stats, "\n", " "))
 }

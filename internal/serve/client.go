@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 
 	"relalg/internal/value"
 )
@@ -78,7 +79,7 @@ func (c *Client) Do(sql string) (*Reply, error) {
 		}
 		switch typ {
 		case FrameSchema:
-			reply.Schema = splitLines(string(payload))
+			reply.Schema = strings.Split(string(payload), "\n")
 		case FrameRows:
 			reply.RowPayloads = append(reply.RowPayloads, payload)
 			rows, err := value.DecodeRows(payload)
@@ -99,33 +100,5 @@ func (c *Client) Do(sql string) (*Reply, error) {
 	}
 }
 
-// Stats fetches the server's counters via the \stats meta-command.
-func (c *Client) Stats() (string, error) {
-	reply, err := c.Do(statsCommand)
-	if err != nil {
-		return "", err
-	}
-	if err := reply.Err(); err != nil {
-		return "", err
-	}
-	return reply.Stats, nil
-}
-
 // Close ends the session.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// splitLines splits on '\n' without a trailing empty element.
-func splitLines(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}

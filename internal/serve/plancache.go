@@ -1,14 +1,14 @@
 package serve
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"relalg/internal/plan"
 )
 
-// planCache memoizes optimized plans keyed on normalized SQL text. Entries
+// planCache memoizes optimized plans keyed on the statement's tokens
+// (sqlparse.Piece.Key), so case, whitespace and comments share a plan. Entries
 // record the catalog DDL version they were compiled under; a lookup only
 // hits while that version is still current, so CREATE/DROP of any table or
 // view invalidates every cached plan at once (coarse, but DDL is rare and
@@ -84,44 +84,4 @@ func (c *planCache) store(key string, version int64, node plan.Node) {
 	}
 	c.entries[key] = &planEntry{version: version, node: node}
 	c.order = append(c.order, key)
-}
-
-// NormalizeSQL canonicalizes a statement for use as a plan-cache key:
-// whitespace runs collapse to one space, letters outside quoted strings fold
-// to lower case, and trailing semicolons/space are trimmed. Quoted string
-// literals are preserved byte-for-byte (their case is data, not syntax).
-func NormalizeSQL(sql string) string {
-	var b strings.Builder
-	b.Grow(len(sql))
-	inStr := false
-	space := false
-	for i := 0; i < len(sql); i++ {
-		ch := sql[i]
-		if inStr {
-			b.WriteByte(ch)
-			if ch == '\'' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case ch == '\'':
-			inStr = true
-			space = false
-			b.WriteByte(ch)
-		case ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r':
-			if b.Len() > 0 && !space {
-				b.WriteByte(' ')
-				space = true
-			}
-		default:
-			space = false
-			if ch >= 'A' && ch <= 'Z' {
-				ch += 'a' - 'A'
-			}
-			b.WriteByte(ch)
-		}
-	}
-	out := strings.TrimRight(b.String(), " ;")
-	return out
 }

@@ -3,8 +3,8 @@
 // core.Database. It makes the scarce resources global — an admission
 // controller bounds in-flight statements, and the spill memory budget becomes
 // a server-wide pool leased to queries in fixed shares — and it caches
-// optimized plans keyed on normalized SQL, invalidated by the catalog's DDL
-// version.
+// optimized plans keyed on each statement's tokens, invalidated by the
+// catalog's DDL version.
 //
 // The wire protocol is deliberately tiny: length-prefixed binary frames, one
 // statement per request, a fixed frame vocabulary for the response. Row

@@ -64,24 +64,6 @@ func TestFrameOversized(t *testing.T) {
 	}
 }
 
-func TestNormalizeSQL(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"SELECT  1", "select 1"},
-		{"select\n\t1 ;", "select 1"},
-		{"  SELECT a FROM t  ", "select a from t"},
-		{"SELECT 'KeepCase  Inside'", "select 'KeepCase  Inside'"},
-		{"SELECT x FROM t;", "select x from t"},
-	}
-	for _, c := range cases {
-		if got := NormalizeSQL(c.in); got != c.want {
-			t.Errorf("NormalizeSQL(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-	if NormalizeSQL("SELECT  1") != NormalizeSQL("select 1\n") {
-		t.Error("equivalent statements normalize differently")
-	}
-}
-
 // TestFrameReadAllocatesWhatArrives: a length prefix near the cap on a short
 // stream fails without allocating the claimed payload, and a frame larger
 // than the first chunk still reads back whole.

@@ -226,7 +226,7 @@ func TestServePlanCacheDDLInvalidation(t *testing.T) {
 	}
 	do("SELECT  count(*)  FROM pts") // same statement modulo case/whitespace
 	if st := srv.Stats(); st.CacheHits != 1 {
-		t.Fatalf("normalized repeat missed: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
+		t.Fatalf("repeat differing in case and whitespace missed: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
 	}
 	do("CREATE TABLE unrelated (x INTEGER)")
 	do(q)
@@ -236,6 +236,36 @@ func TestServePlanCacheDDLInvalidation(t *testing.T) {
 	do(q)
 	if st := srv.Stats(); st.CacheHits != 2 {
 		t.Fatalf("recompiled plan not served: hits=%d", st.CacheHits)
+	}
+}
+
+// TestServePlanCacheKeepsCommentLines: a newline ends a "--" comment, so the
+// two statements below differ (one filters, one does not) and must not share
+// a cached plan, though their text differs only in that newline.
+func TestServePlanCacheKeepsCommentLines(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE t (x INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1), (2), (3)")
+	_, addr := startServer(t, db, Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	for _, q := range []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT x FROM t -- c\nWHERE x = 1", 1},
+		{"SELECT x FROM t -- c WHERE x = 1", 3},
+	} {
+		reply, err := c.Do(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reply.Err(); err != nil || len(reply.Rows) != q.rows {
+			t.Errorf("%q: %d rows (err %v), want %d", q.sql, len(reply.Rows), err, q.rows)
+		}
 	}
 }
 
@@ -279,10 +309,14 @@ func TestServeStatsCommand(t *testing.T) {
 	if _, err := c.Do("SELECT COUNT(*) FROM pts"); err != nil {
 		t.Fatal(err)
 	}
-	text, err := c.Stats()
+	reply, err := c.Do(statsCommand)
+	if err == nil {
+		err = reply.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := reply.Stats
 	for _, key := range []string{"queries_served", "plan_cache_hits", "peak_concurrent", "session_queries"} {
 		if !strings.Contains(text, key) {
 			t.Errorf("stats output missing %q:\n%s", key, text)

@@ -109,18 +109,18 @@ func (s *session) handle(sql string) frameSeq {
 // takes the uncached path — DDL invalidates the cache as a side effect of
 // bumping the catalog version.
 func (s *session) execute(sql string) (*core.Result, error) {
-	stmt, err := sqlparse.Parse(sql)
+	piece, err := sqlparse.ParseOne(sql)
 	if err != nil {
 		return nil, err
 	}
 	s.srv.adm.acquire()
 	defer s.srv.adm.release()
 	rsrc := s.srv.lease()
-	sel, isSelect := stmt.(*sqlparse.Select)
+	sel, isSelect := piece.Stmt.(*sqlparse.Select)
 	if !isSelect {
-		return s.srv.db.RunParsed(stmt, rsrc)
+		return s.srv.db.RunParsed(piece.Stmt, rsrc)
 	}
-	key := NormalizeSQL(sql)
+	key := piece.Key()
 	// The version is read BEFORE planning: if DDL lands between this read
 	// and the store, the entry is recorded under the stale version and the
 	// next lookup misses — never the reverse.

@@ -1,7 +1,9 @@
 package sqlparse
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,42 +13,95 @@ import (
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // accepted).
 func Parse(src string) (Statement, error) {
-	stmts, err := ParseScript(src)
+	p, err := ParseOne(src)
+	return p.Stmt, err
+}
+
+// ParseOne is Parse keeping the statement's text and tokens, for Key.
+func ParseOne(src string) (Piece, error) {
+	ps, err := Split(src)
 	if err != nil {
-		return nil, err
+		return Piece{}, err
 	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sql: expected exactly one statement, got %d", len(stmts))
+	if len(ps) != 1 {
+		return Piece{}, fmt.Errorf("sql: expected exactly one statement, got %d", len(ps))
 	}
-	return stmts[0], nil
+	return ps[0], nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
+	ps, err := Split(src)
+	if err != nil {
+		return nil, err
+	}
+	stmts := make([]Statement, len(ps))
+	for i, p := range ps {
+		stmts[i] = p.Stmt
+	}
+	return stmts, nil
+}
+
+// Piece is one statement of a script: its parse, and its text from its
+// first token through its last (the terminating ';' excluded), which
+// parses alone to the same statement.
+type Piece struct {
+	Stmt Statement
+	Text string
+	toks []token // the statement's tokens, without the terminating ';'
+}
+
+// Split parses a semicolon-separated script into its statements. If any
+// statement fails to parse, it returns the error and no statement.
+func Split(src string) ([]Piece, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	var stmts []Statement
+	var out []Piece
 	for {
 		for p.acceptOp(";") {
 		}
 		if p.peek().kind == tokEOF {
-			return stmts, nil
+			return out, nil
 		}
+		start := p.i
 		s, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		first, last := toks[start], toks[p.i-1]
+		out = append(out, Piece{Stmt: s, Text: src[first.pos : last.pos+len(last.raw)], toks: toks[start:p.i]})
 		if !p.acceptOp(";") && p.peek().kind != tokEOF {
 			return nil, p.errf("expected ';' or end of input after statement")
 		}
 	}
 }
 
-// ParseExpr parses a standalone expression (used by tests and the REPL).
+// Key is the statement's plan-cache key: each token's kind and canonical
+// text, length-prefixed. The parser reads nothing else of a token (its raw
+// text only names it in errors), so equal keys parse to the same statement,
+// and statements that differ only in keyword or identifier case, whitespace
+// or comments share a key.
+func (p Piece) Key() string {
+	b := make([]byte, 0, len(p.Text)+2*len(p.toks))
+	for _, t := range p.toks {
+		b = binary.AppendUvarint(append(b, byte(t.kind)), uint64(len(t.text)))
+		b = append(b, t.text...)
+	}
+	return string(b)
+}
+
+// Terminated reports whether src holds a ';' token: the prompt's sign that
+// a statement is complete. A ';' inside a string literal or a comment is not
+// a token.
+func Terminated(src string) (bool, error) {
+	toks, err := lexAll(src)
+	return slices.ContainsFunc(toks, func(t token) bool { return t.kind == tokOp && t.text == ";" }), err
+}
+
+// ParseExpr parses a standalone expression; only tests call it.
 func ParseExpr(src string) (Expr, error) {
 	toks, err := lexAll(src)
 	if err != nil {

@@ -40,15 +40,15 @@ func mustJSON(t testing.TB, rec jrec) []byte {
 // the only thing that can refuse it. A partition count out of range used to
 // size an allocation: -1 panicked Open.
 func TestReplayRefusesBadRecords(t *testing.T) {
-	cases := map[string]func(p jpage) jrec{
-		"negative parts": func(jpage) jrec { return jrec{Op: "create", ID: 2, Name: "u", Parts: -1} },
-		"zero parts":     func(jpage) jrec { return jrec{Op: "create", ID: 2, Name: "u"} },
-		"too many parts": func(jpage) jrec { return jrec{Op: "create", ID: 2, Name: "u", Parts: maxParts + 1} },
-		"reused id":      func(jpage) jrec { return jrec{Op: "create", ID: 1, Name: "u", Parts: 1} },
-		"page part":      func(p jpage) jrec { p.Part = 1; return jrec{Op: "commit", ID: 1, Pages: []jpage{p}} },
-		"zero slots":     func(p jpage) jrec { p.Slots = 0; return jrec{Op: "commit", ID: 1, Pages: []jpage{p}} },
-		"slot count":     func(p jpage) jrec { p.Slots = 1<<32 - 1; return jrec{Op: "commit", ID: 1, Pages: []jpage{p}} },
-		"short page":     func(p jpage) jrec { p.Bytes = 10; return jrec{Op: "commit", ID: 1, Pages: []jpage{p}} },
+	cases := map[string]func(p pageInfo) jrec{
+		"negative parts": func(pageInfo) jrec { return jrec{Op: "create", ID: 2, Name: "u", Parts: -1} },
+		"zero parts":     func(pageInfo) jrec { return jrec{Op: "create", ID: 2, Name: "u"} },
+		"too many parts": func(pageInfo) jrec { return jrec{Op: "create", ID: 2, Name: "u", Parts: maxParts + 1} },
+		"reused id":      func(pageInfo) jrec { return jrec{Op: "create", ID: 1, Name: "u", Parts: 1} },
+		"page part":      func(p pageInfo) jrec { p.Part = 1; return jrec{Op: "commit", ID: 1, Pages: []pageInfo{p}} },
+		"zero slots":     func(p pageInfo) jrec { p.Slots = 0; return jrec{Op: "commit", ID: 1, Pages: []pageInfo{p}} },
+		"slot count":     func(p pageInfo) jrec { p.Slots = 1<<32 - 1; return jrec{Op: "commit", ID: 1, Pages: []pageInfo{p}} },
+		"short page":     func(p pageInfo) jrec { p.Bytes = 10; return jrec{Op: "commit", ID: 1, Pages: []pageInfo{p}} },
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -67,7 +67,7 @@ func TestReplayRefusesBadRecords(t *testing.T) {
 			if err := tb.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			p := jpage(tb.pages[0])
+			p := tb.pages[0]
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}

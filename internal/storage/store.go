@@ -93,30 +93,23 @@ type Options struct {
 
 // jrec is one journal record. Op is "create", "meta", "commit", or "drop".
 type jrec struct {
-	Op    string  `json:"op"`
-	ID    uint64  `json:"id,omitempty"`
-	Name  string  `json:"name,omitempty"`
-	Parts int     `json:"parts,omitempty"`
-	Meta  []byte  `json:"meta,omitempty"`
-	Pages []jpage `json:"pages,omitempty"`
+	Op    string     `json:"op"`
+	ID    uint64     `json:"id,omitempty"`
+	Name  string     `json:"name,omitempty"`
+	Parts int        `json:"parts,omitempty"`
+	Meta  []byte     `json:"meta,omitempty"`
+	Pages []pageInfo `json:"pages,omitempty"`
 }
 
-// jpage records one committed page: its slot range, owning partition, row
-// count, and physical image length (pages need not fill their last slot).
-type jpage struct {
+// pageInfo is one committed page, in memory and in the journal: its slot
+// range, owning partition, row count, and physical image length (pages need
+// not fill their last slot).
+type pageInfo struct {
 	Slot  uint32 `json:"slot"`
 	Slots uint32 `json:"slots"`
 	Part  uint32 `json:"part"`
 	Rows  uint32 `json:"rows"`
 	Bytes uint32 `json:"bytes"`
-}
-
-type pageInfo struct {
-	Slot  uint32
-	Slots uint32
-	Part  uint32
-	Rows  uint32
-	Bytes uint32
 }
 
 // Store is an open data directory.
@@ -343,7 +336,7 @@ func (s *Store) applyRecord(rec jrec, byID map[uint64]*Table) error {
 			if int64(p.Part) >= int64(t.parts) || p.Bytes < pageHeaderLen || p.Slots != s.slotsFor(int(p.Bytes)) {
 				return fmt.Errorf("storage: table %q: journal commits a bad page %+v", t.name, p)
 			}
-			t.pages = append(t.pages, pageInfo(p))
+			t.pages = append(t.pages, p)
 			t.rows += int64(p.Rows)
 			if end := p.Slot + p.Slots; end > t.nextSlot {
 				t.nextSlot = end
@@ -824,11 +817,7 @@ func (t *Table) Commit() error {
 		t.st.setFailed(werr)
 		return werr
 	}
-	rec := jrec{Op: "commit", ID: t.id, Pages: make([]jpage, len(t.pending))}
-	for i, pi := range t.pending {
-		rec.Pages[i] = jpage(pi)
-	}
-	if err := t.st.appendRecord(rec); err != nil {
+	if err := t.st.appendRecord(jrec{Op: "commit", ID: t.id, Pages: t.pending}); err != nil {
 		return err
 	}
 	t.pages = append(t.pages, t.pending...)

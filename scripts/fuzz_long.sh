@@ -8,7 +8,7 @@
 # testdata/fuzz/ as a regression case.
 #
 # Usage: scripts/fuzz_long.sh <seconds> [target...]
-#   scripts/fuzz_long.sh 60                          # all eight targets
+#   scripts/fuzz_long.sh 60                          # all nine targets
 #   scripts/fuzz_long.sh 60 FuzzGroupBy FuzzEvalVec  # only these
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -29,10 +29,11 @@ declare -A PKG=(
   [FuzzGroupBy]=./internal/exec/
   [FuzzEvalVec]=./internal/plan/
   [FuzzPlan]=./internal/plan/
+  [FuzzSplit]=./internal/sqlparse/
 )
 targets=("$@")
 if [[ ${#targets[@]} -eq 0 ]]; then
-  targets=(FuzzDecodeRows FuzzBlockFrames FuzzDecodePage FuzzReplayJournal FuzzReadFrame FuzzGroupBy FuzzEvalVec FuzzPlan)
+  targets=(FuzzDecodeRows FuzzBlockFrames FuzzDecodePage FuzzReplayJournal FuzzReadFrame FuzzGroupBy FuzzEvalVec FuzzPlan FuzzSplit)
 fi
 
 logs=$(mktemp -d)

@@ -14,12 +14,15 @@
 # new input can hold the exec count still for the rest of the run;
 # scripts/fuzz_long.sh is the long run), of the expression evaluator (each
 # lane evaluated alone must match its lane of the whole window, bit for
-# bit), and of the SQL parser and planner (any text that parses, builds and
+# bit), of the SQL parser and planner (any text that parses, builds and
 # optimizes must not panic, and its plan rebuilt node by node must explain
-# the same), the end-to-end server smoke, the SIGKILL restart-recovery smoke
-# over a persistent data directory, and the smoke test of the repository's
-# benchmark (benchmark/ is a module of its own, so "go test ./..." does not
-# reach it).
+# the same), and of the SQL scanner's statement split and plan-cache key
+# (each statement cut from a script parses alone to the same statement, and
+# equal keys mean equal statements; its minimizer is capped too, since
+# minimizing the whole seed script stalls the run), the end-to-end server
+# smoke, the SIGKILL restart-recovery smoke over a persistent data
+# directory, and the smoke test of the repository's benchmark (benchmark/ is
+# a module of its own, so "go test ./..." does not reach it).
 #
 # Every gate runs even if an earlier one fails (except that a failed build
 # skips the gates that cannot run without a building tree); the run ends with
@@ -76,7 +79,8 @@ if [[ $BUILD_OK == 1 ]]; then
     go test -run "^$" -fuzz "^FuzzReadFrame$" -fuzztime 5s ./internal/serve/ &&
     go test -run "^$" -fuzz "^FuzzGroupBy$" -fuzztime 5s -fuzzminimizetime 100x ./internal/exec/ &&
     go test -run "^$" -fuzz "^FuzzEvalVec$" -fuzztime 5s ./internal/plan/ &&
-    go test -run "^$" -fuzz "^FuzzPlan$" -fuzztime 5s ./internal/plan/'
+    go test -run "^$" -fuzz "^FuzzPlan$" -fuzztime 5s ./internal/plan/ &&
+    go test -run "^$" -fuzz "^FuzzSplit$" -fuzztime 5s -fuzzminimizetime 100x ./internal/sqlparse/'
   gate "serve smoke" bash scripts/serve_smoke.sh
   gate "restart smoke" bash scripts/storage_smoke.sh
   gate "bench smoke" bash -c 'cd benchmark && go test -short ./...'
